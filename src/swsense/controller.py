@@ -22,8 +22,6 @@ MODE_RELEASING = "releasing"
 
 ACT_TUNE = "tune"
 ACT_RELEASE = "release"
-ACT_FLAG_SET = "flag_set"
-ACT_FLAG_CLEAR = "flag_clear"
 ACT_SET_ATT = "set_att"
 
 
@@ -95,7 +93,6 @@ class ControllerState:
     freeze_samples: int = 0
     last_estimate: Estimate | None = None
     diagnostic: str | None = None
-    flag: bool = False
 
 
 def agc_policy(code_oc: int, att_db: float, ctrl: ControllerConfig, chain: ChainConfig) -> float:
@@ -158,7 +155,6 @@ def on_sample(
             diagnostic = f"{type(exc).__name__}: {exc}"
 
     tuned = st.tuned_freq_hz
-    flag = st.flag
     # A saturated open-end reading carries no usable tap ratio; hold all
     # mode decisions and let the step attenuator bring it back in range.
     usable = est is not None and est.confidence != CONF_SATURATED
@@ -166,17 +162,13 @@ def on_sample(
         above = usable and est.power_dbm > ctrl.threshold_dbm
         if mode == MODE_IDLE and above:
             actions.append(Action(ACT_TUNE, now + ctrl.clock_period, freq_hz=est.freq_hz))
-            actions.append(Action(ACT_FLAG_SET, now + ctrl.clock_period))
             mode, pending_mode, pending_at = MODE_ENGAGING, MODE_ENGAGED, now + ctrl.clock_period
             tuned = est.freq_hz
-            flag = True
         elif mode == MODE_ENGAGED:
             if no_signal or not above:
                 actions.append(Action(ACT_RELEASE, now + ctrl.clock_period))
-                actions.append(Action(ACT_FLAG_CLEAR, now + ctrl.clock_period))
                 mode, pending_mode, pending_at = MODE_RELEASING, MODE_IDLE, now + ctrl.clock_period
                 tuned = None
-                flag = False
             elif (
                 tuned is not None
                 and abs(est.freq_hz - tuned) > ctrl.retune_deadband_hz
@@ -197,6 +189,5 @@ def on_sample(
         freeze_samples=new_freeze,
         last_estimate=est if est is not None else (None if no_signal else st.last_estimate),
         diagnostic=diagnostic,
-        flag=flag,
     )
     return new_state, actions

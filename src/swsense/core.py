@@ -24,11 +24,6 @@ def watts_to_dbm(p_w: float) -> float:
     return 10.0 * math.log10(p_w / 1e-3)
 
 
-def db_to_lin(x_db: float) -> float:
-    """Power ratio from dB."""
-    return 10.0 ** (x_db / 10.0)
-
-
 @dataclass(frozen=True)
 class Tone:
     """One narrowband source.

@@ -12,14 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfBandError
-
-# Representative package dissipation limits for tap resistor sizing, in watts.
-PACKAGE_LIMITS_W = (0.05, 0.1, 0.25, 1.0)
 
 
 @dataclass(frozen=True)
@@ -66,16 +63,15 @@ class DirectionalCouplerParams:
 class ReflectionEnvironment:
     """Downstream reflection seen from the pick-off point.
 
-    gamma gives the reflection magnitude versus frequency (a callable or a
-    constant, 0..1); electrical_delay_s is the one-way delay from the
-    pick-off to the reflecting element.
+    gamma is the reflection magnitude (0..1); electrical_delay_s is the
+    one-way delay from the pick-off to the reflecting element.
     """
 
-    gamma: float | Callable[[float], float] = 0.0
+    gamma: float = 0.0
     electrical_delay_s: float = 0.0
 
     def gamma_at(self, f_hz: float) -> float:
-        g = self.gamma(f_hz) if callable(self.gamma) else float(self.gamma)
+        g = float(self.gamma)
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"reflection magnitude must be within [0, 1], got {g}")
         return g

@@ -10,17 +10,17 @@ k's own detectors see via the sampled forward amplitude.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .controller import (
-    ACT_FLAG_CLEAR,
-    ACT_FLAG_SET,
     ACT_RELEASE,
     ACT_SET_ATT,
     ACT_TUNE,
@@ -43,6 +43,13 @@ from .readout import (
 )
 
 _SILENT_DBM = -300.0
+
+# Keys of a per-sample log dict and columns of its CSV. StageSnapshot
+# declares every column but t_s first, in this order.
+_SAMPLE_COLUMNS = ("t_s", "code_oc", "code_l1", "code_l2", "att_db", "f_est_hz", "p_est_dbm", "mode", "action")
+_snapshot_values = itemgetter(*_SAMPLE_COLUMNS[1:])
+# Snapshot values before a stage's first sample is delivered.
+_IDLE_VALUES = (0, 0, 0, 0.0, math.nan, math.nan, "idle", "")
 
 
 @dataclass(frozen=True)
@@ -299,8 +306,6 @@ class _Runner:
             self.filter_hist[k].append((act.effective_at_s, release(current)))
         elif act.kind == ACT_SET_ATT:
             self.att_hist[k].append((act.effective_at_s, act.att_db))
-        elif act.kind in (ACT_FLAG_SET, ACT_FLAG_CLEAR):
-            pass  # flag state is tracked in the controller state itself
         self.actions.append(applied)
 
     def run(self, collect_trace: bool) -> Trace:
@@ -323,19 +328,18 @@ class _Runner:
             if state.diagnostic:
                 self.diagnostics.append(f"stage {k} at {t:.3e}s: {state.diagnostic}")
             est = state.last_estimate
-            self.samples[k].append(
-                {
-                    "t_s": t,
-                    "code_oc": codes.code_oc,
-                    "code_l1": codes.code_l1,
-                    "code_l2": codes.code_l2,
-                    "att_db": codes.att_db,
-                    "f_est_hz": est.freq_hz if est else math.nan,
-                    "p_est_dbm": est.power_dbm if est else math.nan,
-                    "mode": state.mode,
-                    "action": ";".join(a.kind for a in acts),
-                }
+            values = (
+                t,
+                codes.code_oc,
+                codes.code_l1,
+                codes.code_l2,
+                codes.att_db,
+                est.freq_hz if est else math.nan,
+                est.power_dbm if est else math.nan,
+                state.mode,
+                ";".join(a.kind for a in acts),
             )
+            self.samples[k].append(dict(zip(_SAMPLE_COLUMNS, values)))
             heapq.heappush(heap, (t + sc.stages[k].chain.adc.sample_period, k))
 
         records = self._build_records() if collect_trace else []
@@ -379,35 +383,9 @@ class _Runner:
             snaps = []
             for k in range(len(sc.stages)):
                 j = bisect_right(sample_times[k], t) - 1
-                s = (
-                    self.samples[k][j]
-                    if j >= 0
-                    else {
-                        "code_oc": 0,
-                        "code_l1": 0,
-                        "code_l2": 0,
-                        "att_db": 0.0,
-                        "f_est_hz": math.nan,
-                        "p_est_dbm": math.nan,
-                        "mode": "idle",
-                        "action": "",
-                    }
-                )
+                values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
                 fstate = self._filter_state_at(k, t)
-                snaps.append(
-                    StageSnapshot(
-                        code_oc=s["code_oc"],
-                        code_l1=s["code_l1"],
-                        code_l2=s["code_l2"],
-                        att_db=s["att_db"],
-                        f_est_hz=s["f_est_hz"],
-                        p_est_dbm=s["p_est_dbm"],
-                        mode=s["mode"],
-                        action=s["action"],
-                        filter_engaged=fstate.engaged,
-                        filter_center_hz=fstate.f_center_hz,
-                    )
-                )
+                snaps.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
             records.append(
                 TraceRecord(
                     t_s=t,
@@ -418,34 +396,16 @@ class _Runner:
             )
         return records
 
-    def _toggle_times(self, k: int) -> list[tuple[float, bool]]:
-        out = []
-        last = False
-        for t, st in self.filter_hist[k]:
-            if st.engaged != last:
-                out.append((t, st.engaged))
-                last = st.engaged
-        return out
-
     def _metrics(self, records: list[TraceRecord]) -> Metrics:
         sc = self.sc
         m = Metrics(diagnostics=list(self.diagnostics))
-        rises = sorted(src.t_on_s for src in sc.sources if src.t_on_s > 0.0)
-        falls = sorted(src.t_off_s for src in sc.sources if src.t_off_s < sc.duration_s)
-        tunes = [a for a in self.actions if a.stage == 0 and a.kind == ACT_TUNE and a.ok]
-        rels = [a for a in self.actions if a.stage == 0 and a.kind == ACT_RELEASE]
-        if rises and tunes:
-            t_edge = rises[0]
-            after = [a.effective_at_s for a in tunes if a.effective_at_s > t_edge]
-            if after:
-                m.response_time_engage_s = after[0] - t_edge
-        if falls and rels:
-            t_edge = falls[0]
-            after = [a.effective_at_s for a in rels if a.effective_at_s > t_edge]
-            if after:
-                m.response_time_release_s = after[0] - t_edge
+        rises, falls = _edges(sc, "rise"), _edges(sc, "fall")
+        if rises:
+            m.response_time_engage_s = _response_time(self.actions, 0, ACT_TUNE, rises[0])
+        if falls:
+            m.response_time_release_s = _response_time(self.actions, 0, ACT_RELEASE, falls[0])
         for k in range(len(sc.stages)):
-            cyc, period = _cycle_from_toggles(self._toggle_times(k))
+            cyc, period = _limit_cycle(self.filter_hist[k])
             if cyc:
                 m.limit_cycle = True
                 m.limit_cycle_period_s = period
@@ -478,7 +438,13 @@ def run(
     return _Runner(sc, calibrations).run(collect_trace)
 
 
-def _cycle_from_toggles(toggles: list[tuple[float, bool]]) -> tuple[bool, float | None]:
+def _limit_cycle(hist: list[tuple[float, FilterState]]) -> tuple[bool, float | None]:
+    toggles = []
+    last = False
+    for t, st in hist:
+        if st.engaged != last:
+            toggles.append((t, st.engaged))
+            last = st.engaged
     if len(toggles) < 4:
         return False, None
     engages = [t for t, on in toggles if on]
@@ -500,38 +466,36 @@ def detect_limit_cycle(trace: Trace, stage: int = 0) -> tuple[bool, float | None
     clock = trace.scenario.stages[stage].controller.clock_period
     if trace.scenario.duration_s <= 10.0 * clock:
         raise ValueError("trace too short to judge cycling (need > 10 controller clocks)")
-    hist = trace.filter_hist[stage]
-    toggles = []
-    last = False
-    for t, st in hist:
-        if st.engaged != last:
-            toggles.append((t, st.engaged))
-            last = st.engaged
-    return _cycle_from_toggles(toggles)
+    return _limit_cycle(trace.filter_hist[stage])
+
+
+def _edges(sc: Scenario, edge: str) -> list[float]:
+    """Sorted source power edges inside the run: turn-ons for "rise", turn-offs for "fall"."""
+    if edge == "rise":
+        return sorted(src.t_on_s for src in sc.sources if src.t_on_s > 0.0)
+    return sorted(src.t_off_s for src in sc.sources if src.t_off_s < sc.duration_s)
+
+
+def _response_time(actions: list[AppliedAction], stage: int, kind: str, t_edge: float) -> float | None:
+    """Seconds from t_edge until the stage's first applied `kind` action after it takes effect."""
+    for a in actions:
+        if a.stage == stage and a.kind == kind and a.ok and a.effective_at_s > t_edge:
+            return a.effective_at_s - t_edge
+    return None
 
 
 def measure_response_time(trace: Trace, edge: str = "rise", stage: int = 0) -> float:
     """Seconds from a source power edge to the stage's filter action taking effect."""
-    sc = trace.scenario
-    if edge == "rise":
-        edges = sorted(src.t_on_s for src in sc.sources if src.t_on_s > 0.0)
-        kinds = (ACT_TUNE,)
-    elif edge == "fall":
-        edges = sorted(src.t_off_s for src in sc.sources if src.t_off_s < sc.duration_s)
-        kinds = (ACT_RELEASE,)
-    else:
+    kind = {"rise": ACT_TUNE, "fall": ACT_RELEASE}.get(edge)
+    if kind is None:
         raise ValueError("edge must be 'rise' or 'fall'")
+    edges = _edges(trace.scenario, edge)
     if len(edges) != 1:
         raise ValueError(f"need exactly one {edge} edge, found {len(edges)}")
-    t_edge = edges[0]
-    hits = [
-        a.effective_at_s
-        for a in trace.actions
-        if a.stage == stage and a.kind in kinds and a.ok and a.effective_at_s > t_edge
-    ]
-    if not hits:
+    dt = _response_time(trace.actions, stage, kind, edges[0])
+    if dt is None:
         raise ValueError(f"no filter action follows the {edge} edge")
-    return hits[0] - t_edge
+    return dt
 
 
 # ---------------- scenario JSON ----------------
@@ -632,66 +596,25 @@ def trace_to_csv(trace: Trace, path: str) -> None:
     for k in range(n_stage):
         cols += [f"s{k}_in{i}_dbm" for i in range(n_src)]
         cols += [f"s{k}_out{i}_dbm" for i in range(n_src)]
-        cols += [
-            f"s{k}_{name}"
-            for name in (
-                "code_oc",
-                "code_l1",
-                "code_l2",
-                "att_db",
-                "f_est_hz",
-                "p_est_dbm",
-                "mode",
-                "action",
-                "filter_engaged",
-                "filter_center_hz",
-            )
-        ]
-    import csv as _csv
-
+        cols += [f"s{k}_{f.name}" for f in fields(StageSnapshot)]
+    # csv.writer writes a float as str(), its shortest form that parses back exactly.
+    sampled = attrgetter(*_SAMPLE_COLUMNS[1:])
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(cols)
         for r in trace.records:
-            row: list = [repr(r.t_s)]
-            for k in range(n_stage):
-                row += [repr(x) for x in r.in_dbm[k]]
-                row += [repr(x) for x in r.out_dbm[k]]
-                s = r.stages[k]
-                row += [
-                    s.code_oc,
-                    s.code_l1,
-                    s.code_l2,
-                    repr(s.att_db),
-                    repr(s.f_est_hz),
-                    repr(s.p_est_dbm),
-                    s.mode,
-                    s.action,
-                    int(s.filter_engaged),
-                    repr(s.filter_center_hz),
-                ]
+            row: list = [r.t_s]
+            for k, s in enumerate(r.stages):
+                row += r.in_dbm[k]
+                row += r.out_dbm[k]
+                row += sampled(s)
+                row += (int(s.filter_engaged), s.filter_center_hz)
             w.writerow(row)
 
 
 def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
     """Write one stage's per-sample controller log."""
-    import csv as _csv
-
-    cols = ["t_s", "code_oc", "code_l1", "code_l2", "att_db", "f_est_hz", "p_est_dbm", "mode", "action"]
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(cols)
-        for s in trace.samples[stage]:
-            w.writerow(
-                [
-                    repr(s["t_s"]),
-                    s["code_oc"],
-                    s["code_l1"],
-                    s["code_l2"],
-                    repr(s["att_db"]),
-                    repr(s["f_est_hz"]),
-                    repr(s["p_est_dbm"]),
-                    s["mode"],
-                    s["action"],
-                ]
-            )
+        w = csv.writer(fh)
+        w.writerow(_SAMPLE_COLUMNS)
+        w.writerows(map(itemgetter(*_SAMPLE_COLUMNS), trace.samples[stage]))

@@ -85,7 +85,6 @@ class CalibrationTable:
     code_oc: np.ndarray
     code_l1: np.ndarray
     code_l2: np.ndarray
-    d_const: dict[str, float]  # reference open-end detector voltage per tap
     config_hash: str
     cfg: ChainConfig = field(repr=False)
 
@@ -202,8 +201,6 @@ def build_calibration(
             l1[i, j] = codes.code_l1
             l2[i, j] = codes.code_l2
 
-    d = ctrl.agc_high_code * cfg.adc.lsb
-    d_const = {tap.name: d for tap in cfg.stub.taps}
     return CalibrationTable(
         freqs_hz=freqs,
         powers_dbm=powers,
@@ -211,7 +208,6 @@ def build_calibration(
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        d_const=d_const,
         config_hash=chain_config_hash(cfg),
         cfg=cfg,
     )
@@ -382,7 +378,6 @@ def save_calibration(cal: CalibrationTable, csv_path: str, header_path: str) -> 
     header = {
         "freqs_hz": [float(x) for x in cal.freqs_hz],
         "powers_dbm": [float(x) for x in cal.powers_dbm],
-        "d_const": cal.d_const,
         "config_hash": cal.config_hash,
         "chain": chain_config_to_dict(cal.cfg),
     }
@@ -424,7 +419,6 @@ def load_calibration(csv_path: str, header_path: str) -> CalibrationTable:
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        d_const={k: float(v) for k, v in header["d_const"].items()},
         config_hash=header["config_hash"],
         cfg=cfg,
     )

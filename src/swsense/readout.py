@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields, asdict
+from typing import Sequence
 
 from .core import SignalDescriptor, Tone, expand_signal
 from .coupling import (
@@ -30,7 +30,6 @@ class AttenuatorParams:
 
     step_db: float = 0.25
     max_db: float = 31.75
-    settle_time: float = 50e-9
 
     def __post_init__(self):
         if self.step_db <= 0.0 or self.max_db < self.step_db:
@@ -233,12 +232,9 @@ def chain_voltages(
     sig: SignalDescriptor,
     cfg: ChainConfig,
     att_db: float,
-    forward_ratio: Callable[[float], float] | None = None,
 ) -> tuple[float, float, float]:
     """chain_voltages_lines over an expanded signal descriptor."""
-    lines = expand_signal(sig)
-    ratios = None if forward_ratio is None else [forward_ratio(f) for f, _ in lines]
-    return chain_voltages_lines(lines, cfg, att_db, ratios)
+    return chain_voltages_lines(expand_signal(sig), cfg, att_db)
 
 
 def chain_readout_lines(
@@ -265,12 +261,9 @@ def chain_readout(
     cfg: ChainConfig,
     att_db: float,
     t_s: float = 0.0,
-    forward_ratio: Callable[[float], float] | None = None,
 ) -> TapCodes:
     """Digitized three-detector acquisition for a signal descriptor."""
-    lines = expand_signal(sig)
-    ratios = None if forward_ratio is None else [forward_ratio(f) for f, _ in lines]
-    return chain_readout_lines(lines, cfg, att_db, t_s, ratios)
+    return chain_readout_lines(expand_signal(sig), cfg, att_db, t_s)
 
 
 # ---------------- ChainConfig JSON (de)serialization ----------------
@@ -299,7 +292,6 @@ def chain_config_to_dict(cfg: ChainConfig) -> dict:
             "z0s": cfg.stub.z0s,
             "taps": [{"name": t.name, "f_max": t.f_max_hz} for t in cfg.stub.taps],
             "eps_eff": cfg.stub.eps_eff,
-            "r_d": cfg.stub.r_d,
         },
         "attenuator": asdict(cfg.attenuator),
         "amplifier": asdict(cfg.amplifier),
@@ -316,6 +308,16 @@ def chain_config_to_dict(cfg: ChainConfig) -> dict:
             "f_max_hz": cfg.coupler.f_max_hz,
         }
     return d
+
+
+def _params_from_dict(d: dict, block: str, cls):
+    """cls built from the block's keys; a key cls has no field for is a ValueError."""
+    kw = d.get(block, {})
+    known = {f.name for f in fields(cls)}
+    for key in kw:
+        if key not in known:
+            raise ValueError(f"chain.{block}: unknown key {key!r}")
+    return cls(**kw)
 
 
 def chain_config_from_dict(d: dict) -> ChainConfig:
@@ -335,18 +337,17 @@ def chain_config_from_dict(d: dict) -> ChainConfig:
         taps=tuple(TapSpec(t["name"], t["f_max"]) for t in stub_d.get("taps", []))
         or StubParams().taps,
         eps_eff=stub_d.get("eps_eff", 1.0),
-        r_d=stub_d.get("r_d", 180.0),
     )
     ripple = d.get("gain_ripple")
     return ChainConfig(
         coupling_kind=d.get("coupling_kind", "tap"),
-        tap=ResistiveTapParams(**d.get("tap", {})),
+        tap=_params_from_dict(d, "tap", ResistiveTapParams),
         coupler=coupler,
         stub=stub,
-        attenuator=AttenuatorParams(**d.get("attenuator", {})),
-        amplifier=AmplifierParams(**d.get("amplifier", {})),
-        detector=DetectorParams(**d.get("detector", {})),
-        adc=AdcParams(**d.get("adc", {})),
+        attenuator=_params_from_dict(d, "attenuator", AttenuatorParams),
+        amplifier=_params_from_dict(d, "amplifier", AmplifierParams),
+        detector=_params_from_dict(d, "detector", DetectorParams),
+        adc=_params_from_dict(d, "adc", AdcParams),
         gain_ripple=_table_from_json(ripple) if ripple is not None else None,
     )
 

@@ -39,11 +39,10 @@ class StubParams:
         default_factory=lambda: (TapSpec("l1", 16e9), TapSpec("l2", 5e9))
     )
     eps_eff: float = 1.0
-    r_d: float = 180.0  # detector isolation resistor; drops out of voltage ratios
 
     def __post_init__(self):
-        if self.z0s <= 0.0 or self.eps_eff <= 0.0 or self.r_d <= 0.0:
-            raise ValueError("z0s, eps_eff, r_d must be positive")
+        if self.z0s <= 0.0 or self.eps_eff <= 0.0:
+            raise ValueError("z0s and eps_eff must be positive")
         object.__setattr__(self, "taps", tuple(self.taps))
         fs = [t.f_max_hz for t in self.taps]
         if fs != sorted(fs, reverse=True):

@@ -176,6 +176,13 @@ class TestConfigPlumbing:
         # 10-bit ADC: LSB is 4x coarser, so resolution is 4x worse
         assert out["resolution_hz"] == pytest.approx(4 * 20012577.485, abs=4.0)
 
+    def test_config_unknown_key_is_malformed(self, tmp_path, capsys):
+        cfg = {"chain": {"attenuator": {"step_db": 0.25, "max_db": 31.75, "settle_time": 5e-8}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(tmp_path, "--config", str(path), "resolution", "--freq", "8e9") == 2
+        assert capsys.readouterr().err == "swsense: chain.attenuator: unknown key 'settle_time'\n"
+
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
         cfg = {"chain": {"adc": {"bits": 10}}, "controller": {}}
         path = tmp_path / "cfg.json"

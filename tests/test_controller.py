@@ -5,8 +5,6 @@ from dataclasses import replace
 import pytest
 
 from swsense.controller import (
-    ACT_FLAG_CLEAR,
-    ACT_FLAG_SET,
     ACT_RELEASE,
     ACT_SET_ATT,
     ACT_TUNE,
@@ -88,10 +86,9 @@ class TestOnSample:
         codes = codes_at(chain, 6e9, 2.0, 0.0, t_s=1e-6)
         st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
         assert ACT_TUNE in kinds(actions)
-        assert ACT_FLAG_SET in kinds(actions)
         assert st.mode == MODE_ENGAGING
         assert st.pending_mode == MODE_ENGAGED
-        assert st.flag
+        assert st.tuned_freq_hz == pytest.approx(6e9, abs=50e6)
         tune = next(a for a in actions if a.kind == ACT_TUNE)
         assert tune.freq_hz == pytest.approx(6e9, abs=50e6)
         for a in actions:
@@ -120,24 +117,23 @@ class TestOnSample:
 
     def test_release_on_signal_loss(self, chain, controller, calibration):
         floor = detector_floor_code(chain)
-        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9, flag=True)
+        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         codes = TapCodes(2e-6, floor, floor, floor, 0.0)
         st, actions = on_sample(codes, engaged, controller, chain, calibration)
-        assert kinds(actions) == [ACT_RELEASE, ACT_FLAG_CLEAR]
+        assert kinds(actions) == [ACT_RELEASE]
         assert st.mode == MODE_RELEASING
         assert st.pending_mode == MODE_IDLE
         assert st.tuned_freq_hz is None
-        assert not st.flag
 
     def test_release_below_threshold(self, chain, controller, calibration):
-        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9, flag=True)
+        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6e9, -5.0, 0.0)
         st, actions = on_sample(codes, engaged, controller, chain, calibration)
         assert ACT_RELEASE in kinds(actions)
-        assert ACT_FLAG_CLEAR in kinds(actions)
+        assert st.tuned_freq_hz is None
 
     def test_retune_outside_deadband(self, chain, controller, calibration):
-        engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9, flag=True)
+        engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6.6e9, 2.0, 2.0)
         st, actions = on_sample(codes, engaged, controller, chain, calibration)
         assert kinds(actions) == [ACT_TUNE]
@@ -145,7 +141,7 @@ class TestOnSample:
         assert st.mode == MODE_ENGAGING
 
     def test_no_retune_inside_deadband(self, chain, controller, calibration):
-        engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9, flag=True)
+        engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6.2e9, 2.0, 2.0)
         st, actions = on_sample(codes, engaged, controller, chain, calibration)
         assert ACT_TUNE not in kinds(actions)
@@ -159,7 +155,7 @@ class TestOnSample:
         assert st.mode == MODE_IDLE
         assert kinds(actions) == [ACT_SET_ATT]
         # and an engaged controller must not release on a saturated sample
-        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9, flag=True)
+        engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         st2, actions2 = on_sample(codes, engaged, controller, chain, calibration)
         assert st2.mode == MODE_ENGAGED
         assert ACT_RELEASE not in kinds(actions2)

@@ -1,5 +1,6 @@
 """Closed-loop engine: timing, metrics, determinism, artifacts."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -337,6 +338,42 @@ class TestArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,code_oc,code_l1,code_l2,att_db,f_est_hz,p_est_dbm,mode,action"
         assert len(lines) == 1 + len(pulse_trace.samples[0])
+
+    def test_csv_cells_round_trip(self, tmp_path, pulse_trace):
+        def same_float(cell, value):
+            x = float(cell)
+            return x == value or (math.isnan(x) and math.isnan(value))
+
+        path = tmp_path / "samples.csv"
+        samples_to_csv(pulse_trace, 0, str(path))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(pulse_trace.samples[0])
+        for row, s in zip(rows, pulse_trace.samples[0]):
+            for col in ("t_s", "att_db", "f_est_hz", "p_est_dbm"):
+                assert same_float(row[col], s[col]), (col, row[col], s[col])
+            for col in ("code_oc", "code_l1", "code_l2"):
+                assert row[col] == str(s[col])
+            assert (row["mode"], row["action"]) == (s["mode"], s["action"])
+
+        path = tmp_path / "trace.csv"
+        trace_to_csv(pulse_trace, str(path))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(pulse_trace.records)
+        for row, r in zip(rows, pulse_trace.records):
+            s = r.stages[0]
+            assert same_float(row["t_s"], r.t_s)
+            assert same_float(row["s0_in0_dbm"], r.in_dbm[0][0])
+            assert same_float(row["s0_out0_dbm"], r.out_dbm[0][0])
+            for col in ("att_db", "f_est_hz", "p_est_dbm", "filter_center_hz"):
+                assert same_float(row[f"s0_{col}"], getattr(s, col)), (col, row[f"s0_{col}"])
+            for col in ("code_oc", "code_l1", "code_l2"):
+                assert row[f"s0_{col}"] == str(getattr(s, col))
+            assert (row["s0_mode"], row["s0_action"]) == (s.mode, s.action)
+            assert row["s0_filter_engaged"] == ("1" if s.filter_engaged else "0")
+        assert {row["s0_filter_engaged"] for row in rows} == {"0", "1"}
+        assert any(row["s0_action"] for row in rows)
 
 
 def test_calibration_cache_reuses_tables(chain, controller):

@@ -108,9 +108,6 @@ class TestCalibrationBuild:
         cal = calibration
         assert cal.code_oc.shape == (151, 41)
         assert cal.config_hash == chain_config_hash(chain)
-        lsb = chain.adc.lsb
-        assert set(cal.d_const) == {"l1", "l2"}
-        assert cal.d_const["l1"] == pytest.approx(2965 * lsb)
 
     def test_agc_holds_codes_in_window(self, calibration, controller):
         # wherever attenuation is active the open-end code sits in the window

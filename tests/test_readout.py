@@ -218,3 +218,10 @@ class TestConfigPersistence:
 
     def test_dict_round_trip(self, chain):
         assert chain_config_from_dict(chain_config_to_dict(chain)) == chain
+
+    @pytest.mark.parametrize("block", ["tap", "attenuator", "amplifier", "detector", "adc"])
+    def test_unknown_block_key_names_block_and_key(self, chain, block):
+        d = chain_config_to_dict(chain)
+        d[block]["settle_time"] = 5e-8
+        with pytest.raises(ValueError, match=rf"^chain\.{block}: unknown key 'settle_time'$"):
+            chain_config_from_dict(d)
