@@ -33,7 +33,7 @@ from .estimator import (
     resolution,
     save_calibration,
 )
-from .readout import TapCodes, chain_config_from_dict, chain_readout
+from .readout import TapCodes, chain_config_from_dict, chain_readout, params_from_dict
 from .stub import tap_length
 
 
@@ -53,7 +53,7 @@ def _load_config(path: str | None) -> tuple[dict, dict]:
 def _build(path: str | None):
     chain_d, ctrl_d = _load_config(path)
     cfg = chain_config_from_dict(chain_d)
-    ctrl = ControllerConfig(**ctrl_d)
+    ctrl = params_from_dict(ctrl_d, "controller", ControllerConfig)
     return cfg, ctrl
 
 

@@ -40,6 +40,7 @@ from .readout import (
     chain_config_hash,
     chain_config_to_dict,
     chain_readout_lines,
+    params_from_dict,
 )
 
 _SILENT_DBM = -300.0
@@ -553,14 +554,16 @@ def scenario_from_dict(d: dict) -> Scenario:
             )
         )
     stages = []
-    for st in d.get("stages", []):
+    for k, st in enumerate(d.get("stages", [])):
         nd = dict(st.get("notch", {}))
         if "f_tune_range_hz" in nd:
             nd["f_tune_range_hz"] = tuple(nd["f_tune_range_hz"])
         stages.append(
             StageSpec(
                 chain=chain_config_from_dict(st.get("chain", {})),
-                controller=ControllerConfig(**st.get("controller", {})),
+                controller=params_from_dict(
+                    st.get("controller", {}), f"stages[{k}].controller", ControllerConfig
+                ),
                 notch=NotchModel(**nd),
                 electrical_delay_s=st.get("electrical_delay_s", 0.0),
             )

@@ -4,7 +4,9 @@ Estimation inverts the standing-wave ratio: the difference between a tap's
 detector code and the open-end code fixes log10 of the voltage ratio, and
 arccos of that ratio fixes frequency. A forward-simulated calibration
 table refines the closed-form value by local inverse interpolation and
-supplies the power scale including attenuator bookkeeping.
+supplies the power scale including attenuator bookkeeping. Each table
+precomputes, once, the parts of that inverse that do not depend on the
+observation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import SignalDescriptor, Tone, watts_to_dbm
+from .core import watts_to_dbm
 from .errors import (
     BijectivityError,
     CalibrationRangeError,
@@ -33,9 +35,10 @@ from .readout import (
     DetectorParams,
     TapCodes,
     chain_config_from_dict,
+    chain_codes_cw,
     chain_config_hash,
     chain_config_to_dict,
-    chain_readout,
+    chain_readout,  # unused here; perfbench/tracer.py rebinds this name
     detector_ceiling_code,
     detector_floor_code,
 )
@@ -77,7 +80,11 @@ class CalibrationGrid:
 
 @dataclass
 class CalibrationTable:
-    """Forward-simulated codes over a CW grid, at AGC-dictated attenuation."""
+    """Forward-simulated codes over a CW grid, at AGC-dictated attenuation.
+
+    The fields after cfg are derived from the others when the table is
+    made; change a table with dataclasses.replace, not in place.
+    """
 
     freqs_hz: np.ndarray
     powers_dbm: np.ndarray
@@ -87,6 +94,33 @@ class CalibrationTable:
     code_l2: np.ndarray
     config_hash: str
     cfg: ChainConfig = field(repr=False)
+    floor_code: int = field(init=False, repr=False)
+    ceiling_code: int = field(init=False, repr=False)
+    # Stub power (dBm) implied by each open-end code 0..full_code.
+    stub_dbm: np.ndarray = field(init=False, repr=False)
+    # Attenuation-compensated stub level of every cell, stub_dbm[code_oc] + att_db.
+    stub_level: np.ndarray = field(init=False, repr=False)
+    # Per tap, the number of leading grid rows (f <= the tap's f_max) it resolves.
+    tap_rows: tuple[int, int] = field(init=False, repr=False)
+    grid_step_hz: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cfg = self.cfg
+        f = self.freqs_hz
+        full = cfg.adc.full_code
+        if np.any(np.diff(f) <= 0.0):
+            raise ValueError("calibration frequencies must be strictly ascending")
+        for codes in (self.code_oc, self.code_l1, self.code_l2):
+            if codes.size and not 0 <= codes.min() <= codes.max() <= full:
+                raise ValueError(f"calibration codes outside the ADC range [0, {full}]")
+        self.floor_code = detector_floor_code(cfg)
+        self.ceiling_code = detector_ceiling_code(cfg)
+        self.stub_dbm = np.array([_code_to_stub_dbm(c, cfg) for c in range(full + 1)])
+        self.stub_level = self.stub_dbm[self.code_oc] + self.att_db
+        self.tap_rows = tuple(
+            int(np.searchsorted(f, t.f_max_hz * (1.0 + 1e-12), side="right")) for t in cfg.stub.taps
+        )
+        self.grid_step_hz = float(f[1] - f[0]) if len(f) > 1 else 0.0
 
 
 def resolution(f_hz: float, f_max_hz: float, det: DetectorParams, adc: AdcParams) -> float:
@@ -148,6 +182,29 @@ def place_nodes(
     return f_max_2, f_min
 
 
+# Cells per block of the array build; the block's float temporaries stay
+# at a few MiB whatever the grid size.
+_BLOCK_CELLS = 1 << 14
+
+
+def _agc_stop(code_oc: np.ndarray, ctrl, max_iter: int) -> np.ndarray:
+    """Setting index where the AGC loop of build_calibration stops, per cell.
+
+    code_oc[..., k] is the open-end code at the k-th attenuator setting.
+    From setting 0 agc_policy steps up to k*, the first setting whose code
+    is at or below agc_high_code (the top setting if there is none). It
+    stays at k* unless k* > 0 and the code there lies strictly between
+    agc_floor_code and agc_low_code. Then it steps down to k* - 1, whose
+    code is above agc_high_code, and back up, for as long as max_iter
+    steps last, so the parity of the steps left decides where it ends.
+    """
+    below = code_oc <= ctrl.agc_high_code
+    k = np.where(below.any(axis=-1), below.argmax(axis=-1), code_oc.shape[-1] - 1)
+    c = np.take_along_axis(code_oc, k[..., None], axis=-1)[..., 0]
+    cycles = (k > 0) & (ctrl.agc_floor_code < c) & (c < ctrl.agc_low_code)
+    return k - (cycles & ((max_iter - k) % 2 == 1))
+
+
 def build_calibration(
     cfg: ChainConfig,
     grid: CalibrationGrid | None = None,
@@ -155,12 +212,15 @@ def build_calibration(
 ) -> CalibrationTable:
     """Forward-simulate the chain over a CW grid at AGC-dictated attenuation.
 
-    Every cell runs the gain-control policy to its fixed point starting
-    from zero attenuation, then records the three codes. Raises
-    CalibrationRangeError when a grid cell cannot be represented by the
-    detectors (floor at the bottom, unservable overload at the top).
+    Every cell takes the setting and codes where the gain-control policy,
+    started from zero attenuation and given one step per attenuator
+    setting plus two, stops. All settings of a block of grid rows are read
+    at once with chain_codes_cw. Raises CalibrationRangeError for the
+    first cell, in row order, that the detectors cannot represent (floor
+    at the bottom, unservable overload at the top) or whose frequency is
+    outside the coupler band.
     """
-    from .controller import ControllerConfig, agc_policy
+    from .controller import ControllerConfig
 
     grid = grid or CalibrationGrid()
     ctrl = ctrl or ControllerConfig.for_chain(cfg)
@@ -172,34 +232,43 @@ def build_calibration(
     l1 = np.zeros((nf, npow), dtype=int)
     l2 = np.zeros((nf, npow), dtype=int)
     floor = detector_floor_code(cfg)
-    max_iter = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2
+    max_db = cfg.attenuator.max_db
+    n_steps = int(round(max_db / cfg.attenuator.step_db))
+    # agc_policy's settings: k steps up from 0, clamped at max_db.
+    settings = np.minimum(max_db, cfg.attenuator.step_db * np.arange(n_steps + 1))
 
+    # Rows before the first out-of-band frequency are checked before it.
+    n_rows, out_of_band = nf, None
     for i, f in enumerate(freqs):
-        for j, p in enumerate(powers):
-            sig = SignalDescriptor((Tone(freq_hz=float(f), power_dbm=float(p)),))
-            a = 0.0
-            try:
-                codes = chain_readout(sig, cfg, a)
-                for _ in range(max_iter):
-                    a_next = agc_policy(codes.code_oc, a, ctrl, cfg)
-                    if a_next == a:
-                        break
-                    a = a_next
-                    codes = chain_readout(sig, cfg, a)
-            except OutOfBandError as exc:
-                raise CalibrationRangeError(str(exc)) from exc
-            if codes.code_oc <= floor:
+        try:
+            cfg.coupling_db_at(float(f))
+        except OutOfBandError as exc:
+            n_rows, out_of_band = i, exc
+            break
+
+    block = max(1, _BLOCK_CELLS // (npow * len(settings)))
+    for i0 in range(0, n_rows, block):
+        rows = slice(i0, min(i0 + block, n_rows))
+        codes = chain_codes_cw(freqs[rows, None, None], powers[None, :, None], settings, cfg)
+        k = _agc_stop(codes[0], ctrl, n_steps + 2)
+        att[rows] = settings[k]
+        for out, c in zip((oc, l1, l2), codes):
+            out[rows] = np.take_along_axis(c, k[..., None], axis=-1)[..., 0]
+        at_floor = oc[rows] <= floor
+        exhausted = (oc[rows] > ctrl.agc_high_code) & (att[rows] >= max_db)
+        bad = np.flatnonzero(at_floor | exhausted)
+        if bad.size:
+            i, j = divmod(int(bad[0]), npow)
+            f, p = freqs[i0 + i], powers[j]
+            if at_floor[i, j]:
                 raise CalibrationRangeError(
                     f"open-end reading at detector floor for {f / 1e9:.2f} GHz, {p:.1f} dBm"
                 )
-            if codes.code_oc > ctrl.agc_high_code and a >= cfg.attenuator.max_db:
-                raise CalibrationRangeError(
-                    f"attenuator exhausted holding {f / 1e9:.2f} GHz, {p:.1f} dBm"
-                )
-            att[i, j] = a
-            oc[i, j] = codes.code_oc
-            l1[i, j] = codes.code_l1
-            l2[i, j] = codes.code_l2
+            raise CalibrationRangeError(
+                f"attenuator exhausted holding {f / 1e9:.2f} GHz, {p:.1f} dBm"
+            )
+    if out_of_band is not None:
+        raise CalibrationRangeError(str(out_of_band)) from out_of_band
 
     return CalibrationTable(
         freqs_hz=freqs,
@@ -225,44 +294,46 @@ def _refine_against_table(
     delta_obs: int,
     code_oc_obs: int,
     tap_idx: int,
-    f_limit_hz: float,
     cal: CalibrationTable,
 ) -> float:
     """Local inverse interpolation of (code_tap - code_oc) versus frequency.
 
-    For each usable grid frequency the power column whose open-end code
-    best matches the observation is selected, making a grid query
-    reproduce its grid frequency exactly. Falls back to the closed form
-    when the table is degenerate or disagrees by more than two cells.
+    For each grid frequency the tap resolves, the power column whose
+    open-end code best matches the observation is selected, making a grid
+    query reproduce its grid frequency exactly. Falls back to the closed
+    form when the table is degenerate or disagrees by more than two cells.
     """
-    code_tap = (cal.code_l1, cal.code_l2)[tap_idx]
-    floor = detector_floor_code(cal.cfg)
-    usable = cal.freqs_hz <= f_limit_hz * (1.0 + 1e-12)
-    if usable.sum() < 2:
+    n = cal.tap_rows[tap_idx]
+    if n < 2:
         return f_closed_hz
-    freqs = cal.freqs_hz[usable]
-    j_star = np.abs(cal.code_oc[usable] - code_oc_obs).argmin(axis=1)
-    rows = np.arange(usable.sum())
-    deltas = code_tap[usable][rows, j_star] - cal.code_oc[usable][rows, j_star]
-    taps_ok = code_tap[usable][rows, j_star] > floor
-    # Keep a strictly decreasing delta-versus-frequency front.
-    keep_f, keep_d = [], []
-    for f, dlt, ok in zip(freqs, deltas, taps_ok):
-        if not ok:
-            continue
-        if keep_d and dlt >= keep_d[-1]:
-            continue
-        keep_f.append(f)
-        keep_d.append(dlt)
+    code_oc = cal.code_oc[:n]
+    code_tap = (cal.code_l1, cal.code_l2)[tap_idx][:n]
+    j_star = np.abs(code_oc - code_oc_obs).argmin(axis=1)
+    rows = np.arange(n)
+    tap_j = code_tap[rows, j_star]
+    ok = tap_j > cal.floor_code
+    freqs, deltas = cal.freqs_hz[:n][ok], (tap_j - code_oc[rows, j_star])[ok]
+    # Keep a strictly decreasing delta-versus-frequency front: a row stays
+    # when its delta is below every delta before it.
+    keep = np.ones(len(deltas), dtype=bool)
+    keep[1:] = deltas[1:] < np.minimum.accumulate(deltas)[:-1]
+    keep_f, keep_d = freqs[keep], deltas[keep]
     if len(keep_d) < 2 or not keep_d[-1] <= delta_obs <= keep_d[0]:
         return f_closed_hz
-    d_arr = -np.asarray(keep_d, dtype=float)  # ascending for interp
-    f_arr = np.asarray(keep_f)
-    refined = float(np.interp(-float(delta_obs), d_arr, f_arr))
-    grid_step = float(cal.freqs_hz[1] - cal.freqs_hz[0]) if len(cal.freqs_hz) > 1 else 0.0
-    if grid_step and abs(refined - f_closed_hz) > 2.0 * grid_step:
+    d_arr = -keep_d.astype(float)  # ascending for interp
+    refined = float(np.interp(-float(delta_obs), d_arr, keep_f))
+    if cal.grid_step_hz and abs(refined - f_closed_hz) > 2.0 * cal.grid_step_hz:
         return f_closed_hz
     return refined
+
+
+def _check_codes(codes: TapCodes, cfg: ChainConfig) -> None:
+    """ValueError unless all three codes are ADC codes and att_db a setting."""
+    full = cfg.adc.full_code
+    for name, c in (("code_oc", codes.code_oc), ("code_l1", codes.code_l1), ("code_l2", codes.code_l2)):
+        if not (isinstance(c, (int, np.integer)) and 0 <= c <= full):
+            raise ValueError(f"{name}={c!r} is not an ADC code in [0, {full}]")
+    cfg.attenuator.check_setting(codes.att_db)
 
 
 def estimate_frequency(
@@ -275,11 +346,13 @@ def estimate_frequency(
     that tap sits at its detector floor (the floored code still bounds the
     ratio near the tap's null). A fine-tap answer at or above the switch
     point pins the result to the switch frequency against the coarse tap.
+    Raises ValueError for a code outside the ADC range or an att_db that
+    is not an attenuator setting.
     """
     cfg = cal.cfg
+    _check_codes(codes, cfg)
     det, adc = cfg.detector, cfg.adc
-    floor = detector_floor_code(cfg)
-    ceiling = detector_ceiling_code(cfg)
+    floor, ceiling = cal.floor_code, cal.ceiling_code
     if codes.code_oc <= floor:
         raise NoSignalError("open-end reading at detector floor")
     if codes.code_l1 >= ceiling and codes.code_l2 >= ceiling:
@@ -296,9 +369,7 @@ def estimate_frequency(
         clamped = raw > 1.0 or code_tap <= floor
         ratio = min(max(raw, 0.0), 1.0)
         f_cf = 2.0 * f_max / math.pi * math.acos(ratio)
-        f = _refine_against_table(
-            f_cf, code_tap - codes.code_oc, codes.code_oc, tap_idx, f_max, cal
-        )
+        f = _refine_against_table(f_cf, code_tap - codes.code_oc, codes.code_oc, tap_idx, cal)
         return f, clamped
 
     f1, clamped1 = invert(codes.code_l1, 0)
@@ -319,25 +390,20 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
 
     The open-end code and the active attenuator setting combine into one
     attenuation-compensated level that is interpolated (linearly, in dB)
-    along the calibration row nearest to freq_hz.
+    along the calibration row nearest to freq_hz. Raises ValueError for a
+    code outside the ADC range or an att_db that is not a setting.
     """
     cfg = cal.cfg
-    floor = detector_floor_code(cfg)
-    ceiling = detector_ceiling_code(cfg)
-    if codes.code_oc <= floor:
+    _check_codes(codes, cfg)
+    if codes.code_oc <= cal.floor_code:
         raise NoSignalError("open-end reading at detector floor")
-    if codes.code_oc >= ceiling and codes.att_db >= cfg.attenuator.max_db:
+    if codes.code_oc >= cal.ceiling_code and codes.att_db >= cfg.attenuator.max_db:
         raise PowerOverrangeError("open-end saturated with attenuator at maximum")
 
     i0 = int(np.abs(cal.freqs_hz - freq_hz).argmin())
-    s_row = np.array(
-        [
-            _code_to_stub_dbm(int(c), cfg) + a
-            for c, a in zip(cal.code_oc[i0], cal.att_db[i0])
-        ]
-    )
-    s_obs = _code_to_stub_dbm(codes.code_oc, cfg) + codes.att_db
-    p_row = cal.powers_dbm.astype(float)
+    s_row = cal.stub_level[i0]
+    s_obs = cal.stub_dbm[codes.code_oc] + codes.att_db
+    p_row = cal.powers_dbm
     # np.interp clamps at the ends; extend the edge segments linearly instead.
     if s_obs <= s_row[0]:
         k = (p_row[1] - p_row[0]) / (s_row[1] - s_row[0])

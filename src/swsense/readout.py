@@ -3,7 +3,8 @@
 chain_readout composes the whole monitor path for a signal descriptor:
 pick-off coupling, step attenuation, saturating gain, stub drive, per-tap
 standing-wave voltages, logarithmic detection, and ADC quantization. The
-same composition runs unquantized via chain_voltages for analysis.
+same composition runs unquantized via chain_voltages for analysis, and
+over whole arrays of CW cells via chain_codes_cw for calibration.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from typing import Sequence
 
-from .core import SignalDescriptor, Tone, expand_signal
+import numpy as np
+
+from .core import SignalDescriptor, Tone, dbm_to_watts, expand_signal
 from .coupling import (
     DirectionalCouplerParams,
     ResistiveTapParams,
@@ -34,12 +37,23 @@ class AttenuatorParams:
     def __post_init__(self):
         if self.step_db <= 0.0 or self.max_db < self.step_db:
             raise ValueError("need 0 < step_db <= max_db")
+        # The gain-control loop steps up to max_db, so it must be a setting.
+        if not self.valid_setting(self.max_db):
+            raise ValueError("max_db must be a whole number of step_db")
 
     def valid_setting(self, att_db: float) -> bool:
         if not 0.0 <= att_db <= self.max_db + 1e-9:
             return False
         steps = att_db / self.step_db
         return abs(steps - round(steps)) < 1e-6
+
+    def check_setting(self, att_db: float) -> None:
+        """ValueError unless att_db is a setting of this attenuator."""
+        if not self.valid_setting(att_db):
+            raise ValueError(
+                f"att_db={att_db} is not a multiple of {self.step_db} "
+                f"within [0, {self.max_db}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,6 @@ class ChainConfig:
     def ripple_db_at(self, f_hz: float) -> float:
         if not self.gain_ripple:
             return 0.0
-        import numpy as np
-
         pts = sorted(self.gain_ripple)
         return float(
             np.interp(f_hz, [p[0] for p in pts], [p[1] for p in pts])
@@ -194,11 +206,7 @@ def chain_voltages_lines(
     given, scales the monitored amplitude per line to account for
     downstream reflections at the pick-off point.
     """
-    if not cfg.attenuator.valid_setting(att_db):
-        raise ValueError(
-            f"att_db={att_db} is not a multiple of {cfg.attenuator.step_db} "
-            f"within [0, {cfg.attenuator.max_db}]"
-        )
+    cfg.attenuator.check_setting(att_db)
     drive: list[tuple[float, float]] = []
     total_w = 0.0
     for i, (f_hz, p_w) in enumerate(lines):
@@ -256,6 +264,56 @@ def chain_readout_lines(
     )
 
 
+def chain_codes_cw(
+    freq_hz: np.ndarray,
+    power_dbm: np.ndarray,
+    att_db: np.ndarray,
+    cfg: ChainConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADC codes (open end, tap 1, tap 2) of one CW line over a block of cells.
+
+    The three arrays broadcast together, and every cell of their broadcast
+    shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
+    cfg, att): the arithmetic runs in the same order. Coupling and gain
+    ripple are evaluated once per element of freq_hz, so an out-of-band
+    coupler frequency raises OutOfBandError and an invalid setting in att_db
+    raises ValueError.
+    """
+    f = np.asarray(freq_hz, dtype=float)
+    p_dbm = np.asarray(power_dbm, dtype=float)
+    att = np.asarray(att_db, dtype=float)
+    for a in sorted(set(att.ravel().tolist())):
+        cfg.attenuator.check_setting(a)
+    coupling = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
+    ripple = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
+    g_db = coupling - att + cfg.amplifier.gain_db + ripple
+    p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
+    sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
+    p = np.where(p > sat_w, p * (sat_w / p), p)
+    v_sq = 8.0 * p * cfg.stub.z0s
+    det, adc = cfg.detector, cfg.adc
+    # numpy's pow, log10 and cos may differ from the C library's by a few
+    # units in the last place, which moves a level by far less than 1e-9 of
+    # a code. Cells that close to a code boundary are read by the scalar chain.
+    near = np.zeros(v_sq.shape, dtype=bool)
+    codes = []
+    ratios = [np.abs(np.cos(math.pi / 2.0 * f / t.f_max_hz)) for t in cfg.stub.taps]
+    for r in (1.0, *ratios):  # the open end first; v_sq * 1.0 * 1.0 is v_sq exactly
+        v = np.sqrt(v_sq * r * r)
+        level = det.slope_a * np.log10(np.clip(v, det.v_in_min, det.v_in_max)) + det.intercept_b
+        level /= adc.lsb
+        near |= np.abs(level - np.rint(level)) < 1e-9
+        codes.append(np.clip(np.floor(level), 0, adc.full_code).astype(int))
+    if near.any():
+        fb, pb, ab = np.broadcast_arrays(f, p_dbm, att)
+        for idx in zip(*np.nonzero(near)):
+            c = chain_readout_lines(
+                [(float(fb[idx]), dbm_to_watts(float(pb[idx])))], cfg, float(ab[idx])
+            )
+            codes[0][idx], codes[1][idx], codes[2][idx] = c.code_oc, c.code_l1, c.code_l2
+    return codes[0], codes[1], codes[2]
+
+
 def chain_readout(
     sig: SignalDescriptor,
     cfg: ChainConfig,
@@ -310,14 +368,31 @@ def chain_config_to_dict(cfg: ChainConfig) -> dict:
     return d
 
 
-def _params_from_dict(d: dict, block: str, cls):
-    """cls built from the block's keys; a key cls has no field for is a ValueError."""
-    kw = d.get(block, {})
-    known = {f.name for f in fields(cls)}
+def _check_keys(kw: dict, where: str, known, required=()) -> dict:
+    """kw itself; ValueError naming `where` for a non-object, an unknown or a missing key."""
+    if not isinstance(kw, dict):
+        raise ValueError(f"{where}: expected an object, got {type(kw).__name__}")
     for key in kw:
         if key not in known:
-            raise ValueError(f"chain.{block}: unknown key {key!r}")
-    return cls(**kw)
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in kw:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return kw
+
+
+def params_from_dict(kw: dict, where: str, cls):
+    """cls built from one config block; keys must name fields of cls.
+
+    A key cls has no field for, or a missing field without a default, is a
+    ValueError whose message starts with `where`, the block's JSON path.
+    """
+    fs = fields(cls)
+    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    return cls(**_check_keys(kw, where, {f.name for f in fs}, required))
+
+
+_TAP_KEYS = ("name", "f_max")
 
 
 def chain_config_from_dict(d: dict) -> ChainConfig:
@@ -332,22 +407,22 @@ def chain_config_from_dict(d: dict) -> ChainConfig:
             f_max_hz=c["f_max_hz"],
         )
     stub_d = d.get("stub", {})
-    stub = StubParams(
-        z0s=stub_d.get("z0s", 50.0),
-        taps=tuple(TapSpec(t["name"], t["f_max"]) for t in stub_d.get("taps", []))
-        or StubParams().taps,
-        eps_eff=stub_d.get("eps_eff", 1.0),
-    )
+    if isinstance(stub_d, dict) and "taps" in stub_d:
+        taps = []
+        for n, t in enumerate(stub_d["taps"]):
+            _check_keys(t, f"chain.stub.taps[{n}]", _TAP_KEYS, _TAP_KEYS)
+            taps.append(TapSpec(t["name"], t["f_max"]))
+        stub_d = dict(stub_d, taps=tuple(taps))
     ripple = d.get("gain_ripple")
     return ChainConfig(
         coupling_kind=d.get("coupling_kind", "tap"),
-        tap=_params_from_dict(d, "tap", ResistiveTapParams),
+        tap=params_from_dict(d.get("tap", {}), "chain.tap", ResistiveTapParams),
         coupler=coupler,
-        stub=stub,
-        attenuator=_params_from_dict(d, "attenuator", AttenuatorParams),
-        amplifier=_params_from_dict(d, "amplifier", AmplifierParams),
-        detector=_params_from_dict(d, "detector", DetectorParams),
-        adc=_params_from_dict(d, "adc", AdcParams),
+        stub=params_from_dict(stub_d, "chain.stub", StubParams),
+        attenuator=params_from_dict(d.get("attenuator", {}), "chain.attenuator", AttenuatorParams),
+        amplifier=params_from_dict(d.get("amplifier", {}), "chain.amplifier", AmplifierParams),
+        detector=params_from_dict(d.get("detector", {}), "chain.detector", DetectorParams),
+        adc=params_from_dict(d.get("adc", {}), "chain.adc", AdcParams),
         gain_ripple=_table_from_json(ripple) if ripple is not None else None,
     )
 

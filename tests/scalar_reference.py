@@ -1,0 +1,198 @@
+"""Scalar reference implementations that the array code is checked against.
+
+build_calibration_scalar is the calibration build as one chain_readout
+call per AGC step per cell. estimate_scalar is the estimator that derives
+everything from the table on every call. Both are kept as they were
+written before the array build and the precomputed inverse replaced them;
+the tests require the library to reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from swsense.controller import ControllerConfig, agc_policy
+from swsense.core import SignalDescriptor, Tone, watts_to_dbm
+from swsense.errors import (
+    CalibrationRangeError,
+    IndeterminateFrequencyError,
+    NoSignalError,
+    OutOfBandError,
+    PowerOverrangeError,
+)
+from swsense.estimator import (
+    CONF_CLAMPED,
+    CONF_IN_RANGE,
+    CONF_SATURATED,
+    CalibrationGrid,
+    CalibrationTable,
+    Estimate,
+)
+from swsense.readout import (
+    chain_config_hash,
+    chain_readout,
+    detector_ceiling_code,
+    detector_floor_code,
+)
+
+
+def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
+    grid = grid or CalibrationGrid()
+    ctrl = ctrl or ControllerConfig.for_chain(cfg)
+    freqs = grid.freqs()
+    powers = grid.powers()
+    nf, npow = len(freqs), len(powers)
+    att = np.zeros((nf, npow))
+    oc = np.zeros((nf, npow), dtype=int)
+    l1 = np.zeros((nf, npow), dtype=int)
+    l2 = np.zeros((nf, npow), dtype=int)
+    floor = detector_floor_code(cfg)
+    max_iter = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2
+
+    for i, f in enumerate(freqs):
+        for j, p in enumerate(powers):
+            sig = SignalDescriptor((Tone(freq_hz=float(f), power_dbm=float(p)),))
+            a = 0.0
+            try:
+                codes = chain_readout(sig, cfg, a)
+                for _ in range(max_iter):
+                    a_next = agc_policy(codes.code_oc, a, ctrl, cfg)
+                    if a_next == a:
+                        break
+                    a = a_next
+                    codes = chain_readout(sig, cfg, a)
+            except OutOfBandError as exc:
+                raise CalibrationRangeError(str(exc)) from exc
+            if codes.code_oc <= floor:
+                raise CalibrationRangeError(
+                    f"open-end reading at detector floor for {f / 1e9:.2f} GHz, {p:.1f} dBm"
+                )
+            if codes.code_oc > ctrl.agc_high_code and a >= cfg.attenuator.max_db:
+                raise CalibrationRangeError(
+                    f"attenuator exhausted holding {f / 1e9:.2f} GHz, {p:.1f} dBm"
+                )
+            att[i, j] = a
+            oc[i, j] = codes.code_oc
+            l1[i, j] = codes.code_l1
+            l2[i, j] = codes.code_l2
+
+    return CalibrationTable(
+        freqs_hz=freqs,
+        powers_dbm=powers,
+        att_db=att,
+        code_oc=oc,
+        code_l1=l1,
+        code_l2=l2,
+        config_hash=chain_config_hash(cfg),
+        cfg=cfg,
+    )
+
+
+def _code_to_stub_dbm(code, cfg) -> float:
+    v_det = code * cfg.adc.lsb
+    v = 10.0 ** ((v_det - cfg.detector.intercept_b) / cfg.detector.slope_a)
+    return watts_to_dbm(v * v / (8.0 * cfg.stub.z0s))
+
+
+def _refine_against_table(f_closed_hz, delta_obs, code_oc_obs, tap_idx, f_limit_hz, cal):
+    code_tap = (cal.code_l1, cal.code_l2)[tap_idx]
+    floor = detector_floor_code(cal.cfg)
+    usable = cal.freqs_hz <= f_limit_hz * (1.0 + 1e-12)
+    if usable.sum() < 2:
+        return f_closed_hz
+    freqs = cal.freqs_hz[usable]
+    j_star = np.abs(cal.code_oc[usable] - code_oc_obs).argmin(axis=1)
+    rows = np.arange(usable.sum())
+    deltas = code_tap[usable][rows, j_star] - cal.code_oc[usable][rows, j_star]
+    taps_ok = code_tap[usable][rows, j_star] > floor
+    keep_f, keep_d = [], []
+    for f, dlt, ok in zip(freqs, deltas, taps_ok):
+        if not ok:
+            continue
+        if keep_d and dlt >= keep_d[-1]:
+            continue
+        keep_f.append(f)
+        keep_d.append(dlt)
+    if len(keep_d) < 2 or not keep_d[-1] <= delta_obs <= keep_d[0]:
+        return f_closed_hz
+    d_arr = -np.asarray(keep_d, dtype=float)
+    f_arr = np.asarray(keep_f)
+    refined = float(np.interp(-float(delta_obs), d_arr, f_arr))
+    grid_step = float(cal.freqs_hz[1] - cal.freqs_hz[0]) if len(cal.freqs_hz) > 1 else 0.0
+    if grid_step and abs(refined - f_closed_hz) > 2.0 * grid_step:
+        return f_closed_hz
+    return refined
+
+
+def estimate_frequency_scalar(codes, cal, switch_freq_hz=None):
+    cfg = cal.cfg
+    det, adc = cfg.detector, cfg.adc
+    floor = detector_floor_code(cfg)
+    ceiling = detector_ceiling_code(cfg)
+    if codes.code_oc <= floor:
+        raise NoSignalError("open-end reading at detector floor")
+    if codes.code_l1 >= ceiling and codes.code_l2 >= ceiling:
+        raise IndeterminateFrequencyError("both tap detectors saturated")
+
+    taps = cfg.stub.taps
+    switch = switch_freq_hz if switch_freq_hz is not None else taps[1].f_max_hz
+    conf = CONF_SATURATED if codes.code_oc >= ceiling else CONF_IN_RANGE
+    v_det_oc = codes.code_oc * adc.lsb
+
+    def invert(code_tap, tap_idx):
+        f_max = taps[tap_idx].f_max_hz
+        raw = 10.0 ** ((code_tap * adc.lsb - v_det_oc) / det.slope_a)
+        clamped = raw > 1.0 or code_tap <= floor
+        ratio = min(max(raw, 0.0), 1.0)
+        f_cf = 2.0 * f_max / math.pi * math.acos(ratio)
+        f = _refine_against_table(
+            f_cf, code_tap - codes.code_oc, codes.code_oc, tap_idx, f_max, cal
+        )
+        return f, clamped
+
+    f1, clamped1 = invert(codes.code_l1, 0)
+    if f1 >= switch:
+        if clamped1 and conf == CONF_IN_RANGE:
+            conf = CONF_CLAMPED
+        return f1, taps[0].name, conf
+    f2, clamped2 = invert(codes.code_l2, 1)
+    if f2 >= switch:
+        return switch, taps[0].name, CONF_CLAMPED if conf == CONF_IN_RANGE else conf
+    if clamped2 and conf == CONF_IN_RANGE:
+        conf = CONF_CLAMPED
+    return f2, taps[1].name, conf
+
+
+def estimate_power_scalar(codes, freq_hz, cal):
+    cfg = cal.cfg
+    floor = detector_floor_code(cfg)
+    ceiling = detector_ceiling_code(cfg)
+    if codes.code_oc <= floor:
+        raise NoSignalError("open-end reading at detector floor")
+    if codes.code_oc >= ceiling and codes.att_db >= cfg.attenuator.max_db:
+        raise PowerOverrangeError("open-end saturated with attenuator at maximum")
+
+    i0 = int(np.abs(cal.freqs_hz - freq_hz).argmin())
+    s_row = np.array(
+        [
+            _code_to_stub_dbm(int(c), cfg) + a
+            for c, a in zip(cal.code_oc[i0], cal.att_db[i0])
+        ]
+    )
+    s_obs = _code_to_stub_dbm(codes.code_oc, cfg) + codes.att_db
+    p_row = cal.powers_dbm.astype(float)
+    if s_obs <= s_row[0]:
+        k = (p_row[1] - p_row[0]) / (s_row[1] - s_row[0])
+        return float(p_row[0] + k * (s_obs - s_row[0]))
+    if s_obs >= s_row[-1]:
+        k = (p_row[-1] - p_row[-2]) / (s_row[-1] - s_row[-2])
+        return float(p_row[-1] + k * (s_obs - s_row[-1]))
+    return float(np.interp(s_obs, s_row, p_row))
+
+
+def estimate_scalar(codes, cal, switch_freq_hz=None) -> Estimate:
+    f, tap_used, conf = estimate_frequency_scalar(codes, cal, switch_freq_hz)
+    p = estimate_power_scalar(codes, f, cal)
+    return Estimate(freq_hz=f, power_dbm=p, tap_used=tap_used, confidence=conf)

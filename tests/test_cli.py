@@ -111,6 +111,22 @@ class TestEstimate:
         assert run_cli(tmp_path, "estimate") == 2
         assert "codes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--codes", "99999,-5,0"], "swsense: code_oc=99999 is not an ADC code in [0, 4095]\n"),
+            (["--codes", "2965,2788,4096"], "swsense: code_l2=4096 is not an ADC code in [0, 4095]\n"),
+            (["--codes", "2965,2788,2857", "--att", "0.3"], "swsense: att_db=0.3 is not a multiple"),
+            (["--codes", "2965,2788,2857", "--att", "-4"], "swsense: att_db=-4.0 is not a multiple"),
+            (["--freq", "8e9", "--power", "0", "--att", "0.3"], "swsense: att_db=0.3 is not a multiple"),
+        ],
+    )
+    def test_out_of_domain_input_is_malformed(self, tmp_path, capsys, argv, err):
+        assert run_cli(tmp_path, "estimate", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
 
 class TestSimulate:
     def test_bundled_pulse_scenario(self, tmp_path, capsys):
@@ -182,6 +198,21 @@ class TestConfigPlumbing:
         path.write_text(json.dumps(cfg))
         assert run_cli(tmp_path, "--config", str(path), "resolution", "--freq", "8e9") == 2
         assert capsys.readouterr().err == "swsense: chain.attenuator: unknown key 'settle_time'\n"
+
+    @pytest.mark.parametrize(
+        "cfg, err",
+        [
+            ({"controller": {"threshold": 1.0}}, "controller: unknown key 'threshold'"),
+            ({"chain": {"stub": {"eps_ef": 4.0}}}, "chain.stub: unknown key 'eps_ef'"),
+            ({"chain": {"stub": {"taps": [{"name": "l1"}, {"name": "l2", "f_max": 5e9}]}}},
+             "chain.stub.taps[0]: missing key 'f_max'"),
+        ],
+    )
+    def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(tmp_path, "--config", str(path), "place-nodes") == 2
+        assert capsys.readouterr().err == f"swsense: {err}\n"
 
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
         cfg = {"chain": {"adc": {"bits": 10}}, "controller": {}}

@@ -319,6 +319,12 @@ class TestScenarioJson:
         assert back == sc
         assert math.isinf(back.sources[0].t_off_s)
 
+    def test_unknown_controller_key_names_stage(self):
+        d = scenario_to_dict(cascade_scenario())
+        d["stages"][1]["controller"]["threshold"] = 1.0
+        with pytest.raises(ValueError, match=r"^stages\[1\]\.controller: unknown key 'threshold'$"):
+            scenario_from_dict(d)
+
 
 class TestArtifacts:
     def test_trace_csv_header_and_rows(self, tmp_path, pulse_trace):

@@ -264,6 +264,36 @@ class TestEstimation:
         assert 4.3e9 <= f < 5e9
 
 
+class TestInputDomain:
+    @pytest.mark.parametrize(
+        "codes, match",
+        [
+            (TapCodes(0.0, 99999, -5, 0, 0.0), "code_oc=99999"),
+            (TapCodes(0.0, 2965, -5, 2857, 0.0), "code_l1=-5"),
+            (TapCodes(0.0, 2965, 2788, 4096, 0.0), "code_l2=4096"),
+            (TapCodes(0.0, 2965.0, 2788, 2857, 0.0), "code_oc=2965.0"),
+            (TapCodes(0.0, 2965, 2788, 2857, 0.3), "att_db=0.3"),
+            (TapCodes(0.0, 2965, 2788, 2857, -4.0), "att_db=-4.0"),
+            (TapCodes(0.0, 2965, 2788, 2857, 32.0), "att_db=32.0"),
+        ],
+    )
+    def test_out_of_domain_acquisition_raises(self, calibration, codes, match):
+        # Checked before any table lookup: -5 must not read entry 4091.
+        for call in (
+            lambda: estimate(codes, calibration),
+            lambda: estimate_frequency(codes, calibration),
+            lambda: estimate_power(codes, 8e9, calibration),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_range_edges_are_in_domain(self, chain, calibration):
+        full = chain.adc.full_code
+        with pytest.raises(NoSignalError):
+            estimate(TapCodes(0.0, 0, 0, 0, 0.0), calibration)
+        assert estimate(TapCodes(0.0, full, 2000, 2000, 31.5), calibration).confidence == CONF_SATURATED
+
+
 @given(st.integers(min_value=-15, max_value=10))
 def test_frequency_estimate_power_invariant(chain, calibration, p_dbm):
     # the frequency answer must not depend on drive level (within AGC range)
@@ -293,6 +323,9 @@ class TestPersistence:
         assert np.allclose(back.att_db, small_cal.att_db)
         assert back.config_hash == small_cal.config_hash
         assert back.cfg == small_cal.cfg
+        # The loaded table derives the same inverse as the built one.
+        codes = _cell_codes(small_cal, 1, 1)
+        assert estimate(codes, back) == estimate(codes, small_cal)
 
     def test_header_hash_mismatch_rejected(self, tmp_path, small_cal):
         csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"
@@ -301,6 +334,25 @@ class TestPersistence:
         hdr["chain"]["adc"]["bits"] = 10
         hdr_p.write_text(json.dumps(hdr))
         with pytest.raises(ValueError):
+            load_calibration(str(csv_p), str(hdr_p))
+
+    def test_codes_outside_adc_range_rejected(self, tmp_path, small_cal):
+        csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"
+        save_calibration(small_cal, str(csv_p), str(hdr_p))
+        lines = csv_p.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "5000"
+        csv_p.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match="ADC range"):
+            load_calibration(str(csv_p), str(hdr_p))
+
+    def test_descending_frequencies_rejected(self, tmp_path, small_cal):
+        csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"
+        save_calibration(small_cal, str(csv_p), str(hdr_p))
+        hdr = json.loads(hdr_p.read_text())
+        hdr["freqs_hz"].reverse()
+        hdr_p.write_text(json.dumps(hdr))
+        with pytest.raises(ValueError, match="ascending"):
             load_calibration(str(csv_p), str(hdr_p))
 
     def test_incomplete_csv_rejected(self, tmp_path, small_cal):

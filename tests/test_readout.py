@@ -94,6 +94,8 @@ class TestAttenuator:
             AttenuatorParams(step_db=0.0)
         with pytest.raises(ValueError):
             AttenuatorParams(step_db=1.0, max_db=0.5)
+        with pytest.raises(ValueError, match="whole number"):
+            AttenuatorParams(step_db=0.3, max_db=31.75)
 
 
 def test_floor_and_ceiling_codes(chain):
@@ -224,4 +226,19 @@ class TestConfigPersistence:
         d = chain_config_to_dict(chain)
         d[block]["settle_time"] = 5e-8
         with pytest.raises(ValueError, match=rf"^chain\.{block}: unknown key 'settle_time'$"):
+            chain_config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["stub"].update(eps_ef=4.0), r"^chain\.stub: unknown key 'eps_ef'$"),
+            (lambda d: d["stub"]["taps"][0].pop("f_max"), r"^chain\.stub\.taps\[0\]: missing key 'f_max'$"),
+            (lambda d: d["stub"]["taps"][1].update(f_max_hz=5e9), r"^chain\.stub\.taps\[1\]: unknown key 'f_max_hz'$"),
+            (lambda d: d.update(stub=[1, 2]), r"^chain\.stub: expected an object, got list$"),
+        ],
+    )
+    def test_stub_block_keys_checked(self, chain, edit, message):
+        d = chain_config_to_dict(chain)
+        edit(d)
+        with pytest.raises(ValueError, match=message):
             chain_config_from_dict(d)

@@ -1,0 +1,217 @@
+"""The array calibration build and the precomputed inverse against their scalar references.
+
+tests/scalar_reference.py keeps the per-cell calibration loop and the
+per-call estimator. The library must reproduce both bit for bit: every
+array of every table, every Estimate, and the type and text of every error.
+"""
+
+import math
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scalar_reference import build_calibration_scalar, estimate_scalar
+from swsense.controller import ControllerConfig
+from swsense.core import SignalDescriptor, Tone, dbm_to_watts
+from swsense.engine import default_grid_for, load_scenario
+from swsense.errors import OutOfBandError
+from swsense.estimator import CalibrationGrid, build_calibration, estimate
+from swsense.readout import (
+    ChainConfig,
+    TapCodes,
+    chain_codes_cw,
+    chain_readout,
+    chain_readout_lines,
+    detector_ceiling_code,
+    detector_floor_code,
+)
+
+TABLE_ARRAYS = ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2")
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison covers every error type
+        return type(exc), str(exc)
+
+
+def assert_same_table(cal, ref):
+    for name in TABLE_ARRAYS:
+        a, b = getattr(cal, name), getattr(ref, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert cal.config_hash == ref.config_hash
+
+
+def assert_same_build(cfg, grid, ctrl):
+    got = outcome(build_calibration, cfg, grid, ctrl)
+    ref = outcome(build_calibration_scalar, cfg, grid, ctrl)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_table(got, ref)
+
+
+def agc_window(ctrl):
+    return ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code
+
+
+def bundled_tables():
+    """(chain, controller) of each distinct table the bundled scenarios build."""
+    folder = resources.files("swsense").joinpath("data/scenarios")
+    seen = {}
+    for path in sorted(folder.iterdir()):
+        for stage in load_scenario(str(path)).stages:
+            seen.setdefault((stage.chain, agc_window(stage.controller)), (stage.chain, stage.controller))
+    return list(seen.values())
+
+
+class TestCalibrationParity:
+    def test_default_grid(self, chain, controller, calibration):
+        assert_same_table(calibration, build_calibration_scalar(chain, None, controller))
+
+    def test_bundled_scenario_grids(self, chain, controller):
+        tables = bundled_tables()
+        assert sorted(c.coupling_kind for c, _ in tables) == ["coupler", "tap"]
+        for cfg, ctrl in tables:
+            if cfg.coupling_kind == "tap":
+                # The default table, which test_default_grid compares.
+                assert (cfg, agc_window(ctrl)) == (chain, agc_window(controller))
+                assert default_grid_for(cfg) == CalibrationGrid()
+            else:
+                assert_same_build(cfg, default_grid_for(cfg), ctrl)
+
+    def test_gain_ripple_chain(self):
+        cfg = ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0)))
+        assert_same_build(cfg, CalibrationGrid(1e9, 16e9, 0.5e9, -20.0, 20.0, 1.0), None)
+
+    @pytest.mark.parametrize("window", [5, 10])
+    def test_narrow_window_oscillation(self, chain, window):
+        # The window is narrower than one attenuator step, so the AGC loop
+        # can swing between two settings until its step budget runs out.
+        ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+        assert_same_build(chain, CalibrationGrid(2e9, 14e9, 2e9, -20.0, 20.0, 0.1), ctrl)
+
+    @pytest.mark.parametrize(
+        "coupling_kind, grid",
+        [
+            ("tap", CalibrationGrid(6e9, 7e9, 0.5e9, -60.0, -60.0, 1.0)),  # detector floor
+            ("tap", CalibrationGrid(6e9, 7e9, 0.5e9, 45.0, 45.0, 1.0)),  # attenuator exhausted
+            ("tap", CalibrationGrid(6e9, 7e9, 0.5e9, -35.0, 42.0, 1.0)),  # both; row order decides
+            ("coupler", CalibrationGrid(12e9, 15e9, 1e9, -5.0, 5.0, 5.0)),  # out of band
+            ("coupler", CalibrationGrid(13e9, 15e9, 1e9, -60.0, -60.0, 1.0)),  # floor before band edge
+        ],
+    )
+    def test_unservable_grids_raise_the_same_error(self, coupling_kind, grid):
+        cfg = ChainConfig(coupling_kind=coupling_kind)
+        assert isinstance(outcome(build_calibration_scalar, cfg, grid, None), tuple)
+        assert_same_build(cfg, grid, None)
+
+
+# Power steps that are not whole attenuator steps put the AGC's stopping
+# codes anywhere in the window, not on a fixed lattice.
+_off_lattice_steps = st.floats(0.05, 2.5).filter(lambda s: abs(s / 0.25 - round(s / 0.25)) > 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    window=st.integers(1, 200),
+    p_step=_off_lattice_steps,
+    p_start=st.floats(-20.0, 12.0),
+    f_start=st.floats(1e9, 12e9),
+)
+def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start):
+    ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+    grid = CalibrationGrid(f_start, f_start + 3e9, 1.5e9, p_start, p_start + 7 * p_step, p_step)
+    assert_same_build(chain, grid, ctrl)
+
+
+class TestChainCodesCw:
+    def test_matches_scalar_readout_at_code_boundaries(self, chain):
+        # Powers whose open-end level lands within a few ulps of a code
+        # boundary, where a last-bit difference in log10 would move the code.
+        f, det, adc = 8e9, chain.detector, chain.adc
+        gain_db = chain.coupling_db_at(f) + chain.amplifier.gain_db
+        powers = []
+        for k in range(800, 3050, 25):
+            v = 10.0 ** ((k * adc.lsb - det.intercept_b) / det.slope_a)
+            p_w = v * v / (8.0 * chain.stub.z0s) / 10.0 ** (gain_db / 10.0)
+            p_dbm = 10.0 * math.log10(p_w / 1e-3)
+            powers += [p_dbm + n * abs(p_dbm) * 2.2e-16 for n in range(-6, 7)]
+        codes = chain_codes_cw(np.array([f]), np.array(powers), np.array([0.0]), chain)
+        for n, p in enumerate(powers):
+            ref = chain_readout_lines([(f, dbm_to_watts(p))], chain, 0.0)
+            assert (codes[0][n], codes[1][n], codes[2][n]) == (
+                ref.code_oc, ref.code_l1, ref.code_l2
+            ), p
+
+    def test_broadcast_shape_and_att_check(self, chain):
+        codes = chain_codes_cw(
+            np.array([2e9, 9e9])[:, None, None], np.array([-5.0, 5.0])[None, :, None],
+            np.array([0.0, 0.25, 31.75]), chain,
+        )
+        assert all(c.shape == (2, 2, 3) for c in codes)
+        with pytest.raises(ValueError, match="att_db=0.3"):
+            chain_codes_cw(np.array([2e9]), np.array([0.0]), np.array([0.0, 0.3]), chain)
+
+    def test_out_of_band_coupler_frequency(self):
+        with pytest.raises(OutOfBandError):
+            chain_codes_cw(np.array([8e9, 15e9]), np.array([0.0]), np.array([0.0]),
+                           ChainConfig(coupling_kind="coupler"))
+
+
+def _triples(cfg, rng, n):
+    """Seeded acquisitions: readouts over the band at random settings, raw
+    code triples, and triples at the floor, ceiling and overrange corners."""
+    full, floor, ceiling = cfg.adc.full_code, detector_floor_code(cfg), detector_ceiling_code(cfg)
+    n_set = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db))
+    max_db = cfg.attenuator.max_db
+    band = default_grid_for(cfg)
+    out = []
+    for i in range(n):
+        att = float(rng.integers(0, n_set + 1)) * cfg.attenuator.step_db
+        kind = i % 4
+        if kind == 0:
+            f = float(rng.uniform(band.f_start_hz, band.f_stop_hz))
+            sig = SignalDescriptor((Tone(freq_hz=f, power_dbm=float(rng.uniform(-30.0, 30.0))),))
+            out.append(chain_readout(sig, cfg, att))
+            continue
+        if kind == 1:
+            oc, l1, l2 = (int(x) for x in rng.integers(0, full + 1, 3))
+        elif kind == 2:
+            oc = int(rng.integers(floor - 3, floor + 3))
+            l1, l2 = (int(x) for x in rng.integers(floor - 3, ceiling + 3, 2))
+        else:
+            oc = int(rng.integers(ceiling - 2, full + 1))
+            l1, l2 = (int(x) for x in rng.integers(ceiling - 40, full + 1, 2))
+            att = max_db if rng.random() < 0.5 else att
+        out.append(TapCodes(0.0, oc, l1, l2, att))
+    return out
+
+
+@pytest.mark.parametrize("switch", [None, 6e9])
+def test_estimates_match_scalar_estimator(chain, calibration, switch):
+    rng = np.random.default_rng(0 if switch is None else 7)
+    results = set()
+    for codes in _triples(chain, rng, 1000):
+        got = outcome(estimate, codes, calibration, switch)
+        assert got == outcome(estimate_scalar, codes, calibration, switch), codes
+        results.add(got[0].__name__ if isinstance(got, tuple) else got.confidence)
+    # Every path of the estimator was taken.
+    assert results >= {
+        "in-range", "clamped", "saturated",
+        "NoSignalError", "IndeterminateFrequencyError", "PowerOverrangeError",
+    }
+
+
+def test_estimates_match_scalar_estimator_on_coupler_table():
+    cfg = ChainConfig(coupling_kind="coupler")
+    cal = build_calibration(cfg, default_grid_for(cfg))
+    for codes in _triples(cfg, np.random.default_rng(11), 400):
+        assert outcome(estimate, codes, cal) == outcome(estimate_scalar, codes, cal), codes
+
