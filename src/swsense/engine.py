@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
 from bisect import bisect_right
@@ -40,6 +41,7 @@ from .readout import (
     chain_config_hash,
     chain_config_to_dict,
     chain_readout_lines,
+    check_keys,
     params_from_dict,
 )
 
@@ -191,14 +193,15 @@ def _validate(sc: Scenario) -> None:
             raise ValueError(
                 f"dt_s={sc.dt_s} too coarse for stage {k}: need <= ADC period/4 = {period / 4.0}"
             )
-        if st.chain.coupling_kind == "coupler":
-            band = (st.chain.coupler.f_min_hz, st.chain.coupler.f_max_hz)
-            for src in sc.sources:
-                for f, _ in expand_modulated(src):
-                    if not band[0] <= f <= band[1]:
-                        raise ValueError(
-                            f"source line {f / 1e9:.3f} GHz outside stage {k} coupler band"
-                        )
+        f_max = st.chain.stub.taps[0].f_max_hz
+        for src in sc.sources:
+            for f, _ in expand_modulated(src):
+                if st.chain.coupling_kind == "coupler" and not (
+                    st.chain.coupler.f_min_hz <= f <= st.chain.coupler.f_max_hz
+                ):
+                    raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} coupler band")
+                if f > f_max:
+                    raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} stub band")
 
 
 class _Runner:
@@ -374,28 +377,64 @@ class _Runner:
         return ins, outs
 
     def _build_records(self) -> list[TraceRecord]:
+        """One TraceRecord per dt point.
+
+        _powers_at reads the time only through which sources are active,
+        which filter-history entry each stage is in and whether that notch
+        is still in transition. So it runs once per distinct line state, and
+        the records of one state share its power tuples. Snapshots are
+        shared per (sample, filter-history entry) the same way. Between two
+        times at which any of these inputs can change, a record reuses the
+        previous record's tuples.
+        """
         sc = self.sc
         n = int(round(sc.duration_s / sc.dt_s))
+        sample_times = [[s["t_s"] for s in samples] for samples in self.samples]
+        hist_times = [[e[0] for e in hist] for hist in self.filter_hist]
+        changes = sorted(
+            {x for times in sample_times + hist_times for x in times}
+            | {e[1].transition_until_s for hist in self.filter_hist for e in hist}
+            | {x for src in sc.sources for x in (src.t_on_s, src.t_off_s)}
+        )
+        # changes[:n_seen] are at or before the last recomputed record. Each filter
+        # history starts at -inf, so the first record is always computed.
+        n_seen = 0
+        powers: dict[tuple, tuple] = {}
+        snapshots: dict[tuple[int, int, int], StageSnapshot] = {}
+        stage_tuples: dict[tuple, tuple[StageSnapshot, ...]] = {}
         records = []
-        sample_times = [[s["t_s"] for s in self.samples[k]] for k in range(len(sc.stages))]
         for i in range(n):
             t = i * sc.dt_s
-            ins, outs = self._powers_at(t)
-            snaps = []
-            for k in range(len(sc.stages)):
-                j = bisect_right(sample_times[k], t) - 1
-                values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
-                fstate = self._filter_state_at(k, t)
-                snaps.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
-            records.append(
-                TraceRecord(
-                    t_s=t,
-                    in_dbm=tuple(tuple(x) for x in ins),
-                    out_dbm=tuple(tuple(x) for x in outs),
-                    stages=tuple(snaps),
+            if n_seen < len(changes) and changes[n_seen] <= t:
+                n_seen = bisect_right(changes, t, n_seen)
+                # Per stage: index of the last delivered sample and of the filter-history entry.
+                pos = tuple(
+                    (bisect_right(st, t) - 1, bisect_right(ht, t) - 1)
+                    for st, ht in zip(sample_times, hist_times)
                 )
-            )
+                line_state = (
+                    tuple(src.active(t) for src in sc.sources),
+                    tuple((h, self.filter_hist[k][h][1].in_transition(t)) for k, (_, h) in enumerate(pos)),
+                )
+                if line_state not in powers:
+                    ins, outs = self._powers_at(t)
+                    powers[line_state] = (tuple(map(tuple, ins)), tuple(map(tuple, outs)))
+                if pos not in stage_tuples:
+                    stage_tuples[pos] = tuple(
+                        self._snapshot(k, j, h, snapshots) for k, (j, h) in enumerate(pos)
+                    )
+                in_dbm, out_dbm = powers[line_state]
+                stages = stage_tuples[pos]
+            records.append(TraceRecord(t, in_dbm, out_dbm, stages))
         return records
+
+    def _snapshot(self, k: int, j: int, h: int, cache: dict) -> StageSnapshot:
+        """Stage k after sample j (idle when j < 0) with filter-history entry h, built once per cache."""
+        if (k, j, h) not in cache:
+            values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
+            fstate = self.filter_hist[k][h][1]
+            cache[k, j, h] = StageSnapshot(*values, fstate.engaged, fstate.f_center_hz)
+        return cache[k, j, h]
 
     def _metrics(self, records: list[TraceRecord]) -> Metrics:
         sc = self.sc
@@ -422,10 +461,8 @@ class _Runner:
                 m.final_output_dbm.append(_SILENT_DBM)
                 m.suppression_db.append(None)
         if records:
-            totals = [
-                sum(10.0 ** (x / 10.0) for x in r.out_dbm[-1]) for r in records
-            ]
-            peak = max(totals)
+            # Records of one line state share out_dbm, so each distinct total is summed once.
+            peak = max(sum(10.0 ** (x / 10.0) for x in out) for out in {r.out_dbm[-1] for r in records})
             m.max_output_dbm = watts_to_dbm(peak * 1e-3) if peak > 0 else _SILENT_DBM
         return m
 
@@ -541,30 +578,31 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """Scenario from its JSON form.
+
+    An unknown or missing key, at the top level or in a source, stage,
+    controller or notch, is a ValueError whose message starts with the
+    entry's JSON path, such as "sources[1]" or "stages[0].notch".
+    """
+    check_keys(d, "scenario", {f.name for f in fields(Scenario)}, ("duration_s",))
     sources = []
-    for t in d.get("sources", []):
-        sources.append(
-            Tone(
-                freq_hz=t["freq_hz"],
-                power_dbm=t["power_dbm"],
-                t_on_s=t.get("t_on_s", 0.0),
-                t_off_s=math.inf if t.get("t_off_s") is None else t["t_off_s"],
-                occupied_bw_hz=t.get("occupied_bw_hz", 0.0),
-                n_subtones=t.get("n_subtones", 0),
-            )
-        )
+    for i, t in enumerate(d.get("sources", [])):
+        if isinstance(t, dict) and "t_off_s" in t and t["t_off_s"] is None:
+            t = dict(t, t_off_s=math.inf)
+        sources.append(params_from_dict(t, f"sources[{i}]", Tone))
     stages = []
     for k, st in enumerate(d.get("stages", [])):
-        nd = dict(st.get("notch", {}))
-        if "f_tune_range_hz" in nd:
-            nd["f_tune_range_hz"] = tuple(nd["f_tune_range_hz"])
+        check_keys(st, f"stages[{k}]", {f.name for f in fields(StageSpec)})
+        nd = st.get("notch", {})
+        if isinstance(nd, dict) and "f_tune_range_hz" in nd:
+            nd = dict(nd, f_tune_range_hz=tuple(nd["f_tune_range_hz"]))
         stages.append(
             StageSpec(
                 chain=chain_config_from_dict(st.get("chain", {})),
                 controller=params_from_dict(
                     st.get("controller", {}), f"stages[{k}].controller", ControllerConfig
                 ),
-                notch=NotchModel(**nd),
+                notch=params_from_dict(nd, f"stages[{k}].notch", NotchModel),
                 electrical_delay_s=st.get("electrical_delay_s", 0.0),
             )
         )
@@ -592,7 +630,11 @@ def save_scenario(sc: Scenario, path: str) -> None:
 
 
 def trace_to_csv(trace: Trace, path: str) -> None:
-    """Write the dt-grid trace; one row per instant, stage columns prefixed s<k>_."""
+    """Write the dt-grid trace; one row per instant, stage columns prefixed s<k>_.
+
+    Consecutive records that share their power tuples and snapshots have
+    the same cells after t_s, so that tail is formatted once and reused.
+    """
     n_stage = len(trace.scenario.stages)
     n_src = len(trace.scenario.sources)
     cols = ["t_s"]
@@ -600,19 +642,32 @@ def trace_to_csv(trace: Trace, path: str) -> None:
         cols += [f"s{k}_in{i}_dbm" for i in range(n_src)]
         cols += [f"s{k}_out{i}_dbm" for i in range(n_src)]
         cols += [f"s{k}_{f.name}" for f in fields(StageSnapshot)]
-    # csv.writer writes a float as str(), its shortest form that parses back exactly.
+    # csv.writer writes a float as repr(), its shortest form that parses back exactly.
     sampled = attrgetter(*_SAMPLE_COLUMNS[1:])
+    buf = io.StringIO()
+    tail_writer = csv.writer(buf)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
+        csv.writer(fh).writerow(cols)
+        prev, tail = None, ""
         for r in trace.records:
-            row: list = [r.t_s]
-            for k, s in enumerate(r.stages):
-                row += r.in_dbm[k]
-                row += r.out_dbm[k]
-                row += sampled(s)
-                row += (int(s.filter_engaged), s.filter_center_hz)
-            w.writerow(row)
+            if not (
+                prev is not None
+                and r.in_dbm is prev.in_dbm
+                and r.out_dbm is prev.out_dbm
+                and r.stages is prev.stages
+            ):
+                row: list = []
+                for k, s in enumerate(r.stages):
+                    row += r.in_dbm[k]
+                    row += r.out_dbm[k]
+                    row += sampled(s)
+                    row += (int(s.filter_engaged), s.filter_center_hz)
+                buf.seek(0)
+                buf.truncate()
+                tail_writer.writerow(row)
+                tail = buf.getvalue()
+            fh.write(f"{r.t_s!r},{tail}")
+            prev = r
 
 
 def samples_to_csv(trace: Trace, stage: int, path: str) -> None:

@@ -39,6 +39,7 @@ from .readout import (
     chain_config_hash,
     chain_config_to_dict,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
+    check_stub_band,
     detector_ceiling_code,
     detector_floor_code,
 )
@@ -218,7 +219,7 @@ def build_calibration(
     at once with chain_codes_cw. Raises CalibrationRangeError for the
     first cell, in row order, that the detectors cannot represent (floor
     at the bottom, unservable overload at the top) or whose frequency is
-    outside the coupler band.
+    outside the coupler band or above the stub band.
     """
     from .controller import ControllerConfig
 
@@ -242,6 +243,7 @@ def build_calibration(
     for i, f in enumerate(freqs):
         try:
             cfg.coupling_db_at(float(f))
+            check_stub_band(float(f), cfg)
         except OutOfBandError as exc:
             n_rows, out_of_band = i, exc
             break

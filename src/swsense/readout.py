@@ -24,6 +24,7 @@ from .coupling import (
     coupler_response,
     tap_coupling,
 )
+from .errors import OutOfBandError
 from .stub import StubParams, TapSpec, tap_rms_voltages
 
 
@@ -194,6 +195,16 @@ def detector_ceiling_code(cfg: ChainConfig) -> int:
     return adc_sample(detector_voltage(cfg.detector.v_in_max, cfg.detector), cfg.adc)
 
 
+def check_stub_band(f_hz: float, cfg: ChainConfig) -> None:
+    """OutOfBandError for a line above the first tap's f_max, where the stub response repeats."""
+    f_max = cfg.stub.taps[0].f_max_hz
+    if f_hz > f_max:
+        raise OutOfBandError(
+            f"{f_hz / 1e9:.3f} GHz above the stub band (tap {cfg.stub.taps[0].name} "
+            f"resolves up to {f_max / 1e9:.3f} GHz)"
+        )
+
+
 def chain_voltages_lines(
     lines: Sequence[tuple[float, float]],
     cfg: ChainConfig,
@@ -204,12 +215,14 @@ def chain_voltages_lines(
 
     lines are (freq_hz, input-referred watts) pairs. forward_ratios, when
     given, scales the monitored amplitude per line to account for
-    downstream reflections at the pick-off point.
+    downstream reflections at the pick-off point. A line above the stub
+    band raises OutOfBandError.
     """
     cfg.attenuator.check_setting(att_db)
     drive: list[tuple[float, float]] = []
     total_w = 0.0
     for i, (f_hz, p_w) in enumerate(lines):
+        check_stub_band(f_hz, cfg)
         g_db = (
             cfg.coupling_db_at(f_hz)
             - att_db
@@ -276,12 +289,14 @@ def chain_codes_cw(
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
     cfg, att): the arithmetic runs in the same order. Coupling and gain
     ripple are evaluated once per element of freq_hz, so an out-of-band
-    coupler frequency raises OutOfBandError and an invalid setting in att_db
-    raises ValueError.
+    coupler frequency raises OutOfBandError, as does one above the stub
+    band, and an invalid setting in att_db raises ValueError.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)
     att = np.asarray(att_db, dtype=float)
+    if f.size:
+        check_stub_band(float(f.max()), cfg)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
     coupling = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
@@ -368,7 +383,7 @@ def chain_config_to_dict(cfg: ChainConfig) -> dict:
     return d
 
 
-def _check_keys(kw: dict, where: str, known, required=()) -> dict:
+def check_keys(kw: dict, where: str, known, required=()) -> dict:
     """kw itself; ValueError naming `where` for a non-object, an unknown or a missing key."""
     if not isinstance(kw, dict):
         raise ValueError(f"{where}: expected an object, got {type(kw).__name__}")
@@ -389,28 +404,23 @@ def params_from_dict(kw: dict, where: str, cls):
     """
     fs = fields(cls)
     required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
-    return cls(**_check_keys(kw, where, {f.name for f in fs}, required))
+    return cls(**check_keys(kw, where, {f.name for f in fs}, required))
 
 
 _TAP_KEYS = ("name", "f_max")
+_COUPLER_TABLES = ("coupling_db", "insertion_db", "directivity_db")
 
 
 def chain_config_from_dict(d: dict) -> ChainConfig:
-    coupler = None
-    if d.get("coupler") is not None:
-        c = d["coupler"]
-        coupler = DirectionalCouplerParams(
-            coupling_db=_table_from_json(c["coupling_db"]),
-            insertion_db=_table_from_json(c["insertion_db"]),
-            directivity_db=_table_from_json(c["directivity_db"]),
-            f_min_hz=c["f_min_hz"],
-            f_max_hz=c["f_max_hz"],
-        )
+    c = d.get("coupler")
+    if isinstance(c, dict):
+        c = {k: _table_from_json(v) if k in _COUPLER_TABLES else v for k, v in c.items()}
+    coupler = None if c is None else params_from_dict(c, "chain.coupler", DirectionalCouplerParams)
     stub_d = d.get("stub", {})
     if isinstance(stub_d, dict) and "taps" in stub_d:
         taps = []
         for n, t in enumerate(stub_d["taps"]):
-            _check_keys(t, f"chain.stub.taps[{n}]", _TAP_KEYS, _TAP_KEYS)
+            check_keys(t, f"chain.stub.taps[{n}]", _TAP_KEYS, _TAP_KEYS)
             taps.append(TapSpec(t["name"], t["f_max"]))
         stub_d = dict(stub_d, taps=tuple(taps))
     ripple = d.get("gain_ripple")

@@ -107,6 +107,13 @@ class TestEstimate:
         assert out["freq_hz"] == pytest.approx(8e9, abs=30e6)
         assert out["power_dbm"] == pytest.approx(0.0, abs=0.1)
 
+    def test_line_above_the_stub_band_is_a_domain_error(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "estimate", "--freq", "20e9", "--power", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("swsense: 20.000 GHz above the stub band")
+        assert run_cli(tmp_path, "estimate", "--freq", "16e9", "--power", "0") == 0
+
     def test_requires_codes_or_signal(self, tmp_path, capsys):
         assert run_cli(tmp_path, "estimate") == 2
         assert "codes" in capsys.readouterr().err
@@ -174,6 +181,26 @@ class TestSimulate:
         second = (tmp_path / "samples_stage0.csv").read_text()
         assert first != second
 
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (lambda d: d["stages"][0]["notch"].update(q_factor=3), "stages[0].notch: unknown key 'q_factor'"),
+            (lambda d: d["sources"][0].update(pwr=3), "sources[0]: unknown key 'pwr'"),
+            (lambda d: d["sources"][0].pop("freq_hz"), "sources[0]: missing key 'freq_hz'"),
+            (lambda d: d.pop("duration_s"), "scenario: missing key 'duration_s'"),
+            (lambda d: d.update(durationn=1e-5), "scenario: unknown key 'durationn'"),
+            (lambda d: d["sources"][0].update(freq_hz=20e9), "source line 20.000 GHz outside stage 0 stub band"),
+        ],
+    )
+    def test_malformed_scenario_is_malformed(self, tmp_path, capsys, edit, err):
+        d = json.loads(Path(scenario_path("pulse_response.json")).read_text())
+        edit(d)
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(d))
+        assert run_cli(tmp_path, "simulate", "--no-trace", str(path)) == 2
+        assert capsys.readouterr().err == f"swsense: {err}\n"
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "simulate", str(tmp_path / "nope.json")) == 2
         assert "swsense:" in capsys.readouterr().err
@@ -206,6 +233,8 @@ class TestConfigPlumbing:
             ({"chain": {"stub": {"eps_ef": 4.0}}}, "chain.stub: unknown key 'eps_ef'"),
             ({"chain": {"stub": {"taps": [{"name": "l1"}, {"name": "l2", "f_max": 5e9}]}}},
              "chain.stub.taps[0]: missing key 'f_max'"),
+            ({"chain": {"coupling_kind": "coupler", "coupler": {"coupling_dbb": -15.0}}},
+             "chain.coupler: unknown key 'coupling_dbb'"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):
@@ -213,6 +242,13 @@ class TestConfigPlumbing:
         path.write_text(json.dumps(cfg))
         assert run_cli(tmp_path, "--config", str(path), "place-nodes") == 2
         assert capsys.readouterr().err == f"swsense: {err}\n"
+
+    def test_partial_coupler_block(self, tmp_path, capsys):
+        cfg = {"chain": {"coupling_kind": "coupler", "coupler": {"coupling_db": -15.0}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(tmp_path, "--config", str(path), "resolution", "--freq", "8e9") == 0
+        assert json.loads(capsys.readouterr().out)["freq_hz"] == 8e9
 
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
         cfg = {"chain": {"adc": {"bits": 10}}, "controller": {}}

@@ -133,6 +133,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(sc)
 
+    def test_stub_band_covers_sources(self):
+        # A 12 MHz comb whose top line sits 1 MHz above tap l1's f_max.
+        comb = Tone(freq_hz=15.995e9, power_dbm=0.0, occupied_bw_hz=12e6, n_subtones=3)
+        sc = Scenario(duration_s=1e-6, sources=(comb,), stages=(StageSpec(), StageSpec()))
+        with pytest.raises(ValueError, match=r"^source line 16\.001 GHz outside stage 0 stub band$"):
+            run(sc)
+        at_f_max = replace(sc, sources=(Tone(freq_hz=16e9, power_dbm=0.0),))
+        assert len(run(at_f_max, collect_trace=False).samples[1]) == 5
+
 
 class TestPulseResponse:
     def test_engage_latency(self, pulse_trace):
@@ -318,6 +327,29 @@ class TestScenarioJson:
         back = load_scenario(str(path))
         assert back == sc
         assert math.isinf(back.sources[0].t_off_s)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["stages"][0]["notch"].update(q_factor=3), r"stages\[0\]\.notch: unknown key 'q_factor'"),
+            (lambda d: d["stages"][1].update(notchh={}), r"stages\[1\]: unknown key 'notchh'"),
+            (lambda d: d["sources"][1].update(pwr=3), r"sources\[1\]: unknown key 'pwr'"),
+            (lambda d: d["sources"][0].pop("freq_hz"), r"sources\[0\]: missing key 'freq_hz'"),
+            (lambda d: d["sources"].append(5.0), r"sources\[2\]: expected an object, got float"),
+            (lambda d: d.pop("duration_s"), r"scenario: missing key 'duration_s'"),
+            (lambda d: d.update(durationn=1e-5), r"scenario: unknown key 'durationn'"),
+        ],
+    )
+    def test_malformed_entries_name_their_path(self, edit, message):
+        d = scenario_to_dict(cascade_scenario())
+        edit(d)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            scenario_from_dict(d)
+
+    def test_notch_tuning_range_list_is_read(self):
+        d = scenario_to_dict(cascade_scenario())
+        d["stages"][0]["notch"]["f_tune_range_hz"] = [2e9, 12e9]
+        assert scenario_from_dict(d).stages[0].notch.f_tune_range_hz == (2e9, 12e9)
 
     def test_unknown_controller_key_names_stage(self):
         d = scenario_to_dict(cascade_scenario())

@@ -128,6 +128,11 @@ class TestCalibrationBuild:
         with pytest.raises(CalibrationRangeError):
             build_calibration(chain, loud)
 
+    def test_grid_above_the_stub_band_raises(self, chain):
+        # The default grid's top row sits exactly at tap l1's f_max and builds.
+        with pytest.raises(CalibrationRangeError, match="16.500 GHz above the stub band"):
+            build_calibration(chain, CalibrationGrid(15e9, 17e9, 0.5e9, 0.0, 0.0, 1.0))
+
 
 def _cell_codes(cal, i, j):
     return TapCodes(

@@ -7,10 +7,13 @@ written out in test_chain_codes_hand_composed below.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from swsense.core import SignalDescriptor, Tone
+from swsense.coupling import DirectionalCouplerParams
+from swsense.errors import OutOfBandError
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
@@ -21,6 +24,7 @@ from swsense.readout import (
     chain_config_from_dict,
     chain_config_hash,
     chain_config_to_dict,
+    chain_codes_cw,
     chain_readout,
     chain_readout_lines,
     chain_voltages,
@@ -31,6 +35,7 @@ from swsense.readout import (
     load_chain_config,
     save_chain_config,
 )
+from swsense.stub import StubParams, TapSpec
 
 
 class TestDetector:
@@ -132,6 +137,17 @@ def test_l1_null_reads_floor(chain):
     assert codes.code_oc > codes.code_l1
 
 
+@pytest.mark.parametrize("kind", ["tap", "coupler"])
+def test_lines_above_the_stub_band_are_refused(kind):
+    cfg = ChainConfig(coupling_kind=kind, stub=StubParams(taps=(TapSpec("l1", 12e9), TapSpec("l2", 5e9))))
+    chain_voltages_lines([(12e9, 1e-3)], cfg, 0.0)  # f_max itself is in band
+    chain_codes_cw(np.array([2e9, 12e9]), np.array([0.0]), np.array([0.0]), cfg)
+    with pytest.raises(OutOfBandError, match=r"^12\.500 GHz above the stub band \(tap l1"):
+        chain_voltages_lines([(6e9, 1e-3), (12.5e9, 1e-3)], cfg, 0.0)
+    with pytest.raises(OutOfBandError):
+        chain_codes_cw(np.array([2e9, 12.5e9]), np.array([0.0]), np.array([0.0]), cfg)
+
+
 def test_attenuation_shifts_voltages_exactly(chain):
     # 10 dB of attenuation moves every unclamped detector by slope_a/2 volts
     v0 = chain_voltages_lines([(8e9, 1e-3)], chain, 0.0)
@@ -227,6 +243,23 @@ class TestConfigPersistence:
         d[block]["settle_time"] = 5e-8
         with pytest.raises(ValueError, match=rf"^chain\.{block}: unknown key 'settle_time'$"):
             chain_config_from_dict(d)
+
+    def test_partial_coupler_block_takes_defaults(self):
+        cfg = chain_config_from_dict({"coupling_kind": "coupler", "coupler": {"coupling_db": -12.0}})
+        assert cfg.coupler == DirectionalCouplerParams(coupling_db=-12.0)
+        table = {"coupler": {"insertion_db": [[1e9, 0.5], [14e9, 1.0]]}}
+        assert chain_config_from_dict(table).coupler.insertion_db == ((1e9, 0.5), (14e9, 1.0))
+
+    @pytest.mark.parametrize(
+        "coupler, message",
+        [
+            ({"coupling_dbb": -15.0}, r"^chain\.coupler: unknown key 'coupling_dbb'$"),
+            ([1, 2], r"^chain\.coupler: expected an object, got list$"),
+        ],
+    )
+    def test_coupler_block_keys_checked(self, coupler, message):
+        with pytest.raises(ValueError, match=message):
+            chain_config_from_dict({"coupling_kind": "coupler", "coupler": coupler})
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,0 +1,105 @@
+"""Trace records and trace.csv match the per-dt-point oracle exactly.
+
+The engine computes line powers once per line state and shares tuples and
+snapshots between the records of one state; trace_to_csv formats each
+shared row tail once. tests/trace_reference.py recomputes every record and
+every cell. Records are compared through repr(), which gives each float's
+shortest exact form, so equal reprs mean bit-equal values with NaN equal
+to NaN.
+"""
+
+from dataclasses import replace
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import trace_reference
+from swsense.core import Tone
+from swsense.engine import Scenario, StageSpec, _Runner, load_scenario, trace_to_csv
+from swsense.filters import NotchModel
+from swsense.readout import ChainConfig
+
+SCENARIOS = ("cascade_6_12", "limit_cycle_coupler", "limit_cycle_tap", "pulse_response")
+SEEDS = (0, 1, 7, 11, 123)
+DT = 25e-9
+
+
+def scenario(name):
+    return load_scenario(str(resources.files("swsense").joinpath(f"data/scenarios/{name}.json")))
+
+
+def assert_trace_parity(sc, tmp_path):
+    runner = _Runner(sc, None)
+    trace = runner.run(collect_trace=True)
+    expected = trace_reference.build_records(runner)
+    assert len(trace.records) == len(expected)
+    for got, want in zip(trace.records, expected):
+        assert repr(got) == repr(want)
+    assert trace.metrics.max_output_dbm == trace_reference.max_output_dbm(expected)
+
+    new, old = tmp_path / "trace.csv", tmp_path / "trace_reference.csv"
+    trace_to_csv(trace, str(new))
+    trace_reference.trace_to_csv(trace, str(old))
+    assert new.read_bytes() == old.read_bytes()
+    return trace
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_bundled_scenarios_match_reference(tmp_path, name, seed):
+    assert_trace_parity(replace(scenario(name), seed=seed), tmp_path)
+
+
+def test_records_of_one_state_share_tuples(tmp_path):
+    trace = assert_trace_parity(scenario("pulse_response"), tmp_path)
+    records = trace.records
+    assert len({id(r.in_dbm) for r in records}) < len(records) / 10
+    assert len({id(r.stages) for r in records}) < len(records) / 4
+
+
+@st.composite
+def scenarios(draw):
+    sources = []
+    for _ in range(draw(st.integers(1, 2))):
+        # Edges fall between dt points; a turn-off is optional.
+        t_on = draw(st.floats(0.0, 1.5e-6))
+        t_off = draw(st.one_of(st.none(), st.floats(0.2e-6, 2.5e-6).map(lambda d: t_on + d)))
+        comb = draw(st.booleans())
+        sources.append(
+            Tone(
+                freq_hz=draw(st.floats(2e9, 13e9)),
+                power_dbm=draw(st.floats(-6.0, 12.0)),
+                t_on_s=t_on,
+                t_off_s=float("inf") if t_off is None else t_off,
+                occupied_bw_hz=12e6 if comb else 0.0,
+            )
+        )
+    stages = []
+    for _ in range(draw(st.integers(1, 2))):
+        notch = NotchModel(
+            kind=draw(st.sampled_from(("evanescent_pin", "yig", "ideal"))),
+            bw_3db_hz=draw(st.sampled_from((50e6, 500e6))),
+            # Shorter than, equal to and longer than one dt step.
+            tuning_time_s=draw(st.sampled_from((5e-9, DT, 37e-9, 130e-9, 600e-9))),
+            reflective=draw(st.booleans()),
+        )
+        stages.append(
+            StageSpec(
+                chain=ChainConfig(coupling_kind=draw(st.sampled_from(("tap", "coupler")))),
+                notch=notch,
+                electrical_delay_s=draw(st.sampled_from((0.0, 1.0 / (4.0 * 6e9)))),
+            )
+        )
+    return Scenario(
+        duration_s=draw(st.floats(1e-6, 4e-6)),
+        sources=tuple(sources),
+        stages=tuple(stages),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sc=scenarios())
+def test_random_scenarios_match_reference(tmp_path, sc):
+    assert_trace_parity(sc, tmp_path)

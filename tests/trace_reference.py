@@ -1,0 +1,128 @@
+"""Per-dt-point trace builder and per-cell trace.csv writer, kept as an oracle.
+
+swsense.engine builds one set of powers per line state and formats each
+distinct row tail of trace.csv once. The functions here recompute every
+record from scratch at every dt point, pushing each source line through
+each stage, and format every cell of every row. They read a finished
+engine._Runner and are used only by tests, which require the two paths to
+give equal records and byte-equal CSV files.
+"""
+
+from __future__ import annotations
+
+import csv
+from bisect import bisect_right
+from dataclasses import fields
+from operator import attrgetter
+
+from swsense.core import watts_to_dbm
+from swsense.engine import (
+    _IDLE_VALUES,
+    _SAMPLE_COLUMNS,
+    _SILENT_DBM,
+    StageSnapshot,
+    Trace,
+    TraceRecord,
+    _snapshot_values,
+)
+from swsense.filters import notch_s21_db
+
+
+def _filter_state_at(runner, k: int, t: float):
+    hist = runner.filter_hist[k]
+    i = bisect_right(hist, t, key=lambda e: e[0]) - 1
+    return hist[i][1]
+
+
+def _source_lines(runner, t: float) -> list[tuple[float, float, int]]:
+    lines = []
+    for si, src in enumerate(runner.sc.sources):
+        if src.active(t):
+            lines.extend((f, w, si) for f, w in runner.expanded[si])
+    return lines
+
+
+def _through_stage(runner, k: int, lines, t: float):
+    spec = runner.sc.stages[k]
+    state = _filter_state_at(runner, k, t)
+    out = []
+    for f, w, si in lines:
+        w2 = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
+        p_dbm = watts_to_dbm(w2) if w2 > 0.0 else _SILENT_DBM
+        s21 = notch_s21_db(spec.notch, state, f, p_dbm, t)
+        out.append((f, w2 * 10.0 ** (s21 / 10.0), si))
+    return out
+
+
+def powers_at(runner, t: float) -> tuple[list[list[float]], list[list[float]]]:
+    """Per-stage, per-source input/output powers (dBm) at time t."""
+    n_src = len(runner.sc.sources)
+    ins, outs = [], []
+    lines = _source_lines(runner, t)
+    for k in range(len(runner.sc.stages)):
+        per_in = [0.0] * n_src
+        for f, w, si in lines:
+            per_in[si] += w
+        lines = _through_stage(runner, k, lines, t)
+        per_out = [0.0] * n_src
+        for f, w, si in lines:
+            per_out[si] += w
+        ins.append([watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in])
+        outs.append([watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out])
+    return ins, outs
+
+
+def build_records(runner) -> list[TraceRecord]:
+    """One freshly computed TraceRecord per dt point of a finished run."""
+    sc = runner.sc
+    n = int(round(sc.duration_s / sc.dt_s))
+    records = []
+    sample_times = [[s["t_s"] for s in runner.samples[k]] for k in range(len(sc.stages))]
+    for i in range(n):
+        t = i * sc.dt_s
+        ins, outs = powers_at(runner, t)
+        snaps = []
+        for k in range(len(sc.stages)):
+            j = bisect_right(sample_times[k], t) - 1
+            values = _snapshot_values(runner.samples[k][j]) if j >= 0 else _IDLE_VALUES
+            fstate = _filter_state_at(runner, k, t)
+            snaps.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
+        records.append(
+            TraceRecord(
+                t_s=t,
+                in_dbm=tuple(tuple(x) for x in ins),
+                out_dbm=tuple(tuple(x) for x in outs),
+                stages=tuple(snaps),
+            )
+        )
+    return records
+
+
+def max_output_dbm(records: list[TraceRecord]) -> float:
+    """Metrics.max_output_dbm summed over every record."""
+    totals = [sum(10.0 ** (x / 10.0) for x in r.out_dbm[-1]) for r in records]
+    peak = max(totals)
+    return watts_to_dbm(peak * 1e-3) if peak > 0 else _SILENT_DBM
+
+
+def trace_to_csv(trace: Trace, path: str) -> None:
+    """trace.csv with every cell of every row formatted by csv.writer."""
+    n_stage = len(trace.scenario.stages)
+    n_src = len(trace.scenario.sources)
+    cols = ["t_s"]
+    for k in range(n_stage):
+        cols += [f"s{k}_in{i}_dbm" for i in range(n_src)]
+        cols += [f"s{k}_out{i}_dbm" for i in range(n_src)]
+        cols += [f"s{k}_{f.name}" for f in fields(StageSnapshot)]
+    sampled = attrgetter(*_SAMPLE_COLUMNS[1:])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for r in trace.records:
+            row: list = [r.t_s]
+            for k, s in enumerate(r.stages):
+                row += r.in_dbm[k]
+                row += r.out_dbm[k]
+                row += sampled(s)
+                row += (int(s.filter_engaged), s.filter_center_hz)
+            w.writerow(row)
