@@ -15,11 +15,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
+from .codec import from_json
 from .controller import ControllerConfig
 from .core import SignalDescriptor, Tone
 from .coupling import ResistiveTapParams, coupler_response, tap_sparams
@@ -33,28 +34,29 @@ from .estimator import (
     resolution,
     save_calibration,
 )
-from .readout import TapCodes, chain_config_from_dict, chain_readout, params_from_dict
+from .readout import ChainConfig, TapCodes, chain_readout
 from .stub import tap_length
 
 
-def _load_config(path: str | None) -> tuple[dict, dict]:
-    """Returns (chain_dict, controller_dict) from a config file or the default."""
+@dataclass(frozen=True)
+class _Config:
+    """A --config file: the chain and controller of one stage."""
+
+    chain: ChainConfig = field(default_factory=ChainConfig)
+    controller: ControllerConfig = field(default_factory=ControllerConfig)
+
+
+def _build(path: str | None) -> tuple[ChainConfig, ControllerConfig]:
+    """(chain, controller) from a config file, $SWSENSE_CONFIG or the bundled default."""
     if path is None:
         path = os.environ.get("SWSENSE_CONFIG")
     if path is None:
-        text = resources.files("swsense").joinpath("data/default_config.json").read_text()
-        d = json.loads(text)
+        d = json.loads(resources.files("swsense").joinpath("data/default_config.json").read_text())
     else:
         with open(path) as fh:
             d = json.load(fh)
-    return d.get("chain", {}), d.get("controller", {})
-
-
-def _build(path: str | None):
-    chain_d, ctrl_d = _load_config(path)
-    cfg = chain_config_from_dict(chain_d)
-    ctrl = params_from_dict(ctrl_d, "controller", ControllerConfig)
-    return cfg, ctrl
+    c = from_json(_Config, d, "config", root=True)
+    return c.chain, c.controller
 
 
 def _outpath(args, name: str) -> str:

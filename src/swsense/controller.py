@@ -40,14 +40,13 @@ class ControllerConfig:
     """Detection threshold, gain-control window, and timing of one stage.
 
     The code window defaults match the default chain: agc_high_code is the
-    open-end code seen at agc_engage_power input with zero attenuation, so
-    the attenuator starts stepping right above that input level. Readings
+    open-end code seen at 0 dBm input with zero attenuation, so the
+    attenuator starts stepping right above that input level. Readings
     at agc_floor_code mean "no signal" and freeze the attenuator rather
     than walking it down.
     """
 
     threshold_dbm: float = 0.0
-    agc_engage_power: float = 0.0
     agc_high_code: int = 2965
     agc_low_code: int = 2815
     agc_floor_code: int = 757
@@ -73,7 +72,6 @@ class ControllerConfig:
         high = adc_sample(v_oc, cfg.adc)
         return ControllerConfig(
             threshold_dbm=threshold_dbm,
-            agc_engage_power=agc_engage_power,
             agc_high_code=high,
             agc_low_code=high - window_codes,
             agc_floor_code=detector_floor_code(cfg),

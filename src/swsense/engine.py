@@ -30,20 +30,13 @@ from .controller import (
     ControllerState,
     on_sample,
 )
+from .codec import from_json, to_json
 from .core import Tone, expand_modulated, watts_to_dbm
 from .coupling import ReflectionEnvironment, sampled_forward_amplitude
 from .errors import SwsenseError, TuningRangeError
 from .estimator import CalibrationGrid, CalibrationTable, build_calibration
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
-from .readout import (
-    ChainConfig,
-    chain_config_from_dict,
-    chain_config_hash,
-    chain_config_to_dict,
-    chain_readout_lines,
-    check_keys,
-    params_from_dict,
-)
+from .readout import ChainConfig, chain_config_hash, chain_readout_lines
 
 _SILENT_DBM = -300.0
 
@@ -70,8 +63,8 @@ class Scenario:
     """A closed-loop run: sources driving one or more cascaded stages."""
 
     duration_s: float
-    sources: tuple[Tone, ...]
-    stages: tuple[StageSpec, ...]
+    sources: tuple[Tone, ...] = ()
+    stages: tuple[StageSpec, ...] = ()
     dt_s: float = 25e-9
     seed: int = 0
 
@@ -183,8 +176,9 @@ def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig, grid: CalibrationG
 
 
 def _validate(sc: Scenario) -> None:
-    if sc.duration_s <= 0.0 or sc.dt_s <= 0.0:
-        raise ValueError("duration_s and dt_s must be positive")
+    # A NaN or infinite duration would never end the sample loop.
+    if not (0.0 < sc.duration_s < math.inf and 0.0 < sc.dt_s < math.inf):
+        raise ValueError("duration_s and dt_s must be positive and finite")
     if not sc.stages:
         raise ValueError("scenario needs at least one stage")
     for k, st in enumerate(sc.stages):
@@ -539,80 +533,19 @@ def measure_response_time(trace: Trace, edge: str = "rise", stage: int = 0) -> f
 # ---------------- scenario JSON ----------------
 
 
-def _controller_to_dict(c: ControllerConfig) -> dict:
-    return asdict(c)
-
-
-def _notch_to_dict(n: NotchModel) -> dict:
-    d = asdict(n)
-    d["f_tune_range_hz"] = list(n.f_tune_range_hz)
-    return d
-
-
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "duration_s": sc.duration_s,
-        "dt_s": sc.dt_s,
-        "seed": sc.seed,
-        "sources": [
-            {
-                "freq_hz": t.freq_hz,
-                "power_dbm": t.power_dbm,
-                "t_on_s": t.t_on_s,
-                "t_off_s": None if math.isinf(t.t_off_s) else t.t_off_s,
-                "occupied_bw_hz": t.occupied_bw_hz,
-                "n_subtones": t.n_subtones,
-            }
-            for t in sc.sources
-        ],
-        "stages": [
-            {
-                "chain": chain_config_to_dict(st.chain),
-                "controller": _controller_to_dict(st.controller),
-                "notch": _notch_to_dict(st.notch),
-                "electrical_delay_s": st.electrical_delay_s,
-            }
-            for st in sc.stages
-        ],
-    }
+    return to_json(sc)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Scenario from its JSON form.
 
-    An unknown or missing key, at the top level or in a source, stage,
-    controller or notch, is a ValueError whose message starts with the
-    entry's JSON path, such as "sources[1]" or "stages[0].notch".
+    Every key and value is checked, at the top level and in each source,
+    stage and stage block. A malformed entry is a ValueError whose message
+    starts with its JSON path, such as "sources[1].power_dbm" or
+    "stages[0].chain.stub".
     """
-    check_keys(d, "scenario", {f.name for f in fields(Scenario)}, ("duration_s",))
-    sources = []
-    for i, t in enumerate(d.get("sources", [])):
-        if isinstance(t, dict) and "t_off_s" in t and t["t_off_s"] is None:
-            t = dict(t, t_off_s=math.inf)
-        sources.append(params_from_dict(t, f"sources[{i}]", Tone))
-    stages = []
-    for k, st in enumerate(d.get("stages", [])):
-        check_keys(st, f"stages[{k}]", {f.name for f in fields(StageSpec)})
-        nd = st.get("notch", {})
-        if isinstance(nd, dict) and "f_tune_range_hz" in nd:
-            nd = dict(nd, f_tune_range_hz=tuple(nd["f_tune_range_hz"]))
-        stages.append(
-            StageSpec(
-                chain=chain_config_from_dict(st.get("chain", {})),
-                controller=params_from_dict(
-                    st.get("controller", {}), f"stages[{k}].controller", ControllerConfig
-                ),
-                notch=params_from_dict(nd, f"stages[{k}].notch", NotchModel),
-                electrical_delay_s=st.get("electrical_delay_s", 0.0),
-            )
-        )
-    return Scenario(
-        duration_s=d["duration_s"],
-        dt_s=d.get("dt_s", 25e-9),
-        seed=d.get("seed", 0),
-        sources=tuple(sources),
-        stages=tuple(stages),
-    )
+    return from_json(Scenario, d, "scenario", root=True)
 
 
 def load_scenario(path: str) -> Scenario:

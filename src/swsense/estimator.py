@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import watts_to_dbm
 from .errors import (
@@ -176,7 +175,13 @@ def place_nodes(
             raise PlacementInfeasibleError(
                 f"resolution/f never reaches {max_fraction:.4%} below {f_max / 1e9:.3f} GHz"
             )
-        return brentq(g, lo, hi, xtol=1e6)
+        while hi - lo > 1.0:  # bisect g's sign change to 1 Hz
+            mid = 0.5 * (lo + hi)
+            if g(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     f_max_2 = crossing(f_max_1_hz)
     f_min = crossing(f_max_2)

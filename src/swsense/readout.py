@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import SignalDescriptor, Tone, dbm_to_watts, expand_signal
+from .codec import from_json, to_json
+from .core import SignalDescriptor, dbm_to_watts, expand_signal
 from .coupling import (
     DirectionalCouplerParams,
     ResistiveTapParams,
@@ -25,7 +26,7 @@ from .coupling import (
     tap_coupling,
 )
 from .errors import OutOfBandError
-from .stub import StubParams, TapSpec, tap_rms_voltages
+from .stub import StubParams, tap_rms_voltages
 
 
 @dataclass(frozen=True)
@@ -339,102 +340,16 @@ def chain_readout(
     return chain_readout_lines(expand_signal(sig), cfg, att_db, t_s)
 
 
-# ---------------- ChainConfig JSON (de)serialization ----------------
-
-
-def _table_to_json(table):
-    if table is None:
-        return None
-    if isinstance(table, (int, float)):
-        return float(table)
-    return [[float(f), float(v)] for f, v in table]
-
-
-def _table_from_json(obj):
-    if obj is None or isinstance(obj, (int, float)):
-        return obj
-    return tuple((float(f), float(v)) for f, v in obj)
+# ---------------- ChainConfig JSON ----------------
 
 
 def chain_config_to_dict(cfg: ChainConfig) -> dict:
-    d = {
-        "coupling_kind": cfg.coupling_kind,
-        "tap": asdict(cfg.tap),
-        "coupler": None,
-        "stub": {
-            "z0s": cfg.stub.z0s,
-            "taps": [{"name": t.name, "f_max": t.f_max_hz} for t in cfg.stub.taps],
-            "eps_eff": cfg.stub.eps_eff,
-        },
-        "attenuator": asdict(cfg.attenuator),
-        "amplifier": asdict(cfg.amplifier),
-        "detector": asdict(cfg.detector),
-        "adc": asdict(cfg.adc),
-        "gain_ripple": _table_to_json(cfg.gain_ripple),
-    }
-    if cfg.coupler is not None:
-        d["coupler"] = {
-            "coupling_db": _table_to_json(cfg.coupler.coupling_db),
-            "insertion_db": _table_to_json(cfg.coupler.insertion_db),
-            "directivity_db": _table_to_json(cfg.coupler.directivity_db),
-            "f_min_hz": cfg.coupler.f_min_hz,
-            "f_max_hz": cfg.coupler.f_max_hz,
-        }
-    return d
-
-
-def check_keys(kw: dict, where: str, known, required=()) -> dict:
-    """kw itself; ValueError naming `where` for a non-object, an unknown or a missing key."""
-    if not isinstance(kw, dict):
-        raise ValueError(f"{where}: expected an object, got {type(kw).__name__}")
-    for key in kw:
-        if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}")
-    for key in required:
-        if key not in kw:
-            raise ValueError(f"{where}: missing key {key!r}")
-    return kw
-
-
-def params_from_dict(kw: dict, where: str, cls):
-    """cls built from one config block; keys must name fields of cls.
-
-    A key cls has no field for, or a missing field without a default, is a
-    ValueError whose message starts with `where`, the block's JSON path.
-    """
-    fs = fields(cls)
-    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
-    return cls(**check_keys(kw, where, {f.name for f in fs}, required))
-
-
-_TAP_KEYS = ("name", "f_max")
-_COUPLER_TABLES = ("coupling_db", "insertion_db", "directivity_db")
+    return to_json(cfg)
 
 
 def chain_config_from_dict(d: dict) -> ChainConfig:
-    c = d.get("coupler")
-    if isinstance(c, dict):
-        c = {k: _table_from_json(v) if k in _COUPLER_TABLES else v for k, v in c.items()}
-    coupler = None if c is None else params_from_dict(c, "chain.coupler", DirectionalCouplerParams)
-    stub_d = d.get("stub", {})
-    if isinstance(stub_d, dict) and "taps" in stub_d:
-        taps = []
-        for n, t in enumerate(stub_d["taps"]):
-            check_keys(t, f"chain.stub.taps[{n}]", _TAP_KEYS, _TAP_KEYS)
-            taps.append(TapSpec(t["name"], t["f_max"]))
-        stub_d = dict(stub_d, taps=tuple(taps))
-    ripple = d.get("gain_ripple")
-    return ChainConfig(
-        coupling_kind=d.get("coupling_kind", "tap"),
-        tap=params_from_dict(d.get("tap", {}), "chain.tap", ResistiveTapParams),
-        coupler=coupler,
-        stub=params_from_dict(stub_d, "chain.stub", StubParams),
-        attenuator=params_from_dict(d.get("attenuator", {}), "chain.attenuator", AttenuatorParams),
-        amplifier=params_from_dict(d.get("amplifier", {}), "chain.amplifier", AmplifierParams),
-        detector=params_from_dict(d.get("detector", {}), "chain.detector", DetectorParams),
-        adc=params_from_dict(d.get("adc", {}), "chain.adc", AdcParams),
-        gain_ripple=_table_from_json(ripple) if ripple is not None else None,
-    )
+    """ChainConfig from its JSON form; a malformed entry is a ValueError starting with its path."""
+    return from_json(ChainConfig, d, "chain")
 
 
 def save_chain_config(cfg: ChainConfig, path: str) -> None:

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.constants import c as _C0
-
 from .errors import BijectivityError
+
+_C0 = 299792458.0  # speed of light in vacuum, m/s
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class TapSpec:
     """One read-out position, named by the highest frequency it resolves uniquely."""
 
     name: str
-    f_max_hz: float
+    # Written as "f_max" in JSON; every chain_config_hash depends on that key.
+    f_max_hz: float = field(metadata={"json": "f_max"})
 
     def __post_init__(self):
         if self.f_max_hz <= 0.0:

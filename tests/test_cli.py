@@ -190,6 +190,13 @@ class TestSimulate:
             (lambda d: d.pop("duration_s"), "scenario: missing key 'duration_s'"),
             (lambda d: d.update(durationn=1e-5), "scenario: unknown key 'durationn'"),
             (lambda d: d["sources"][0].update(freq_hz=20e9), "source line 20.000 GHz outside stage 0 stub band"),
+            (lambda d: d["sources"][0].update(power_dbm="3"), "sources[0].power_dbm: expected float, got str"),
+            (lambda d: d["stages"][0]["notch"].update(f_tune_range_hz=3),
+             "stages[0].notch.f_tune_range_hz: expected a list, got int"),
+            (lambda d: d["stages"][0].update(chain=5), "stages[0].chain: expected an object, got int"),
+            (lambda d: d["stages"][0].update(electrical_delay_s="1e-9"),
+             "stages[0].electrical_delay_s: expected float, got str"),
+            (lambda d: d.update(duration_s=math.nan), "duration_s: expected a finite float"),
         ],
     )
     def test_malformed_scenario_is_malformed(self, tmp_path, capsys, edit, err):
@@ -235,6 +242,9 @@ class TestConfigPlumbing:
              "chain.stub.taps[0]: missing key 'f_max'"),
             ({"chain": {"coupling_kind": "coupler", "coupler": {"coupling_dbb": -15.0}}},
              "chain.coupler: unknown key 'coupling_dbb'"),
+            ({"controler": {"threshold_dbm": 1.0}}, "config: unknown key 'controler'"),
+            ([{"chain": {}}], "config: expected an object, got list"),
+            ({"controller": {"agc_engage_power": 0.0}}, "controller: unknown key 'agc_engage_power'"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):

@@ -24,6 +24,7 @@ from swsense.engine import (
     scenario_from_dict,
     scenario_to_dict,
     trace_to_csv,
+    _validate,
 )
 from swsense.filters import NotchModel
 from swsense.readout import ChainConfig
@@ -109,6 +110,10 @@ class TestValidation:
         sc = Scenario(duration_s=0.0, sources=(), stages=(StageSpec(),))
         with pytest.raises(ValueError):
             run(sc)
+        # Either would never end run()'s sample loop, so check the validation alone.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^duration_s and dt_s must be positive and finite$"):
+                _validate(replace(sc, duration_s=bad))
 
     def test_needs_a_stage(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import swsense
 from swsense.core import SignalDescriptor, Tone
 from swsense.errors import (
     BijectivityError,
@@ -75,12 +80,28 @@ class TestResolution:
 class TestPlaceNodes:
     def test_quarter_percent_design(self):
         f2, f_min = place_nodes(16e9, 0.0025)
-        assert f2 == pytest.approx(8001957859.93, abs=2e6)
-        assert f_min == pytest.approx(4001958268.04, abs=2e6)
+        # each crossing is bisected to 1 Hz
+        assert f2 == pytest.approx(8001956457.04, abs=1.0)
+        assert f_min == pytest.approx(4001956696.51, abs=1.0)
         # crossings are self-consistent with the resolution law
         det, adc = DetectorParams(), AdcParams()
-        assert resolution(f2, 16e9, det, adc) / f2 == pytest.approx(0.0025, rel=1e-3)
-        assert resolution(f_min, f2, det, adc) / f_min == pytest.approx(0.0025, rel=1e-3)
+        assert resolution(f2, 16e9, det, adc) / f2 == pytest.approx(0.0025, rel=1e-9)
+        assert resolution(f_min, f2, det, adc) / f_min == pytest.approx(0.0025, rel=1e-9)
+
+    def test_runs_without_scipy(self):
+        """The package imports and designs a stub with scipy hidden from the interpreter."""
+        package_root = str(Path(swsense.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        body = (
+            "import sys; sys.modules['scipy'] = None; import swsense.cli; "
+            "from swsense import place_nodes, tap_length; "
+            "f2, f_min = place_nodes(16e9, 0.0025); print(f2, f_min, tap_length(f2))"
+        )
+        out = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        f2, f_min, length = map(float, out.stdout.split())
+        assert (f2, f_min) == place_nodes(16e9, 0.0025)
+        assert length == pytest.approx(299792458.0 / (4.0 * f2), rel=1e-12)
 
     def test_tighter_bound_moves_crossings_up(self):
         loose, _ = place_nodes(16e9, 0.004)
