@@ -23,12 +23,13 @@ import numpy as np
 from .codec import from_json
 from .controller import ControllerConfig
 from .core import SignalDescriptor, Tone
-from .coupling import ResistiveTapParams, coupler_response, tap_sparams
+from .coupling import ResistiveTapParams, tap_sparams
 from .engine import load_scenario, run, samples_to_csv, trace_to_csv
 from .errors import SwsenseError
 from .estimator import (
     CalibrationGrid,
     build_calibration,
+    default_grid_for,
     estimate,
     place_nodes,
     resolution,
@@ -73,14 +74,11 @@ def _cmd_sweep_sparams(args) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["freq_hz", "s11_db", "s21_db", "coupling_db", "s21_absent_db"])
+        # Only the tap's match has a closed form.
+        s11 = tap_sparams(cfg.tap)[0] if cfg.coupling_kind == "tap" else float("nan")
         for f in freqs:
             f = float(f)
-            if cfg.coupling_kind == "tap":
-                s11, s21 = tap_sparams(cfg.tap)
-                c = cfg.coupling_db_at(f)
-            else:
-                c, ins, _ = coupler_response(cfg.coupler, f)
-                s11, s21 = float("nan"), -ins
+            c, s21 = cfg.coupling_db_at(f), -cfg.through_loss_db_at(f)
             w.writerow([repr(f), repr(s11), repr(s21), repr(c), repr(0.0)])
     print(f"wrote {len(freqs)} rows to {path}")
     return 0
@@ -88,9 +86,10 @@ def _cmd_sweep_sparams(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg, ctrl = _build(args.config)
+    band = default_grid_for(cfg)
     grid = CalibrationGrid(
-        f_start_hz=args.f_start,
-        f_stop_hz=args.f_stop,
+        f_start_hz=band.f_start_hz if args.f_start is None else args.f_start,
+        f_stop_hz=band.f_stop_hz if args.f_stop is None else args.f_stop,
         f_step_hz=args.f_step,
         p_start_dbm=args.p_start,
         p_stop_dbm=args.p_stop,
@@ -204,8 +203,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep_sparams)
 
     cp = sub.add_parser("calibrate", help="build and store a calibration table")
-    cp.add_argument("--f-start", type=float, default=1e9)
-    cp.add_argument("--f-stop", type=float, default=16e9)
+    cp.add_argument("--f-start", type=float, help="default: low edge of the chain's band")
+    cp.add_argument("--f-stop", type=float, help="default: high edge of the chain's band")
     cp.add_argument("--f-step", type=float, default=0.1e9)
     cp.add_argument("--p-start", type=float, default=-20.0)
     cp.add_argument("--p-stop", type=float, default=20.0)

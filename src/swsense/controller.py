@@ -8,8 +8,7 @@ clock after the triggering sample.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, estimate
 from .errors import NoSignalError, SwsenseError

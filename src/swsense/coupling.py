@@ -4,12 +4,13 @@ The resistive tap is a single resistor bridging the through line to a
 matched monitor port. Its coupling, match, and insertion loss follow in
 closed form from the three-resistor divider it forms with the line
 impedance. The directional coupler variant is described by measured
-tables over a finite band.
+tables over a finite band. Either kind passes a fraction of a downstream
+reflection into its monitor port, set by its directivity: a tap samples
+the forward and reflected waves alike, so its directivity is 0 dB.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,24 +58,10 @@ class DirectionalCouplerParams:
     def __post_init__(self):
         if self.f_min_hz <= 0.0 or self.f_max_hz <= self.f_min_hz:
             raise ValueError("coupler band must satisfy 0 < f_min < f_max")
-
-
-@dataclass(frozen=True)
-class ReflectionEnvironment:
-    """Downstream reflection seen from the pick-off point.
-
-    gamma is the reflection magnitude (0..1); electrical_delay_s is the
-    one-way delay from the pick-off to the reflecting element.
-    """
-
-    gamma: float = 0.0
-    electrical_delay_s: float = 0.0
-
-    def gamma_at(self, f_hz: float) -> float:
-        g = float(self.gamma)
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"reflection magnitude must be within [0, 1], got {g}")
-        return g
+        for name in ("coupling_db", "insertion_db", "directivity_db"):
+            table = getattr(self, name)
+            if not isinstance(table, (int, float)) and len(table) == 0:
+                raise ValueError(f"{name} needs a number or at least one breakpoint")
 
 
 def tap_coupling(p: ResistiveTapParams) -> float:
@@ -127,65 +114,22 @@ def coupler_response(p: DirectionalCouplerParams, f_hz: float) -> tuple[float, f
 
 
 def sampled_forward_amplitude(
-    kind: str,
-    env: ReflectionEnvironment,
+    gamma: float,
+    electrical_delay_s: float,
     f_hz: float,
-    coupler: DirectionalCouplerParams | None = None,
+    directivity_db: float = 0.0,
 ) -> float:
     """Ratio of the monitored amplitude to the pure forward wave.
 
-    A resistive tap samples the standing-wave sum of forward and reflected
-    waves directly. A directional coupler rejects the reflected wave by its
-    directivity, so only an attenuated copy leaks into the monitor port.
+    gamma (0..1) is the magnitude of a reflection electrical_delay_s
+    (one way) downstream of the pick-off. The pick-off passes that
+    reflection attenuated by its directivity: 0 dB for a resistive tap,
+    which samples the standing-wave sum of forward and reflected waves,
+    and the coupler's directivity table for a directional coupler.
     """
-    g = env.gamma_at(f_hz)
-    phase = -2.0 * (2.0 * math.pi * f_hz * env.electrical_delay_s)
-    if kind == "tap":
-        leak = g
-    elif kind == "coupler":
-        if coupler is None:
-            raise ValueError("coupler parameters required for kind='coupler'")
-        _, _, directivity = coupler_response(coupler, f_hz)
-        leak = g * 10.0 ** (-directivity / 20.0)
-    else:
-        raise ValueError(f"unknown pick-off kind {kind!r}")
+    g = float(gamma)
+    if not 0.0 <= g <= 1.0:
+        raise ValueError(f"reflection magnitude must be within [0, 1], got {g}")
+    phase = -2.0 * (2.0 * math.pi * f_hz * electrical_delay_s)
+    leak = g * 10.0 ** (-directivity_db / 20.0)
     return abs(1.0 + leak * complex(math.cos(phase), math.sin(phase)))
-
-
-def load_coupler_table(path: str) -> DirectionalCouplerParams:
-    """Read a measured coupler table CSV: freq_hz, coupling_db, insertion_db, directivity_db."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"freq_hz", "coupling_db", "insertion_db", "directivity_db"}
-        if reader.fieldnames is None or expected - set(reader.fieldnames):
-            raise ValueError(f"coupler table must have columns {sorted(expected)}")
-        for row in reader:
-            rows.append(
-                (
-                    float(row["freq_hz"]),
-                    float(row["coupling_db"]),
-                    float(row["insertion_db"]),
-                    float(row["directivity_db"]),
-                )
-            )
-    if not rows:
-        raise ValueError("coupler table is empty")
-    rows.sort()
-    return DirectionalCouplerParams(
-        coupling_db=tuple((f, c) for f, c, _, _ in rows),
-        insertion_db=tuple((f, i) for f, _, i, _ in rows),
-        directivity_db=tuple((f, d) for f, _, _, d in rows),
-        f_min_hz=rows[0][0],
-        f_max_hz=rows[-1][0],
-    )
-
-
-def save_coupler_table(p: DirectionalCouplerParams, path: str, freqs_hz: Sequence[float]) -> None:
-    """Write the coupler tables sampled on freqs_hz to CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "coupling_db", "insertion_db", "directivity_db"])
-        for f in freqs_hz:
-            c, i, d = coupler_response(p, f)
-            writer.writerow([repr(float(f)), repr(c), repr(i), repr(d)])

@@ -32,9 +32,9 @@ from .controller import (
 )
 from .codec import from_json, to_json
 from .core import Tone, expand_modulated, watts_to_dbm
-from .coupling import ReflectionEnvironment, sampled_forward_amplitude
-from .errors import SwsenseError, TuningRangeError
-from .estimator import CalibrationGrid, CalibrationTable, build_calibration
+from .coupling import sampled_forward_amplitude
+from .errors import TuningRangeError
+from .estimator import CalibrationGrid, CalibrationTable, build_calibration, default_grid_for
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
 from .readout import ChainConfig, chain_config_hash, chain_readout_lines
 
@@ -146,16 +146,6 @@ _CAL_CACHE: dict[str, CalibrationTable] = {}
 
 def clear_calibration_cache() -> None:
     _CAL_CACHE.clear()
-
-
-def default_grid_for(cfg: ChainConfig) -> CalibrationGrid:
-    """Calibration sweep covering the chain's usable band."""
-    f_hi = cfg.stub.taps[0].f_max_hz
-    f_lo = 1e9
-    if cfg.coupling_kind == "coupler" and cfg.coupler is not None:
-        f_hi = min(f_hi, cfg.coupler.f_max_hz)
-        f_lo = max(f_lo, cfg.coupler.f_min_hz)
-    return CalibrationGrid(f_start_hz=f_lo, f_stop_hz=f_hi)
 
 
 def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig, grid: CalibrationGrid | None = None) -> CalibrationTable:
@@ -270,10 +260,9 @@ class _Runner:
                 continue
             w_f = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
             g = stopband_gamma(spec.notch, state, f, watts_to_dbm(w_f), tau)
-            env = ReflectionEnvironment(g, spec.electrical_delay_s)
             ratios.append(
                 sampled_forward_amplitude(
-                    spec.chain.coupling_kind, env, f, spec.chain.coupler
+                    g, spec.electrical_delay_s, f, spec.chain.directivity_db_at(f)
                 )
             )
             pairs.append((f, w))

@@ -123,6 +123,16 @@ class CalibrationTable:
         self.grid_step_hz = float(f[1] - f[0]) if len(f) > 1 else 0.0
 
 
+def default_grid_for(cfg: ChainConfig) -> CalibrationGrid:
+    """Calibration sweep covering the chain's usable band."""
+    f_hi = cfg.stub.taps[0].f_max_hz
+    f_lo = 1e9
+    if cfg.coupling_kind == "coupler":
+        f_hi = min(f_hi, cfg.coupler.f_max_hz)
+        f_lo = max(f_lo, cfg.coupler.f_min_hz)
+    return CalibrationGrid(f_start_hz=f_lo, f_stop_hz=f_hi)
+
+
 def resolution(f_hz: float, f_max_hz: float, det: DetectorParams, adc: AdcParams) -> float:
     """Smallest frequency change that moves a tap reading by one ADC code.
 
@@ -218,6 +228,8 @@ def build_calibration(
 ) -> CalibrationTable:
     """Forward-simulate the chain over a CW grid at AGC-dictated attenuation.
 
+    The grid defaults to default_grid_for(cfg), the chain's usable band.
+
     Every cell takes the setting and codes where the gain-control policy,
     started from zero attenuation and given one step per attenuator
     setting plus two, stops. All settings of a block of grid rows are read
@@ -228,7 +240,7 @@ def build_calibration(
     """
     from .controller import ControllerConfig
 
-    grid = grid or CalibrationGrid()
+    grid = grid or default_grid_for(cfg)
     ctrl = ctrl or ControllerConfig.for_chain(cfg)
     freqs = grid.freqs()
     powers = grid.powers()

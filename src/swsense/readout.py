@@ -22,6 +22,7 @@ from .core import SignalDescriptor, dbm_to_watts, expand_signal
 from .coupling import (
     DirectionalCouplerParams,
     ResistiveTapParams,
+    _eval_table,
     coupler_response,
     tap_coupling,
 )
@@ -153,13 +154,19 @@ class ChainConfig:
         _, ins, _ = coupler_response(self.coupler, f_hz)
         return ins
 
-    def ripple_db_at(self, f_hz: float) -> float:
-        if not self.gain_ripple:
+    def directivity_db_at(self, f_hz: float) -> float:
+        """Pick-off directivity at f_hz, in dB.
+
+        A downstream reflection reaches the monitor port this far below the
+        forward wave. A resistive tap samples the two alike, so it is 0 dB.
+        """
+        if self.coupling_kind == "tap":
             return 0.0
-        pts = sorted(self.gain_ripple)
-        return float(
-            np.interp(f_hz, [p[0] for p in pts], [p[1] for p in pts])
-        )
+        _, _, d = coupler_response(self.coupler, f_hz)
+        return d
+
+    def ripple_db_at(self, f_hz: float) -> float:
+        return _eval_table(self.gain_ripple, f_hz) if self.gain_ripple else 0.0
 
 
 @dataclass(frozen=True)

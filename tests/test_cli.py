@@ -1,5 +1,6 @@
 """Command line interface, driven through main() with captured artifacts."""
 
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,13 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 def scenario_path(name):
     return str(resources.files("swsense").joinpath(f"data/scenarios/{name}"))
+
+
+def coupler_config(tmp_path):
+    """A --config file selecting the default 1-14 GHz directional coupler."""
+    path = tmp_path / "coupler.json"
+    path.write_text(json.dumps({"chain": {"coupling_kind": "coupler"}}))
+    return str(path)
 
 
 class TestSweepSparams:
@@ -90,6 +98,15 @@ class TestCalibrate:
         lines = (tmp_path / "calibration.csv").read_text().splitlines()
         assert lines[0] == "freq_hz,power_dbm,att_db,code_oc,code_l1,code_l2"
 
+    def test_coupler_chain_defaults_to_its_band(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--config", coupler_config(tmp_path), "calibrate") == 0
+        assert capsys.readouterr().out.startswith("wrote 5371 cells")
+        cal = load_calibration(
+            str(tmp_path / "calibration.csv"), str(tmp_path / "calibration.json")
+        )
+        assert cal.code_oc.shape == (131, 41)
+        assert (cal.freqs_hz[0], cal.freqs_hz[-1]) == (1e9, 14e9)
+
 
 class TestEstimate:
     def test_synthesized_codes(self, tmp_path, capsys):
@@ -106,6 +123,16 @@ class TestEstimate:
         out = json.loads(capsys.readouterr().out)
         assert out["freq_hz"] == pytest.approx(8e9, abs=30e6)
         assert out["power_dbm"] == pytest.approx(0.0, abs=0.1)
+
+    def test_coupler_chain(self, tmp_path, capsys):
+        cfg = coupler_config(tmp_path)
+        assert run_cli(tmp_path, "--config", cfg, "estimate", "--freq", "8e9", "--power", "0") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["freq_hz"] == pytest.approx(8e9, abs=30e6)
+        assert out["power_dbm"] == pytest.approx(0.0, abs=0.1)
+        assert (out["tap_used"], out["confidence"]) == ("l1", "in-range")
+        assert run_cli(tmp_path, "--config", cfg, "estimate", "--codes", "2965,2788,2857") == 0
+        assert json.loads(capsys.readouterr().out)["freq_hz"] == pytest.approx(8e9, abs=30e6)
 
     def test_line_above_the_stub_band_is_a_domain_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "estimate", "--freq", "20e9", "--power", "0") == 1
@@ -162,6 +189,18 @@ class TestSimulate:
         coupler = json.loads(capsys.readouterr().out)
         assert not coupler["limit_cycle"]
         assert coupler["suppression_db"][0] > 25.0
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("limit_cycle_tap.json", "6bafea1b6ffd2732ed876213b80351bb2f969fbef3ed0a3c40d7fe7219d92249"),
+            ("limit_cycle_coupler.json", "509d13c50c0fb6a2d40cae3654283358d99309b29de92a5cf8bab2dfac9e5208"),
+        ],
+    )
+    def test_codes_under_reflection_are_pinned(self, tmp_path, capsys, name, digest):
+        # Every per-sample code of a stage whose notch reflects back into its pick-off.
+        assert run_cli(tmp_path, "simulate", "--no-trace", scenario_path(name)) == 0
+        assert hashlib.sha256((tmp_path / "samples_stage0.csv").read_bytes()).hexdigest() == digest
 
     def test_bundled_cascade_scenario(self, tmp_path, capsys):
         assert run_cli(
@@ -245,6 +284,8 @@ class TestConfigPlumbing:
             ({"controler": {"threshold_dbm": 1.0}}, "config: unknown key 'controler'"),
             ([{"chain": {}}], "config: expected an object, got list"),
             ({"controller": {"agc_engage_power": 0.0}}, "controller: unknown key 'agc_engage_power'"),
+            ({"chain": {"coupling_kind": "coupler", "coupler": {"insertion_db": []}}},
+             "chain.coupler: insertion_db needs a number or at least one breakpoint"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):

@@ -7,6 +7,7 @@ the matched monitor load Z0. Powers are referenced to the available power
 V_s^2 / (4 Z0).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -15,18 +16,16 @@ from hypothesis import given, strategies as st
 
 from swsense.coupling import (
     DirectionalCouplerParams,
-    ReflectionEnvironment,
     ResistiveTapParams,
     coupler_response,
-    load_coupler_table,
     sampled_forward_amplitude,
-    save_coupler_table,
     tap_coupling,
     tap_dissipation,
     tap_input_limit_dbm,
     tap_sparams,
 )
 from swsense.errors import OutOfBandError
+from swsense.readout import ChainConfig
 
 
 def nodal_tap(r_c, z0, p_in_w):
@@ -120,44 +119,61 @@ class TestCoupler:
         with pytest.raises(OutOfBandError):
             coupler_response(p, 0.5e9)
 
-    def test_csv_round_trip(self, tmp_path):
-        p = DirectionalCouplerParams()
-        path = tmp_path / "coupler.csv"
-        save_coupler_table(p, str(path), [1e9, 7e9, 14e9])
-        q = load_coupler_table(str(path))
-        for f in (1e9, 6.3e9, 14e9):
-            assert coupler_response(q, f) == pytest.approx(coupler_response(p, f))
+
+TAP = ChainConfig()
+COUPLER = ChainConfig(coupling_kind="coupler")
 
 
 class TestSampledForwardAmplitude:
     def test_matched_is_unity(self):
-        env = ReflectionEnvironment(0.0, 1e-10)
-        assert sampled_forward_amplitude("tap", env, 6e9) == pytest.approx(1.0)
+        assert sampled_forward_amplitude(0.0, 1e-10, 6e9, TAP.directivity_db_at(6e9)) == pytest.approx(1.0)
         assert sampled_forward_amplitude(
-            "coupler", env, 6e9, DirectionalCouplerParams()
+            0.0, 1e-10, 6e9, COUPLER.directivity_db_at(6e9)
         ) == pytest.approx(1.0)
 
     def test_tap_null_at_pi(self):
         # one-way delay = 1/(4f) puts the round trip at half a period: phase pi
         f = 6e9
-        env = ReflectionEnvironment(1.0, 1.0 / (4.0 * f))
-        assert sampled_forward_amplitude("tap", env, f) == pytest.approx(0.0, abs=1e-12)
+        r = sampled_forward_amplitude(1.0, 1.0 / (4.0 * f), f, TAP.directivity_db_at(f))
+        assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_tap_peak_at_2pi(self):
         f = 6e9
-        env = ReflectionEnvironment(1.0, 1.0 / (2.0 * f))
-        assert sampled_forward_amplitude("tap", env, f) == pytest.approx(2.0)
+        r = sampled_forward_amplitude(1.0, 1.0 / (2.0 * f), f, TAP.directivity_db_at(f))
+        assert r == pytest.approx(2.0)
 
     def test_coupler_directivity_bounds_dip(self):
         f = 6e9
-        env = ReflectionEnvironment(1.0, 1.0 / (4.0 * f))
-        r = sampled_forward_amplitude("coupler", env, f, DirectionalCouplerParams())
+        r = sampled_forward_amplitude(1.0, 1.0 / (4.0 * f), f, COUPLER.directivity_db_at(f))
         assert r == pytest.approx(1.0 - 10 ** (-6.0 / 20.0), abs=1e-12)
         # infinite directivity: reflection becomes invisible
-        huge = DirectionalCouplerParams(directivity_db=300.0)
-        assert sampled_forward_amplitude("coupler", env, f, huge) == pytest.approx(1.0)
+        huge = ChainConfig(coupling_kind="coupler", coupler=DirectionalCouplerParams(directivity_db=300.0))
+        assert sampled_forward_amplitude(1.0, 1.0 / (4.0 * f), f, huge.directivity_db_at(f)) == pytest.approx(1.0)
 
     def test_gamma_magnitude_validated(self):
-        env = ReflectionEnvironment(1.5, 0.0)
         with pytest.raises(ValueError):
-            sampled_forward_amplitude("tap", env, 6e9)
+            sampled_forward_amplitude(1.5, 0.0, 6e9, TAP.directivity_db_at(6e9))
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1e-9),
+        st.floats(1e9, 16e9),
+        st.floats(0.0, 60.0),
+    )
+    def test_leak_bounds_the_ripple(self, gamma, delay, f, d):
+        r = sampled_forward_amplitude(gamma, delay, f, d)
+        leak = gamma * 10.0 ** (-d / 20.0)
+        # abs() of the complex sum may round one ulp past the exact bound.
+        assert 1.0 - leak - 1e-15 <= r <= 1.0 + leak + 1e-15
+        # 0 dB is the tap: the standing-wave sum of forward and reflected waves.
+        assert sampled_forward_amplitude(gamma, delay, f) == abs(
+            1.0 + gamma * cmath.exp(-4j * math.pi * f * delay)
+        )
+
+    @given(
+        st.one_of(st.just(math.nan), st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15)),
+        st.floats(0.0, 60.0),
+    )
+    def test_gamma_outside_unit_interval_raises(self, gamma, d):
+        with pytest.raises(ValueError, match="reflection magnitude"):
+            sampled_forward_amplitude(gamma, 1e-10, 8e9, d)
