@@ -68,19 +68,28 @@ def _outpath(args, name: str) -> str:
 def _cmd_sweep_sparams(args) -> int:
     cfg, _ = _build(args.config)
     if args.r_c is not None:
+        if cfg.coupling_kind != "tap":
+            raise ValueError("--r-c sets the tap resistance; this chain has no resistive tap")
         cfg = replace(cfg, tap=ResistiveTapParams(r_c=args.r_c, z0=cfg.tap.z0))
-    freqs = np.linspace(args.f_start, args.f_stop, args.points)
+    band = default_grid_for(cfg)
+    freqs = np.linspace(
+        band.f_start_hz if args.f_start is None else args.f_start,
+        band.f_stop_hz if args.f_stop is None else args.f_stop,
+        args.points,
+    )
+    # Only the tap's match has a closed form.
+    s11 = tap_sparams(cfg.tap)[0] if cfg.coupling_kind == "tap" else float("nan")
+    # Every row is computed before the file is opened, so an out-of-band point leaves no file.
+    rows = []
+    for f in map(float, freqs):
+        c, s21 = cfg.coupling_db_at(f), -cfg.through_loss_db_at(f)
+        rows.append([repr(f), repr(s11), repr(s21), repr(c), repr(0.0)])
     path = _outpath(args, "sparams.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["freq_hz", "s11_db", "s21_db", "coupling_db", "s21_absent_db"])
-        # Only the tap's match has a closed form.
-        s11 = tap_sparams(cfg.tap)[0] if cfg.coupling_kind == "tap" else float("nan")
-        for f in freqs:
-            f = float(f)
-            c, s21 = cfg.coupling_db_at(f), -cfg.through_loss_db_at(f)
-            w.writerow([repr(f), repr(s11), repr(s21), repr(c), repr(0.0)])
-    print(f"wrote {len(freqs)} rows to {path}")
+        w.writerows(rows)
+    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
@@ -196,8 +205,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sweep-sparams", help="pick-off network S-parameters versus frequency")
-    sp.add_argument("--f-start", type=float, default=1e9)
-    sp.add_argument("--f-stop", type=float, default=16e9)
+    sp.add_argument("--f-start", type=float, help="default: low edge of the chain's band")
+    sp.add_argument("--f-stop", type=float, help="default: high edge of the chain's band")
     sp.add_argument("--points", type=int, default=151)
     sp.add_argument("--r-c", type=float, help="override tap resistance, ohms")
     sp.set_defaults(func=_cmd_sweep_sparams)

@@ -34,6 +34,10 @@ class Action:
     att_db: float | None = None
 
 
+# Input power (dBm) at which ControllerConfig.for_chain puts the top of the AGC window.
+_AGC_PROBE_DBM = 0.0
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Detection threshold, gain-control window, and timing of one stage.
@@ -54,27 +58,19 @@ class ControllerConfig:
     switch_freq_hz: float | None = None
 
     @staticmethod
-    def for_chain(
-        cfg: ChainConfig,
-        threshold_dbm: float = 0.0,
-        agc_engage_power: float = 0.0,
-        window_codes: int = 150,
-        **overrides,
-    ) -> "ControllerConfig":
-        """Derive the code window from a chain config and an engage power."""
+    def for_chain(cfg: ChainConfig, window_codes: int = 150) -> "ControllerConfig":
+        """Derive the code window from a chain config: its top is the open-end code at _AGC_PROBE_DBM."""
         from .core import SignalDescriptor, Tone
         from .readout import chain_voltages, adc_sample
 
         f_probe = cfg.stub.taps[0].f_max_hz / 2.0
-        sig = SignalDescriptor((Tone(freq_hz=f_probe, power_dbm=agc_engage_power),))
+        sig = SignalDescriptor((Tone(freq_hz=f_probe, power_dbm=_AGC_PROBE_DBM),))
         v_oc, _, _ = chain_voltages(sig, cfg, 0.0)
         high = adc_sample(v_oc, cfg.adc)
         return ControllerConfig(
-            threshold_dbm=threshold_dbm,
             agc_high_code=high,
             agc_low_code=high - window_codes,
             agc_floor_code=detector_floor_code(cfg),
-            **overrides,
         )
 
 

@@ -17,6 +17,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -99,6 +100,17 @@ class TraceRecord:
     stages: tuple[StageSnapshot, ...]
 
 
+@dataclass(frozen=True)
+class TraceRun:
+    """The dt points start..stop-1 of a trace, which share their powers and stage snapshots."""
+
+    start: int
+    stop: int
+    in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
+    out_dbm: tuple[tuple[float, ...], ...]
+    stages: tuple[StageSnapshot, ...]
+
+
 @dataclass
 class Metrics:
     """Summary quantities of one run."""
@@ -134,11 +146,17 @@ class Trace:
     """Everything a run produced."""
 
     scenario: Scenario
-    records: list[TraceRecord]
+    runs: list[TraceRun]  # the dt grid in order, each point in one run; empty when untraced
     samples: list[list[dict]]  # per stage, one dict per ADC delivery
     actions: list[AppliedAction]
     filter_hist: list[list[tuple[float, FilterState]]]
     metrics: Metrics
+
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        """One TraceRecord per dt point, expanded from the runs on first access."""
+        dt = self.scenario.dt_s
+        return [TraceRecord(i * dt, r.in_dbm, r.out_dbm, r.stages) for r in self.runs for i in range(r.start, r.stop)]
 
 
 _CAL_CACHE: dict[str, CalibrationTable] = {}
@@ -188,6 +206,11 @@ def _validate(sc: Scenario) -> None:
                     raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} stub band")
 
 
+def _at(hist: list[tuple[float, object]], t: float):
+    """The value of a chronological (time, value) history at time t."""
+    return hist[bisect_right(hist, t, key=itemgetter(0)) - 1][1]
+
+
 class _Runner:
     def __init__(self, sc: Scenario, calibrations: list[CalibrationTable] | None):
         _validate(sc)
@@ -197,9 +220,11 @@ class _Runner:
         self.phase = [
             float(rng.uniform(0.0, st.chain.adc.sample_period)) for st in sc.stages
         ]
-        self.cals = calibrations or [
-            get_calibration(st.chain, st.controller) for st in sc.stages
-        ]
+        if calibrations is None:
+            calibrations = [get_calibration(st.chain, st.controller) for st in sc.stages]
+        elif len(calibrations) != len(sc.stages) or any(c.cfg != st.chain for c, st in zip(calibrations, sc.stages)):
+            raise ValueError("calibrations must hold one table per stage, built for that stage's chain")
+        self.cals = calibrations
         self.filter_hist: list[list[tuple[float, FilterState]]] = [
             [(-math.inf, FilterState())] for _ in sc.stages
         ]
@@ -208,18 +233,6 @@ class _Runner:
         self.samples: list[list[dict]] = [[] for _ in sc.stages]
         self.actions: list[AppliedAction] = []
         self.diagnostics: list[str] = []
-
-    # ---- state lookups (histories are chronological per stage) ----
-
-    def _filter_state_at(self, k: int, t: float) -> FilterState:
-        hist = self.filter_hist[k]
-        i = bisect_right(hist, t, key=lambda e: e[0]) - 1
-        return hist[i][1]
-
-    def _att_at(self, k: int, t: float) -> float:
-        hist = self.att_hist[k]
-        i = bisect_right(hist, t, key=lambda e: e[0]) - 1
-        return hist[i][1]
 
     # ---- line propagation ----
 
@@ -232,7 +245,7 @@ class _Runner:
 
     def _through_stage(self, k: int, lines, t: float):
         spec = self.sc.stages[k]
-        state = self._filter_state_at(k, t)
+        state = _at(self.filter_hist[k], t)
         out = []
         for f, w, si in lines:
             w2 = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
@@ -253,7 +266,7 @@ class _Runner:
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
         lines3 = self._stage_input_lines(k, tau)
-        state = self._filter_state_at(k, tau)
+        state = _at(self.filter_hist[k], tau)
         pairs, ratios = [], []
         for f, w, _ in lines3:
             if w <= 0.0:
@@ -267,7 +280,7 @@ class _Runner:
             )
             pairs.append((f, w))
         return chain_readout_lines(
-            pairs, spec.chain, self._att_at(k, tau), t_s=t_deliver, forward_ratios=ratios
+            pairs, spec.chain, _at(self.att_hist[k], tau), t_s=t_deliver, forward_ratios=ratios
         )
 
     def _apply(self, k: int, decided_s: float, act: Action) -> None:
@@ -329,15 +342,14 @@ class _Runner:
             self.samples[k].append(dict(zip(_SAMPLE_COLUMNS, values)))
             heapq.heappush(heap, (t + sc.stages[k].chain.adc.sample_period, k))
 
-        records = self._build_records() if collect_trace else []
-        metrics = self._metrics(records)
+        runs = self._build_runs() if collect_trace else []
         return Trace(
             scenario=sc,
-            records=records,
+            runs=runs,
             samples=self.samples,
             actions=self.actions,
             filter_hist=self.filter_hist,
-            metrics=metrics,
+            metrics=self._metrics(runs),
         )
 
     # ---- post-processing ----
@@ -359,16 +371,15 @@ class _Runner:
             outs.append([watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out])
         return ins, outs
 
-    def _build_records(self) -> list[TraceRecord]:
-        """One TraceRecord per dt point.
+    def _build_runs(self) -> list[TraceRun]:
+        """The dt grid as runs of points with the same line state and stage snapshots.
 
         _powers_at reads the time only through which sources are active,
         which filter-history entry each stage is in and whether that notch
-        is still in transition. So it runs once per distinct line state, and
-        the records of one state share its power tuples. Snapshots are
-        shared per (sample, filter-history entry) the same way. Between two
-        times at which any of these inputs can change, a record reuses the
-        previous record's tuples.
+        is still in transition, so it runs once per distinct line state. A
+        stage's snapshot is its last delivered sample (idle before the first)
+        and its filter-history entry. A run ends at the first dt point at
+        which any of these differs.
         """
         sc = self.sc
         n = int(round(sc.duration_s / sc.dt_s))
@@ -379,13 +390,12 @@ class _Runner:
             | {e[1].transition_until_s for hist in self.filter_hist for e in hist}
             | {x for src in sc.sources for x in (src.t_on_s, src.t_off_s)}
         )
-        # changes[:n_seen] are at or before the last recomputed record. Each filter
-        # history starts at -inf, so the first record is always computed.
+        # changes[:n_seen] are at or before the last point whose state was read.
+        # Each filter history starts at -inf, so point 0 always starts a run.
         n_seen = 0
         powers: dict[tuple, tuple] = {}
-        snapshots: dict[tuple[int, int, int], StageSnapshot] = {}
-        stage_tuples: dict[tuple, tuple[StageSnapshot, ...]] = {}
-        records = []
+        heads = []  # (start, in_dbm, out_dbm, stages) of each run
+        key = None
         for i in range(n):
             t = i * sc.dt_s
             if n_seen < len(changes) and changes[n_seen] <= t:
@@ -399,27 +409,22 @@ class _Runner:
                     tuple(src.active(t) for src in sc.sources),
                     tuple((h, self.filter_hist[k][h][1].in_transition(t)) for k, (_, h) in enumerate(pos)),
                 )
+                if (pos, line_state) == key:
+                    continue
+                key = pos, line_state
                 if line_state not in powers:
                     ins, outs = self._powers_at(t)
                     powers[line_state] = (tuple(map(tuple, ins)), tuple(map(tuple, outs)))
-                if pos not in stage_tuples:
-                    stage_tuples[pos] = tuple(
-                        self._snapshot(k, j, h, snapshots) for k, (j, h) in enumerate(pos)
-                    )
-                in_dbm, out_dbm = powers[line_state]
-                stages = stage_tuples[pos]
-            records.append(TraceRecord(t, in_dbm, out_dbm, stages))
-        return records
+                stages = []
+                for k, (j, h) in enumerate(pos):
+                    values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
+                    fstate = self.filter_hist[k][h][1]
+                    stages.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
+                heads.append((i, *powers[line_state], tuple(stages)))
+        stops = [h[0] for h in heads[1:]] + [n]
+        return [TraceRun(h[0], stop, *h[1:]) for h, stop in zip(heads, stops)]
 
-    def _snapshot(self, k: int, j: int, h: int, cache: dict) -> StageSnapshot:
-        """Stage k after sample j (idle when j < 0) with filter-history entry h, built once per cache."""
-        if (k, j, h) not in cache:
-            values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
-            fstate = self.filter_hist[k][h][1]
-            cache[k, j, h] = StageSnapshot(*values, fstate.engaged, fstate.f_center_hz)
-        return cache[k, j, h]
-
-    def _metrics(self, records: list[TraceRecord]) -> Metrics:
+    def _metrics(self, runs: list[TraceRun]) -> Metrics:
         sc = self.sc
         m = Metrics(diagnostics=list(self.diagnostics))
         rises, falls = _edges(sc, "rise"), _edges(sc, "fall")
@@ -443,9 +448,8 @@ class _Runner:
             else:
                 m.final_output_dbm.append(_SILENT_DBM)
                 m.suppression_db.append(None)
-        if records:
-            # Records of one line state share out_dbm, so each distinct total is summed once.
-            peak = max(sum(10.0 ** (x / 10.0) for x in out) for out in {r.out_dbm[-1] for r in records})
+        if runs:
+            peak = max(sum(10.0 ** (x / 10.0) for x in out) for out in {r.out_dbm[-1] for r in runs})
             m.max_output_dbm = watts_to_dbm(peak * 1e-3) if peak > 0 else _SILENT_DBM
         return m
 
@@ -554,11 +558,12 @@ def save_scenario(sc: Scenario, path: str) -> None:
 def trace_to_csv(trace: Trace, path: str) -> None:
     """Write the dt-grid trace; one row per instant, stage columns prefixed s<k>_.
 
-    Consecutive records that share their power tuples and snapshots have
-    the same cells after t_s, so that tail is formatted once and reused.
+    The cells after t_s are the same for every point of a run, so they are
+    formatted once per run.
     """
     n_stage = len(trace.scenario.stages)
     n_src = len(trace.scenario.sources)
+    dt = trace.scenario.dt_s
     cols = ["t_s"]
     for k in range(n_stage):
         cols += [f"s{k}_in{i}_dbm" for i in range(n_src)]
@@ -570,26 +575,18 @@ def trace_to_csv(trace: Trace, path: str) -> None:
     tail_writer = csv.writer(buf)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(cols)
-        prev, tail = None, ""
-        for r in trace.records:
-            if not (
-                prev is not None
-                and r.in_dbm is prev.in_dbm
-                and r.out_dbm is prev.out_dbm
-                and r.stages is prev.stages
-            ):
-                row: list = []
-                for k, s in enumerate(r.stages):
-                    row += r.in_dbm[k]
-                    row += r.out_dbm[k]
-                    row += sampled(s)
-                    row += (int(s.filter_engaged), s.filter_center_hz)
-                buf.seek(0)
-                buf.truncate()
-                tail_writer.writerow(row)
-                tail = buf.getvalue()
-            fh.write(f"{r.t_s!r},{tail}")
-            prev = r
+        for r in trace.runs:
+            row: list = []
+            for k, s in enumerate(r.stages):
+                row += r.in_dbm[k]
+                row += r.out_dbm[k]
+                row += sampled(s)
+                row += (int(s.filter_engaged), s.filter_center_hz)
+            buf.seek(0)
+            buf.truncate()
+            tail_writer.writerow(row)
+            tail = buf.getvalue()
+            fh.writelines(f"{i * dt!r},{tail}" for i in range(r.start, r.stop))
 
 
 def samples_to_csv(trace: Trace, stage: int, path: str) -> None:

@@ -54,6 +54,26 @@ class TestSweepSparams:
         row = (tmp_path / "sparams.csv").read_text().splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(-15.117497, abs=1e-4)
 
+    def test_coupler_chain_defaults_to_its_band(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--config", coupler_config(tmp_path), "sweep-sparams") == 0
+        rows = (tmp_path / "sparams.csv").read_text().splitlines()[1:]
+        assert len(rows) == 151
+        assert float(rows[0].split(",")[0]) == 1e9
+        assert float(rows[-1].split(",")[0]) == 14e9
+        assert all(math.isnan(float(row.split(",")[1])) for row in rows)
+
+    def test_out_of_band_stop_writes_no_file(self, tmp_path, capsys):
+        cfg = coupler_config(tmp_path)
+        assert run_cli(tmp_path / "out", "--config", cfg, "sweep-sparams", "--f-stop", "15e9") == 1
+        assert "outside coupler band" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sparams.csv").exists()
+
+    def test_r_c_refused_on_coupler_chain(self, tmp_path, capsys):
+        cfg = coupler_config(tmp_path)
+        assert run_cli(tmp_path / "out", "--config", cfg, "sweep-sparams", "--r-c", "10") == 2
+        assert "--r-c" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sparams.csv").exists()
+
 
 class TestResolution:
     def test_single_point_json(self, tmp_path, capsys):

@@ -138,6 +138,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(sc)
 
+    def test_calibrations_match_the_stages(self, calibration):
+        coupler = StageSpec(chain=ChainConfig(coupling_kind="coupler"), notch=NotchModel(reflective=False))
+        sc = Scenario(duration_s=2e-6, sources=(Tone(freq_hz=8e9, power_dbm=2.0),), stages=(coupler,))
+        # A table built for another chain reads this stage's codes as plausible but wrong powers.
+        with pytest.raises(ValueError, match="built for that stage's chain"):
+            run(sc, calibrations=[calibration])
+        two = replace(sc, stages=(StageSpec(), StageSpec()))
+        for cals in ([], [calibration], [calibration] * 3):
+            with pytest.raises(ValueError, match="one table per stage"):
+                run(two, calibrations=cals)
+        assert len(run(two, collect_trace=False, calibrations=[calibration] * 2).samples) == 2
+
     def test_stub_band_covers_sources(self):
         # A 12 MHz comb whose top line sits 1 MHz above tap l1's f_max.
         comb = Tone(freq_hz=15.995e9, power_dbm=0.0, occupied_bw_hz=12e6, n_subtones=3)

@@ -1,9 +1,10 @@
 """Trace records and trace.csv match the per-dt-point oracle exactly.
 
-The engine computes line powers once per line state and shares tuples and
-snapshots between the records of one state; trace_to_csv formats each
-shared row tail once. tests/trace_reference.py recomputes every record and
-every cell. Records are compared through repr(), which gives each float's
+The engine stores the dt grid as runs of points that share their line
+powers and stage snapshots, computes line powers once per line state, and
+expands Trace.records from the runs; trace_to_csv formats each run's row
+tail once. tests/trace_reference.py recomputes every record and every
+cell. Records are compared through repr(), which gives each float's
 shortest exact form, so equal reprs mean bit-equal values with NaN equal
 to NaN.
 """
@@ -32,6 +33,19 @@ def scenario(name):
 def assert_trace_parity(sc, tmp_path):
     runner = _Runner(sc, None)
     trace = runner.run(collect_trace=True)
+    runs = trace.runs
+    assert runs[0].start == 0
+    assert runs[-1].stop == round(sc.duration_s / sc.dt_s)
+    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    assert all(r.start < r.stop for r in runs)
+    records = trace.records
+    assert records is trace.records
+    expanded = [run for run in runs for _ in range(run.start, run.stop)]
+    assert len(records) == len(expanded)
+    for i, (r, run) in enumerate(zip(records, expanded)):
+        assert r.t_s == i * sc.dt_s
+        assert r.in_dbm is run.in_dbm and r.out_dbm is run.out_dbm and r.stages is run.stages
+
     expected = trace_reference.build_records(runner)
     assert len(trace.records) == len(expected)
     for got, want in zip(trace.records, expected):
