@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,7 @@ from .errors import SwsenseError
 from .estimator import (
     CalibrationGrid,
     build_calibration,
+    check_sweep,
     default_grid_for,
     estimate,
     place_nodes,
@@ -72,11 +74,11 @@ def _cmd_sweep_sparams(args) -> int:
             raise ValueError("--r-c sets the tap resistance; this chain has no resistive tap")
         cfg = replace(cfg, tap=ResistiveTapParams(r_c=args.r_c, z0=cfg.tap.z0))
     band = default_grid_for(cfg)
-    freqs = np.linspace(
-        band.f_start_hz if args.f_start is None else args.f_start,
-        band.f_stop_hz if args.f_stop is None else args.f_stop,
-        args.points,
-    )
+    f_start = band.f_start_hz if args.f_start is None else args.f_start
+    f_stop = band.f_stop_hz if args.f_stop is None else args.f_stop
+    if not (math.isfinite(f_start) and math.isfinite(f_stop)) or args.points < 1:
+        raise ValueError("sweep-sparams needs a finite --f-start and --f-stop and --points >= 1")
+    freqs = np.linspace(f_start, f_stop, args.points)
     # Only the tap's match has a closed form.
     s11 = tap_sparams(cfg.tap)[0] if cfg.coupling_kind == "tap" else float("nan")
     # Every row is computed before the file is opened, so an out-of-band point leaves no file.
@@ -116,15 +118,19 @@ def _cmd_resolution(args) -> int:
     cfg, _ = _build(args.config)
     f_max = cfg.stub.taps[0].f_max_hz
     if args.sweep:
+        check_sweep("frequency", args.f_start, args.f_stop, args.f_step)
         freqs = np.arange(args.f_start, args.f_stop + args.f_step / 2, args.f_step)
+        # Every row is computed before the file is opened, so a point outside (0, f_max) leaves no file.
+        rows = []
+        for f in map(float, freqs):
+            r = resolution(f, f_max, cfg.detector, cfg.adc)
+            rows.append([repr(f), repr(r / 1e9), repr(100.0 * r / f)])
         path = _outpath(args, "resolution.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["freq_hz", "resolution_ghz", "resolution_pct"])
-            for f in freqs:
-                r = resolution(float(f), f_max, cfg.detector, cfg.adc)
-                w.writerow([repr(float(f)), repr(r / 1e9), repr(100.0 * r / float(f))])
-        print(f"wrote {len(freqs)} rows to {path}")
+            w.writerows(rows)
+        print(f"wrote {len(rows)} rows to {path}")
         return 0
     r = resolution(args.freq, f_max, cfg.detector, cfg.adc)
     print(

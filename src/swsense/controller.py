@@ -8,9 +8,10 @@ clock after the triggering sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .estimator import CONF_SATURATED, CalibrationTable, Estimate, estimate
+from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import NoSignalError, SwsenseError
 from .readout import ChainConfig, TapCodes, detector_floor_code
 
@@ -47,6 +48,12 @@ class ControllerConfig:
     attenuator starts stepping right above that input level. Readings
     at agc_floor_code mean "no signal" and freeze the attenuator rather
     than walking it down.
+
+    Domain, enforced with ValueError: threshold_dbm is not NaN,
+    clock_period is positive and finite (an action takes effect after the
+    sample that decided it), retune_deadband_hz >= 0, switch_freq_hz is None
+    or positive and finite, and agc_floor_code < agc_low_code <=
+    agc_high_code.
     """
 
     threshold_dbm: float = 0.0
@@ -56,6 +63,21 @@ class ControllerConfig:
     clock_period: float = 200e-9
     retune_deadband_hz: float = 400e6
     switch_freq_hz: float | None = None
+
+    def __post_init__(self):
+        if math.isnan(self.threshold_dbm):
+            raise ValueError("threshold_dbm must be a number")
+        if not 0.0 < self.clock_period < math.inf:
+            raise ValueError(f"clock_period must be positive and finite, got {self.clock_period!r}")
+        if not self.retune_deadband_hz >= 0.0:
+            raise ValueError(f"retune_deadband_hz must be >= 0, got {self.retune_deadband_hz!r}")
+        if self.switch_freq_hz is not None and not 0.0 < self.switch_freq_hz < math.inf:
+            raise ValueError(f"switch_freq_hz must be null or positive and finite, got {self.switch_freq_hz!r}")
+        if not self.agc_floor_code < self.agc_low_code <= self.agc_high_code:
+            raise ValueError(
+                "need agc_floor_code < agc_low_code <= agc_high_code, got "
+                f"{self.agc_floor_code}, {self.agc_low_code}, {self.agc_high_code}"
+            )
 
     @staticmethod
     def for_chain(cfg: ChainConfig, window_codes: int = 150) -> "ControllerConfig":
@@ -115,7 +137,9 @@ def on_sample(
 
     An open-end reading at the detector floor is interpreted as signal
     absence (below any threshold); other estimation failures leave the
-    filter untouched and are surfaced through the diagnostic field.
+    filter untouched and are surfaced through the diagnostic field. Raises
+    ValueError for a code outside the ADC range or an att_db that is not an
+    attenuator setting, on every sample, frozen or not.
     """
     now = codes.t_s
     actions: list[Action] = []
@@ -137,6 +161,7 @@ def on_sample(
     est: Estimate | None = None
     no_signal = False
     if st.freeze_samples > 0:
+        check_codes(codes, chain)  # an unfrozen sample is checked by estimate
         new_freeze = st.freeze_samples - 1
     else:
         new_freeze = 0

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +207,15 @@ def _validate(sc: Scenario) -> None:
                     raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} stub band")
 
 
+class _Lines(NamedTuple):
+    """The source lines through every stage in one line state."""
+
+    pairs: tuple[tuple[tuple[float, float], ...], ...]  # [stage] (freq, watts) of each line reaching it
+    ratios: tuple[tuple[float, ...], ...]  # [stage] sampled forward amplitude of each pair
+    in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
+    out_dbm: tuple[tuple[float, ...], ...]
+
+
 def _at(hist: list[tuple[float, object]], t: float):
     """The value of a chronological (time, value) history at time t."""
     return hist[bisect_right(hist, t, key=itemgetter(0)) - 1][1]
@@ -229,6 +239,7 @@ class _Runner:
             [(-math.inf, FilterState())] for _ in sc.stages
         ]
         self.att_hist: list[list[tuple[float, float]]] = [[(-math.inf, 0.0)] for _ in sc.stages]
+        self.line_cache: dict[tuple, _Lines] = {}
         self.ctrl_state = [ControllerState() for _ in sc.stages]
         self.samples: list[list[dict]] = [[] for _ in sc.stages]
         self.actions: list[AppliedAction] = []
@@ -236,51 +247,62 @@ class _Runner:
 
     # ---- line propagation ----
 
-    def _source_lines(self, t: float) -> list[tuple[float, float, int]]:
-        lines = []
-        for si, src in enumerate(self.sc.sources):
-            if src.active(t):
-                lines.extend((f, w, si) for f, w in self.expanded[si])
-        return lines
+    def _line_state(self, t: float) -> tuple:
+        """Active-source flags and, per stage, (filter-history index, notch in transition) at time t."""
+        stages = []
+        for hist in self.filter_hist:
+            h = bisect_right(hist, t, key=itemgetter(0)) - 1
+            stages.append((h, hist[h][1].in_transition(t)))
+        return tuple(src.active(t) for src in self.sc.sources), tuple(stages)
 
-    def _through_stage(self, k: int, lines, t: float):
-        spec = self.sc.stages[k]
-        state = _at(self.filter_hist[k], t)
-        out = []
-        for f, w, si in lines:
-            w2 = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
-            p_dbm = watts_to_dbm(w2) if w2 > 0.0 else _SILENT_DBM
-            s21 = notch_s21_db(spec.notch, state, f, p_dbm, t)
-            out.append((f, w2 * 10.0 ** (s21 / 10.0), si))
-        return out
+    def _lines(self, t: float) -> _Lines:
+        """The source lines pushed through every stage at time t, once per line state.
 
-    def _stage_input_lines(self, k: int, t: float):
-        lines = self._source_lines(t)
-        for j in range(k):
-            lines = self._through_stage(j, lines, t)
-        return lines
+        The notch functions read t only through in_transition, which the
+        line state holds. A filter history only grows past the event being
+        processed, so the line state of a time already reached never changes.
+        """
+        key = self._line_state(t)
+        if key in self.line_cache:
+            return self.line_cache[key]
+        active, stage_states = key
+        n_src = len(self.sc.sources)
+        lines = [(f, w, si) for si, on in enumerate(active) if on for f, w in self.expanded[si]]
+        pairs, ratios, ins, outs = [], [], [], []
+        for k, spec in enumerate(self.sc.stages):
+            state = self.filter_hist[k][stage_states[k][0]][1]
+            chain, notch = spec.chain, spec.notch
+            per_in, per_out = [0.0] * n_src, [0.0] * n_src
+            stage_pairs, stage_ratios, through = [], [], []
+            for f, w, si in lines:
+                per_in[si] += w
+                w2 = w * 10.0 ** (-chain.through_loss_db_at(f) / 10.0)
+                p_dbm = watts_to_dbm(w2) if w2 > 0.0 else _SILENT_DBM
+                if w > 0.0:
+                    g = stopband_gamma(notch, state, f, p_dbm, t)
+                    stage_ratios.append(
+                        sampled_forward_amplitude(g, spec.electrical_delay_s, f, chain.directivity_db_at(f))
+                    )
+                    stage_pairs.append((f, w))
+                w_out = w2 * 10.0 ** (notch_s21_db(notch, state, f, p_dbm, t) / 10.0)
+                per_out[si] += w_out
+                through.append((f, w_out, si))
+            lines = through
+            pairs.append(tuple(stage_pairs))
+            ratios.append(tuple(stage_ratios))
+            ins.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in))
+            outs.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out))
+        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs))
+        return self.line_cache[key]
 
     # ---- sampling ----
 
     def _acquire(self, k: int, t_deliver: float):
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
-        lines3 = self._stage_input_lines(k, tau)
-        state = _at(self.filter_hist[k], tau)
-        pairs, ratios = [], []
-        for f, w, _ in lines3:
-            if w <= 0.0:
-                continue
-            w_f = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
-            g = stopband_gamma(spec.notch, state, f, watts_to_dbm(w_f), tau)
-            ratios.append(
-                sampled_forward_amplitude(
-                    g, spec.electrical_delay_s, f, spec.chain.directivity_db_at(f)
-                )
-            )
-            pairs.append((f, w))
+        lines = self._lines(tau)
         return chain_readout_lines(
-            pairs, spec.chain, _at(self.att_hist[k], tau), t_s=t_deliver, forward_ratios=ratios
+            lines.pairs[k], spec.chain, _at(self.att_hist[k], tau), t_s=t_deliver, forward_ratios=lines.ratios[k]
         )
 
     def _apply(self, k: int, decided_s: float, act: Action) -> None:
@@ -354,73 +376,43 @@ class _Runner:
 
     # ---- post-processing ----
 
-    def _powers_at(self, t: float) -> tuple[list[list[float]], list[list[float]]]:
-        """Per-stage, per-source input/output powers (dBm) at time t."""
-        n_src = len(self.sc.sources)
-        ins, outs = [], []
-        lines = self._source_lines(t)
-        for k in range(len(self.sc.stages)):
-            per_in = [0.0] * n_src
-            for f, w, si in lines:
-                per_in[si] += w
-            lines = self._through_stage(k, lines, t)
-            per_out = [0.0] * n_src
-            for f, w, si in lines:
-                per_out[si] += w
-            ins.append([watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in])
-            outs.append([watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out])
-        return ins, outs
-
     def _build_runs(self) -> list[TraceRun]:
         """The dt grid as runs of points with the same line state and stage snapshots.
 
-        _powers_at reads the time only through which sources are active,
-        which filter-history entry each stage is in and whether that notch
-        is still in transition, so it runs once per distinct line state. A
-        stage's snapshot is its last delivered sample (idle before the first)
-        and its filter-history entry. A run ends at the first dt point at
-        which any of these differs.
+        A stage's snapshot is its last delivered sample (idle before the
+        first) and its filter-history entry. A run ends at the first dt point
+        at which a snapshot or the line state differs.
         """
         sc = self.sc
         n = int(round(sc.duration_s / sc.dt_s))
         sample_times = [[s["t_s"] for s in samples] for samples in self.samples]
-        hist_times = [[e[0] for e in hist] for hist in self.filter_hist]
         changes = sorted(
-            {x for times in sample_times + hist_times for x in times}
-            | {e[1].transition_until_s for hist in self.filter_hist for e in hist}
+            {x for times in sample_times for x in times}
+            | {x for hist in self.filter_hist for e in hist for x in (e[0], e[1].transition_until_s)}
             | {x for src in sc.sources for x in (src.t_on_s, src.t_off_s)}
         )
         # changes[:n_seen] are at or before the last point whose state was read.
         # Each filter history starts at -inf, so point 0 always starts a run.
         n_seen = 0
-        powers: dict[tuple, tuple] = {}
         heads = []  # (start, in_dbm, out_dbm, stages) of each run
         key = None
         for i in range(n):
             t = i * sc.dt_s
             if n_seen < len(changes) and changes[n_seen] <= t:
                 n_seen = bisect_right(changes, t, n_seen)
-                # Per stage: index of the last delivered sample and of the filter-history entry.
-                pos = tuple(
-                    (bisect_right(st, t) - 1, bisect_right(ht, t) - 1)
-                    for st, ht in zip(sample_times, hist_times)
-                )
-                line_state = (
-                    tuple(src.active(t) for src in sc.sources),
-                    tuple((h, self.filter_hist[k][h][1].in_transition(t)) for k, (_, h) in enumerate(pos)),
-                )
+                # Per stage: index of the last delivered sample.
+                pos = tuple(bisect_right(times, t) - 1 for times in sample_times)
+                line_state = self._line_state(t)
                 if (pos, line_state) == key:
                     continue
                 key = pos, line_state
-                if line_state not in powers:
-                    ins, outs = self._powers_at(t)
-                    powers[line_state] = (tuple(map(tuple, ins)), tuple(map(tuple, outs)))
+                lines = self._lines(t)
                 stages = []
-                for k, (j, h) in enumerate(pos):
+                for k, (j, (h, _)) in enumerate(zip(pos, line_state[1])):
                     values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
                     fstate = self.filter_hist[k][h][1]
                     stages.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
-                heads.append((i, *powers[line_state], tuple(stages)))
+                heads.append((i, lines.in_dbm, lines.out_dbm, tuple(stages)))
         stops = [h[0] for h in heads[1:]] + [n]
         return [TraceRun(h[0], stop, *h[1:]) for h, stop in zip(heads, stops)]
 
@@ -439,12 +431,12 @@ class _Runner:
                 m.limit_cycle_period_s = period
                 break
         t_end = sc.duration_s - sc.dt_s / 2.0
-        ins, outs = self._powers_at(t_end)
+        lines = self._lines(t_end)
         for si, src in enumerate(sc.sources):
             if src.active(t_end):
-                final = outs[-1][si]
+                final = lines.out_dbm[-1][si]
                 m.final_output_dbm.append(final)
-                m.suppression_db.append(ins[0][si] - final)
+                m.suppression_db.append(lines.in_dbm[0][si] - final)
             else:
                 m.final_output_dbm.append(_SILENT_DBM)
                 m.suppression_db.append(None)

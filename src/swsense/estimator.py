@@ -58,9 +58,19 @@ class Estimate:
     confidence: str = CONF_IN_RANGE
 
 
+def check_sweep(what: str, start: float, stop: float, step: float) -> None:
+    """ValueError unless start <= stop and step > 0, all three finite."""
+    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf and start <= stop):
+        raise ValueError(f"{what} sweep needs finite start <= stop and step > 0; got {start!r}, {stop!r}, {step!r}")
+
+
 @dataclass(frozen=True)
 class CalibrationGrid:
-    """Rectangular CW calibration sweep."""
+    """Rectangular CW calibration sweep.
+
+    Every field is finite, 0 < f_start_hz <= f_stop_hz, p_start_dbm <=
+    p_stop_dbm, and both steps are positive; anything else is a ValueError.
+    """
 
     f_start_hz: float = 1e9
     f_stop_hz: float = 16e9
@@ -68,6 +78,12 @@ class CalibrationGrid:
     p_start_dbm: float = -20.0
     p_stop_dbm: float = 20.0
     p_step_dbm: float = 1.0
+
+    def __post_init__(self):
+        check_sweep("frequency", self.f_start_hz, self.f_stop_hz, self.f_step_hz)
+        check_sweep("power", self.p_start_dbm, self.p_stop_dbm, self.p_step_dbm)
+        if not self.f_start_hz > 0.0:
+            raise ValueError(f"frequency sweep must start above 0 Hz; got {self.f_start_hz!r}")
 
     def freqs(self) -> np.ndarray:
         n = int(round((self.f_stop_hz - self.f_start_hz) / self.f_step_hz)) + 1
@@ -169,8 +185,8 @@ def place_nodes(
     adc = adc or AdcParams()
     if not 0.0 < max_fraction < 1.0:
         raise PlacementInfeasibleError(f"max_fraction must be in (0, 1), got {max_fraction}")
-    if f_max_1_hz <= 0.0:
-        raise PlacementInfeasibleError("f_max_1_hz must be positive")
+    if not 0.0 < f_max_1_hz < math.inf:
+        raise PlacementInfeasibleError(f"f_max_1_hz must be positive and finite, got {f_max_1_hz}")
 
     def crossing(f_max: float) -> float:
         g = lambda f: resolution(f, f_max, det, adc) / f - max_fraction
@@ -346,7 +362,7 @@ def _refine_against_table(
     return refined
 
 
-def _check_codes(codes: TapCodes, cfg: ChainConfig) -> None:
+def check_codes(codes: TapCodes, cfg: ChainConfig) -> None:
     """ValueError unless all three codes are ADC codes and att_db a setting."""
     full = cfg.adc.full_code
     for name, c in (("code_oc", codes.code_oc), ("code_l1", codes.code_l1), ("code_l2", codes.code_l2)):
@@ -369,7 +385,7 @@ def estimate_frequency(
     is not an attenuator setting.
     """
     cfg = cal.cfg
-    _check_codes(codes, cfg)
+    check_codes(codes, cfg)
     det, adc = cfg.detector, cfg.adc
     floor, ceiling = cal.floor_code, cal.ceiling_code
     if codes.code_oc <= floor:
@@ -413,7 +429,7 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
     code outside the ADC range or an att_db that is not a setting.
     """
     cfg = cal.cfg
-    _check_codes(codes, cfg)
+    check_codes(codes, cfg)
     if codes.code_oc <= cal.floor_code:
         raise NoSignalError("open-end reading at detector floor")
     if codes.code_oc >= cal.ceiling_code and codes.att_db >= cfg.attenuator.max_db:

@@ -74,6 +74,20 @@ class TestSweepSparams:
         assert "--r-c" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sparams.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--f-start", "nan", "--points", "3"],
+            ["--f-stop", "inf"],
+            ["--points", "0"],
+            ["--points", "-2"],
+        ],
+    )
+    def test_out_of_domain_sweep_is_malformed(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path / "out", "sweep-sparams", *argv) == 2
+        assert capsys.readouterr().err.startswith("swsense: sweep-sparams needs a finite --f-start")
+        assert not (tmp_path / "out" / "sparams.csv").exists()
+
 
 class TestResolution:
     def test_single_point_json(self, tmp_path, capsys):
@@ -91,6 +105,26 @@ class TestResolution:
         assert len(lines) == 14
         pcts = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(a > b for a, b in zip(pcts, pcts[1:]))  # relative accuracy improves
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--f-step", "0"],
+            ["--f-step=-1e9"],
+            ["--f-step", "inf"],
+            ["--f-start", "5e9", "--f-stop", "2e9"],
+            ["--f-start", "nan"],
+        ],
+    )
+    def test_out_of_domain_sweep_is_malformed(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path / "out", "resolution", "--sweep", *argv) == 2
+        assert capsys.readouterr().err.startswith("swsense: frequency sweep needs")
+        assert not (tmp_path / "out" / "resolution.csv").exists()
+
+    def test_sweep_reaching_f_max_writes_no_file(self, tmp_path, capsys):
+        assert run_cli(tmp_path / "out", "resolution", "--sweep", "--f-stop", "16e9") == 1
+        assert "resolution defined on (0, f_max)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "resolution.csv").exists()
 
 
 class TestPlaceNodes:
@@ -126,6 +160,24 @@ class TestCalibrate:
         )
         assert cal.code_oc.shape == (131, 41)
         assert (cal.freqs_hz[0], cal.freqs_hz[-1]) == (1e9, 14e9)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--f-step", "0"], "frequency sweep needs"),
+            (["--p-step", "0"], "power sweep needs"),
+            (["--p-start", "10", "--p-stop", "-10"], "power sweep needs"),
+            (["--f-start", "5e9", "--f-stop", "2e9"], "frequency sweep needs"),
+            (["--f-step", "inf"], "frequency sweep needs"),
+            (["--f-start", "0"], "frequency sweep must start above 0 Hz"),
+        ],
+    )
+    def test_out_of_domain_grid_is_malformed(self, tmp_path, capsys, argv, err):
+        assert run_cli(tmp_path / "out", "calibrate", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"swsense: {err}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEstimate:
@@ -256,6 +308,10 @@ class TestSimulate:
             (lambda d: d["stages"][0].update(electrical_delay_s="1e-9"),
              "stages[0].electrical_delay_s: expected float, got str"),
             (lambda d: d.update(duration_s=math.nan), "duration_s: expected a finite float"),
+            (lambda d: d["stages"][0]["controller"].update(clock_period=-2e-7),
+             "stages[0].controller: clock_period must be positive and finite, got -2e-07"),
+            (lambda d: d["stages"][0]["controller"].update(agc_low_code=5000),
+             "stages[0].controller: need agc_floor_code < agc_low_code <= agc_high_code, got 757, 5000, 2965"),
         ],
     )
     def test_malformed_scenario_is_malformed(self, tmp_path, capsys, edit, err):

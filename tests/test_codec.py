@@ -88,16 +88,19 @@ chains = st.builds(
     gain_ripple=st.none() | table_points,
 )
 
-controllers = st.builds(
-    ControllerConfig,
-    threshold_dbm=real,
-    agc_high_code=st.integers(0, 4095),
-    agc_low_code=st.integers(0, 4095),
-    agc_floor_code=st.integers(0, 4095),
-    clock_period=pos,
-    retune_deadband_hz=pos,
-    switch_freq_hz=st.none() | freq,
-)
+@st.composite
+def controllers(draw):
+    floor = draw(st.integers(0, 4094))
+    low = draw(st.integers(floor + 1, 4095))
+    return ControllerConfig(
+        threshold_dbm=draw(real),
+        agc_high_code=draw(st.integers(low, 4095)),
+        agc_low_code=low,
+        agc_floor_code=floor,
+        clock_period=draw(pos),
+        retune_deadband_hz=draw(pos),
+        switch_freq_hz=draw(st.none() | freq),
+    )
 
 
 @st.composite
@@ -132,7 +135,7 @@ scenarios = st.builds(
     Scenario,
     duration_s=pos,
     sources=st.lists(tones(), max_size=3).map(tuple),
-    stages=st.lists(st.builds(StageSpec, chains, controllers, notches(), real), max_size=2).map(tuple),
+    stages=st.lists(st.builds(StageSpec, chains, controllers(), notches(), real), max_size=2).map(tuple),
     dt_s=pos,
     seed=st.integers(0, 2**32),
 )
@@ -145,7 +148,7 @@ class TestRoundTrip:
         assert chain_config_from_dict(through_json(cfg)) == cfg
 
     @settings(max_examples=60, deadline=None)
-    @given(controllers)
+    @given(controllers())
     def test_controller_config(self, ctrl):
         assert from_json(ControllerConfig, through_json(ctrl), "controller") == ctrl
 

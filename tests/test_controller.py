@@ -1,8 +1,10 @@
 """Controller state machine and gain-control policy."""
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swsense.controller import (
     ACT_RELEASE,
@@ -18,6 +20,8 @@ from swsense.controller import (
     on_sample,
 )
 from swsense.core import SignalDescriptor, Tone
+from swsense.errors import SwsenseError
+from swsense.estimator import CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, estimate
 from swsense.readout import TapCodes, chain_readout, detector_floor_code
 
 
@@ -79,6 +83,34 @@ class TestForChain:
     def test_timing_defaults(self, controller):
         assert controller.clock_period == pytest.approx(200e-9)
         assert controller.retune_deadband_hz == pytest.approx(400e6)
+
+
+class TestConfigDomain:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(clock_period=-2e-7), "clock_period"),
+            (dict(clock_period=0.0), "clock_period"),
+            (dict(clock_period=math.inf), "clock_period"),
+            (dict(clock_period=math.nan), "clock_period"),
+            (dict(retune_deadband_hz=-1.0), "retune_deadband_hz"),
+            (dict(retune_deadband_hz=math.nan), "retune_deadband_hz"),
+            (dict(switch_freq_hz=0.0), "switch_freq_hz"),
+            (dict(switch_freq_hz=-5e9), "switch_freq_hz"),
+            (dict(switch_freq_hz=math.nan), "switch_freq_hz"),
+            (dict(agc_low_code=5000), "agc_floor_code < agc_low_code <= agc_high_code"),
+            (dict(agc_low_code=757), "agc_floor_code < agc_low_code <= agc_high_code"),
+            (dict(agc_floor_code=3000), "agc_floor_code < agc_low_code <= agc_high_code"),
+            (dict(threshold_dbm=math.nan), "threshold_dbm"),
+        ],
+    )
+    def test_out_of_domain_config_raises(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ControllerConfig(**overrides)
+
+    def test_domain_edges_are_accepted(self):
+        ControllerConfig(agc_low_code=2965, retune_deadband_hz=0.0, switch_freq_hz=5e9)
+        ControllerConfig(agc_floor_code=2814)
 
 
 class TestOnSample:
@@ -176,6 +208,20 @@ class TestOnSample:
         assert st.mode == MODE_IDLE
         assert st.freeze_samples == 0
 
+    @pytest.mark.parametrize(
+        "codes, match",
+        [
+            (TapCodes(1e-6, 99999, 2788, 2857, 0.0), "code_oc=99999"),
+            (TapCodes(1e-6, -7, 2788, 2857, 0.0), "code_oc=-7"),
+            (TapCodes(1e-6, 2965, 2788, 4096, 0.0), "code_l2=4096"),
+            (TapCodes(1e-6, 2965, 2788, 2857, 0.1), "att_db=0.1"),
+        ],
+    )
+    @pytest.mark.parametrize("freeze", [0, 1])
+    def test_codes_checked_on_every_sample(self, chain, controller, calibration, codes, match, freeze):
+        with pytest.raises(ValueError, match=match):
+            on_sample(codes, ControllerState(freeze_samples=freeze), controller, chain, calibration)
+
     def test_attenuator_step_freezes_next_sample(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, 2.0, 0.0)
         st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
@@ -205,3 +251,56 @@ class TestOnSample:
         assert ks.count(ACT_SET_ATT) == 8
         assert ks.count(ACT_TUNE) == 1
         assert ks.count(ACT_RELEASE) == 0
+
+
+_CONFIDENCES = (CONF_IN_RANGE, CONF_CLAMPED, CONF_SATURATED)
+_codes = st.one_of(st.integers(0, 4095), st.integers())
+# Attenuator settings, and anything else a float can be.
+_att = st.one_of(st.integers(0, 127).map(lambda n: n * 0.25), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oc=_codes,
+    l1=_codes,
+    l2=_codes,
+    att=_att,
+    st_att=st.integers(0, 127).map(lambda n: n * 0.25),
+    mode=st.sampled_from((MODE_IDLE, MODE_ENGAGING, MODE_ENGAGED, MODE_RELEASING)),
+    tuned=st.one_of(st.none(), st.floats(1e9, 16e9)),
+    freeze=st.integers(0, 1),
+)
+def test_code_triples_give_a_typed_error_or_an_in_domain_answer(
+    chain, controller, calibration, oc, l1, l2, att, st_att, mode, tuned, freeze
+):
+    """Any code triple and att_db: a typed error, or an answer inside the model's domain."""
+    f_max = chain.stub.taps[0].f_max_hz
+    codes = TapCodes(1e-6, oc, l1, l2, att)
+    try:
+        est = estimate(codes, calibration)
+    except ValueError:
+        malformed = True
+    except SwsenseError:
+        malformed = False
+    else:
+        malformed = False
+        assert 0.0 <= est.freq_hz <= f_max
+        assert math.isfinite(est.power_dbm)
+        assert est.confidence in _CONFIDENCES
+    state = ControllerState(mode=mode, att_db=st_att, tuned_freq_hz=tuned, freeze_samples=freeze)
+    if malformed:
+        # Frozen or not, a code outside the ADC range or an att_db that is not a setting is refused.
+        with pytest.raises(ValueError):
+            on_sample(codes, state, controller, chain, calibration)
+        return
+    nxt, actions = on_sample(codes, state, controller, chain, calibration)
+    assert chain.attenuator.valid_setting(nxt.att_db)
+    for a in actions:
+        assert a.effective_at_s > codes.t_s
+        if a.kind == ACT_SET_ATT:
+            assert chain.attenuator.valid_setting(a.att_db)
+        elif a.kind == ACT_TUNE:
+            assert 0.0 <= a.freq_hz <= f_max
+    est = nxt.last_estimate
+    if est is not None:
+        assert 0.0 <= est.freq_hz <= f_max and est.confidence in _CONFIDENCES

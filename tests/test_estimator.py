@@ -114,6 +114,11 @@ class TestPlaceNodes:
         with pytest.raises(PlacementInfeasibleError):
             place_nodes(-1.0, 0.0025)
 
+    @pytest.mark.parametrize("f_max", [math.nan, math.inf])
+    def test_non_finite_first_tap_refused(self, f_max):
+        with pytest.raises(PlacementInfeasibleError, match="f_max_1_hz must be positive and finite"):
+            place_nodes(f_max, 0.0025)
+
 
 class TestCalibrationBuild:
     def test_grid_arrays(self):
@@ -122,6 +127,30 @@ class TestCalibrationBuild:
         p = g.powers()
         assert len(f) == 151 and f[0] == 1e9 and f[-1] == 16e9
         assert len(p) == 41 and p[0] == -20.0 and p[-1] == 20.0
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(f_step_hz=0.0), "frequency sweep"),
+            (dict(f_step_hz=-1e8), "frequency sweep"),
+            (dict(f_step_hz=math.inf), "frequency sweep"),
+            (dict(p_step_dbm=0.0), "power sweep"),
+            (dict(p_start_dbm=10.0, p_stop_dbm=-10.0), "power sweep"),
+            (dict(f_start_hz=5e9, f_stop_hz=2e9), "frequency sweep"),
+            (dict(f_start_hz=math.nan), "frequency sweep"),
+            (dict(f_stop_hz=math.inf), "frequency sweep"),
+            (dict(p_stop_dbm=math.nan), "power sweep"),
+            (dict(f_start_hz=0.0), "above 0 Hz"),
+            (dict(f_start_hz=-1e9), "above 0 Hz"),
+        ],
+    )
+    def test_grid_enforces_its_domain(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            CalibrationGrid(**fields)
+
+    def test_single_cell_grid_is_in_domain(self):
+        g = CalibrationGrid(6e9, 6e9, 1e9, 0.0, 0.0, 1.0)
+        assert list(g.freqs()) == [6e9] and list(g.powers()) == [0.0]
 
     def test_table_shape_and_metadata(self, chain, calibration):
         from swsense.readout import chain_config_hash
@@ -291,6 +320,13 @@ class TestEstimation:
 
 
 class TestInputDomain:
+    def test_fine_tap_equal_to_open_end_reads_zero_hz(self, calibration):
+        # A fine-tap code equal to the open-end code means a voltage ratio of
+        # exactly 1, which inverts to 0 Hz, below the calibrated band, yet the
+        # answer is flagged in-range. Pinned as it stands.
+        est = estimate(TapCodes(0.0, 2965, 2965, 2965, 0.0), calibration)
+        assert (est.freq_hz, est.tap_used, est.confidence) == (0.0, "l2", CONF_IN_RANGE)
+
     @pytest.mark.parametrize(
         "codes, match",
         [

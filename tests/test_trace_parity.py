@@ -1,12 +1,13 @@
-"""Trace records and trace.csv match the per-dt-point oracle exactly.
+"""Acquisitions, trace records and trace.csv match the from-scratch oracle exactly.
 
-The engine stores the dt grid as runs of points that share their line
-powers and stage snapshots, computes line powers once per line state, and
-expands Trace.records from the runs; trace_to_csv formats each run's row
-tail once. tests/trace_reference.py recomputes every record and every
-cell. Records are compared through repr(), which gives each float's
-shortest exact form, so equal reprs mean bit-equal values with NaN equal
-to NaN.
+The engine pushes the source lines through the stages once per line
+state and reads its ADC acquisitions, its trace and its metrics from
+that one result. It stores the dt grid as runs of points that share their
+line powers and stage snapshots, and expands Trace.records from the runs;
+trace_to_csv formats each run's row tail once. tests/trace_reference.py
+recomputes every acquisition, every record and every cell. Records are
+compared through repr(), which gives each float's shortest exact form, so
+equal reprs mean bit-equal values with NaN equal to NaN.
 """
 
 from dataclasses import replace
@@ -33,6 +34,15 @@ def scenario(name):
 def assert_trace_parity(sc, tmp_path):
     runner = _Runner(sc, None)
     trace = runner.run(collect_trace=True)
+    for k, samples in enumerate(trace.samples):
+        for s in samples:
+            codes = trace_reference.acquire(runner, k, s["t_s"])
+            assert (s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"]) == (
+                codes.code_oc,
+                codes.code_l1,
+                codes.code_l2,
+                codes.att_db,
+            ), f"stage {k} sample at {s['t_s']!r}"
     runs = trace.runs
     assert runs[0].start == 0
     assert runs[-1].stop == round(sc.duration_s / sc.dt_s)

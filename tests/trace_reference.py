@@ -1,11 +1,12 @@
-"""Per-dt-point trace builder and per-cell trace.csv writer, kept as an oracle.
+"""Per-sample acquisition and per-dt-point trace oracles, and a per-cell trace.csv writer.
 
-swsense.engine builds one set of powers per line state and formats each
+swsense.engine pushes the source lines through the stages once per line
+state, for its acquisitions and its trace alike, and formats each
 distinct row tail of trace.csv once. The functions here recompute every
-record from scratch at every dt point, pushing each source line through
-each stage, and format every cell of every row. They read a finished
-engine._Runner and are used only by tests, which require the two paths to
-give equal records and byte-equal CSV files.
+acquisition and every record from scratch, pushing each source line
+through each stage, and format every cell of every row. They read a
+finished engine._Runner and are used only by tests, which require the two
+paths to give equal codes, equal records and byte-equal CSV files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import fields
 from operator import attrgetter
 
 from swsense.core import watts_to_dbm
+from swsense.coupling import sampled_forward_amplitude
 from swsense.engine import (
     _IDLE_VALUES,
     _SAMPLE_COLUMNS,
@@ -25,7 +27,8 @@ from swsense.engine import (
     TraceRecord,
     _snapshot_values,
 )
-from swsense.filters import notch_s21_db
+from swsense.filters import notch_s21_db, stopband_gamma
+from swsense.readout import TapCodes, chain_readout_lines
 
 
 def _filter_state_at(runner, k: int, t: float):
@@ -52,6 +55,27 @@ def _through_stage(runner, k: int, lines, t: float):
         s21 = notch_s21_db(spec.notch, state, f, p_dbm, t)
         out.append((f, w2 * 10.0 ** (s21 / 10.0), si))
     return out
+
+
+def acquire(runner, k: int, t_deliver: float) -> TapCodes:
+    """Stage k's ADC codes delivered at t_deliver, converted one sample period earlier."""
+    spec = runner.sc.stages[k]
+    tau = t_deliver - spec.chain.adc.sample_period
+    lines = _source_lines(runner, tau)
+    for j in range(k):
+        lines = _through_stage(runner, j, lines, tau)
+    state = _filter_state_at(runner, k, tau)
+    pairs, ratios = [], []
+    for f, w, _ in lines:
+        if w <= 0.0:
+            continue
+        w_f = w * 10.0 ** (-spec.chain.through_loss_db_at(f) / 10.0)
+        g = stopband_gamma(spec.notch, state, f, watts_to_dbm(w_f), tau)
+        ratios.append(sampled_forward_amplitude(g, spec.electrical_delay_s, f, spec.chain.directivity_db_at(f)))
+        pairs.append((f, w))
+    att_hist = runner.att_hist[k]
+    att = att_hist[bisect_right(att_hist, tau, key=lambda e: e[0]) - 1][1]
+    return chain_readout_lines(pairs, spec.chain, att, t_s=t_deliver, forward_ratios=ratios)
 
 
 def powers_at(runner, t: float) -> tuple[list[list[float]], list[list[float]]]:
