@@ -9,7 +9,8 @@ clock after the triggering sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import NoSignalError, SwsenseError
@@ -96,9 +97,22 @@ class ControllerConfig:
         )
 
 
+class _EstimateMemo(NamedTuple):
+    """The estimates made against one table and switch frequency, keyed on (code_oc, code_l1, code_l2, att_db)."""
+
+    cal: CalibrationTable
+    switch_freq_hz: float | None
+    estimates: dict
+
+
 @dataclass(frozen=True)
 class ControllerState:
-    """Controller bookkeeping between samples."""
+    """Controller bookkeeping between samples.
+
+    estimate_memo carries the estimates of the code triples seen so far
+    from each state to the next, so a repeated triple is not estimated
+    again. It takes no part in equality or repr.
+    """
 
     mode: str = MODE_IDLE
     att_db: float = 0.0
@@ -108,6 +122,7 @@ class ControllerState:
     freeze_samples: int = 0
     last_estimate: Estimate | None = None
     diagnostic: str | None = None
+    estimate_memo: _EstimateMemo | None = field(default=None, compare=False, repr=False)
 
 
 def agc_policy(code_oc: int, att_db: float, ctrl: ControllerConfig, chain: ChainConfig) -> float:
@@ -158,6 +173,9 @@ def on_sample(
     if codes.code_oc >= chain.adc.full_code and st.att_db >= chain.attenuator.max_db:
         diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
 
+    memo = st.estimate_memo
+    if memo is None or memo.cal is not cal or memo.switch_freq_hz != ctrl.switch_freq_hz:
+        memo = _EstimateMemo(cal, ctrl.switch_freq_hz, {})
     est: Estimate | None = None
     no_signal = False
     if st.freeze_samples > 0:
@@ -165,12 +183,19 @@ def on_sample(
         new_freeze = st.freeze_samples - 1
     else:
         new_freeze = 0
-        try:
-            est = estimate(codes, cal, ctrl.switch_freq_hz)
-        except NoSignalError:
-            no_signal = True
-        except SwsenseError as exc:
-            diagnostic = f"{type(exc).__name__}: {exc}"
+        key = (codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db)
+        # Only int codes may hit: a float equal to a memoised code must
+        # still reach estimate's check and be refused.
+        if type(codes.code_oc) is type(codes.code_l1) is type(codes.code_l2) is int:
+            est = memo.estimates.get(key)
+        if est is None:
+            # Errors are not memoised; a NoSignalError exits before the table refinement.
+            try:
+                est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
+            except NoSignalError:
+                no_signal = True
+            except SwsenseError as exc:
+                diagnostic = f"{type(exc).__name__}: {exc}"
 
     tuned = st.tuned_freq_hz
     # A saturated open-end reading carries no usable tap ratio; hold all
@@ -207,5 +232,6 @@ def on_sample(
         freeze_samples=new_freeze,
         last_estimate=est if est is not None else (None if no_signal else st.last_estimate),
         diagnostic=diagnostic,
+        estimate_memo=memo,
     )
     return new_state, actions

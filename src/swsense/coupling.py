@@ -36,13 +36,28 @@ class ResistiveTapParams:
 Table = float | Sequence[tuple[float, float]]
 
 
-def _eval_table(table: Table, f_hz: float) -> float:
+# A table converted once for evaluation: a flat float, or its breakpoints
+# sorted into (frequencies, values) arrays.
+Points = float | tuple[np.ndarray, np.ndarray]
+
+
+def table_points(table: Table) -> Points:
+    """A table in the form table_value reads."""
     if isinstance(table, (int, float)):
         return float(table)
     pts = sorted(table)
-    fs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    return float(np.interp(f_hz, fs, vs))
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+def table_value(points: Points, f_hz: float) -> float:
+    """A converted table at f_hz, interpolated piecewise-linearly and held flat past its ends."""
+    if isinstance(points, float):
+        return points
+    return float(np.interp(f_hz, *points))
+
+
+# The three tables of a DirectionalCouplerParams.
+_COUPLER_TABLES = ("coupling_db", "insertion_db", "directivity_db")
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,9 @@ class DirectionalCouplerParams:
             table = getattr(self, name)
             if not isinstance(table, (int, float)) and len(table) == 0:
                 raise ValueError(f"{name} needs a number or at least one breakpoint")
+        # Converted once here. Not a field, so the JSON codec, equality and
+        # repr never see it.
+        object.__setattr__(self, "_points", {name: table_points(getattr(self, name)) for name in _COUPLER_TABLES})
 
 
 def tap_coupling(p: ResistiveTapParams) -> float:
@@ -95,8 +113,8 @@ def tap_input_limit_dbm(p: ResistiveTapParams, package_limit_w: float) -> float:
     return 30.0 + 10.0 * math.log10(package_limit_w / one_watt_in)
 
 
-def coupler_response(p: DirectionalCouplerParams, f_hz: float) -> tuple[float, float, float]:
-    """(coupling_db, insertion_db, directivity_db) at f_hz.
+def coupler_db_at(p: DirectionalCouplerParams, table: str, f_hz: float) -> float:
+    """One table of p ("coupling_db", "insertion_db" or "directivity_db") at f_hz.
 
     Tables are interpolated piecewise-linearly; queries outside
     [f_min_hz, f_max_hz] raise OutOfBandError.
@@ -106,11 +124,12 @@ def coupler_response(p: DirectionalCouplerParams, f_hz: float) -> tuple[float, f
             f"{f_hz / 1e9:.3f} GHz outside coupler band "
             f"[{p.f_min_hz / 1e9:.3f}, {p.f_max_hz / 1e9:.3f}] GHz"
         )
-    return (
-        _eval_table(p.coupling_db, f_hz),
-        _eval_table(p.insertion_db, f_hz),
-        _eval_table(p.directivity_db, f_hz),
-    )
+    return table_value(p._points[table], f_hz)
+
+
+def coupler_response(p: DirectionalCouplerParams, f_hz: float) -> tuple[float, float, float]:
+    """(coupling_db, insertion_db, directivity_db) at f_hz; see coupler_db_at."""
+    return tuple(coupler_db_at(p, name, f_hz) for name in _COUPLER_TABLES)
 
 
 def sampled_forward_amplitude(

@@ -38,7 +38,7 @@ from .coupling import sampled_forward_amplitude
 from .errors import TuningRangeError
 from .estimator import CalibrationGrid, CalibrationTable, build_calibration, default_grid_for
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
-from .readout import ChainConfig, chain_config_hash, chain_readout_lines
+from .readout import ChainConfig, TapCodes, chain_config_hash, chain_readout_lines
 
 _SILENT_DBM = -300.0
 
@@ -214,6 +214,7 @@ class _Lines(NamedTuple):
     ratios: tuple[tuple[float, ...], ...]  # [stage] sampled forward amplitude of each pair
     in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
     out_dbm: tuple[tuple[float, ...], ...]
+    codes: tuple[dict, ...]  # [stage] {att_db: TapCodes} read so far in this line state
 
 
 def _at(hist: list[tuple[float, object]], t: float):
@@ -292,18 +293,23 @@ class _Runner:
             ratios.append(tuple(stage_ratios))
             ins.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in))
             outs.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out))
-        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs))
+        codes = tuple({} for _ in self.sc.stages)
+        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), codes)
         return self.line_cache[key]
 
     # ---- sampling ----
 
-    def _acquire(self, k: int, t_deliver: float):
+    def _acquire(self, k: int, t_deliver: float) -> TapCodes:
+        """Stage k's codes delivered at t_deliver, read once per line state and attenuator setting."""
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
         lines = self._lines(tau)
-        return chain_readout_lines(
-            lines.pairs[k], spec.chain, _at(self.att_hist[k], tau), t_s=t_deliver, forward_ratios=lines.ratios[k]
-        )
+        att = _at(self.att_hist[k], tau)
+        read = lines.codes[k]
+        if att not in read:
+            read[att] = chain_readout_lines(lines.pairs[k], spec.chain, att, forward_ratios=lines.ratios[k])
+        c = read[att]
+        return TapCodes(t_deliver, c.code_oc, c.code_l1, c.code_l2, att)
 
     def _apply(self, k: int, decided_s: float, act: Action) -> None:
         applied = AppliedAction(

@@ -384,8 +384,13 @@ def estimate_frequency(
     Raises ValueError for a code outside the ADC range or an att_db that
     is not an attenuator setting.
     """
+    check_codes(codes, cal.cfg)
+    return _frequency(codes, cal, switch_freq_hz)
+
+
+def _frequency(codes: TapCodes, cal: CalibrationTable, switch_freq_hz: float | None) -> tuple[float, str, str]:
+    """estimate_frequency for codes already checked."""
     cfg = cal.cfg
-    check_codes(codes, cfg)
     det, adc = cfg.detector, cfg.adc
     floor, ceiling = cal.floor_code, cal.ceiling_code
     if codes.code_oc <= floor:
@@ -428,11 +433,15 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
     along the calibration row nearest to freq_hz. Raises ValueError for a
     code outside the ADC range or an att_db that is not a setting.
     """
-    cfg = cal.cfg
-    check_codes(codes, cfg)
+    check_codes(codes, cal.cfg)
+    return _power(codes, freq_hz, cal)
+
+
+def _power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> float:
+    """estimate_power for codes already checked."""
     if codes.code_oc <= cal.floor_code:
         raise NoSignalError("open-end reading at detector floor")
-    if codes.code_oc >= cal.ceiling_code and codes.att_db >= cfg.attenuator.max_db:
+    if codes.code_oc >= cal.ceiling_code and codes.att_db >= cal.cfg.attenuator.max_db:
         raise PowerOverrangeError("open-end saturated with attenuator at maximum")
 
     i0 = int(np.abs(cal.freqs_hz - freq_hz).argmin())
@@ -450,9 +459,13 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
 
 
 def estimate(codes: TapCodes, cal: CalibrationTable, switch_freq_hz: float | None = None) -> Estimate:
-    """Joint frequency and power estimate for one acquisition."""
-    f, tap_used, conf = estimate_frequency(codes, cal, switch_freq_hz)
-    p = estimate_power(codes, f, cal)
+    """Joint frequency and power estimate for one acquisition.
+
+    The codes are checked once, with estimate_frequency's errors.
+    """
+    check_codes(codes, cal.cfg)
+    f, tap_used, conf = _frequency(codes, cal, switch_freq_hz)
+    p = _power(codes, f, cal)
     return Estimate(freq_hz=f, power_dbm=p, tap_used=tap_used, confidence=conf)
 
 

@@ -22,8 +22,10 @@ from .core import SignalDescriptor, dbm_to_watts, expand_signal
 from .coupling import (
     DirectionalCouplerParams,
     ResistiveTapParams,
-    _eval_table,
-    coupler_response,
+    coupler_db_at,
+    coupler_response,  # unused here; perfbench/tracer.py rebinds this name
+    table_points,
+    table_value,
     tap_coupling,
 )
 from .errors import OutOfBandError
@@ -138,12 +140,13 @@ class ChainConfig:
             object.__setattr__(self, "coupler", DirectionalCouplerParams())
         if len(self.stub.taps) != 2:
             raise ValueError("read-out chain expects exactly two stub taps")
+        # Converted once, like the coupler's tables; not a field.
+        object.__setattr__(self, "_ripple", table_points(self.gain_ripple) if self.gain_ripple else None)
 
     def coupling_db_at(self, f_hz: float) -> float:
         if self.coupling_kind == "tap":
             return tap_coupling(self.tap)
-        c, _, _ = coupler_response(self.coupler, f_hz)
-        return c
+        return coupler_db_at(self.coupler, "coupling_db", f_hz)
 
     def through_loss_db_at(self, f_hz: float) -> float:
         """Through-line insertion of the pick-off network, in dB >= 0."""
@@ -151,8 +154,7 @@ class ChainConfig:
             from .coupling import tap_sparams
 
             return -tap_sparams(self.tap)[1]
-        _, ins, _ = coupler_response(self.coupler, f_hz)
-        return ins
+        return coupler_db_at(self.coupler, "insertion_db", f_hz)
 
     def directivity_db_at(self, f_hz: float) -> float:
         """Pick-off directivity at f_hz, in dB.
@@ -162,11 +164,10 @@ class ChainConfig:
         """
         if self.coupling_kind == "tap":
             return 0.0
-        _, _, d = coupler_response(self.coupler, f_hz)
-        return d
+        return coupler_db_at(self.coupler, "directivity_db", f_hz)
 
     def ripple_db_at(self, f_hz: float) -> float:
-        return _eval_table(self.gain_ripple, f_hz) if self.gain_ripple else 0.0
+        return table_value(self._ripple, f_hz) if self.gain_ripple else 0.0
 
 
 @dataclass(frozen=True)

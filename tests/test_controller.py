@@ -253,6 +253,60 @@ class TestOnSample:
         assert ks.count(ACT_RELEASE) == 0
 
 
+class TestEstimateMemo:
+    def test_repeated_codes_are_estimated_once(self, chain, controller, calibration, monkeypatch):
+        import swsense.controller as controller_mod
+
+        calls = []
+        monkeypatch.setattr(controller_mod, "estimate", lambda *args: calls.append(args) or estimate(*args))
+        codes = codes_at(chain, 6e9, -5.0, 0.0)
+        st = ControllerState()
+        for _ in range(3):
+            st, _ = on_sample(codes, st, controller, chain, calibration)
+        assert len(calls) == 1
+        assert st.last_estimate == estimate(codes, calibration)
+        assert st == replace(st, estimate_memo=None)  # the memo takes no part in equality
+
+    def test_no_signal_is_not_memoised(self, chain, controller, calibration, monkeypatch):
+        import swsense.controller as controller_mod
+
+        calls = []
+        monkeypatch.setattr(controller_mod, "estimate", lambda *args: calls.append(args) or estimate(*args))
+        floor = detector_floor_code(chain)
+        st = ControllerState()
+        for _ in range(2):
+            st, _ = on_sample(TapCodes(1e-6, floor, floor, floor, 0.0), st, controller, chain, calibration)
+        assert len(calls) == 2
+        assert st.last_estimate is None
+
+    def test_another_table_or_switch_gives_the_cold_answer(self, chain, controller, calibration):
+        codes = codes_at(chain, 4.5e9, -5.0, 0.0)
+        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        shifted = replace(calibration, freqs_hz=calibration.freqs_hz + 50e6)
+        low_switch = replace(controller, switch_freq_hz=3e9)
+        for ctrl, cal in ((controller, shifted), (low_switch, calibration)):
+            cold, _ = on_sample(codes, ControllerState(), ctrl, chain, cal)
+            assert cold.last_estimate != warm.last_estimate
+            carried, _ = on_sample(codes, warm, ctrl, chain, cal)
+            assert carried.last_estimate == cold.last_estimate
+            back, _ = on_sample(codes, carried, controller, chain, calibration)
+            assert back.last_estimate == warm.last_estimate
+
+    def test_same_codes_at_another_attenuation_are_estimated_afresh(self, chain, controller, calibration):
+        codes = codes_at(chain, 6e9, -5.0, 0.0)
+        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        attenuated = replace(codes, att_db=1.0)
+        st, _ = on_sample(attenuated, warm, controller, chain, calibration)
+        assert st.last_estimate == estimate(attenuated, calibration)
+        assert st.last_estimate.power_dbm > warm.last_estimate.power_dbm
+
+    def test_float_code_equal_to_a_memoised_code_is_refused(self, chain, controller, calibration):
+        codes = codes_at(chain, 6e9, -5.0, 0.0)
+        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        with pytest.raises(ValueError, match="code_oc="):
+            on_sample(replace(codes, code_oc=float(codes.code_oc)), warm, controller, chain, calibration)
+
+
 _CONFIDENCES = (CONF_IN_RANGE, CONF_CLAMPED, CONF_SATURATED)
 _codes = st.one_of(st.integers(0, 4095), st.integers())
 # Attenuator settings, and anything else a float can be.

@@ -118,6 +118,28 @@ class TestCoupler:
             coupler_response(p, 15e9)
         with pytest.raises(OutOfBandError):
             coupler_response(p, 0.5e9)
+        with pytest.raises(OutOfBandError):
+            ChainConfig(coupling_kind="coupler", coupler=p).coupling_db_at(15e9)
+
+    @given(
+        st.lists(st.tuples(st.floats(1e9, 14e9), st.floats(-30.0, 30.0)), min_size=1, max_size=5),
+        st.floats(-30.0, 30.0),
+        st.floats(1e9, 14e9),
+    )
+    def test_tables_read_as_np_interp_of_the_sorted_breakpoints(self, points, flat, f):
+        # Tables are converted once per params; each value must equal a
+        # from-scratch np.interp of the table bit for bit.
+        def interp(table):
+            pts = sorted(table)
+            return float(np.interp(f, np.array([x for x, _ in pts]), np.array([y for _, y in pts])))
+
+        table = tuple(points)
+        p = DirectionalCouplerParams(coupling_db=table, insertion_db=flat, directivity_db=table[::-1])
+        assert coupler_response(p, f) == (interp(table), flat, interp(table))
+        cfg = ChainConfig(coupling_kind="coupler", coupler=p, gain_ripple=table)
+        assert (cfg.coupling_db_at(f), cfg.through_loss_db_at(f), cfg.directivity_db_at(f)) == coupler_response(p, f)
+        assert cfg.ripple_db_at(f) == interp(table)
+        assert ChainConfig().ripple_db_at(f) == 0.0
 
 
 TAP = ChainConfig()

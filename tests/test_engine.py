@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import pytest
 
-from swsense.controller import ControllerConfig
+import swsense.controller
+import swsense.engine
+from swsense.controller import ACT_SET_ATT, ControllerConfig
 from swsense.core import Tone
 from swsense.engine import (
     Scenario,
     StageSpec,
     Trace,
+    _at,
+    _Runner,
     clear_calibration_cache,
     default_grid_for,
     detect_limit_cycle,
@@ -26,8 +30,10 @@ from swsense.engine import (
     trace_to_csv,
     _validate,
 )
+from swsense.errors import SwsenseError
+from swsense.estimator import estimate
 from swsense.filters import NotchModel
-from swsense.readout import ChainConfig
+from swsense.readout import ChainConfig, TapCodes
 
 
 def pulse_scenario():
@@ -209,6 +215,54 @@ class TestPulseResponse:
         assert 0.0 <= ts[0] < 200e-9
         for a, b in zip(ts, ts[1:]):
             assert b - a == pytest.approx(200e-9, abs=1e-15)
+
+
+class TestWorkPerRun:
+    """A run reads the ADC once per (line state, attenuator) and estimates each code triple once."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_acceptance_pulse(self, calibration, monkeypatch, seed):
+        readouts, estimates = [], []
+        readout = swsense.engine.chain_readout_lines
+
+        def counted_readout(*args, **kwargs):
+            readouts.append(args)
+            return readout(*args, **kwargs)
+
+        def counted_estimate(codes, cal, switch_freq_hz):
+            est = estimate(codes, cal, switch_freq_hz)  # a raised error is not counted
+            estimates.append((codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db))
+            return est
+
+        monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
+        monkeypatch.setattr(swsense.controller, "estimate", counted_estimate)
+        sc = Scenario(
+            duration_s=6e-6,
+            sources=(Tone(freq_hz=8e9, power_dbm=2.0, t_on_s=1e-6, t_off_s=4.1e-6),),
+            stages=(StageSpec(notch=NotchModel(reflective=False)),),
+            seed=seed,
+        )
+        runner = _Runner(sc, [calibration])
+        samples = runner.run(collect_trace=False).samples[0]
+        period = sc.stages[0].chain.adc.sample_period
+        reads = {
+            (runner._line_state(s["t_s"] - period), _at(runner.att_hist[0], s["t_s"] - period)) for s in samples
+        }
+        assert len(readouts) == len(reads) < len(samples)
+
+        # A sample after an attenuator step is frozen and not estimated.
+        estimated, frozen = [], False
+        for s in samples:
+            key = (s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
+            if not frozen:
+                try:
+                    estimate(TapCodes(s["t_s"], *key), calibration)
+                    estimated.append(key)
+                except SwsenseError:
+                    pass
+            frozen = ACT_SET_ATT in s["action"].split(";")
+        assert sorted(estimates) == sorted(set(estimated))
+        assert len(estimates) < len(estimated)
 
 
 class TestLimitCycle:

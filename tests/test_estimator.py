@@ -349,6 +349,19 @@ class TestInputDomain:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    def test_estimate_checks_its_codes_once(self, chain, calibration, monkeypatch):
+        import swsense.estimator as estimator_mod
+
+        checked = []
+        check = estimator_mod.check_codes
+        monkeypatch.setattr(estimator_mod, "check_codes", lambda codes, cfg: checked.append(codes) or check(codes, cfg))
+        codes = chain_readout(SignalDescriptor((Tone(freq_hz=6e9, power_dbm=-5.0),)), chain, 0.0)
+        est = estimate(codes, calibration)
+        assert len(checked) == 1
+        assert estimate_frequency(codes, calibration) == (est.freq_hz, est.tap_used, est.confidence)
+        assert estimate_power(codes, est.freq_hz, calibration) == est.power_dbm
+        assert len(checked) == 3
+
     def test_range_edges_are_in_domain(self, chain, calibration):
         full = chain.adc.full_code
         with pytest.raises(NoSignalError):

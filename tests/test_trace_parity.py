@@ -1,13 +1,16 @@
-"""Acquisitions, trace records and trace.csv match the from-scratch oracle exactly.
+"""Acquisitions, controller decisions, trace records and trace.csv match the from-scratch oracle exactly.
 
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
-that one result. It stores the dt grid as runs of points that share their
-line powers and stage snapshots, and expands Trace.records from the runs;
-trace_to_csv formats each run's row tail once. tests/trace_reference.py
-recomputes every acquisition, every record and every cell. Records are
-compared through repr(), which gives each float's shortest exact form, so
-equal reprs mean bit-equal values with NaN equal to NaN.
+that one result; it reads the ADC once per line state and attenuator
+setting, and on_sample estimates each code triple once per run. It stores
+the dt grid as runs of points that share their line powers and stage
+snapshots, and expands Trace.records from the runs; trace_to_csv formats
+each run's row tail once. tests/trace_reference.py recomputes every
+acquisition, every controller decision, every record and every cell.
+Records and decisions are compared through repr(), which gives each
+float's shortest exact form, so equal reprs mean bit-equal values with
+NaN equal to NaN.
 """
 
 from dataclasses import replace
@@ -43,6 +46,11 @@ def assert_trace_parity(sc, tmp_path):
                 codes.code_l2,
                 codes.att_db,
             ), f"stage {k} sample at {s['t_s']!r}"
+        log, actions = trace_reference.decide(runner, k)
+        got = [(s["mode"], s["f_est_hz"], s["p_est_dbm"], s["action"]) for s in samples]
+        assert [repr(x) for x in got] == [repr(x) for x in log], f"stage {k}"
+        applied = [(a.kind, a.decided_s, a.effective_at_s, a.freq_hz, a.att_db) for a in trace.actions if a.stage == k]
+        assert applied == actions, f"stage {k}"
     runs = trace.runs
     assert runs[0].start == 0
     assert runs[-1].stop == round(sc.duration_s / sc.dt_s)

@@ -1,21 +1,25 @@
-"""Per-sample acquisition and per-dt-point trace oracles, and a per-cell trace.csv writer.
+"""Per-sample acquisition, controller and per-dt-point trace oracles, and a per-cell trace.csv writer.
 
 swsense.engine pushes the source lines through the stages once per line
-state, for its acquisitions and its trace alike, and formats each
-distinct row tail of trace.csv once. The functions here recompute every
-acquisition and every record from scratch, pushing each source line
-through each stage, and format every cell of every row. They read a
-finished engine._Runner and are used only by tests, which require the two
-paths to give equal codes, equal records and byte-equal CSV files.
+state, for its acquisitions and its trace alike, reads the ADC once per
+line state and attenuator setting, and formats each distinct row tail of
+trace.csv once; on_sample estimates each code triple once per run. The
+functions here recompute every acquisition, every controller decision
+and every record from scratch, pushing each source line through each
+stage, and format every cell of every row. They read a finished
+engine._Runner and are used only by tests, which require the two paths to
+give equal codes, equal decisions, equal records and byte-equal CSV files.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import attrgetter
 
+from swsense.controller import ControllerState, on_sample
 from swsense.core import watts_to_dbm
 from swsense.coupling import sampled_forward_amplitude
 from swsense.engine import (
@@ -76,6 +80,33 @@ def acquire(runner, k: int, t_deliver: float) -> TapCodes:
     att_hist = runner.att_hist[k]
     att = att_hist[bisect_right(att_hist, tau, key=lambda e: e[0]) - 1][1]
     return chain_readout_lines(pairs, spec.chain, att, t_s=t_deliver, forward_ratios=ratios)
+
+
+def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
+    """Stage k's delivered codes replayed through on_sample, with no memoised estimate at any sample.
+
+    Returns the per-sample (mode, f_est_hz, p_est_dbm, action) and the
+    actions as (kind, decided_s, effective_at_s, freq_hz, att_db).
+    """
+    spec = runner.sc.stages[k]
+    state = ControllerState()
+    log, actions = [], []
+    for s in runner.samples[k]:
+        codes = TapCodes(s["t_s"], s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
+        state, acts = on_sample(
+            codes, replace(state, estimate_memo=None), spec.controller, spec.chain, runner.cals[k]
+        )
+        est = state.last_estimate
+        log.append(
+            (
+                state.mode,
+                est.freq_hz if est else math.nan,
+                est.power_dbm if est else math.nan,
+                ";".join(a.kind for a in acts),
+            )
+        )
+        actions += [(a.kind, s["t_s"], a.effective_at_s, a.freq_hz, a.att_db) for a in acts]
+    return log, actions
 
 
 def powers_at(runner, t: float) -> tuple[list[list[float]], list[list[float]]]:
