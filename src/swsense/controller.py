@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
-from .errors import NoSignalError, SwsenseError
+from .errors import SwsenseError
 from .readout import ChainConfig, TapCodes, detector_floor_code
 
 MODE_IDLE = "idle"
@@ -179,23 +179,26 @@ def on_sample(
     est: Estimate | None = None
     no_signal = False
     if st.freeze_samples > 0:
-        check_codes(codes, chain)  # an unfrozen sample is checked by estimate
+        check_codes(codes, chain)  # an unfrozen sample is checked below
         new_freeze = st.freeze_samples - 1
     else:
         new_freeze = 0
         key = (codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db)
         # Only int codes may hit: a float equal to a memoised code must
-        # still reach estimate's check and be refused.
+        # still reach the check below and be refused.
         if type(codes.code_oc) is type(codes.code_l1) is type(codes.code_l2) is int:
             est = memo.estimates.get(key)
         if est is None:
-            # Errors are not memoised; a NoSignalError exits before the table refinement.
-            try:
-                est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
-            except NoSignalError:
+            # The check estimate would make; a floor reading is no signal and is not estimated.
+            check_codes(codes, cal.cfg)
+            if codes.code_oc <= cal.floor_code:
                 no_signal = True
-            except SwsenseError as exc:
-                diagnostic = f"{type(exc).__name__}: {exc}"
+            else:
+                # Errors are not memoised.
+                try:
+                    est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
+                except SwsenseError as exc:
+                    diagnostic = f"{type(exc).__name__}: {exc}"
 
     tuned = st.tuned_freq_hz
     # A saturated open-end reading carries no usable tap ratio; hold all

@@ -27,6 +27,7 @@ from .coupling import (
     table_points,
     table_value,
     tap_coupling,
+    tap_sparams,
 )
 from .errors import OutOfBandError
 from .stub import StubParams, tap_rms_voltages
@@ -93,7 +94,11 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class AdcParams:
-    """Flash ADC digitizing the detector outputs."""
+    """Flash ADC digitizing the detector outputs.
+
+    lsb (volts per code) and full_code (the top code) are computed once,
+    when the params are made.
+    """
 
     bits: int = 12
     sample_rate: float = 5e6
@@ -104,14 +109,9 @@ class AdcParams:
             raise ValueError("bits must lie in [6, 16]")
         if self.sample_rate <= 0.0 or self.v_fs <= 0.0:
             raise ValueError("sample_rate and v_fs must be positive")
-
-    @property
-    def lsb(self) -> float:
-        return self.v_fs / 2**self.bits
-
-    @property
-    def full_code(self) -> int:
-        return 2**self.bits - 1
+        # Not fields, so the JSON codec, equality and repr never see them.
+        object.__setattr__(self, "lsb", self.v_fs / 2**self.bits)
+        object.__setattr__(self, "full_code", 2**self.bits - 1)
 
     @property
     def sample_period(self) -> float:
@@ -140,20 +140,23 @@ class ChainConfig:
             object.__setattr__(self, "coupler", DirectionalCouplerParams())
         if len(self.stub.taps) != 2:
             raise ValueError("read-out chain expects exactly two stub taps")
-        # Converted once, like the coupler's tables; not a field.
+        # Computed once, like the coupler's tables. Not fields, so the JSON
+        # codec, equality, repr and chain_config_hash never see them.
         object.__setattr__(self, "_ripple", table_points(self.gain_ripple) if self.gain_ripple else None)
+        object.__setattr__(self, "_tap_coupling_db", tap_coupling(self.tap))
+        object.__setattr__(self, "_tap_through_db", -tap_sparams(self.tap)[1])
+        # The amplifier's output ceiling, in watts.
+        object.__setattr__(self, "_sat_w", 10.0 ** (self.amplifier.p_out_sat_dbm / 10.0) * 1e-3)
 
     def coupling_db_at(self, f_hz: float) -> float:
         if self.coupling_kind == "tap":
-            return tap_coupling(self.tap)
+            return self._tap_coupling_db
         return coupler_db_at(self.coupler, "coupling_db", f_hz)
 
     def through_loss_db_at(self, f_hz: float) -> float:
         """Through-line insertion of the pick-off network, in dB >= 0."""
         if self.coupling_kind == "tap":
-            from .coupling import tap_sparams
-
-            return -tap_sparams(self.tap)[1]
+            return self._tap_through_db
         return coupler_db_at(self.coupler, "insertion_db", f_hz)
 
     def directivity_db_at(self, f_hz: float) -> float:
@@ -185,13 +188,19 @@ def detector_voltage(v_rms: float, det: DetectorParams) -> float:
     """Log-detector output for an input of v_rms volts, clamped to its range."""
     if v_rms < 0.0:
         raise ValueError("detector input voltage must be >= 0")
-    v = min(max(v_rms, det.v_in_min), det.v_in_max)
-    return det.slope_a * math.log10(v) + det.intercept_b
+    if v_rms < det.v_in_min:
+        v_rms = det.v_in_min
+    elif v_rms > det.v_in_max:
+        v_rms = det.v_in_max
+    return det.slope_a * math.log10(v_rms) + det.intercept_b
 
 
 def adc_sample(v: float, adc: AdcParams) -> int:
     """Quantize a detector voltage to an ADC code (floor, clamped to range)."""
-    return min(max(int(math.floor(v / adc.lsb)), 0), adc.full_code)
+    code = math.floor(v / adc.lsb)
+    if code < 0:
+        return 0
+    return adc.full_code if code > adc.full_code else code
 
 
 def detector_floor_code(cfg: ChainConfig) -> int:
@@ -214,6 +223,16 @@ def check_stub_band(f_hz: float, cfg: ChainConfig) -> None:
         )
 
 
+def _refuse_line(i: int, f_hz: float, p_w: float, ratio: float, cfg: ChainConfig) -> None:
+    """Raise the error for line i, which failed chain_voltages_lines' domain check."""
+    if not 0.0 < f_hz < math.inf:
+        raise ValueError(f"line {i}: frequency {f_hz!r} Hz is not positive and finite")
+    check_stub_band(f_hz, cfg)
+    if not 0.0 <= p_w < math.inf:
+        raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W is not >= 0 and finite")
+    raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: forward ratio {ratio!r} is not >= 0 and finite")
+
+
 def chain_voltages_lines(
     lines: Sequence[tuple[float, float]],
     cfg: ChainConfig,
@@ -223,29 +242,35 @@ def chain_voltages_lines(
     """Unquantized detector voltages (open end, tap 1, tap 2).
 
     lines are (freq_hz, input-referred watts) pairs. forward_ratios, when
-    given, scales the monitored amplitude per line to account for
-    downstream reflections at the pick-off point. A line above the stub
-    band raises OutOfBandError.
+    given, holds one factor per line that scales the monitored amplitude
+    to account for downstream reflections at the pick-off point.
+
+    Domain: att_db is an attenuator setting (else ValueError); every
+    frequency is positive and finite, every power and ratio >= 0 and
+    finite, and forward_ratios has one entry per line (else ValueError
+    naming the line). A line above the stub band raises OutOfBandError.
     """
     cfg.attenuator.check_setting(att_db)
+    if forward_ratios is not None and len(forward_ratios) != len(lines):
+        raise ValueError(f"{len(forward_ratios)} forward ratios for {len(lines)} lines")
+    f_max = cfg.stub.taps[0].f_max_hz
+    gain_db = cfg.amplifier.gain_db
+    inf = math.inf
     drive: list[tuple[float, float]] = []
     total_w = 0.0
     for i, (f_hz, p_w) in enumerate(lines):
-        check_stub_band(f_hz, cfg)
-        g_db = (
-            cfg.coupling_db_at(f_hz)
-            - att_db
-            + cfg.amplifier.gain_db
-            + cfg.ripple_db_at(f_hz)
-        )
+        r = 1.0 if forward_ratios is None else forward_ratios[i]
+        # One chain per line; a NaN fails every comparison.
+        if not (0.0 < f_hz <= f_max and 0.0 <= p_w < inf and 0.0 <= r < inf):
+            _refuse_line(i, f_hz, p_w, r, cfg)
+        g_db = cfg.coupling_db_at(f_hz) - att_db + gain_db + cfg.ripple_db_at(f_hz)
         p = p_w * 10.0 ** (g_db / 10.0)
         if forward_ratios is not None:
-            r = forward_ratios[i]
             p *= r * r
         drive.append((f_hz, p))
         total_w += p
     # Hard amplifier ceiling on total output power; line ratios are preserved.
-    sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
+    sat_w = cfg._sat_w
     if total_w > sat_w:
         scale = sat_w / total_w
         drive = [(f, p * scale) for f, p in drive]
@@ -312,7 +337,7 @@ def chain_codes_cw(
     ripple = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
     g_db = coupling - att + cfg.amplifier.gain_db + ripple
     p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
-    sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
+    sat_w = cfg._sat_w
     p = np.where(p > sat_w, p * (sat_w / p), p)
     v_sq = 8.0 * p * cfg.stub.z0s
     det, adc = cfg.detector, cfg.adc

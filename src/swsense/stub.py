@@ -45,9 +45,12 @@ class StubParams:
         if self.z0s <= 0.0 or self.eps_eff <= 0.0:
             raise ValueError("z0s and eps_eff must be positive")
         object.__setattr__(self, "taps", tuple(self.taps))
-        fs = [t.f_max_hz for t in self.taps]
-        if fs != sorted(fs, reverse=True):
+        fs = tuple(t.f_max_hz for t in self.taps)
+        if list(fs) != sorted(fs, reverse=True):
             raise ValueError("taps must be ordered by descending f_max_hz")
+        # Read by tap_rms_voltages on every call. Not a field, so the JSON
+        # codec, equality and repr never see it.
+        object.__setattr__(self, "_f_max_hz", fs)
 
 
 def v_oc_magnitude(p_stub_w: float, z0s: float) -> float:
@@ -90,14 +93,16 @@ def tap_rms_voltages(
     Lines at distinct frequencies are uncorrelated, so their standing-wave
     contributions add in power at every position along the stub.
     """
+    z0s = stub.z0s
+    f_maxes = stub._f_max_hz
     oc_sq = 0.0
-    tap_sq = [0.0] * len(stub.taps)
+    tap_sq = [0.0] * len(f_maxes)
     for f_hz, p_w in expanded:
         if p_w < 0.0:
             raise ValueError("per-line stub power must be >= 0")
-        v_sq = 8.0 * p_w * stub.z0s
+        v_sq = 8.0 * p_w * z0s
         oc_sq += v_sq
-        for i, tap in enumerate(stub.taps):
-            r = wrapped_ratio(f_hz, tap.f_max_hz)
+        for i, f_max in enumerate(f_maxes):
+            r = wrapped_ratio(f_hz, f_max)
             tap_sq[i] += v_sq * r * r
     return math.sqrt(oc_sq), [math.sqrt(x) for x in tap_sq]

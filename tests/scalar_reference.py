@@ -2,9 +2,12 @@
 
 build_calibration_scalar is the calibration build as one chain_readout
 call per AGC step per cell. estimate_scalar is the estimator that derives
-everything from the table on every call. Both are kept as they were
-written before the array build and the precomputed inverse replaced them;
-the tests require the library to reproduce them bit for bit.
+everything from the table on every call. chain_voltages_lines_scalar and
+chain_readout_lines_scalar are the read-out chain that derives every
+constant of the config (ADC step, tap coupling, amplifier ceiling, tap
+f_max) on every call. Each is kept as it was written before the array
+build, the precomputed inverse and the config constants replaced it; the
+tests require the library to reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,12 +33,16 @@ from swsense.estimator import (
     CalibrationTable,
     Estimate,
 )
+from swsense.coupling import coupler_db_at, tap_coupling
 from swsense.readout import (
+    TapCodes,
     chain_config_hash,
     chain_readout,
+    check_stub_band,
     detector_ceiling_code,
     detector_floor_code,
 )
+from swsense.stub import wrapped_ratio
 
 
 def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
@@ -196,3 +203,79 @@ def estimate_scalar(codes, cal, switch_freq_hz=None) -> Estimate:
     f, tap_used, conf = estimate_frequency_scalar(codes, cal, switch_freq_hz)
     p = estimate_power_scalar(codes, f, cal)
     return Estimate(freq_hz=f, power_dbm=p, tap_used=tap_used, confidence=conf)
+
+
+def _coupling_db_at(cfg, f_hz) -> float:
+    if cfg.coupling_kind == "tap":
+        return tap_coupling(cfg.tap)
+    return coupler_db_at(cfg.coupler, "coupling_db", f_hz)
+
+
+def _tap_rms_voltages(expanded, stub):
+    oc_sq = 0.0
+    tap_sq = [0.0] * len(stub.taps)
+    for f_hz, p_w in expanded:
+        if p_w < 0.0:
+            raise ValueError("per-line stub power must be >= 0")
+        v_sq = 8.0 * p_w * stub.z0s
+        oc_sq += v_sq
+        for i, tap in enumerate(stub.taps):
+            r = wrapped_ratio(f_hz, tap.f_max_hz)
+            tap_sq[i] += v_sq * r * r
+    return math.sqrt(oc_sq), [math.sqrt(x) for x in tap_sq]
+
+
+def _detector_voltage(v_rms, det) -> float:
+    if v_rms < 0.0:
+        raise ValueError("detector input voltage must be >= 0")
+    v = min(max(v_rms, det.v_in_min), det.v_in_max)
+    return det.slope_a * math.log10(v) + det.intercept_b
+
+
+def _adc_sample(v, adc) -> int:
+    lsb = adc.v_fs / 2**adc.bits
+    full_code = 2**adc.bits - 1
+    return min(max(int(math.floor(v / lsb)), 0), full_code)
+
+
+def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
+    cfg.attenuator.check_setting(att_db)
+    drive = []
+    total_w = 0.0
+    for i, (f_hz, p_w) in enumerate(lines):
+        check_stub_band(f_hz, cfg)
+        g_db = (
+            _coupling_db_at(cfg, f_hz)
+            - att_db
+            + cfg.amplifier.gain_db
+            + cfg.ripple_db_at(f_hz)
+        )
+        p = p_w * 10.0 ** (g_db / 10.0)
+        if forward_ratios is not None:
+            r = forward_ratios[i]
+            p *= r * r
+        drive.append((f_hz, p))
+        total_w += p
+    sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
+    if total_w > sat_w:
+        scale = sat_w / total_w
+        drive = [(f, p * scale) for f, p in drive]
+    v_oc, taps = _tap_rms_voltages(drive, cfg.stub)
+    det = cfg.detector
+    return (
+        _detector_voltage(v_oc, det),
+        _detector_voltage(taps[0], det),
+        _detector_voltage(taps[1], det),
+    )
+
+
+def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None) -> TapCodes:
+    v_oc, v1, v2 = chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios)
+    adc = cfg.adc
+    return TapCodes(
+        t_s=t_s,
+        code_oc=_adc_sample(v_oc, adc),
+        code_l1=_adc_sample(v1, adc),
+        code_l2=_adc_sample(v2, adc),
+        att_db=att_db,
+    )

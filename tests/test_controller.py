@@ -215,6 +215,11 @@ class TestOnSample:
             (TapCodes(1e-6, -7, 2788, 2857, 0.0), "code_oc=-7"),
             (TapCodes(1e-6, 2965, 2788, 4096, 0.0), "code_l2=4096"),
             (TapCodes(1e-6, 2965, 2788, 2857, 0.1), "att_db=0.1"),
+            # Floor readings, which are not estimated, are checked all the same.
+            (TapCodes(1e-6, 757.0, 757, 757, 0.0), "code_oc=757.0"),
+            (TapCodes(1e-6, 700, 757.0, 757, 0.0), "code_l1=757.0"),
+            (TapCodes(1e-6, 757, 757, -1, 0.0), "code_l2=-1"),
+            (TapCodes(1e-6, 757, 757, 757, 0.1), "att_db=0.1"),
         ],
     )
     @pytest.mark.parametrize("freeze", [0, 1])
@@ -276,8 +281,24 @@ class TestEstimateMemo:
         st = ControllerState()
         for _ in range(2):
             st, _ = on_sample(TapCodes(1e-6, floor, floor, floor, 0.0), st, controller, chain, calibration)
-        assert len(calls) == 2
+        assert calls == []  # a floor reading is not estimated at all
+        assert st.estimate_memo.estimates == {}
         assert st.last_estimate is None
+
+    @pytest.mark.parametrize("mode, released", [(MODE_IDLE, False), (MODE_ENGAGED, True)])
+    def test_floor_reading_makes_no_estimate_call(self, chain, controller, calibration, monkeypatch, mode, released):
+        import swsense.controller as controller_mod
+
+        def refuse(*args):
+            raise AssertionError("estimate called on a floor reading")
+
+        monkeypatch.setattr(controller_mod, "estimate", refuse)
+        floor = detector_floor_code(chain)
+        prior = ControllerState(mode=mode, tuned_freq_hz=8e9 if released else None)
+        st, actions = on_sample(TapCodes(1e-6, floor, 2000, 2000, 0.0), prior, controller, chain, calibration)
+        assert kinds(actions) == ([ACT_RELEASE] if released else [])
+        assert st.last_estimate is None and st.diagnostic is None
+        assert st.tuned_freq_hz is None
 
     def test_another_table_or_switch_gives_the_cold_answer(self, chain, controller, calibration):
         codes = codes_at(chain, 4.5e9, -5.0, 0.0)

@@ -6,13 +6,17 @@ written out in test_chain_codes_hand_composed below.
 """
 
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swsense.codec import to_json
 from swsense.core import SignalDescriptor, Tone
-from swsense.coupling import DirectionalCouplerParams
+from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams, tap_coupling, tap_sparams
+from swsense.engine import load_scenario
 from swsense.errors import OutOfBandError
 from swsense.readout import (
     AdcParams,
@@ -275,3 +279,106 @@ class TestConfigPersistence:
         edit(d)
         with pytest.raises(ValueError, match=message):
             chain_config_from_dict(d)
+
+
+class TestLineDomain:
+    """chain_voltages_lines and chain_readout_lines refuse out-of-domain lines with a ValueError naming the line."""
+
+    @pytest.mark.parametrize("kind", ["tap", "coupler"])
+    @pytest.mark.parametrize(
+        "f_hz, message",
+        [
+            (-8e9, r"^line 1: frequency -8000000000\.0 Hz is not positive and finite$"),
+            (0.0, r"^line 1: frequency 0\.0 Hz"),
+            (math.nan, r"^line 1: frequency nan Hz"),
+            (math.inf, r"^line 1: frequency inf Hz"),
+            (-math.inf, r"^line 1: frequency -inf Hz"),
+        ],
+    )
+    def test_frequency(self, kind, f_hz, message):
+        cfg = ChainConfig(coupling_kind=kind)
+        for fn in (chain_voltages_lines, chain_readout_lines):
+            with pytest.raises(ValueError, match=message):
+                fn([(8e9, 1e-3), (f_hz, 1e-3)], cfg, 0.0)
+
+    @pytest.mark.parametrize("p_w", [math.nan, math.inf, -1e-3])
+    def test_power(self, chain, p_w):
+        for fn in (chain_voltages_lines, chain_readout_lines):
+            with pytest.raises(ValueError, match=rf"^line 1 at 9\.000 GHz: power {p_w!r} W is not >= 0 and finite$"):
+                fn([(8e9, 1e-3), (9e9, p_w)], chain, 0.0)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -0.5])
+    def test_forward_ratio(self, chain, ratio):
+        with pytest.raises(ValueError, match=rf"^line 0 at 8\.000 GHz: forward ratio {ratio!r} is not"):
+            chain_voltages_lines([(8e9, 1e-3), (9e9, 1e-3)], chain, 0.0, forward_ratios=[ratio, 1.0])
+        with pytest.raises(ValueError, match="forward ratio"):
+            chain_readout_lines([(8e9, 1e-3)], chain, 0.0, forward_ratios=[ratio])
+
+    @pytest.mark.parametrize("ratios", [[], [1.0], [1.0, 1.0, 1.0]])
+    def test_forward_ratios_one_per_line(self, chain, ratios):
+        lines = [(8e9, 1e-3), (9e9, 1e-3)]
+        message = rf"^{len(ratios)} forward ratios for 2 lines$"
+        with pytest.raises(ValueError, match=message):
+            chain_voltages_lines(lines, chain, 0.0, forward_ratios=ratios)
+        with pytest.raises(ValueError, match=message):
+            chain_readout_lines(lines, chain, 0.0, forward_ratios=ratios)
+
+    def test_domain_edges_are_accepted(self, chain):
+        f_max = chain.stub.taps[0].f_max_hz
+        chain_readout_lines([(5e-324, 0.0), (f_max, 1e-3)], chain, 0.0, forward_ratios=[0.0, 2.0])
+
+    def test_a_line_above_the_stub_band_stays_out_of_band(self, chain):
+        with pytest.raises(OutOfBandError):
+            chain_readout_lines([(8e9, 1e-3), (16.5e9, math.nan)], chain, 0.0)
+
+
+def _bundled_chains():
+    folder = resources.files("swsense").joinpath("data/scenarios")
+    return {path.name: [st.chain for st in load_scenario(str(path)).stages] for path in sorted(folder.iterdir())}
+
+
+class TestConstantsAtConstruction:
+    """The per-config constants the read-out reads are computed when a config is made, and are not fields."""
+
+    def test_adc_replace_recomputes(self):
+        adc = replace(AdcParams(), bits=10)
+        assert (adc.lsb, adc.full_code) == (1.398 / 2**10, 1023)
+        assert adc_sample(10.0, adc) == 1023
+
+    def test_chain_replace_recomputes(self, chain):
+        tap = ResistiveTapParams(r_c=100.0)
+        cfg = replace(chain, tap=tap, amplifier=AmplifierParams(p_out_sat_dbm=0.0))
+        assert cfg.coupling_db_at(8e9) == tap_coupling(tap) != chain.coupling_db_at(8e9)
+        assert cfg.through_loss_db_at(8e9) == -tap_sparams(tap)[1]
+        # The lower ceiling now clamps a drive the default chain passes.
+        assert chain_readout_lines([(8e9, 1e-2)], cfg, 0.0).code_oc < chain_readout_lines([(8e9, 1e-2)], chain, 0.0).code_oc
+
+    def test_from_dict_recomputes(self, chain):
+        d = chain_config_to_dict(chain)
+        d["tap"]["r_c"] = 100.0
+        d["adc"]["bits"] = 10
+        d["stub"]["taps"][0]["f_max"] = 12e9
+        cfg = chain_config_from_dict(d)
+        assert cfg.coupling_db_at(8e9) == tap_coupling(ResistiveTapParams(r_c=100.0))
+        assert cfg.adc.full_code == 1023
+        with pytest.raises(OutOfBandError):
+            chain_readout_lines([(13e9, 1e-3)], cfg, 0.0)
+
+    def test_not_in_json_repr_or_equality(self, chain):
+        assert set(to_json(chain.adc)) == {"bits", "sample_rate", "v_fs"}
+        assert not {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w"} & set(to_json(chain))
+        assert "_f_max_hz" not in to_json(chain.stub)
+        assert "lsb" not in repr(chain.adc) and "_sat_w" not in repr(chain)
+        other = ChainConfig()
+        object.__setattr__(other.adc, "lsb", 1.0)
+        object.__setattr__(other, "_sat_w", 1.0)
+        assert other == chain and hash(other) == hash(chain)
+
+    def test_bundled_config_hashes_unchanged(self):
+        assert {name: [chain_config_hash(c) for c in chains] for name, chains in _bundled_chains().items()} == {
+            "cascade_6_12.json": ["23e0f5265ca1cbe8", "23e0f5265ca1cbe8"],
+            "limit_cycle_coupler.json": ["88a3bb51f35a438e"],
+            "limit_cycle_tap.json": ["23e0f5265ca1cbe8"],
+            "pulse_response.json": ["23e0f5265ca1cbe8"],
+        }
+        assert chain_config_hash(ChainConfig()) == "23e0f5265ca1cbe8"

@@ -1,8 +1,10 @@
-"""The array calibration build and the precomputed inverse against their scalar references.
+"""The read-out chain, the array calibration build and the precomputed inverse against their scalar references.
 
-tests/scalar_reference.py keeps the per-cell calibration loop and the
-per-call estimator. The library must reproduce both bit for bit: every
-array of every table, every Estimate, and the type and text of every error.
+tests/scalar_reference.py keeps the read-out chain that derives every
+config constant per call, the per-cell calibration loop and the per-call
+estimator. The library must reproduce them bit for bit: every detector
+voltage and code, every array of every table, every Estimate, and the
+type and text of every error.
 """
 
 import math
@@ -12,18 +14,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalar_reference import build_calibration_scalar, estimate_scalar
+from scalar_reference import (
+    build_calibration_scalar,
+    chain_readout_lines_scalar,
+    chain_voltages_lines_scalar,
+    estimate_scalar,
+)
 from swsense.controller import ControllerConfig
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.engine import default_grid_for, load_scenario
 from swsense.errors import OutOfBandError
 from swsense.estimator import CalibrationGrid, build_calibration, estimate
 from swsense.readout import (
+    AdcParams,
+    AmplifierParams,
     ChainConfig,
     TapCodes,
     chain_codes_cw,
     chain_readout,
     chain_readout_lines,
+    chain_voltages_lines,
     detector_ceiling_code,
     detector_floor_code,
 )
@@ -129,6 +139,46 @@ def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start):
     ctrl = ControllerConfig.for_chain(chain, window_codes=window)
     grid = CalibrationGrid(f_start, f_start + 3e9, 1.5e9, p_start, p_start + 7 * p_step, p_step)
     assert_same_build(chain, grid, ctrl)
+
+
+# Tap, coupler and gain-ripple chains; a low amplifier ceiling and a
+# 10-bit ADC put more of the drives above the ceiling and off the default codes.
+_READOUT_CHAINS = (
+    ChainConfig(),
+    ChainConfig(coupling_kind="coupler"),
+    ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0))),
+    ChainConfig(coupling_kind="coupler", gain_ripple=((2e9, 0.5), (12e9, -1.0))),
+    ChainConfig(amplifier=AmplifierParams(p_out_sat_dbm=5.0), adc=AdcParams(bits=10)),
+)
+
+
+@st.composite
+def _readouts(draw):
+    """(chain, lines, att_db, forward_ratios): in-domain lines, every setting,
+    and now and then a line above the stub band or an invalid setting."""
+    cfg = draw(st.sampled_from(_READOUT_CHAINS))
+    lo, hi = (1e9, 14e9) if cfg.coupling_kind == "coupler" else (1e6, cfg.stub.taps[0].f_max_hz)
+    n = draw(st.integers(1, 40))
+    freqs = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) == 0:
+        freqs[draw(st.integers(0, n - 1))] = draw(st.floats(16e9, 40e9, exclude_min=True))
+    powers = draw(st.lists(st.floats(-60.0, 35.0).map(dbm_to_watts), min_size=n, max_size=n))
+    att = 0.25 * draw(st.integers(0, 127))
+    if draw(st.integers(0, 9)) == 0:
+        att = draw(st.floats(-1.0, 40.0))
+    ratios = draw(st.none() | st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    return cfg, list(zip(freqs, powers)), att, ratios
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_readouts())
+def test_readout_matches_scalar_reference(case):
+    cfg, lines, att, ratios = case
+    got = outcome(chain_voltages_lines, lines, cfg, att, ratios)
+    assert got == outcome(chain_voltages_lines_scalar, lines, cfg, att, ratios)
+    assert outcome(chain_readout_lines, lines, cfg, att, 1e-6, ratios) == outcome(
+        chain_readout_lines_scalar, lines, cfg, att, 1e-6, ratios
+    )
 
 
 class TestChainCodesCw:
