@@ -109,15 +109,16 @@ class _EstimateMemo(NamedTuple):
 class ControllerState:
     """Controller bookkeeping between samples.
 
-    estimate_memo carries the estimates of the code triples seen so far
-    from each state to the next, so a repeated triple is not estimated
-    again. It takes no part in equality or repr.
+    A mode of engaging or releasing settles to engaged or idle at the
+    first sample at or after pending_at_s. estimate_memo carries the
+    estimates of the code triples seen so far from each state to the next,
+    so a repeated triple is not estimated again. It takes no part in
+    equality or repr.
     """
 
     mode: str = MODE_IDLE
     att_db: float = 0.0
     tuned_freq_hz: float | None = None
-    pending_mode: str | None = None
     pending_at_s: float | None = None
     freeze_samples: int = 0
     last_estimate: Estimate | None = None
@@ -141,98 +142,77 @@ def agc_policy(code_oc: int, att_db: float, ctrl: ControllerConfig, chain: Chain
     return att_db
 
 
+# The mode a pending transition settles to once its time is reached.
+_SETTLES_TO = {MODE_ENGAGING: MODE_ENGAGED, MODE_RELEASING: MODE_IDLE}
+
+
 def on_sample(
-    codes: TapCodes,
-    st: ControllerState,
-    ctrl: ControllerConfig,
-    chain: ChainConfig,
-    cal: CalibrationTable,
+    codes: TapCodes, st: ControllerState, ctrl: ControllerConfig, cal: CalibrationTable
 ) -> tuple[ControllerState, list[Action]]:
     """Process one acquisition; returns the next state and emitted actions.
 
-    An open-end reading at the detector floor is interpreted as signal
-    absence (below any threshold); other estimation failures leave the
-    filter untouched and are surfaced through the diagnostic field. Raises
-    ValueError for a code outside the ADC range or an att_db that is not an
-    attenuator setting, on every sample, frozen or not.
+    The chain is the table's, cal.cfg. An open-end reading at the detector
+    floor is interpreted as signal absence (below any threshold) and is not
+    estimated; other estimation failures leave the filter untouched and are
+    surfaced through the diagnostic field. Raises ValueError for a code
+    outside the ADC range or an att_db that is not an attenuator setting,
+    on every sample, frozen or not.
     """
+    chain = cal.cfg
+    check_codes(codes, chain)
     now = codes.t_s
-    actions: list[Action] = []
-    mode = st.mode
-    pending_mode, pending_at = st.pending_mode, st.pending_at_s
+    effective_at = now + ctrl.clock_period  # of every action decided on this sample
+    mode, pending_at = st.mode, st.pending_at_s
     if pending_at is not None and now >= pending_at:
-        mode, pending_mode, pending_at = pending_mode, None, None
+        mode, pending_at = _SETTLES_TO.get(mode, mode), None
 
     # Gain control first, so estimation sees current attenuator bookkeeping.
     att_cmd = agc_policy(codes.code_oc, st.att_db, ctrl, chain)
     stepped = att_cmd != st.att_db
-    if stepped:
-        actions.append(Action(ACT_SET_ATT, now + ctrl.clock_period, att_db=att_cmd))
+    actions = [Action(ACT_SET_ATT, effective_at, att_db=att_cmd)] if stepped else []
 
     diagnostic = None
-    if codes.code_oc >= chain.adc.full_code and st.att_db >= chain.attenuator.max_db:
+    if codes.code_oc >= cal.ceiling_code and st.att_db >= chain.attenuator.max_db:
         diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
 
     memo = st.estimate_memo
     if memo is None or memo.cal is not cal or memo.switch_freq_hz != ctrl.switch_freq_hz:
         memo = _EstimateMemo(cal, ctrl.switch_freq_hz, {})
+    frozen = st.freeze_samples > 0
+    no_signal = not frozen and codes.code_oc <= cal.floor_code
     est: Estimate | None = None
-    no_signal = False
-    if st.freeze_samples > 0:
-        check_codes(codes, chain)  # an unfrozen sample is checked below
-        new_freeze = st.freeze_samples - 1
-    else:
-        new_freeze = 0
+    if not (frozen or no_signal):
         key = (codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db)
-        # Only int codes may hit: a float equal to a memoised code must
-        # still reach the check below and be refused.
-        if type(codes.code_oc) is type(codes.code_l1) is type(codes.code_l2) is int:
-            est = memo.estimates.get(key)
+        est = memo.estimates.get(key)
         if est is None:
-            # The check estimate would make; a floor reading is no signal and is not estimated.
-            check_codes(codes, cal.cfg)
-            if codes.code_oc <= cal.floor_code:
-                no_signal = True
-            else:
-                # Errors are not memoised.
-                try:
-                    est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
-                except SwsenseError as exc:
-                    diagnostic = f"{type(exc).__name__}: {exc}"
+            # Errors are not memoised.
+            try:
+                est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
+            except SwsenseError as exc:
+                diagnostic = f"{type(exc).__name__}: {exc}"
 
     tuned = st.tuned_freq_hz
     # A saturated open-end reading carries no usable tap ratio; hold all
     # mode decisions and let the step attenuator bring it back in range.
     usable = est is not None and est.confidence != CONF_SATURATED
-    if usable or no_signal:
-        above = usable and est.power_dbm > ctrl.threshold_dbm
-        if mode == MODE_IDLE and above:
-            actions.append(Action(ACT_TUNE, now + ctrl.clock_period, freq_hz=est.freq_hz))
-            mode, pending_mode, pending_at = MODE_ENGAGING, MODE_ENGAGED, now + ctrl.clock_period
-            tuned = est.freq_hz
-        elif mode == MODE_ENGAGED:
-            if no_signal or not above:
-                actions.append(Action(ACT_RELEASE, now + ctrl.clock_period))
-                mode, pending_mode, pending_at = MODE_RELEASING, MODE_IDLE, now + ctrl.clock_period
-                tuned = None
-            elif (
-                tuned is not None
-                and abs(est.freq_hz - tuned) > ctrl.retune_deadband_hz
-            ):
-                actions.append(Action(ACT_TUNE, now + ctrl.clock_period, freq_hz=est.freq_hz))
-                mode, pending_mode, pending_at = MODE_ENGAGING, MODE_ENGAGED, now + ctrl.clock_period
-                tuned = est.freq_hz
-
-    if stepped:
-        new_freeze = 1  # next sample straddles the attenuator settling window
+    above = usable and est.power_dbm > ctrl.threshold_dbm
+    if mode == MODE_ENGAGED and (no_signal or (usable and not above)):
+        actions.append(Action(ACT_RELEASE, effective_at))
+        mode, pending_at, tuned = MODE_RELEASING, effective_at, None
+    elif above and (
+        mode == MODE_IDLE
+        or (mode == MODE_ENGAGED and tuned is not None and abs(est.freq_hz - tuned) > ctrl.retune_deadband_hz)
+    ):
+        actions.append(Action(ACT_TUNE, effective_at, freq_hz=est.freq_hz))
+        mode, pending_at, tuned = MODE_ENGAGING, effective_at, est.freq_hz
 
     new_state = ControllerState(
         mode=mode,
         att_db=att_cmd,
         tuned_freq_hz=tuned,
-        pending_mode=pending_mode,
         pending_at_s=pending_at,
-        freeze_samples=new_freeze,
+        # A step freezes the next sample, which straddles the attenuator settling window.
+        freeze_samples=1 if stepped else max(st.freeze_samples - 1, 0),
         last_estimate=est if est is not None else (None if no_signal else st.last_estimate),
         diagnostic=diagnostic,
         estimate_memo=memo,

@@ -322,9 +322,8 @@ class _Runner:
         )
         spec = self.sc.stages[k]
         if act.kind == ACT_TUNE:
-            current = self.filter_hist[k][-1][1]
             try:
-                new = tune(spec.notch, current, act.freq_hz, act.effective_at_s)
+                new = tune(spec.notch, act.freq_hz, act.effective_at_s)
                 self.filter_hist[k].append((act.effective_at_s, new))
             except TuningRangeError as exc:
                 applied.ok = False
@@ -347,9 +346,7 @@ class _Runner:
             if t >= sc.duration_s:
                 continue
             codes = self._acquire(k, t)
-            state, acts = on_sample(
-                codes, self.ctrl_state[k], sc.stages[k].controller, sc.stages[k].chain, self.cals[k]
-            )
+            state, acts = on_sample(codes, self.ctrl_state[k], sc.stages[k].controller, self.cals[k])
             self.ctrl_state[k] = state
             for act in acts:
                 self._apply(k, t, act)

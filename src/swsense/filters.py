@@ -101,7 +101,7 @@ def stopband_gamma(
     return math.sqrt(max(0.0, 1.0 - s21_lin * s21_lin))
 
 
-def tune(model: NotchModel, state: FilterState, f_target_hz: float, t_s: float) -> FilterState:
+def tune(model: NotchModel, f_target_hz: float, t_s: float) -> FilterState:
     """Engage (or retune) the notch toward f_target_hz starting at time t_s.
 
     The transition clock restarts on every retune; until it expires the

@@ -5,18 +5,33 @@ call per AGC step per cell. estimate_scalar is the estimator that derives
 everything from the table on every call. chain_voltages_lines_scalar and
 chain_readout_lines_scalar are the read-out chain that derives every
 constant of the config (ADC step, tap coupling, amplifier ceiling, tap
-f_max) on every call. Each is kept as it was written before the array
-build, the precomputed inverse and the config constants replaced it; the
-tests require the library to reproduce them bit for bit.
+f_max) on every call. on_sample_ref is the controller with a pending_mode
+field and a code check in each of its branches. Each is kept as it was
+written before the array build, the precomputed inverse, the config
+constants and the one decision path replaced it; the tests require the
+library to reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from swsense.controller import ControllerConfig, agc_policy
+from swsense.controller import (
+    ACT_RELEASE,
+    ACT_SET_ATT,
+    ACT_TUNE,
+    MODE_ENGAGED,
+    MODE_ENGAGING,
+    MODE_IDLE,
+    MODE_RELEASING,
+    Action,
+    ControllerConfig,
+    _EstimateMemo,
+    agc_policy,
+)
 from swsense.core import SignalDescriptor, Tone, watts_to_dbm
 from swsense.errors import (
     CalibrationRangeError,
@@ -24,6 +39,7 @@ from swsense.errors import (
     NoSignalError,
     OutOfBandError,
     PowerOverrangeError,
+    SwsenseError,
 )
 from swsense.estimator import (
     CONF_CLAMPED,
@@ -32,6 +48,8 @@ from swsense.estimator import (
     CalibrationGrid,
     CalibrationTable,
     Estimate,
+    check_codes,
+    estimate,
 )
 from swsense.coupling import coupler_db_at, tap_coupling
 from swsense.readout import (
@@ -279,3 +297,110 @@ def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None)
         code_l2=_adc_sample(v2, adc),
         att_db=att_db,
     )
+
+
+@dataclass(frozen=True)
+class ControllerStateRef:
+    """on_sample_ref's state: ControllerState with pending_mode, the mode a pending transition settles to."""
+
+    mode: str = MODE_IDLE
+    att_db: float = 0.0
+    tuned_freq_hz: float | None = None
+    pending_mode: str | None = None
+    pending_at_s: float | None = None
+    freeze_samples: int = 0
+    last_estimate: Estimate | None = None
+    diagnostic: str | None = None
+    estimate_memo: _EstimateMemo | None = field(default=None, compare=False, repr=False)
+
+
+def on_sample_ref(codes, st, ctrl, chain, cal):
+    """The controller as it was written before its one decision path, with three code checks and two tune blocks.
+
+    The only change is the overrange threshold: the open-end code is
+    compared with cal.ceiling_code, the detector ceiling that the power
+    estimate uses, where it was compared with the ADC's full code, which an
+    acquired code never reaches.
+    """
+    now = codes.t_s
+    actions = []
+    mode = st.mode
+    pending_mode, pending_at = st.pending_mode, st.pending_at_s
+    if pending_at is not None and now >= pending_at:
+        mode, pending_mode, pending_at = pending_mode, None, None
+
+    # Gain control first, so estimation sees current attenuator bookkeeping.
+    att_cmd = agc_policy(codes.code_oc, st.att_db, ctrl, chain)
+    stepped = att_cmd != st.att_db
+    if stepped:
+        actions.append(Action(ACT_SET_ATT, now + ctrl.clock_period, att_db=att_cmd))
+
+    diagnostic = None
+    if codes.code_oc >= cal.ceiling_code and st.att_db >= chain.attenuator.max_db:
+        diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
+
+    memo = st.estimate_memo
+    if memo is None or memo.cal is not cal or memo.switch_freq_hz != ctrl.switch_freq_hz:
+        memo = _EstimateMemo(cal, ctrl.switch_freq_hz, {})
+    est = None
+    no_signal = False
+    if st.freeze_samples > 0:
+        check_codes(codes, chain)  # an unfrozen sample is checked below
+        new_freeze = st.freeze_samples - 1
+    else:
+        new_freeze = 0
+        key = (codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db)
+        # Only int codes may hit: a float equal to a memoised code must
+        # still reach the check below and be refused.
+        if type(codes.code_oc) is type(codes.code_l1) is type(codes.code_l2) is int:
+            est = memo.estimates.get(key)
+        if est is None:
+            # The check estimate would make; a floor reading is no signal and is not estimated.
+            check_codes(codes, cal.cfg)
+            if codes.code_oc <= cal.floor_code:
+                no_signal = True
+            else:
+                # Errors are not memoised.
+                try:
+                    est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
+                except SwsenseError as exc:
+                    diagnostic = f"{type(exc).__name__}: {exc}"
+
+    tuned = st.tuned_freq_hz
+    # A saturated open-end reading carries no usable tap ratio; hold all
+    # mode decisions and let the step attenuator bring it back in range.
+    usable = est is not None and est.confidence != CONF_SATURATED
+    if usable or no_signal:
+        above = usable and est.power_dbm > ctrl.threshold_dbm
+        if mode == MODE_IDLE and above:
+            actions.append(Action(ACT_TUNE, now + ctrl.clock_period, freq_hz=est.freq_hz))
+            mode, pending_mode, pending_at = MODE_ENGAGING, MODE_ENGAGED, now + ctrl.clock_period
+            tuned = est.freq_hz
+        elif mode == MODE_ENGAGED:
+            if no_signal or not above:
+                actions.append(Action(ACT_RELEASE, now + ctrl.clock_period))
+                mode, pending_mode, pending_at = MODE_RELEASING, MODE_IDLE, now + ctrl.clock_period
+                tuned = None
+            elif (
+                tuned is not None
+                and abs(est.freq_hz - tuned) > ctrl.retune_deadband_hz
+            ):
+                actions.append(Action(ACT_TUNE, now + ctrl.clock_period, freq_hz=est.freq_hz))
+                mode, pending_mode, pending_at = MODE_ENGAGING, MODE_ENGAGED, now + ctrl.clock_period
+                tuned = est.freq_hz
+
+    if stepped:
+        new_freeze = 1  # next sample straddles the attenuator settling window
+
+    new_state = ControllerStateRef(
+        mode=mode,
+        att_db=att_cmd,
+        tuned_freq_hz=tuned,
+        pending_mode=pending_mode,
+        pending_at_s=pending_at,
+        freeze_samples=new_freeze,
+        last_estimate=est if est is not None else (None if no_signal else st.last_estimate),
+        diagnostic=diagnostic,
+        estimate_memo=memo,
+    )
+    return new_state, actions

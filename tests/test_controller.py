@@ -19,10 +19,10 @@ from swsense.controller import (
     agc_policy,
     on_sample,
 )
-from swsense.core import SignalDescriptor, Tone
+from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.errors import SwsenseError
 from swsense.estimator import CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, estimate
-from swsense.readout import TapCodes, chain_readout, detector_floor_code
+from swsense.readout import TapCodes, chain_readout, chain_readout_lines, detector_floor_code
 
 
 def codes_at(chain, f_hz, p_dbm, att_db, t_s=1e-6):
@@ -116,10 +116,10 @@ class TestConfigDomain:
 class TestOnSample:
     def test_engage_above_threshold(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, 2.0, 0.0, t_s=1e-6)
-        st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert ACT_TUNE in kinds(actions)
         assert st.mode == MODE_ENGAGING
-        assert st.pending_mode == MODE_ENGAGED
+        assert st.pending_at_s == pytest.approx(1e-6 + controller.clock_period)
         assert st.tuned_freq_hz == pytest.approx(6e9, abs=50e6)
         tune = next(a for a in actions if a.kind == ACT_TUNE)
         assert tune.freq_hz == pytest.approx(6e9, abs=50e6)
@@ -128,22 +128,22 @@ class TestOnSample:
 
     def test_pending_mode_resolves_next_sample(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, 2.0, 0.0, t_s=1e-6)
-        st, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, _ = on_sample(codes, ControllerState(), controller, calibration)
         later = codes_at(chain, 6e9, 2.0, st.att_db, t_s=1e-6 + 200e-9)
-        st2, _ = on_sample(later, st, controller, chain, calibration)
+        st2, _ = on_sample(later, st, controller, calibration)
         assert st2.mode == MODE_ENGAGED
-        assert st2.pending_mode is None
+        assert st2.pending_at_s is None
 
     def test_idle_below_threshold(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, -5.0, 0.0)
-        st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert st.mode == MODE_IDLE
         assert not actions
 
     def test_threshold_configurable(self, chain, controller, calibration):
         low = replace(controller, threshold_dbm=-16.0)
         codes = codes_at(chain, 6e9, -10.0, 0.0)
-        st, actions = on_sample(codes, ControllerState(), low, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), low, calibration)
         assert st.mode == MODE_ENGAGING
         assert ACT_TUNE in kinds(actions)
 
@@ -151,23 +151,23 @@ class TestOnSample:
         floor = detector_floor_code(chain)
         engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         codes = TapCodes(2e-6, floor, floor, floor, 0.0)
-        st, actions = on_sample(codes, engaged, controller, chain, calibration)
+        st, actions = on_sample(codes, engaged, controller, calibration)
         assert kinds(actions) == [ACT_RELEASE]
         assert st.mode == MODE_RELEASING
-        assert st.pending_mode == MODE_IDLE
+        assert st.pending_at_s == pytest.approx(2e-6 + controller.clock_period)
         assert st.tuned_freq_hz is None
 
     def test_release_below_threshold(self, chain, controller, calibration):
         engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6e9, -5.0, 0.0)
-        st, actions = on_sample(codes, engaged, controller, chain, calibration)
+        st, actions = on_sample(codes, engaged, controller, calibration)
         assert ACT_RELEASE in kinds(actions)
         assert st.tuned_freq_hz is None
 
     def test_retune_outside_deadband(self, chain, controller, calibration):
         engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6.6e9, 2.0, 2.0)
-        st, actions = on_sample(codes, engaged, controller, chain, calibration)
+        st, actions = on_sample(codes, engaged, controller, calibration)
         assert kinds(actions) == [ACT_TUNE]
         assert st.tuned_freq_hz == pytest.approx(6.6e9, abs=50e6)
         assert st.mode == MODE_ENGAGING
@@ -175,7 +175,7 @@ class TestOnSample:
     def test_no_retune_inside_deadband(self, chain, controller, calibration):
         engaged = ControllerState(mode=MODE_ENGAGED, att_db=2.0, tuned_freq_hz=6e9)
         codes = codes_at(chain, 6.2e9, 2.0, 2.0)
-        st, actions = on_sample(codes, engaged, controller, chain, calibration)
+        st, actions = on_sample(codes, engaged, controller, calibration)
         assert ACT_TUNE not in kinds(actions)
         assert st.tuned_freq_hz == 6e9
 
@@ -183,19 +183,19 @@ class TestOnSample:
         # +3 dBm pins the open-end detector: the ratio is meaningless, so
         # no engage decision may be taken from this sample
         codes = codes_at(chain, 6e9, 3.0, 0.0)
-        st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert st.mode == MODE_IDLE
         assert kinds(actions) == [ACT_SET_ATT]
         # and an engaged controller must not release on a saturated sample
         engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
-        st2, actions2 = on_sample(codes, engaged, controller, chain, calibration)
+        st2, actions2 = on_sample(codes, engaged, controller, calibration)
         assert st2.mode == MODE_ENGAGED
         assert ACT_RELEASE not in kinds(actions2)
 
     def test_idle_no_signal_takes_no_action(self, chain, controller, calibration):
         floor = detector_floor_code(chain)
         codes = TapCodes(1e-6, floor, floor, floor, 0.0)
-        st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert not actions
         assert st.mode == MODE_IDLE
         assert st.last_estimate is None
@@ -203,7 +203,7 @@ class TestOnSample:
     def test_freeze_skips_estimation(self, chain, controller, calibration):
         frozen = ControllerState(freeze_samples=1)
         codes = codes_at(chain, 6e9, 0.0, 0.0)  # would engage if estimated
-        st, actions = on_sample(codes, frozen, controller, chain, calibration)
+        st, actions = on_sample(codes, frozen, controller, calibration)
         assert not actions
         assert st.mode == MODE_IDLE
         assert st.freeze_samples == 0
@@ -223,13 +223,13 @@ class TestOnSample:
         ],
     )
     @pytest.mark.parametrize("freeze", [0, 1])
-    def test_codes_checked_on_every_sample(self, chain, controller, calibration, codes, match, freeze):
+    def test_codes_checked_on_every_sample(self, controller, calibration, codes, match, freeze):
         with pytest.raises(ValueError, match=match):
-            on_sample(codes, ControllerState(freeze_samples=freeze), controller, chain, calibration)
+            on_sample(codes, ControllerState(freeze_samples=freeze), controller, calibration)
 
     def test_attenuator_step_freezes_next_sample(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, 2.0, 0.0)
-        st, actions = on_sample(codes, ControllerState(), controller, chain, calibration)
+        st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert ACT_SET_ATT in kinds(actions)
         assert st.freeze_samples == 1
         assert st.att_db == 0.25
@@ -237,9 +237,18 @@ class TestOnSample:
     def test_overrange_diagnostic(self, chain, controller, calibration):
         codes = TapCodes(1e-6, chain.adc.full_code, 2000, 2000, chain.attenuator.max_db)
         st_full = ControllerState(att_db=chain.attenuator.max_db)
-        st, _ = on_sample(codes, st_full, controller, chain, calibration)
+        st, _ = on_sample(codes, st_full, controller, calibration)
         assert st.diagnostic is not None
         assert "verrange" in st.diagnostic
+
+    def test_overrange_diagnostic_on_acquired_codes(self, chain, controller, calibration):
+        # An acquired open-end code tops out at the detector ceiling, below the ADC's full code.
+        top = chain.attenuator.max_db
+        codes = chain_readout_lines([(8e9, dbm_to_watts(35.0))], chain, top, t_s=1e-6)
+        assert codes.code_oc == calibration.ceiling_code < chain.adc.full_code
+        st, actions = on_sample(codes, ControllerState(att_db=top, freeze_samples=1), controller, calibration)
+        assert not actions
+        assert st.diagnostic is not None and st.diagnostic.startswith("overrange")
 
     def test_sample_loop_locks_and_settles(self, chain, controller, calibration):
         # a +2 dBm appearance: engage on the first sample, walk the
@@ -248,7 +257,7 @@ class TestOnSample:
         all_actions = []
         for k in range(14):
             codes = codes_at(chain, 6e9, 2.0, st.att_db, t_s=k * 200e-9)
-            st, actions = on_sample(codes, st, controller, chain, calibration)
+            st, actions = on_sample(codes, st, controller, calibration)
             all_actions.extend(actions)
         assert st.mode == MODE_ENGAGED
         assert st.att_db == pytest.approx(2.0)
@@ -267,7 +276,7 @@ class TestEstimateMemo:
         codes = codes_at(chain, 6e9, -5.0, 0.0)
         st = ControllerState()
         for _ in range(3):
-            st, _ = on_sample(codes, st, controller, chain, calibration)
+            st, _ = on_sample(codes, st, controller, calibration)
         assert len(calls) == 1
         assert st.last_estimate == estimate(codes, calibration)
         assert st == replace(st, estimate_memo=None)  # the memo takes no part in equality
@@ -280,7 +289,7 @@ class TestEstimateMemo:
         floor = detector_floor_code(chain)
         st = ControllerState()
         for _ in range(2):
-            st, _ = on_sample(TapCodes(1e-6, floor, floor, floor, 0.0), st, controller, chain, calibration)
+            st, _ = on_sample(TapCodes(1e-6, floor, floor, floor, 0.0), st, controller, calibration)
         assert calls == []  # a floor reading is not estimated at all
         assert st.estimate_memo.estimates == {}
         assert st.last_estimate is None
@@ -295,37 +304,37 @@ class TestEstimateMemo:
         monkeypatch.setattr(controller_mod, "estimate", refuse)
         floor = detector_floor_code(chain)
         prior = ControllerState(mode=mode, tuned_freq_hz=8e9 if released else None)
-        st, actions = on_sample(TapCodes(1e-6, floor, 2000, 2000, 0.0), prior, controller, chain, calibration)
+        st, actions = on_sample(TapCodes(1e-6, floor, 2000, 2000, 0.0), prior, controller, calibration)
         assert kinds(actions) == ([ACT_RELEASE] if released else [])
         assert st.last_estimate is None and st.diagnostic is None
         assert st.tuned_freq_hz is None
 
     def test_another_table_or_switch_gives_the_cold_answer(self, chain, controller, calibration):
         codes = codes_at(chain, 4.5e9, -5.0, 0.0)
-        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        warm, _ = on_sample(codes, ControllerState(), controller, calibration)
         shifted = replace(calibration, freqs_hz=calibration.freqs_hz + 50e6)
         low_switch = replace(controller, switch_freq_hz=3e9)
         for ctrl, cal in ((controller, shifted), (low_switch, calibration)):
-            cold, _ = on_sample(codes, ControllerState(), ctrl, chain, cal)
+            cold, _ = on_sample(codes, ControllerState(), ctrl, cal)
             assert cold.last_estimate != warm.last_estimate
-            carried, _ = on_sample(codes, warm, ctrl, chain, cal)
+            carried, _ = on_sample(codes, warm, ctrl, cal)
             assert carried.last_estimate == cold.last_estimate
-            back, _ = on_sample(codes, carried, controller, chain, calibration)
+            back, _ = on_sample(codes, carried, controller, calibration)
             assert back.last_estimate == warm.last_estimate
 
     def test_same_codes_at_another_attenuation_are_estimated_afresh(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, -5.0, 0.0)
-        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        warm, _ = on_sample(codes, ControllerState(), controller, calibration)
         attenuated = replace(codes, att_db=1.0)
-        st, _ = on_sample(attenuated, warm, controller, chain, calibration)
+        st, _ = on_sample(attenuated, warm, controller, calibration)
         assert st.last_estimate == estimate(attenuated, calibration)
         assert st.last_estimate.power_dbm > warm.last_estimate.power_dbm
 
     def test_float_code_equal_to_a_memoised_code_is_refused(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, -5.0, 0.0)
-        warm, _ = on_sample(codes, ControllerState(), controller, chain, calibration)
+        warm, _ = on_sample(codes, ControllerState(), controller, calibration)
         with pytest.raises(ValueError, match="code_oc="):
-            on_sample(replace(codes, code_oc=float(codes.code_oc)), warm, controller, chain, calibration)
+            on_sample(replace(codes, code_oc=float(codes.code_oc)), warm, controller, calibration)
 
 
 _CONFIDENCES = (CONF_IN_RANGE, CONF_CLAMPED, CONF_SATURATED)
@@ -366,9 +375,9 @@ def test_code_triples_give_a_typed_error_or_an_in_domain_answer(
     if malformed:
         # Frozen or not, a code outside the ADC range or an att_db that is not a setting is refused.
         with pytest.raises(ValueError):
-            on_sample(codes, state, controller, chain, calibration)
+            on_sample(codes, state, controller, calibration)
         return
-    nxt, actions = on_sample(codes, state, controller, chain, calibration)
+    nxt, actions = on_sample(codes, state, controller, calibration)
     assert chain.attenuator.valid_setting(nxt.att_db)
     for a in actions:
         assert a.effective_at_s > codes.t_s

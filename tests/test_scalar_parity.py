@@ -1,13 +1,15 @@
 """The read-out chain, the array calibration build and the precomputed inverse against their scalar references.
 
 tests/scalar_reference.py keeps the read-out chain that derives every
-config constant per call, the per-cell calibration loop and the per-call
-estimator. The library must reproduce them bit for bit: every detector
-voltage and code, every array of every table, every Estimate, and the
-type and text of every error.
+config constant per call, the per-cell calibration loop, the per-call
+estimator and the controller with a code check in each branch. The
+library must reproduce them bit for bit: every detector voltage and code,
+every array of every table, every Estimate, every controller state and
+action, and the type and text of every error.
 """
 
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -15,12 +17,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalar_reference import (
+    ControllerStateRef,
     build_calibration_scalar,
     chain_readout_lines_scalar,
     chain_voltages_lines_scalar,
     estimate_scalar,
+    on_sample_ref,
 )
-from swsense.controller import ControllerConfig
+from swsense.controller import (
+    MODE_ENGAGED,
+    MODE_ENGAGING,
+    MODE_IDLE,
+    MODE_RELEASING,
+    ControllerConfig,
+    ControllerState,
+    on_sample,
+)
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.engine import default_grid_for, load_scenario
 from swsense.errors import OutOfBandError
@@ -265,3 +277,85 @@ def test_estimates_match_scalar_estimator_on_coupler_table():
     for codes in _triples(cfg, np.random.default_rng(11), 400):
         assert outcome(estimate, codes, cal) == outcome(estimate_scalar, codes, cal), codes
 
+
+# The reference state's pending_mode for each mode that has a pending time.
+_SETTLES_TO = {MODE_ENGAGING: MODE_ENGAGED, MODE_RELEASING: MODE_IDLE}
+
+
+def _acquisitions(cfg):
+    """Per sample, a CW line read at the controller's setting, an in-range triple, or the last codes again."""
+    floor, ceiling = detector_floor_code(cfg), detector_ceiling_code(cfg)
+    band = default_grid_for(cfg)
+    readout = st.tuples(st.just("readout"), st.floats(max(1e9, band.f_start_hz), min(16e9, band.f_stop_hz)),
+                        st.floats(-30.0, 35.0))
+    code = st.integers(floor, ceiling) | st.sampled_from((floor, ceiling))
+    # Equal codes too: the fine tap, or both taps, at the open-end code.
+    triple = st.tuples(code, code, code, st.sampled_from(("none", "l2", "both"))).map(
+        lambda c: ("triple", c[0], c[0] if c[3] == "both" else c[1], c[2] if c[3] == "none" else c[0])
+    )
+    return readout | triple, readout | triple | st.just(("repeat",))
+
+
+@st.composite
+def _controller_cases(draw):
+    """(chain, controller config, start state fields, acquisitions, time steps in clock periods)."""
+    cfg = draw(st.sampled_from((ChainConfig(), ChainConfig(coupling_kind="coupler"))))
+    clock = draw(st.floats(1e-9, 1e-6))
+    ctrl = replace(
+        ControllerConfig.for_chain(cfg),
+        threshold_dbm=draw(st.floats(-30.0, 30.0)),
+        retune_deadband_hz=draw(st.floats(0.0, 2e9)),
+        clock_period=clock,
+        switch_freq_hz=draw(st.none() | st.floats(2e9, 12e9)),
+    )
+    # A state that on_sample produces: a pending time only on a transitional
+    # mode, a tuned frequency only while the notch is engaged or engaging.
+    mode = draw(st.sampled_from((MODE_IDLE, MODE_ENGAGING, MODE_ENGAGED, MODE_RELEASING)))
+    start = dict(
+        mode=mode,
+        att_db=cfg.attenuator.step_db * draw(st.integers(0, 127)),
+        tuned_freq_hz=draw(st.floats(1e9, 16e9)) if mode in (MODE_ENGAGING, MODE_ENGAGED) else None,
+        pending_at_s=1e-6 + clock * draw(st.sampled_from((-1.0, 0.0, 1.0))) if mode in _SETTLES_TO else None,
+        freeze_samples=draw(st.integers(0, 1)),
+    )
+    first, later = _acquisitions(cfg)
+    acquisitions = [draw(first)] + draw(st.lists(later, max_size=39))
+    steps = draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=len(acquisitions), max_size=len(acquisitions)))
+    return cfg, ctrl, start, acquisitions, steps
+
+
+@pytest.fixture(scope="module")
+def tables(calibration):
+    """The table of each chain _controller_cases draws, by coupling kind."""
+    coupler = ChainConfig(coupling_kind="coupler")
+    return {"tap": calibration, "coupler": build_calibration(coupler, default_grid_for(coupler))}
+
+
+def _observed(state):
+    return (
+        state.mode, state.att_db, state.tuned_freq_hz, state.pending_at_s,
+        state.freeze_samples, state.last_estimate, state.diagnostic,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_controller_cases())
+def test_controller_matches_reference(tables, case):
+    """Sample sequences give the reference controller's actions, and its state after every sample."""
+    cfg, ctrl, start, acquisitions, steps = case
+    cal = tables[cfg.coupling_kind]
+    state = ControllerState(**start)
+    ref = ControllerStateRef(pending_mode=_SETTLES_TO.get(start["mode"]), **start)
+    t, codes = 1e-6, None
+    for acq, step in zip(acquisitions, steps):
+        if acq[0] == "readout":
+            codes = chain_readout_lines([(acq[1], dbm_to_watts(acq[2]))], cfg, state.att_db, t_s=t)
+        elif acq[0] == "triple":
+            codes = TapCodes(t, *acq[1:], state.att_db)
+        else:
+            codes = TapCodes(t, codes.code_oc, codes.code_l1, codes.code_l2, state.att_db)
+        state, actions = on_sample(codes, state, ctrl, cal)
+        ref, ref_actions = on_sample_ref(codes, ref, ctrl, cfg, cal)
+        assert actions == ref_actions
+        assert _observed(state) == _observed(ref)
+        t += ctrl.clock_period * step

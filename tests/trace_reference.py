@@ -93,9 +93,7 @@ def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
     log, actions = [], []
     for s in runner.samples[k]:
         codes = TapCodes(s["t_s"], s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
-        state, acts = on_sample(
-            codes, replace(state, estimate_memo=None), spec.controller, spec.chain, runner.cals[k]
-        )
+        state, acts = on_sample(codes, replace(state, estimate_memo=None), spec.controller, runner.cals[k])
         est = state.last_estimate
         log.append(
             (
