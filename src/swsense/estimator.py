@@ -6,7 +6,8 @@ arccos of that ratio fixes frequency. A forward-simulated calibration
 table refines the closed-form value by local inverse interpolation and
 supplies the power scale including attenuator bookkeeping. Each table
 precomputes, once, the parts of that inverse that do not depend on the
-observation.
+observation, and keeps each inversion front it builds for an open-end
+code.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +101,8 @@ class CalibrationTable:
     """Forward-simulated codes over a CW grid, at AGC-dictated attenuation.
 
     The fields after cfg are derived from the others when the table is
-    made; change a table with dataclasses.replace, not in place.
+    made. Its arrays are read-only; change a table with
+    dataclasses.replace, which makes a new one with empty fronts.
     """
 
     freqs_hz: np.ndarray
@@ -119,11 +122,19 @@ class CalibrationTable:
     # Per tap, the number of leading grid rows (f <= the tap's f_max) it resolves.
     tap_rows: tuple[int, int] = field(init=False, repr=False)
     grid_step_hz: float = field(init=False, repr=False)
+    # freqs_hz as a list, for bisect.
+    freqs_list: list[float] = field(init=False, repr=False, compare=False)
+    # Per tap, the refinement's front for each open-end code, built on first
+    # use (see _front); equal fronts are one object, kept in shared_fronts.
+    fronts: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+    shared_fronts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.cfg
         f = self.freqs_hz
         full = cfg.adc.full_code
+        if not (f.size and self.powers_dbm.size):
+            raise ValueError("calibration needs at least one frequency and one power")
         if np.any(np.diff(f) <= 0.0):
             raise ValueError("calibration frequencies must be strictly ascending")
         for codes in (self.code_oc, self.code_l1, self.code_l2):
@@ -137,6 +148,13 @@ class CalibrationTable:
             int(np.searchsorted(f, t.f_max_hz * (1.0 + 1e-12), side="right")) for t in cfg.stub.taps
         )
         self.grid_step_hz = float(f[1] - f[0]) if len(f) > 1 else 0.0
+        self.freqs_list = f.tolist()
+        self.fronts = tuple({} for _ in self.tap_rows)
+        self.shared_fronts = {}
+        # The fronts are derived from these arrays, so no one may change them.
+        for a in (f, self.powers_dbm, self.att_db, self.code_oc, self.code_l1, self.code_l2,
+                  self.stub_dbm, self.stub_level):
+            a.flags.writeable = False
 
 
 def default_grid_for(cfg: ChainConfig) -> CalibrationGrid:
@@ -324,6 +342,42 @@ def _code_to_stub_dbm(code: int, cfg: ChainConfig) -> float:
     return watts_to_dbm(v * v / (8.0 * cfg.stub.z0s))
 
 
+def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:
+    """The tap's strictly decreasing (delta, frequency) front for one open-end code.
+
+    For each grid frequency the tap resolves, the power column whose
+    open-end code best matches code_oc_obs is selected, and the rows where
+    the tap is above its floor give delta = code_tap - code_oc. A row stays
+    when its delta is below every delta before it. Returns (lowest delta,
+    highest delta, -deltas ascending, frequencies), or () when fewer than
+    two rows stay. Built once per (tap, code) and kept on the table.
+    """
+    fronts = cal.fronts[tap_idx]
+    front = fronts.get(code_oc_obs)
+    if front is not None:
+        return front
+    n = cal.tap_rows[tap_idx]
+    front = ()
+    if n >= 2:
+        code_oc = cal.code_oc[:n]
+        code_tap = (cal.code_l1, cal.code_l2)[tap_idx][:n]
+        j_star = np.abs(code_oc - code_oc_obs).argmin(axis=1)
+        rows = np.arange(n)
+        tap_j = code_tap[rows, j_star]
+        ok = tap_j > cal.floor_code
+        freqs, deltas = cal.freqs_hz[:n][ok], (tap_j - code_oc[rows, j_star])[ok]
+        keep = np.ones(len(deltas), dtype=bool)
+        keep[1:] = deltas[1:] < np.minimum.accumulate(deltas)[:-1]
+        keep_f, keep_d = freqs[keep], deltas[keep]
+        if len(keep_d) >= 2:
+            d_arr = -keep_d.astype(float)  # ascending for interp
+            front = cal.shared_fronts.setdefault(
+                (d_arr.tobytes(), keep_f.tobytes()), (int(keep_d[-1]), int(keep_d[0]), d_arr, keep_f)
+            )
+    fronts[code_oc_obs] = front
+    return front
+
+
 def _refine_against_table(
     f_closed_hz: float,
     delta_obs: int,
@@ -333,30 +387,15 @@ def _refine_against_table(
 ) -> float:
     """Local inverse interpolation of (code_tap - code_oc) versus frequency.
 
-    For each grid frequency the tap resolves, the power column whose
-    open-end code best matches the observation is selected, making a grid
-    query reproduce its grid frequency exactly. Falls back to the closed
-    form when the table is degenerate or disagrees by more than two cells.
+    Interpolates delta_obs along the front for the observed open-end code,
+    so a grid query reproduces its grid frequency exactly. Falls back to
+    the closed form when the front is degenerate, does not span delta_obs,
+    or disagrees by more than two cells.
     """
-    n = cal.tap_rows[tap_idx]
-    if n < 2:
+    front = _front(cal, tap_idx, code_oc_obs)
+    if not front or not front[0] <= delta_obs <= front[1]:
         return f_closed_hz
-    code_oc = cal.code_oc[:n]
-    code_tap = (cal.code_l1, cal.code_l2)[tap_idx][:n]
-    j_star = np.abs(code_oc - code_oc_obs).argmin(axis=1)
-    rows = np.arange(n)
-    tap_j = code_tap[rows, j_star]
-    ok = tap_j > cal.floor_code
-    freqs, deltas = cal.freqs_hz[:n][ok], (tap_j - code_oc[rows, j_star])[ok]
-    # Keep a strictly decreasing delta-versus-frequency front: a row stays
-    # when its delta is below every delta before it.
-    keep = np.ones(len(deltas), dtype=bool)
-    keep[1:] = deltas[1:] < np.minimum.accumulate(deltas)[:-1]
-    keep_f, keep_d = freqs[keep], deltas[keep]
-    if len(keep_d) < 2 or not keep_d[-1] <= delta_obs <= keep_d[0]:
-        return f_closed_hz
-    d_arr = -keep_d.astype(float)  # ascending for interp
-    refined = float(np.interp(-float(delta_obs), d_arr, keep_f))
+    refined = float(np.interp(-float(delta_obs), front[2], front[3]))
     if cal.grid_step_hz and abs(refined - f_closed_hz) > 2.0 * cal.grid_step_hz:
         return f_closed_hz
     return refined
@@ -444,18 +483,36 @@ def _power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> float:
     if codes.code_oc >= cal.ceiling_code and codes.att_db >= cal.cfg.attenuator.max_db:
         raise PowerOverrangeError("open-end saturated with attenuator at maximum")
 
-    i0 = int(np.abs(cal.freqs_hz - freq_hz).argmin())
+    i0 = _nearest_row(cal.freqs_list, freq_hz)
     s_row = cal.stub_level[i0]
     s_obs = cal.stub_dbm[codes.code_oc] + codes.att_db
     p_row = cal.powers_dbm
-    # np.interp clamps at the ends; extend the edge segments linearly instead.
-    if s_obs <= s_row[0]:
-        k = (p_row[1] - p_row[0]) / (s_row[1] - s_row[0])
-        return float(p_row[0] + k * (s_obs - s_row[0]))
-    if s_obs >= s_row[-1]:
-        k = (p_row[-1] - p_row[-2]) / (s_row[-1] - s_row[-2])
-        return float(p_row[-1] + k * (s_obs - s_row[-1]))
-    return float(np.interp(s_obs, s_row, p_row))
+    if s_row[0] < s_obs < s_row[-1]:
+        return float(np.interp(s_obs, s_row, p_row))
+    # np.interp clamps at the ends; extend the row linearly instead, along
+    # the edge column and the nearest column whose level differs from it.
+    edge = 0 if s_obs <= s_row[0] else len(s_row) - 1
+    differ = np.flatnonzero(s_row != s_row[edge])
+    if not differ.size:
+        raise CalibrationRangeError(
+            f"calibration row at {cal.freqs_list[i0] / 1e9:.2f} GHz has a single stub level, so no power slope"
+        )
+    lo, hi = (edge, differ[0]) if edge == 0 else (differ[-1], edge)
+    k = (p_row[hi] - p_row[lo]) / (s_row[hi] - s_row[lo])
+    return float(p_row[edge] + k * (s_obs - s_row[edge]))
+
+
+def _nearest_row(freqs: list[float], f_hz: float) -> int:
+    """Index of the ascending freqs nearest f_hz, the first on a tie, as
+    np.abs(freqs - f_hz).argmin() picks it."""
+    i = bisect_left(freqs, f_hz)
+    if i == len(freqs) or (i and f_hz - freqs[i - 1] <= freqs[i] - f_hz):
+        i -= 1
+        # Far above the grid, rounding can make rows below equally near.
+        d = f_hz - freqs[i]
+        while i and f_hz - freqs[i - 1] == d:
+            i -= 1
+    return i
 
 
 def estimate(codes: TapCodes, cal: CalibrationTable, switch_freq_hz: float | None = None) -> Estimate:

@@ -46,6 +46,12 @@ class AttenuatorParams:
         # The gain-control loop steps up to max_db, so it must be a setting.
         if not self.valid_setting(self.max_db):
             raise ValueError("max_db must be a whole number of step_db")
+        # The settings as k * step_db, which check_setting accepts without
+        # arithmetic; a finer attenuator keeps its first 4096 only. Not a
+        # field, so the JSON codec, equality and repr never see it.
+        n = min(int(round(self.max_db / self.step_db)), 4095)
+        exact = (k * self.step_db for k in range(n + 1))
+        object.__setattr__(self, "_settings", frozenset(a for a in exact if self.valid_setting(a)))
 
     def valid_setting(self, att_db: float) -> bool:
         if not 0.0 <= att_db <= self.max_db + 1e-9:
@@ -55,6 +61,10 @@ class AttenuatorParams:
 
     def check_setting(self, att_db: float) -> None:
         """ValueError unless att_db is a setting of this attenuator."""
+        # Only a float is looked up: an unhashable value, such as a 0-d
+        # array, would raise here, and valid_setting decides it as before.
+        if isinstance(att_db, float) and att_db in self._settings:
+            return
         if not self.valid_setting(att_db):
             raise ValueError(
                 f"att_db={att_db} is not a multiple of {self.step_db} "

@@ -9,7 +9,11 @@ f_max) on every call. on_sample_ref is the controller with a pending_mode
 field and a code check in each of its branches. Each is kept as it was
 written before the array build, the precomputed inverse, the config
 constants and the one decision path replaced it; the tests require the
-library to reproduce them bit for bit.
+library to reproduce them bit for bit. estimate_power_scalar keeps the old
+edge extrapolation along the first or last pair of columns, which divides
+by zero on a row whose edge columns share a level; the library takes the
+nearest column whose level differs and refuses a row with a single level,
+so the two agree on every table without such a row.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from swsense.estimator import (
     CONF_IN_RANGE,
     CONF_SATURATED,
     CalibrationGrid,
+    _nearest_row,
     build_calibration,
     estimate,
     estimate_frequency,
@@ -319,6 +322,65 @@ class TestEstimation:
         assert 4.3e9 <= f < 5e9
 
 
+class TestDegeneratePowerRows:
+    """Grids CalibrationGrid accepts whose rows have equal levels at an edge."""
+
+    def test_flat_first_segment_extrapolates_from_the_first_differing_column(self, chain):
+        # A power step finer than one ADC code: every row's first two columns share a level.
+        cal = build_calibration(chain, CalibrationGrid(7e9, 9e9, 0.1e9, -5.0, -4.9, 0.01))
+        assert np.all(cal.stub_level[:, 0] == cal.stub_level[:, 1])
+        for p_dbm in (-10.0, -5.0):
+            codes = chain_readout(SignalDescriptor((Tone(freq_hz=8e9, power_dbm=p_dbm),)), chain, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = estimate(codes, cal)
+            assert est.confidence == CONF_IN_RANGE
+            assert math.isfinite(est.power_dbm)
+            assert est.power_dbm == pytest.approx(p_dbm, abs=1.0)
+
+    def test_single_column_table_raises(self, chain):
+        cal = build_calibration(chain, CalibrationGrid(7e9, 9e9, 0.1e9, 0.0, 0.0, 1.0))
+        codes = _cell_codes(cal, 10, 0)
+        with pytest.raises(CalibrationRangeError, match="row at 8.00 GHz has a single stub level"):
+            estimate(codes, cal)
+        with pytest.raises(CalibrationRangeError, match="row at 8.00 GHz"):
+            estimate_power(codes, 8e9, cal)
+
+
+class TestTableState:
+    ARRAYS = ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2", "stub_dbm", "stub_level")
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_arrays_are_read_only(self, calibration, name):
+        a = getattr(calibration, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+    def test_replace_starts_with_empty_fronts(self, chain, calibration):
+        codes = chain_readout(SignalDescriptor((Tone(freq_hz=3e9, power_dbm=0.0),)), chain, 0.0)
+        est = estimate(codes, calibration)
+        assert any(calibration.fronts) and calibration.shared_fronts
+        new = replace(calibration, config_hash=calibration.config_hash)
+        assert new.fronts == ({}, {}) and new.shared_fronts == {}
+        assert estimate(codes, new) == est
+        assert new.fronts[1].keys() == {codes.code_oc}
+        assert new.shared_fronts is not calibration.shared_fronts
+
+    def test_nearest_row_matches_argmin(self, calibration, small_cal):
+        for cal in (calibration, small_cal):
+            f = cal.freqs_hz
+            mids = (f[:-1] + f[1:]) / 2.0
+            probes = np.concatenate([f, mids])
+            probes = np.concatenate([probes, np.nextafter(probes, -np.inf), np.nextafter(probes, np.inf)])
+            extra = [0.0, -1.0, 1e30, -1e30, math.inf, -math.inf, math.nan, 1e9 - 0.05e9, 16.05e9]
+            for x in [*probes.tolist(), *extra]:
+                assert _nearest_row(cal.freqs_list, x) == int(np.abs(f - x).argmin()), x
+
+    def test_nearest_row_far_above_takes_the_first_equal_row(self):
+        # Rounding makes every distance 1e300, and argmin keeps the first.
+        assert _nearest_row([1.0, 2.0, 3.0], 1e300) == int(np.abs(np.array([1.0, 2.0, 3.0]) - 1e300).argmin()) == 0
+
+
 class TestInputDomain:
     def test_fine_tap_equal_to_open_end_reads_zero_hz(self, calibration):
         # A fine-tap code equal to the open-end code means a voltage ratio of
@@ -429,6 +491,12 @@ class TestPersistence:
         hdr_p.write_text(json.dumps(hdr))
         with pytest.raises(ValueError, match="ascending"):
             load_calibration(str(csv_p), str(hdr_p))
+
+    def test_empty_table_rejected(self, small_cal):
+        empty = np.zeros((0, len(small_cal.powers_dbm)), dtype=int)
+        with pytest.raises(ValueError, match="at least one frequency and one power"):
+            replace(small_cal, freqs_hz=np.array([]), att_db=empty.astype(float),
+                    code_oc=empty, code_l1=empty, code_l2=empty)
 
     def test_incomplete_csv_rejected(self, tmp_path, small_cal):
         csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"

@@ -6,12 +6,13 @@ written out in test_chain_codes_hand_composed below.
 """
 
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swsense.codec import to_json
 from swsense.core import SignalDescriptor, Tone
@@ -97,6 +98,37 @@ class TestAttenuator:
         assert not att.valid_setting(0.3)
         assert not att.valid_setting(32.0)
         assert not att.valid_setting(-0.25)
+
+    # 3e5, the top multiple of the fourth, lies above max_db and is no
+    # setting; the last has more settings than check_setting stores.
+    ATTENUATORS = (AttenuatorParams(), AttenuatorParams(0.1, 3.0), AttenuatorParams(0.3, 3.0),
+                   AttenuatorParams(1e5, 3e5 - 0.05), AttenuatorParams(1e-6, 31.75))
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_check_setting_accepts_exactly_the_valid_settings(self, data):
+        att = data.draw(st.sampled_from(self.ATTENUATORS))
+        n = int(round(att.max_db / att.step_db))
+
+        def near(k, ulps, offset):
+            """k steps, moved by a few ulps and by an offset around valid_setting's tolerance."""
+            x = k * att.step_db
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+            return x + offset * att.step_db
+
+        offsets = st.sampled_from((0.0, 5e-7, -5e-7, 2e-6, -2e-6))
+        x = data.draw(
+            st.builds(near, st.integers(-2, n + 2), st.integers(-3, 3), offsets)
+            | st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, att.max_db, n * att.step_db))
+            | st.floats()
+        )
+        x = data.draw(st.sampled_from((x, np.float64(x))))
+        if att.valid_setting(x):
+            att.check_setting(x)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"att_db={x} is not a multiple of {att.step_db}")):
+                att.check_setting(x)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -278,6 +278,48 @@ def test_estimates_match_scalar_estimator_on_coupler_table():
         assert outcome(estimate, codes, cal) == outcome(estimate_scalar, codes, cal), codes
 
 
+def test_memoised_fronts_answer_as_a_fresh_table(chain, calibration):
+    # Two passes over one table, each in its own shuffled order, so the memo
+    # holds different fronts when each triple comes round.
+    cal, fresh = replace(calibration), replace(calibration)
+    triples = _triples(chain, np.random.default_rng(3), 400)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        for i in rng.permutation(len(triples)):
+            codes = triples[i]
+            for memo in fresh.fronts:
+                memo.clear()
+            fresh.shared_fronts.clear()
+            got = outcome(estimate, codes, cal)
+            assert got == outcome(estimate, codes, fresh), codes
+            assert got == outcome(estimate_scalar, codes, calibration), codes
+
+
+def test_fronts_are_built_once_within_the_key_bound(chain, calibration):
+    cal = replace(calibration)
+    triples = _triples(chain, np.random.default_rng(5), 1000)
+    floor, full = cal.floor_code, chain.adc.full_code
+
+    def stored():
+        return [{code: id(front) for code, front in memo.items()} for memo in cal.fronts]
+
+    for codes in triples:
+        outcome(estimate, codes, cal)
+    first = stored()
+    for codes in triples:
+        outcome(estimate, codes, cal)
+    assert stored() == first
+    keys = [code for memo in cal.fronts for code in memo]
+    assert all(floor < code <= full for code in keys)
+    assert len(keys) <= 2 * (full - floor)
+    # Equal fronts are one object: as many objects as distinct fronts.
+    shared = {id(front): front for memo in cal.fronts for front in memo.values() if front}
+    assert len(shared) == len(cal.shared_fronts) < len(keys)
+    fronts = list(shared.values())
+    for a, b in ((a, b) for i, a in enumerate(fronts) for b in fronts[i + 1:]):
+        assert not (np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3]))
+
+
 # The reference state's pending_mode for each mode that has a pending time.
 _SETTLES_TO = {MODE_ENGAGING: MODE_ENGAGED, MODE_RELEASING: MODE_IDLE}
 
