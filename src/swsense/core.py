@@ -67,12 +67,18 @@ class Tone:
 
 @dataclass(frozen=True)
 class SignalDescriptor:
-    """A collection of simultaneously present tones."""
+    """A collection of simultaneously present tones.
+
+    lines holds expand_signal(self) as a tuple, computed once when the
+    descriptor is made. It is not a field, so equality, repr, hash and the
+    JSON codec never see it.
+    """
 
     tones: tuple[Tone, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
+        object.__setattr__(self, "lines", tuple(expand_signal(self)))
 
 
 def expand_modulated(tone: Tone) -> list[tuple[float, float]]:

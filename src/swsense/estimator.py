@@ -470,9 +470,14 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
     The open-end code and the active attenuator setting combine into one
     attenuation-compensated level that is interpolated (linearly, in dB)
     along the calibration row nearest to freq_hz. Raises ValueError for a
-    code outside the ADC range or an att_db that is not a setting.
+    code outside the ADC range, an att_db that is not a setting, or a
+    freq_hz that is not positive and finite, and OutOfBandError for a
+    freq_hz above the stub band.
     """
     check_codes(codes, cal.cfg)
+    if not 0.0 < freq_hz < math.inf:
+        raise ValueError(f"freq_hz={freq_hz!r} is not positive and finite")
+    check_stub_band(freq_hz, cal.cfg)
     return _power(codes, freq_hz, cal)
 
 

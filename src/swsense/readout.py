@@ -13,12 +13,17 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .codec import from_json, to_json
-from .core import SignalDescriptor, dbm_to_watts, expand_signal
+from .core import (
+    SignalDescriptor,
+    dbm_to_watts,
+    expand_signal,  # unused here; perfbench/tracer.py rebinds this name
+)
 from .coupling import (
     DirectionalCouplerParams,
     ResistiveTapParams,
@@ -157,6 +162,15 @@ class ChainConfig:
         object.__setattr__(self, "_tap_through_db", -tap_sparams(self.tap)[1])
         # The amplifier's output ceiling, in watts.
         object.__setattr__(self, "_sat_w", 10.0 ** (self.amplifier.p_out_sat_dbm / 10.0) * 1e-3)
+        # What chain_voltages_lines and chain_readout_lines read on every call:
+        # the coupler (None on a tap chain), the stub band edge, the detector
+        # law as (v_in_min, v_in_max, slope_a, intercept_b) and the ADC's
+        # (lsb, full_code).
+        object.__setattr__(self, "_coupler", self.coupler if self.coupling_kind == "coupler" else None)
+        object.__setattr__(self, "_stub_band_hz", self.stub.taps[0].f_max_hz)
+        det = self.detector
+        object.__setattr__(self, "_det_law", (det.v_in_min, det.v_in_max, det.slope_a, det.intercept_b))
+        object.__setattr__(self, "_adc_codes", (self.adc.lsb, self.adc.full_code))
 
     def coupling_db_at(self, f_hz: float) -> float:
         if self.coupling_kind == "tap":
@@ -225,7 +239,7 @@ def detector_ceiling_code(cfg: ChainConfig) -> int:
 
 def check_stub_band(f_hz: float, cfg: ChainConfig) -> None:
     """OutOfBandError for a line above the first tap's f_max, where the stub response repeats."""
-    f_max = cfg.stub.taps[0].f_max_hz
+    f_max = cfg._stub_band_hz
     if f_hz > f_max:
         raise OutOfBandError(
             f"{f_hz / 1e9:.3f} GHz above the stub band (tap {cfg.stub.taps[0].name} "
@@ -259,24 +273,34 @@ def chain_voltages_lines(
     frequency is positive and finite, every power and ratio >= 0 and
     finite, and forward_ratios has one entry per line (else ValueError
     naming the line). A line above the stub band raises OutOfBandError.
+
+    One pass over the lines applies the pick-off coupling, the attenuator,
+    the gain and its ripple; the amplifier ceiling and tap_rms_voltages
+    follow, then detector_voltage's law on each of the three voltages.
     """
     cfg.attenuator.check_setting(att_db)
-    if forward_ratios is not None and len(forward_ratios) != len(lines):
+    if forward_ratios is None:
+        forward_ratios = repeat(1.0)  # p * (1.0 * 1.0) is p exactly
+    elif len(forward_ratios) != len(lines):
         raise ValueError(f"{len(forward_ratios)} forward ratios for {len(lines)} lines")
-    f_max = cfg.stub.taps[0].f_max_hz
+    f_max = cfg._stub_band_hz
     gain_db = cfg.amplifier.gain_db
+    coupler, ripple = cfg._coupler, cfg._ripple
+    # The tap's coupling is flat, so a tap chain's gain before ripple is one number.
+    tap_g_db = cfg._tap_coupling_db - att_db + gain_db
     inf = math.inf
     drive: list[tuple[float, float]] = []
     total_w = 0.0
-    for i, (f_hz, p_w) in enumerate(lines):
-        r = 1.0 if forward_ratios is None else forward_ratios[i]
+    for (f_hz, p_w), r in zip(lines, forward_ratios):
         # One chain per line; a NaN fails every comparison.
         if not (0.0 < f_hz <= f_max and 0.0 <= p_w < inf and 0.0 <= r < inf):
-            _refuse_line(i, f_hz, p_w, r, cfg)
-        g_db = cfg.coupling_db_at(f_hz) - att_db + gain_db + cfg.ripple_db_at(f_hz)
+            _refuse_line(len(drive), f_hz, p_w, r, cfg)
+        g_db = (
+            (tap_g_db if coupler is None else coupler_db_at(coupler, "coupling_db", f_hz) - att_db + gain_db)
+            + (0.0 if ripple is None else table_value(ripple, f_hz))
+        )
         p = p_w * 10.0 ** (g_db / 10.0)
-        if forward_ratios is not None:
-            p *= r * r
+        p *= r * r
         drive.append((f_hz, p))
         total_w += p
     # Hard amplifier ceiling on total output power; line ratios are preserved.
@@ -284,12 +308,14 @@ def chain_voltages_lines(
     if total_w > sat_w:
         scale = sat_w / total_w
         drive = [(f, p * scale) for f, p in drive]
-    v_oc, taps = tap_rms_voltages(drive, cfg.stub)
-    det = cfg.detector
+    v_oc, (v1, v2) = tap_rms_voltages(drive, cfg.stub)
+    # detector_voltage's law; a root-sum-square voltage is never negative.
+    v_min, v_max, a, b = cfg._det_law
+    log10 = math.log10
     return (
-        detector_voltage(v_oc, det),
-        detector_voltage(taps[0], det),
-        detector_voltage(taps[1], det),
+        a * log10(v_min if v_oc < v_min else v_max if v_oc > v_max else v_oc) + b,
+        a * log10(v_min if v1 < v_min else v_max if v1 > v_max else v1) + b,
+        a * log10(v_min if v2 < v_min else v_max if v2 > v_max else v2) + b,
     )
 
 
@@ -298,8 +324,8 @@ def chain_voltages(
     cfg: ChainConfig,
     att_db: float,
 ) -> tuple[float, float, float]:
-    """chain_voltages_lines over an expanded signal descriptor."""
-    return chain_voltages_lines(expand_signal(sig), cfg, att_db)
+    """chain_voltages_lines over a signal descriptor's expanded lines."""
+    return chain_voltages_lines(sig.lines, cfg, att_db)
 
 
 def chain_readout_lines(
@@ -309,15 +335,20 @@ def chain_readout_lines(
     t_s: float = 0.0,
     forward_ratios: Sequence[float] | None = None,
 ) -> TapCodes:
-    """Digitized three-detector acquisition for pre-expanded lines."""
+    """Digitized three-detector acquisition for pre-expanded lines.
+
+    chain_voltages_lines quantized by adc_sample's rule: floor, clamped to
+    [0, full_code].
+    """
     v_oc, v1, v2 = chain_voltages_lines(lines, cfg, att_db, forward_ratios)
-    adc = cfg.adc
+    lsb, full = cfg._adc_codes
+    c_oc, c1, c2 = math.floor(v_oc / lsb), math.floor(v1 / lsb), math.floor(v2 / lsb)
     return TapCodes(
-        t_s=t_s,
-        code_oc=adc_sample(v_oc, adc),
-        code_l1=adc_sample(v1, adc),
-        code_l2=adc_sample(v2, adc),
-        att_db=att_db,
+        t_s,
+        0 if c_oc < 0 else full if c_oc > full else c_oc,
+        0 if c1 < 0 else full if c1 > full else c1,
+        0 if c2 < 0 else full if c2 > full else c2,
+        att_db,
     )
 
 
@@ -380,7 +411,7 @@ def chain_readout(
     t_s: float = 0.0,
 ) -> TapCodes:
     """Digitized three-detector acquisition for a signal descriptor."""
-    return chain_readout_lines(expand_signal(sig), cfg, att_db, t_s)
+    return chain_readout_lines(sig.lines, cfg, att_db, t_s)
 
 
 # ---------------- ChainConfig JSON ----------------

@@ -91,18 +91,26 @@ def tap_rms_voltages(
     """(open-end voltage, per-tap voltages) for expanded (freq_hz, p_stub_w) lines.
 
     Lines at distinct frequencies are uncorrelated, so their standing-wave
-    contributions add in power at every position along the stub.
+    contributions add in power at every position along the stub: a tap
+    sums v_oc^2 * r^2 over the lines, with r = wrapped_ratio(f, f_max).
+    The cosine is written out here, and its sign cancels in the square.
     """
     z0s = stub.z0s
-    f_maxes = stub._f_max_hz
+    half_pi = math.pi / 2.0
+    cos, sqrt = math.cos, math.sqrt
     oc_sq = 0.0
-    tap_sq = [0.0] * len(f_maxes)
+    lines = []
     for f_hz, p_w in expanded:
         if p_w < 0.0:
             raise ValueError("per-line stub power must be >= 0")
         v_sq = 8.0 * p_w * z0s
         oc_sq += v_sq
-        for i, f_max in enumerate(f_maxes):
-            r = wrapped_ratio(f_hz, f_max)
-            tap_sq[i] += v_sq * r * r
-    return math.sqrt(oc_sq), [math.sqrt(x) for x in tap_sq]
+        lines.append((f_hz, v_sq))
+    taps = []
+    for f_max in stub._f_max_hz:
+        tap_sq = 0.0
+        for f_hz, v_sq in lines:
+            c = cos(half_pi * f_hz / f_max)
+            tap_sq += v_sq * c * c
+        taps.append(sqrt(tap_sq))
+    return sqrt(oc_sq), taps

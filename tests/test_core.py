@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from swsense.codec import to_json
 from swsense.core import (
     SignalDescriptor,
     Tone,
@@ -99,3 +101,42 @@ def test_expand_signal_concatenates():
     lines = expand_signal(sig)
     assert len(lines) == 4
     assert math.isclose(sum(w for _, w in lines), 1e-3 + 1e-4, rel_tol=1e-12)
+
+
+_TONES = st.builds(
+    Tone,
+    freq_hz=st.floats(1e9, 16e9),
+    power_dbm=st.floats(-40.0, 30.0),
+    occupied_bw_hz=st.sampled_from([0.0, 0.0, 12e6, 40e6]),
+)
+
+
+class TestStoredLines:
+    """A descriptor keeps its expansion as a tuple that no field-based view sees."""
+
+    @given(st.lists(_TONES, max_size=4))
+    def test_lines_are_the_expansion(self, tones):
+        sig = SignalDescriptor(tuple(tones))
+        assert isinstance(sig.lines, tuple)
+        assert sig.lines == tuple(expand_signal(sig))
+
+    def test_expand_signal_returns_a_fresh_list(self):
+        sig = SignalDescriptor((Tone(freq_hz=2e9, power_dbm=0.0),))
+        lines = expand_signal(sig)
+        lines.append((3e9, 1.0))
+        assert expand_signal(sig) == list(sig.lines) == [(2e9, 1e-3)]
+
+    def test_invisible_to_equality_repr_hash_and_json(self):
+        sig = SignalDescriptor((Tone(freq_hz=9e9, power_dbm=-10.0, occupied_bw_hz=12e6),))
+        other = SignalDescriptor(sig.tones)
+        object.__setattr__(other, "lines", ())
+        assert other == sig and hash(other) == hash(sig) and repr(other) == repr(sig)
+        assert "lines" not in repr(sig)
+        assert to_json(sig) == to_json(other) and set(to_json(sig)) == {"tones"}
+
+    def test_replace_recomputes(self):
+        sig = SignalDescriptor((Tone(freq_hz=2e9, power_dbm=0.0),))
+        comb = Tone(freq_hz=9e9, power_dbm=-10.0, occupied_bw_hz=12e6, n_subtones=3)
+        moved = replace(sig, tones=(comb,))
+        assert moved.lines == tuple(expand_modulated(comb)) != sig.lines
+        assert len(moved.lines) == 3

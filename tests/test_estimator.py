@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from swsense.errors import (
     CalibrationRangeError,
     IndeterminateFrequencyError,
     NoSignalError,
+    OutOfBandError,
     PlacementInfeasibleError,
     PowerOverrangeError,
 )
@@ -423,6 +425,26 @@ class TestInputDomain:
         assert estimate_frequency(codes, calibration) == (est.freq_hz, est.tap_used, est.confidence)
         assert estimate_power(codes, est.freq_hz, calibration) == est.power_dbm
         assert len(checked) == 3
+
+    # A 5-7 GHz table, where every one of these frequencies used to answer
+    # 0.0 dBm from its first row without an error.
+    @pytest.mark.parametrize("freq_hz", [math.nan, -5e9, 0.0, -0.0, math.inf, -math.inf])
+    def test_power_refuses_a_frequency_that_is_not_positive_and_finite(self, small_cal, freq_hz):
+        with pytest.raises(ValueError, match=rf"^freq_hz={re.escape(repr(freq_hz))} is not positive and finite$"):
+            estimate_power(TapCodes(0.0, 2965, 2788, 2857, 0.0), freq_hz, small_cal)
+
+    @pytest.mark.parametrize("freq_hz", [16.5e9, 1e30])
+    def test_power_refuses_a_frequency_above_the_stub_band(self, small_cal, freq_hz):
+        with pytest.raises(OutOfBandError, match="above the stub band"):
+            estimate_power(TapCodes(0.0, 2965, 2788, 2857, 0.0), freq_hz, small_cal)
+
+    def test_power_frequency_checked_after_the_codes(self, small_cal):
+        with pytest.raises(ValueError, match="code_oc=99999"):
+            estimate_power(TapCodes(0.0, 99999, 2788, 2857, 0.0), math.nan, small_cal)
+
+    @pytest.mark.parametrize("freq_hz", [5e-324, 6e9, 16e9])
+    def test_power_accepts_the_frequency_domain_edges(self, small_cal, freq_hz):
+        assert estimate_power(TapCodes(0.0, 2965, 2788, 2857, 0.0), freq_hz, small_cal) == 0.0
 
     def test_range_edges_are_in_domain(self, chain, calibration):
         full = chain.adc.full_code

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swsense.readout
+import swsense.stub
 from swsense.codec import to_json
 from swsense.core import SignalDescriptor, Tone
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams, tap_coupling, tap_sparams
@@ -396,15 +398,32 @@ class TestConstantsAtConstruction:
         with pytest.raises(OutOfBandError):
             chain_readout_lines([(13e9, 1e-3)], cfg, 0.0)
 
+    def test_readout_constants_recomputed(self, chain):
+        det = DetectorParams(slope_a=0.3, intercept_b=0.8, v_in_min=0.05, v_in_max=0.5)
+        stub = StubParams(taps=(TapSpec("l1", 12e9), TapSpec("l2", 4e9)))
+        cfg = replace(chain, coupling_kind="coupler", detector=det, adc=AdcParams(bits=6), stub=stub)
+        assert cfg._coupler == DirectionalCouplerParams() and chain._coupler is None
+        assert cfg._stub_band_hz == 12e9 and chain._stub_band_hz == 16e9
+        assert cfg._det_law == (0.05, 0.5, 0.3, 0.8)
+        assert cfg._adc_codes == (1.398 / 64, 63)
+        # A tap chain that carries coupler params still reads through its tap.
+        tap = replace(chain, coupler=DirectionalCouplerParams())
+        assert tap._coupler is None
+        assert chain_readout_lines([(8e9, 1e-3)], tap, 0.0) == chain_readout_lines([(8e9, 1e-3)], chain, 0.0)
+
     def test_not_in_json_repr_or_equality(self, chain):
+        derived = {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w", "_coupler", "_stub_band_hz", "_det_law", "_adc_codes"}
+        assert derived <= set(vars(chain))
         assert set(to_json(chain.adc)) == {"bits", "sample_rate", "v_fs"}
-        assert not {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w"} & set(to_json(chain))
+        assert not derived & set(to_json(chain))
         assert "_f_max_hz" not in to_json(chain.stub)
-        assert "lsb" not in repr(chain.adc) and "_sat_w" not in repr(chain)
+        assert "lsb" not in repr(chain.adc)
         other = ChainConfig()
         object.__setattr__(other.adc, "lsb", 1.0)
-        object.__setattr__(other, "_sat_w", 1.0)
-        assert other == chain and hash(other) == hash(chain)
+        for name in derived:
+            object.__setattr__(other, name, 1.0)
+        assert other == chain and hash(other) == hash(chain) and repr(other) == repr(chain)
+        assert chain_config_hash(other) == chain_config_hash(chain)
 
     def test_bundled_config_hashes_unchanged(self):
         assert {name: [chain_config_hash(c) for c in chains] for name, chains in _bundled_chains().items()} == {
@@ -414,3 +433,47 @@ class TestConstantsAtConstruction:
             "pulse_response.json": ["23e0f5265ca1cbe8"],
         }
         assert chain_config_hash(ChainConfig()) == "23e0f5265ca1cbe8"
+
+
+class TestOnePassReadout:
+    """A readout makes one stub sum and none of the one-value helper calls.
+
+    This counts work, like tests/test_engine.py::TestWorkPerRun: the
+    detector law, the quantisation, the standing-wave ratio, the coupling
+    and the ripple are read inside the readout, not called per line or per
+    voltage, and a descriptor is not expanded again.
+    """
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ChainConfig(), ChainConfig(coupling_kind="coupler"), ChainConfig(gain_ripple=((1e9, -1.0), (16e9, 1.0)))],
+        ids=["tap", "coupler", "ripple"],
+    )
+    def test_helper_calls(self, cfg, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (swsense.readout, "detector_voltage"),
+            (swsense.readout, "adc_sample"),
+            (swsense.readout, "expand_signal"),
+            (swsense.readout, "tap_rms_voltages"),
+            (swsense.stub, "wrapped_ratio"),
+            (ChainConfig, "coupling_db_at"),
+            (ChainConfig, "ripple_db_at"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        cw = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=2.0),))
+        comb = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=0.0, occupied_bw_hz=12e6),))
+        assert (len(cw.lines), len(comb.lines)) == (1, 31)
+        for sig in (cw, comb):
+            for read in (chain_readout, chain_voltages):
+                calls.clear()
+                read(sig, cfg, 0.25)
+                assert calls == ["tap_rms_voltages"]

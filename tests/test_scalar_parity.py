@@ -36,11 +36,13 @@ from swsense.controller import (
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.engine import default_grid_for, load_scenario
 from swsense.errors import OutOfBandError
+from swsense.stub import StubParams, TapSpec
 from swsense.estimator import CalibrationGrid, build_calibration, estimate
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
     ChainConfig,
+    DetectorParams,
     TapCodes,
     chain_codes_cw,
     chain_readout,
@@ -155,12 +157,20 @@ def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start):
 
 # Tap, coupler and gain-ripple chains; a low amplifier ceiling and a
 # 10-bit ADC put more of the drives above the ceiling and off the default codes.
+# The rest vary each constant a chain keeps for its read-out: the stub's taps
+# (12 and 4 GHz), impedance and permittivity; a 0.05-0.5 V detector that
+# clamps at both ends over the drawn powers; a 6-bit ADC, and a 16-bit one
+# whose 0.9 V full scale lies below the detector's ceiling.
 _READOUT_CHAINS = (
     ChainConfig(),
     ChainConfig(coupling_kind="coupler"),
     ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0))),
     ChainConfig(coupling_kind="coupler", gain_ripple=((2e9, 0.5), (12e9, -1.0))),
     ChainConfig(amplifier=AmplifierParams(p_out_sat_dbm=5.0), adc=AdcParams(bits=10)),
+    ChainConfig(stub=StubParams(z0s=75.0, taps=(TapSpec("l1", 12e9), TapSpec("l2", 4e9)), eps_eff=2.2)),
+    ChainConfig(detector=DetectorParams(slope_a=0.3, intercept_b=0.8, v_in_min=0.05, v_in_max=0.5)),
+    ChainConfig(adc=AdcParams(bits=6)),
+    ChainConfig(adc=AdcParams(bits=16, v_fs=0.9)),
 )
 
 
@@ -173,7 +183,7 @@ def _readouts(draw):
     n = draw(st.integers(1, 40))
     freqs = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
     if draw(st.integers(0, 9)) == 0:
-        freqs[draw(st.integers(0, n - 1))] = draw(st.floats(16e9, 40e9, exclude_min=True))
+        freqs[draw(st.integers(0, n - 1))] = draw(st.floats(cfg.stub.taps[0].f_max_hz, 40e9, exclude_min=True))
     powers = draw(st.lists(st.floats(-60.0, 35.0).map(dbm_to_watts), min_size=n, max_size=n))
     att = 0.25 * draw(st.integers(0, 127))
     if draw(st.integers(0, 9)) == 0:
@@ -182,7 +192,7 @@ def _readouts(draw):
     return cfg, list(zip(freqs, powers)), att, ratios
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=540, deadline=None)
 @given(case=_readouts())
 def test_readout_matches_scalar_reference(case):
     cfg, lines, att, ratios = case
