@@ -155,12 +155,15 @@ def on_sample(
     floor is interpreted as signal absence (below any threshold) and is not
     estimated; other estimation failures leave the filter untouched and are
     surfaced through the diagnostic field. Raises ValueError for a code
-    outside the ADC range or an att_db that is not an attenuator setting,
-    on every sample, frozen or not.
+    outside the ADC range, an att_db that is not an attenuator setting or
+    a t_s that is not finite, on every sample, frozen or not; the codes
+    are checked first.
     """
     chain = cal.cfg
     check_codes(codes, chain)
     now = codes.t_s
+    if not math.isfinite(now):
+        raise ValueError(f"t_s={now!r} is not a finite time")
     effective_at = now + ctrl.clock_period  # of every action decided on this sample
     mode, pending_at = st.mode, st.pending_at_s
     if pending_at is not None and now >= pending_at:

@@ -6,6 +6,12 @@ one sample period after conversion start) and its controller reacts with a
 one-clock actuation delay. Stage k feeds stage k+1 through its pick-off
 insertion loss and its notch; a reflective notch also perturbs what stage
 k's own detectors see via the sampled forward amplitude.
+
+A sample is only acquired and decided when it can differ from the one
+before it: a stage whose controller state maps to itself, with no action
+and no diagnostic, repeats its previous log row until a source edge, an
+action of any stage or the end of a notch's tuning transition falls
+between two of its conversions.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import heapq
 import io
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -233,13 +239,23 @@ class _Runner:
         ]
         if calibrations is None:
             calibrations = [get_calibration(st.chain, st.controller) for st in sc.stages]
-        elif len(calibrations) != len(sc.stages) or any(c.cfg != st.chain for c, st in zip(calibrations, sc.stages)):
-            raise ValueError("calibrations must hold one table per stage, built for that stage's chain")
+        elif not (
+            isinstance(calibrations, (list, tuple))
+            and len(calibrations) == len(sc.stages)
+            and all(isinstance(c, CalibrationTable) and c.cfg == st.chain for c, st in zip(calibrations, sc.stages))
+        ):
+            raise ValueError(
+                "calibrations must be a list or tuple holding one table per stage, "
+                "a CalibrationTable built for that stage's chain"
+            )
         self.cals = calibrations
         self.filter_hist: list[list[tuple[float, FilterState]]] = [
             [(-math.inf, FilterState())] for _ in sc.stages
         ]
         self.att_hist: list[list[tuple[float, float]]] = [[(-math.inf, 0.0)] for _ in sc.stages]
+        # Every time at which the line state or an attenuator setting can
+        # change, sorted, and an inf past them all.
+        self.events = sorted(x for src in sc.sources for x in (src.t_on_s, src.t_off_s)) + [math.inf]
         self.line_cache: dict[tuple, _Lines] = {}
         self.ctrl_state = [ControllerState() for _ in sc.stages]
         self.samples: list[list[dict]] = [[] for _ in sc.stages]
@@ -321,10 +337,12 @@ class _Runner:
             att_db=act.att_db,
         )
         spec = self.sc.stages[k]
+        insort(self.events, act.effective_at_s)
         if act.kind == ACT_TUNE:
             try:
                 new = tune(spec.notch, act.freq_hz, act.effective_at_s)
                 self.filter_hist[k].append((act.effective_at_s, new))
+                insort(self.events, new.transition_until_s)
             except TuningRangeError as exc:
                 applied.ok = False
                 self.diagnostics.append(f"stage {k}: {exc}")
@@ -336,7 +354,21 @@ class _Runner:
         self.actions.append(applied)
 
     def run(self, collect_trace: bool) -> Trace:
+        """Deliver every stage's samples in time order, then build the trace runs and metrics.
+
+        A sample is a repeat when its stage's previous sample was a fixed
+        point of on_sample (no action, no diagnostic, no pending mode, and
+        the state mapped to itself) and no event time lies between the two
+        conversions. Its codes, and so its decision, are the previous
+        sample's, so it is logged as a copy of the previous row with its own
+        t_s, with no acquisition and no on_sample call. An action decided at
+        t takes effect at t + clock_period, after every conversion already
+        processed, so no repeat is ever undone by a later event.
+        """
         sc = self.sc
+        events = self.events
+        # Per stage: the conversion time of its last sample if that was a fixed point, else None.
+        fixed_tau: list[float | None] = [None] * len(sc.stages)
         # Merge per-stage tick streams chronologically.
         heap = []
         for k, st in enumerate(sc.stages):
@@ -345,13 +377,26 @@ class _Runner:
             t, k = heapq.heappop(heap)
             if t >= sc.duration_s:
                 continue
+            period = sc.stages[k].chain.adc.sample_period
+            heapq.heappush(heap, (t + period, k))
+            tau = t - period
+            samples = self.samples[k]
+            if fixed_tau[k] is not None and events[bisect_right(events, fixed_tau[k])] > tau:
+                row = samples[-1].copy()
+                row["t_s"] = t
+                samples.append(row)
+                fixed_tau[k] = tau
+                continue
             codes = self._acquire(k, t)
-            state, acts = on_sample(codes, self.ctrl_state[k], sc.stages[k].controller, self.cals[k])
+            prev = self.ctrl_state[k]
+            state, acts = on_sample(codes, prev, sc.stages[k].controller, self.cals[k])
             self.ctrl_state[k] = state
             for act in acts:
                 self._apply(k, t, act)
             if state.diagnostic:
                 self.diagnostics.append(f"stage {k} at {t:.3e}s: {state.diagnostic}")
+            fixed = not acts and state.diagnostic is None and prev.pending_at_s is None and state == prev
+            fixed_tau[k] = tau if fixed else None
             est = state.last_estimate
             values = (
                 t,
@@ -364,8 +409,7 @@ class _Runner:
                 state.mode,
                 ";".join(a.kind for a in acts),
             )
-            self.samples[k].append(dict(zip(_SAMPLE_COLUMNS, values)))
-            heapq.heappush(heap, (t + sc.stages[k].chain.adc.sample_period, k))
+            samples.append(dict(zip(_SAMPLE_COLUMNS, values)))
 
         runs = self._build_runs() if collect_trace else []
         return Trace(

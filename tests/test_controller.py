@@ -227,6 +227,29 @@ class TestOnSample:
         with pytest.raises(ValueError, match=match):
             on_sample(codes, ControllerState(freeze_samples=freeze), controller, calibration)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t_s=st.sampled_from((math.nan, math.inf, -math.inf)),
+        triple=st.sampled_from(((2950, 2774, 2842), (757, 757, 757), (3101, 2000, 2000))),
+        att_db=st.sampled_from((0.0, 2.25, 31.75)),
+        state=st.sampled_from(
+            (
+                ControllerState(),
+                ControllerState(freeze_samples=1),
+                ControllerState(mode=MODE_ENGAGING, tuned_freq_hz=8e9, pending_at_s=1e-6),
+                ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=8e9),
+            )
+        ),
+    )
+    def test_non_finite_time_refused(self, controller, calibration, t_s, triple, att_db, state):
+        # Every action decided on such a sample would take effect at t_s + clock_period.
+        with pytest.raises(ValueError, match=r"^t_s=(nan|inf|-inf) is not a finite time$"):
+            on_sample(TapCodes(t_s, *triple, att_db), state, controller, calibration)
+
+    def test_codes_checked_before_time(self, controller, calibration):
+        with pytest.raises(ValueError, match="code_oc=99999"):
+            on_sample(TapCodes(math.nan, 99999, 2774, 2842, 2.25), ControllerState(), controller, calibration)
+
     def test_attenuator_step_freezes_next_sample(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, 2.0, 0.0)
         st, actions = on_sample(codes, ControllerState(), controller, calibration)

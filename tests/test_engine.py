@@ -8,7 +8,7 @@ import pytest
 
 import swsense.controller
 import swsense.engine
-from swsense.controller import ACT_SET_ATT, ControllerConfig
+from swsense.controller import ACT_SET_ATT, ControllerConfig, ControllerState, on_sample
 from swsense.core import Tone
 from swsense.engine import (
     Scenario,
@@ -42,6 +42,16 @@ def pulse_scenario():
         sources=(Tone(freq_hz=8e9, power_dbm=2.0, t_on_s=2e-6, t_off_s=1.43e-5),),
         stages=(StageSpec(notch=NotchModel(reflective=False)),),
         seed=7,
+    )
+
+
+def acceptance_pulse(seed):
+    """The pulse of acceptance 5: 8 GHz at +2 dBm, on from 1 to 4.1 us of a 6 us run."""
+    return Scenario(
+        duration_s=6e-6,
+        sources=(Tone(freq_hz=8e9, power_dbm=2.0, t_on_s=1e-6, t_off_s=4.1e-6),),
+        stages=(StageSpec(notch=NotchModel(reflective=False)),),
+        seed=seed,
     )
 
 
@@ -155,6 +165,25 @@ class TestValidation:
             with pytest.raises(ValueError, match="one table per stage"):
                 run(two, calibrations=cals)
         assert len(run(two, collect_trace=False, calibrations=[calibration] * 2).samples) == 2
+        assert len(run(two, collect_trace=False, calibrations=(calibration, calibration)).samples) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda cal: [object()],
+            lambda cal: [None],
+            lambda cal: [cal.cfg],
+            lambda cal: (c for c in [cal]),
+            lambda cal: {0: cal},
+            lambda cal: "cal",
+            lambda cal: cal,
+        ],
+        ids=["object", "none", "chain", "generator", "dict", "str", "bare_table"],
+    )
+    def test_calibrations_must_be_a_list_of_tables(self, calibration, make):
+        sc = Scenario(duration_s=2e-6, sources=(Tone(freq_hz=8e9, power_dbm=2.0),), stages=(StageSpec(),))
+        with pytest.raises(ValueError, match="list or tuple holding one table per stage"):
+            run(sc, calibrations=make(calibration))
 
     def test_stub_band_covers_sources(self):
         # A 12 MHz comb whose top line sits 1 MHz above tap l1's f_max.
@@ -236,19 +265,14 @@ class TestWorkPerRun:
 
         monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
         monkeypatch.setattr(swsense.controller, "estimate", counted_estimate)
-        sc = Scenario(
-            duration_s=6e-6,
-            sources=(Tone(freq_hz=8e9, power_dbm=2.0, t_on_s=1e-6, t_off_s=4.1e-6),),
-            stages=(StageSpec(notch=NotchModel(reflective=False)),),
-            seed=seed,
-        )
+        sc = acceptance_pulse(seed)
         runner = _Runner(sc, [calibration])
         samples = runner.run(collect_trace=False).samples[0]
         period = sc.stages[0].chain.adc.sample_period
         reads = {
             (runner._line_state(s["t_s"] - period), _at(runner.att_hist[0], s["t_s"] - period)) for s in samples
         }
-        assert len(readouts) == len(reads) < len(samples)
+        assert len(readouts) == len(reads) == 13 < len(samples) == 30
 
         # A sample after an attenuator step is frozen and not estimated.
         estimated, frozen = [], False
@@ -262,7 +286,101 @@ class TestWorkPerRun:
                     pass
             frozen = ACT_SET_ATT in s["action"].split(";")
         assert sorted(estimates) == sorted(set(estimated))
-        assert len(estimates) < len(estimated)
+        assert len(estimates) == 2 < len(estimated)
+
+
+def non_repeats(runner, trace, k):
+    """Delivery times of stage k's samples that are not repeats, found by replaying its log through on_sample.
+
+    A sample is a repeat when the one before it was a fixed point of
+    on_sample and no source edge, action or end of a tuning transition
+    falls between their conversion times.
+    """
+    sc = runner.sc
+    events = [x for src in sc.sources for x in (src.t_on_s, src.t_off_s)]
+    events += [a.effective_at_s for a in trace.actions]
+    events += [
+        a.effective_at_s + sc.stages[a.stage].notch.tuning_time_s for a in trace.actions if a.kind == "tune" and a.ok
+    ]
+    period = sc.stages[k].chain.adc.sample_period
+    state, fixed_tau, times = ControllerState(), None, []
+    for s in trace.samples[k]:
+        tau = s["t_s"] - period
+        if fixed_tau is not None and not any(fixed_tau < e <= tau for e in events):
+            fixed_tau = tau
+            continue
+        times.append(s["t_s"])
+        codes = TapCodes(s["t_s"], s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
+        new, acts = on_sample(codes, state, sc.stages[k].controller, runner.cals[k])
+        fixed = not acts and new.diagnostic is None and state.pending_at_s is None and new == state
+        fixed_tau = tau if fixed else None
+        state = new
+    return times
+
+
+def counted_on_sample(monkeypatch):
+    """Count the engine's on_sample calls; returns the delivery times it is called with, in call order."""
+    calls = []
+
+    def counted(codes, *args):
+        calls.append(codes.t_s)
+        return on_sample(codes, *args)
+
+    monkeypatch.setattr(swsense.engine, "on_sample", counted)
+    return calls
+
+
+class TestRepeatedSamples:
+    """A sample that repeats a fixed point is logged as a copy of the previous row, with no acquisition or decision."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_on_sample_once_per_non_repeat(self, calibration, monkeypatch, seed):
+        calls = counted_on_sample(monkeypatch)
+        runner = _Runner(acceptance_pulse(seed), [calibration])
+        trace = runner.run(collect_trace=False)
+        assert calls == non_repeats(runner, trace, 0)
+        assert (len(calls), len(trace.samples[0])) == (16, 30)
+
+    def test_cascade_calls_once_per_non_repeat(self, monkeypatch):
+        calls = counted_on_sample(monkeypatch)
+        runner = _Runner(cascade_scenario(), None)
+        trace = runner.run(collect_trace=False)
+        want = non_repeats(runner, trace, 0) + non_repeats(runner, trace, 1)
+        assert sorted(calls) == sorted(want)
+        assert len(calls) < sum(map(len, trace.samples))
+
+    def test_repeated_row_is_a_copy(self, calibration, monkeypatch):
+        calls = counted_on_sample(monkeypatch)
+        samples = _Runner(acceptance_pulse(0), [calibration]).run(collect_trace=False).samples[0]
+        called = set(calls)
+        repeats = [j for j, s in enumerate(samples) if s["t_s"] not in called]
+        assert len(repeats) == 14 and 0 not in repeats
+        for j in repeats:
+            row, prev = samples[j], samples[j - 1]
+            assert row is not prev
+            assert list(row) == list(prev)
+            assert row["t_s"] > prev["t_s"]
+            assert repr({**row, "t_s": None}) == repr({**prev, "t_s": None})
+
+    def test_fixed_stretch_with_diagnostic_is_decided_every_sample(self, monkeypatch):
+        # +35 dBm walks the attenuator to max_db, and the open-end code then sits at the detector ceiling.
+        calls = counted_on_sample(monkeypatch)
+        sc = Scenario(
+            duration_s=6e-5,
+            sources=(Tone(freq_hz=8e9, power_dbm=35.0),),
+            stages=(StageSpec(notch=NotchModel(reflective=False)),),
+        )
+        trace = run(sc, collect_trace=False)
+        samples = trace.samples[0]
+        top = [s for s in samples if s["att_db"] == sc.stages[0].chain.attenuator.max_db]
+        assert len(top) > 100
+        assert all((s["code_oc"], s["action"]) == (top[0]["code_oc"], "") for s in top)
+        assert len(calls) == len(samples)
+        logged = [d for d in trace.metrics.diagnostics if "attenuator at maximum" in d]
+        assert logged == [
+            f"stage 0 at {s['t_s']:.3e}s: PowerOverrangeError: open-end saturated with attenuator at maximum"
+            for s in top
+        ]
 
 
 class TestLimitCycle:

@@ -3,8 +3,10 @@
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
 that one result; it reads the ADC once per line state and attenuator
-setting, and on_sample estimates each code triple once per run. It stores
-the dt grid as runs of points that share their line powers and stage
+setting, and on_sample estimates each code triple once per run. A sample
+that repeats a fixed point of on_sample is logged as a copy of the one
+before it, with no acquisition and no decision. The engine stores the
+dt grid as runs of points that share their line powers and stage
 snapshots, and expands Trace.records from the runs; trace_to_csv formats
 each run's row tail once. tests/trace_reference.py recomputes every
 acquisition, every controller decision, every record and every cell.
@@ -20,10 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import trace_reference
+from swsense.controller import ControllerConfig
 from swsense.core import Tone
 from swsense.engine import Scenario, StageSpec, _Runner, load_scenario, trace_to_csv
 from swsense.filters import NotchModel
-from swsense.readout import ChainConfig
+from swsense.readout import AdcParams, ChainConfig
 
 SCENARIOS = ("cascade_6_12", "limit_cycle_coupler", "limit_cycle_tap", "pulse_response")
 SEEDS = (0, 1, 7, 11, 123)
@@ -83,6 +86,17 @@ def test_bundled_scenarios_match_reference(tmp_path, name, seed):
     assert_trace_parity(replace(scenario(name), seed=seed), tmp_path)
 
 
+@pytest.mark.parametrize("rates", [(4e6, 7e6), (7e6, 5e6)])
+def test_out_of_step_stages_match_reference(tmp_path, rates):
+    # At 7 MS/s a sample comes sooner than one 200 ns controller clock, so a
+    # pending mode outlives the sample after the one that set it.
+    sc = scenario("cascade_6_12")
+    stages = tuple(
+        replace(st, chain=replace(st.chain, adc=AdcParams(sample_rate=rate))) for st, rate in zip(sc.stages, rates)
+    )
+    assert_trace_parity(replace(sc, stages=stages), tmp_path)
+
+
 def test_records_of_one_state_share_tuples(tmp_path):
     trace = assert_trace_parity(scenario("pulse_response"), tmp_path)
     records = trace.records
@@ -116,9 +130,16 @@ def scenarios(draw):
             tuning_time_s=draw(st.sampled_from((5e-9, DT, 37e-9, 130e-9, 600e-9))),
             reflective=draw(st.booleans()),
         )
+        # Stages at different sample rates tick out of step, so one stage's
+        # action can land inside another stage's run of repeated samples.
+        chain = ChainConfig(
+            coupling_kind=draw(st.sampled_from(("tap", "coupler"))),
+            adc=AdcParams(sample_rate=draw(st.sampled_from((4e6, 5e6, 7e6)))),
+        )
         stages.append(
             StageSpec(
-                chain=ChainConfig(coupling_kind=draw(st.sampled_from(("tap", "coupler")))),
+                chain=chain,
+                controller=ControllerConfig(threshold_dbm=draw(st.sampled_from((-16.0, 0.0, 6.0)))),
                 notch=notch,
                 electrical_delay_s=draw(st.sampled_from((0.0, 1.0 / (4.0 * 6e9)))),
             )

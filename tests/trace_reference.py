@@ -3,10 +3,13 @@
 swsense.engine pushes the source lines through the stages once per line
 state, for its acquisitions and its trace alike, reads the ADC once per
 line state and attenuator setting, and formats each distinct row tail of
-trace.csv once; on_sample estimates each code triple once per run. The
-functions here recompute every acquisition, every controller decision
-and every record from scratch, pushing each source line through each
-stage, and format every cell of every row. They read a finished
+trace.csv once; on_sample estimates each code triple once per run. A
+sample that repeats a fixed point of on_sample, with no event since the
+one before, is logged as a copy of the previous row, with no acquisition
+and no on_sample call. The functions here recompute every acquisition,
+every controller decision and every record from scratch, pushing each
+source line through each stage and passing every sample, repeat or not,
+through on_sample, and format every cell of every row. They read a finished
 engine._Runner and are used only by tests, which require the two paths to
 give equal codes, equal decisions, equal records and byte-equal CSV files.
 """
