@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
 from .readout import ChainConfig, TapCodes, detector_floor_code
@@ -126,20 +128,36 @@ class ControllerState:
     estimate_memo: _EstimateMemo | None = field(default=None, compare=False, repr=False)
 
 
-def agc_policy(code_oc: int, att_db: float, ctrl: ControllerConfig, chain: ChainConfig) -> float:
+def agc_policy(
+    code_oc: int | np.ndarray, att_db: float | np.ndarray, ctrl: ControllerConfig, chain: ChainConfig
+) -> float | np.ndarray:
     """Next attenuator setting for an open-end code (one step per sample).
 
     Readings above the window step the attenuation up; readings below it
     step down only while a signal is actually visible (above the detector
-    floor) and attenuation remains to remove.
+    floor) and attenuation remains to remove. A stepped setting is the
+    nearest whole number of steps, clamped to [0, max_db]; an unstepped one
+    is att_db itself.
+
+    This is the only gain-control rule: on_sample applies it to one
+    reading, and build_calibration to numpy arrays of code_oc and att_db,
+    element by element, with the same result per element. Scalars give a
+    Python float when att_db is one; arrays give an array.
     """
     step = chain.attenuator.step_db
     max_db = chain.attenuator.max_db
-    if code_oc > ctrl.agc_high_code and att_db < max_db - 1e-9:
-        return min(max_db, round((att_db + step) / step) * step)
-    if ctrl.agc_floor_code < code_oc < ctrl.agc_low_code and att_db > 1e-9:
-        return max(0.0, round((att_db - step) / step) * step)
-    return att_db
+    up = (code_oc > ctrl.agc_high_code) & (att_db < max_db - 1e-9)
+    down = (ctrl.agc_floor_code < code_oc) & (code_oc < ctrl.agc_low_code) & (att_db > 1e-9)
+    steps = 1 * up - 1 * down
+    if isinstance(steps, np.ndarray):
+        moved = np.clip(np.rint((att_db + step * steps) / step) * step, 0.0, max_db)
+        return np.where(steps != 0, moved, att_db)
+    # One reading, once per sample: Python's round and comparisons give the
+    # same setting as numpy's rint and clip, at a fraction of their cost.
+    if not steps:
+        return att_db
+    moved = round((att_db + step * steps) / step) * step
+    return moved if 0.0 <= moved <= max_db else (0.0 if moved < 0.0 else max_db)
 
 
 # The mode a pending transition settles to once its time is reached.

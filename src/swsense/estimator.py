@@ -31,12 +31,12 @@ from .errors import (
     PowerOverrangeError,
 )
 from .readout import (
+    _cw_codes,
     AdcParams,
     ChainConfig,
     DetectorParams,
     TapCodes,
     chain_config_from_dict,
-    chain_codes_cw,
     chain_config_hash,
     chain_config_to_dict,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
@@ -232,27 +232,9 @@ def place_nodes(
     return f_max_2, f_min
 
 
-# Cells per block of the array build; the block's float temporaries stay
-# at a few MiB whatever the grid size.
+# Cells per block of the walk; the block's float temporaries stay at a few
+# MiB whatever the grid size.
 _BLOCK_CELLS = 1 << 14
-
-
-def _agc_stop(code_oc: np.ndarray, ctrl, max_iter: int) -> np.ndarray:
-    """Setting index where the AGC loop of build_calibration stops, per cell.
-
-    code_oc[..., k] is the open-end code at the k-th attenuator setting.
-    From setting 0 agc_policy steps up to k*, the first setting whose code
-    is at or below agc_high_code (the top setting if there is none). It
-    stays at k* unless k* > 0 and the code there lies strictly between
-    agc_floor_code and agc_low_code. Then it steps down to k* - 1, whose
-    code is above agc_high_code, and back up, for as long as max_iter
-    steps last, so the parity of the steps left decides where it ends.
-    """
-    below = code_oc <= ctrl.agc_high_code
-    k = np.where(below.any(axis=-1), below.argmax(axis=-1), code_oc.shape[-1] - 1)
-    c = np.take_along_axis(code_oc, k[..., None], axis=-1)[..., 0]
-    cycles = (k > 0) & (ctrl.agc_floor_code < c) & (c < ctrl.agc_low_code)
-    return k - (cycles & ((max_iter - k) % 2 == 1))
 
 
 def build_calibration(
@@ -262,74 +244,99 @@ def build_calibration(
 ) -> CalibrationTable:
     """Forward-simulate the chain over a CW grid at AGC-dictated attenuation.
 
-    The grid defaults to default_grid_for(cfg), the chain's usable band.
+    Domain, enforced with ValueError naming the argument: cfg is a
+    ChainConfig, grid is None or a CalibrationGrid (None is
+    default_grid_for(cfg), the chain's usable band), and ctrl is None or a
+    ControllerConfig (None is ControllerConfig.for_chain(cfg)).
 
-    Every cell takes the setting and codes where the gain-control policy,
-    started from zero attenuation and given one step per attenuator
-    setting plus two, stops. All settings of a block of grid rows are read
-    at once with chain_codes_cw. Raises CalibrationRangeError for the
-    first cell, in row order, that the detectors cannot represent (floor
-    at the bottom, unservable overload at the top) or whose frequency is
-    outside the coupler band or above the stub band.
+    Every cell walks the controller's own agc_policy, applied to arrays of
+    cells: it starts at zero attenuation, and in each round the cells the
+    policy still moves take one step and are read again with
+    chain_codes_cw's arithmetic. A cell that stops is final. The walk gets
+    one round per attenuator step plus two, the budget of one cell's scalar
+    walk, so a cell whose window is narrower than a step, and which cycles
+    between two settings, ends where that scalar walk ends. Raises
+    CalibrationRangeError for the first cell, in row order, that the
+    detectors cannot represent (floor at the bottom, unservable overload at
+    the top) or whose frequency is outside the coupler band or above the
+    stub band.
     """
-    from .controller import ControllerConfig
+    from .controller import ControllerConfig, agc_policy
 
+    if not isinstance(cfg, ChainConfig):
+        raise ValueError(f"cfg must be a ChainConfig, got {cfg!r}")
+    if not (grid is None or isinstance(grid, CalibrationGrid)):
+        raise ValueError(f"grid must be None or a CalibrationGrid, got {grid!r}")
+    if not (ctrl is None or isinstance(ctrl, ControllerConfig)):
+        raise ValueError(f"ctrl must be None or a ControllerConfig, got {ctrl!r}")
     grid = grid or default_grid_for(cfg)
     ctrl = ctrl or ControllerConfig.for_chain(cfg)
     freqs = grid.freqs()
     powers = grid.powers()
     nf, npow = len(freqs), len(powers)
-    att = np.zeros((nf, npow))
-    oc = np.zeros((nf, npow), dtype=int)
-    l1 = np.zeros((nf, npow), dtype=int)
-    l2 = np.zeros((nf, npow), dtype=int)
+    # The cells in row order; reshaped to (nf, npow) for the table.
+    att = np.zeros(nf * npow)
+    oc = np.zeros(nf * npow, dtype=int)
+    l1 = np.zeros(nf * npow, dtype=int)
+    l2 = np.zeros(nf * npow, dtype=int)
     floor = detector_floor_code(cfg)
     max_db = cfg.attenuator.max_db
-    n_steps = int(round(max_db / cfg.attenuator.step_db))
-    # agc_policy's settings: k steps up from 0, clamped at max_db.
-    settings = np.minimum(max_db, cfg.attenuator.step_db * np.arange(n_steps + 1))
+    rounds = int(round(max_db / cfg.attenuator.step_db)) + 2
 
     # Rows before the first out-of-band frequency are checked before it.
-    n_rows, out_of_band = nf, None
-    for i, f in enumerate(freqs):
+    # Each row's coupling and ripple are looked up once, for every round.
+    row_db, out_of_band = [], None
+    for f in freqs.tolist():
         try:
-            cfg.coupling_db_at(float(f))
-            check_stub_band(float(f), cfg)
+            db = (cfg.coupling_db_at(f), cfg.ripple_db_at(f))
+            check_stub_band(f, cfg)
         except OutOfBandError as exc:
-            n_rows, out_of_band = i, exc
+            out_of_band = exc
             break
+        row_db.append(db)
+    n_cells = len(row_db) * npow
 
-    block = max(1, _BLOCK_CELLS // (npow * len(settings)))
-    for i0 in range(0, n_rows, block):
-        rows = slice(i0, min(i0 + block, n_rows))
-        codes = chain_codes_cw(freqs[rows, None, None], powers[None, :, None], settings, cfg)
-        k = _agc_stop(codes[0], ctrl, n_steps + 2)
-        att[rows] = settings[k]
-        for out, c in zip((oc, l1, l2), codes):
-            out[rows] = np.take_along_axis(c, k[..., None], axis=-1)[..., 0]
-        at_floor = oc[rows] <= floor
-        exhausted = (oc[rows] > ctrl.agc_high_code) & (att[rows] >= max_db)
+    block = max(1, _BLOCK_CELLS // npow) * npow  # whole rows
+    for c0 in range(0, n_cells, block):
+        cells = slice(c0, min(c0 + block, n_cells))
+        rows = slice(c0 // npow, cells.stop // npow)
+        f, p = np.repeat(freqs[rows], npow), np.tile(powers, rows.stop - rows.start)
+        c_db, r_db = np.repeat(np.array(row_db[rows]), npow, axis=0).T
+        a, codes = att[cells], (oc[cells], l1[cells], l2[cells])  # views
+
+        def read(k):
+            for out, c in zip(codes, _cw_codes(f[k], p[k], a[k], cfg, c_db[k], r_db[k])):
+                out[k] = c
+
+        moving = np.arange(a.size)
+        read(moving)
+        for _ in range(rounds):
+            nxt = agc_policy(codes[0][moving], a[moving], ctrl, cfg)
+            stepped = nxt != a[moving]
+            moving = moving[stepped]
+            if not moving.size:
+                break
+            a[moving] = nxt[stepped]
+            read(moving)
+        at_floor = codes[0] <= floor
+        exhausted = (codes[0] > ctrl.agc_high_code) & (a >= max_db)
         bad = np.flatnonzero(at_floor | exhausted)
         if bad.size:
-            i, j = divmod(int(bad[0]), npow)
-            f, p = freqs[i0 + i], powers[j]
-            if at_floor[i, j]:
-                raise CalibrationRangeError(
-                    f"open-end reading at detector floor for {f / 1e9:.2f} GHz, {p:.1f} dBm"
-                )
-            raise CalibrationRangeError(
-                f"attenuator exhausted holding {f / 1e9:.2f} GHz, {p:.1f} dBm"
-            )
+            i, j = divmod(c0 + int(bad[0]), npow)
+            cell = f"{freqs[i] / 1e9:.2f} GHz, {powers[j]:.1f} dBm"
+            if at_floor[bad[0]]:
+                raise CalibrationRangeError(f"open-end reading at detector floor for {cell}")
+            raise CalibrationRangeError(f"attenuator exhausted holding {cell}")
     if out_of_band is not None:
         raise CalibrationRangeError(str(out_of_band)) from out_of_band
 
     return CalibrationTable(
         freqs_hz=freqs,
         powers_dbm=powers,
-        att_db=att,
-        code_oc=oc,
-        code_l1=l1,
-        code_l2=l2,
+        att_db=att.reshape(nf, npow),
+        code_oc=oc.reshape(nf, npow),
+        code_l1=l1.reshape(nf, npow),
+        code_l2=l2.reshape(nf, npow),
         config_hash=chain_config_hash(cfg),
         cfg=cfg,
     )

@@ -4,7 +4,8 @@ chain_readout composes the whole monitor path for a signal descriptor:
 pick-off coupling, step attenuation, saturating gain, stub drive, per-tap
 standing-wave voltages, logarithmic detection, and ADC quantization. The
 same composition runs unquantized via chain_voltages for analysis, and
-over whole arrays of CW cells via chain_codes_cw for calibration.
+over whole arrays of CW cells via chain_codes_cw, whose arithmetic the
+calibration build shares.
 """
 
 from __future__ import annotations
@@ -362,21 +363,41 @@ def chain_codes_cw(
 
     The three arrays broadcast together, and every cell of their broadcast
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
-    cfg, att): the arithmetic runs in the same order. Coupling and gain
-    ripple are evaluated once per element of freq_hz, so an out-of-band
-    coupler frequency raises OutOfBandError, as does one above the stub
-    band, and an invalid setting in att_db raises ValueError.
+    cfg, att): the arithmetic runs in the same order. A frequency above the
+    stub band raises OutOfBandError, then an invalid setting in att_db
+    raises ValueError; coupling and gain ripple are evaluated once per
+    element of freq_hz, so an out-of-band coupler frequency raises
+    OutOfBandError.
     """
     f = np.asarray(freq_hz, dtype=float)
-    p_dbm = np.asarray(power_dbm, dtype=float)
-    att = np.asarray(att_db, dtype=float)
     if f.size:
         check_stub_band(float(f.max()), cfg)
+    return _cw_codes(f, power_dbm, att_db, cfg)
+
+
+def _cw_codes(
+    f: np.ndarray,
+    power_dbm: np.ndarray,
+    att_db: np.ndarray,
+    cfg: ChainConfig,
+    coupling_db: np.ndarray | None = None,
+    ripple_db: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chain_codes_cw for frequencies in the stub band.
+
+    coupling_db and ripple_db, each broadcasting with f, are the chain's
+    coupling_db_at and ripple_db_at of f; a caller that reads the same
+    frequencies at many settings passes them, and they are evaluated here
+    otherwise.
+    """
+    p_dbm = np.asarray(power_dbm, dtype=float)
+    att = np.asarray(att_db, dtype=float)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
-    coupling = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
-    ripple = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
-    g_db = coupling - att + cfg.amplifier.gain_db + ripple
+    if coupling_db is None:
+        coupling_db = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
+        ripple_db = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
+    g_db = coupling_db - att + cfg.amplifier.gain_db + ripple_db
     p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
     sat_w = cfg._sat_w
     p = np.where(p > sat_w, p * (sat_w / p), p)

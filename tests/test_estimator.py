@@ -183,6 +183,12 @@ class TestCalibrationBuild:
         with pytest.raises(CalibrationRangeError):
             build_calibration(chain, loud)
 
+    @pytest.mark.parametrize("arg", ["cfg", "grid", "ctrl"])
+    def test_arguments_outside_their_domain_raise(self, chain, arg):
+        args = {"cfg": chain, "grid": None, "ctrl": None, arg: "x"}
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            build_calibration(**args)
+
     def test_grid_above_the_stub_band_raises(self, chain):
         # The default grid's top row sits exactly at tap l1's f_max and builds.
         with pytest.raises(CalibrationRangeError, match="16.500 GHz above the stub band"):

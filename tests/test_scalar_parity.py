@@ -5,9 +5,12 @@ config constant per call, the per-cell calibration loop, the per-call
 estimator and the controller with a code check in each branch. The
 library must reproduce them bit for bit: every detector voltage and code,
 every array of every table, every Estimate, every controller state and
-action, and the type and text of every error.
+action, and the type and text of every error. agc_policy on arrays must
+give its scalar result per element, and the bundled tables are pinned by
+digest, which a change to that rule would move.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from importlib import resources
@@ -31,6 +34,7 @@ from swsense.controller import (
     MODE_RELEASING,
     ControllerConfig,
     ControllerState,
+    agc_policy,
     on_sample,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
@@ -41,6 +45,7 @@ from swsense.estimator import CalibrationGrid, build_calibration, estimate
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
+    AttenuatorParams,
     ChainConfig,
     DetectorParams,
     TapCodes,
@@ -85,6 +90,15 @@ def agc_window(ctrl):
     return ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code
 
 
+def table_digest(cal):
+    """sha256 of the six arrays of a table, as little-endian 8-byte numbers."""
+    h = hashlib.sha256()
+    for name in TABLE_ARRAYS:
+        a = getattr(cal, name)
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
 def bundled_tables():
     """(chain, controller) of each distinct table the bundled scenarios build."""
     folder = resources.files("swsense").joinpath("data/scenarios")
@@ -121,6 +135,18 @@ class TestCalibrationParity:
         ctrl = ControllerConfig.for_chain(chain, window_codes=window)
         assert_same_build(chain, CalibrationGrid(2e9, 14e9, 2e9, -20.0, 20.0, 0.1), ctrl)
 
+    def test_bundled_tables_are_pinned(self):
+        # Both sides of the comparisons above walk the same agc_policy, so a
+        # change to that rule would move them together; these digests would not.
+        digests = {
+            cfg.coupling_kind: table_digest(build_calibration(cfg, default_grid_for(cfg), ctrl))
+            for cfg, ctrl in bundled_tables()
+        }
+        assert digests == {
+            "tap": "612d9f21a685029eeb08f3400dfa1b126256a9b7a2badb0a779358687ebfcebb",
+            "coupler": "ec64c5c7a3a1406fdf65c7b837a64a70994e4c509c2e8ab4b0a225355f13ac7a",
+        }
+
     @pytest.mark.parametrize(
         "coupling_kind, grid",
         [
@@ -142,17 +168,54 @@ class TestCalibrationParity:
 _off_lattice_steps = st.floats(0.05, 2.5).filter(lambda s: abs(s / 0.25 - round(s / 0.25)) > 1e-3)
 
 
+# The default attenuator, and attenuators whose settings are off the 0.25 dB
+# lattice; the top setting of 0.1/12.7 is not 127 * 0.1, and loud cells
+# exhaust it.
+ATTENUATORS = (
+    AttenuatorParams(),
+    AttenuatorParams(0.1, 12.7),
+    AttenuatorParams(0.3, 30.0),
+    AttenuatorParams(0.5, 31.5),
+    AttenuatorParams(1.0, 40.0),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     window=st.integers(1, 200),
     p_step=_off_lattice_steps,
     p_start=st.floats(-20.0, 12.0),
     f_start=st.floats(1e9, 12e9),
+    attenuator=st.sampled_from(ATTENUATORS),
 )
-def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start):
-    ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start, attenuator):
+    cfg = replace(chain, attenuator=attenuator)
+    ctrl = ControllerConfig.for_chain(cfg, window_codes=window)
     grid = CalibrationGrid(f_start, f_start + 3e9, 1.5e9, p_start, p_start + 7 * p_step, p_step)
-    assert_same_build(chain, grid, ctrl)
+    assert_same_build(cfg, grid, ctrl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    attenuator=st.sampled_from(ATTENUATORS),
+    window=st.integers(1, 200),
+    drawn_codes=st.lists(st.integers(0, 4095), max_size=20),  # the default ADC's codes
+)
+def test_agc_policy_on_arrays_is_the_scalar_rule_per_element(attenuator, window, drawn_codes):
+    # Every setting, including 0 and max_db, against codes on and beside
+    # each window edge, at both ends of the ADC range, and drawn ones.
+    chain = ChainConfig(attenuator=attenuator)
+    ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+    edges = (ctrl.agc_floor_code, ctrl.agc_low_code, ctrl.agc_high_code)
+    codes = [0, chain.adc.full_code, *drawn_codes, *(e + d for e in edges for d in (-1, 0, 1))]
+    n = int(round(attenuator.max_db / attenuator.step_db))
+    all_settings = [k * attenuator.step_db for k in range(n + 1)] + [attenuator.max_db]
+    code_grid, att_grid = np.meshgrid(codes, all_settings)
+    got = agc_policy(code_grid, att_grid, ctrl, chain)
+    expected = [agc_policy(int(c), float(a), ctrl, chain) for c, a in zip(code_grid.flat, att_grid.flat)]
+    assert all(type(x) is float for x in expected)
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.tobytes() == np.array(expected).reshape(got.shape).tobytes()
 
 
 # Tap, coupler and gain-ripple chains; a low amplifier ceiling and a
