@@ -12,19 +12,26 @@ before it: a stage whose controller state maps to itself, with no action
 and no diagnostic, repeats its previous log row until a source edge, an
 action of any stage or the end of a notch's tuning transition falls
 between two of its conversions.
+
+A traced run costs what its change points cost, not what its dt points or
+samples cost: the trace is stored as maximal runs of dt points with equal
+powers and stage snapshots, found by reading only the first dt point at or
+after each change, and the CSV writers format each steady stretch's cells
+after t_s once.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
-import io
 import json
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
+from itertools import groupby
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +116,11 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TraceRun:
-    """The dt points start..stop-1 of a trace, which share their powers and stage snapshots."""
+    """The dt points start..stop-1 of a trace, which share their powers and stage snapshots.
+
+    Runs are maximal: two adjacent runs differ in their powers or in a
+    stage snapshot, so a steady stretch of the trace is one run.
+    """
 
     start: int
     stop: int
@@ -221,6 +232,23 @@ class _Lines(NamedTuple):
     in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
     out_dbm: tuple[tuple[float, ...], ...]
     codes: tuple[dict, ...]  # [stage] {att_db: TapCodes} read so far in this line state
+    state: tuple  # the line state, as _Runner._line_state gives it
+
+
+def _first_point(c: float, dt: float) -> int:
+    """The first dt point i >= 0 with c <= i * dt, as that float comparison decides it.
+
+    ceil(c / dt) can be one off either way where c / dt or i * dt rounds,
+    so it is moved until (i - 1) * dt < c <= i * dt.
+    """
+    if c <= 0.0:
+        return 0
+    i = math.ceil(c / dt)
+    while i * dt < c:
+        i += 1
+    while i > 0 and (i - 1) * dt >= c:
+        i -= 1
+    return i
 
 
 def _at(hist: list[tuple[float, object]], t: float):
@@ -310,7 +338,7 @@ class _Runner:
             ins.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in))
             outs.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out))
         codes = tuple({} for _ in self.sc.stages)
-        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), codes)
+        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), codes, key)
         return self.line_cache[key]
 
     # ---- sampling ----
@@ -424,44 +452,47 @@ class _Runner:
     # ---- post-processing ----
 
     def _build_runs(self) -> list[TraceRun]:
-        """The dt grid as runs of points with the same line state and stage snapshots.
+        """The dt grid as maximal runs of points with equal powers and stage snapshots.
 
-        A stage's snapshot is its last delivered sample (idle before the
-        first) and its filter-history entry. A run ends at the first dt point
-        at which a snapshot or the line state differs.
+        A stage's snapshot is the values of its last delivered sample (idle
+        before the first) and its notch setting. These and the powers change
+        only at a change point: a sample whose values differ from the row
+        before it, a filter-history entry or the end of its tuning
+        transition, or a source edge. Only the first dt point at or after
+        each change point is read, once, and it starts a run unless its
+        powers and snapshots equal those of the run before it.
         """
         sc = self.sc
-        n = int(round(sc.duration_s / sc.dt_s))
-        sample_times = [[s["t_s"] for s in samples] for samples in self.samples]
-        changes = sorted(
-            {x for times in sample_times for x in times}
-            | {x for hist in self.filter_hist for e in hist for x in (e[0], e[1].transition_until_s)}
-            | {x for src in sc.sources for x in (src.t_on_s, src.t_off_s)}
-        )
-        # changes[:n_seen] are at or before the last point whose state was read.
-        # Each filter history starts at -inf, so point 0 always starts a run.
-        n_seen = 0
-        heads = []  # (start, in_dbm, out_dbm, stages) of each run
-        key = None
-        for i in range(n):
-            t = i * sc.dt_s
-            if n_seen < len(changes) and changes[n_seen] <= t:
-                n_seen = bisect_right(changes, t, n_seen)
-                # Per stage: index of the last delivered sample.
-                pos = tuple(bisect_right(times, t) - 1 for times in sample_times)
-                line_state = self._line_state(t)
-                if (pos, line_state) == key:
-                    continue
-                key = pos, line_state
-                lines = self._lines(t)
-                stages = []
-                for k, (j, (h, _)) in enumerate(zip(pos, line_state[1])):
-                    values = _snapshot_values(self.samples[k][j]) if j >= 0 else _IDLE_VALUES
-                    fstate = self.filter_hist[k][h][1]
-                    stages.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
-                heads.append((i, lines.in_dbm, lines.out_dbm, tuple(stages)))
+        dt = sc.dt_s
+        n = int(round(sc.duration_s / dt))
+        # Per stage: the t_s and snapshot values of each sample that differs from the one before it.
+        steps = [
+            [(next(rows)["t_s"], values) for values, rows in groupby(samples, _snapshot_values)]
+            for samples in self.samples
+        ]
+        step_times = [[t for t, _ in stage_steps] for stage_steps in steps]
+        changes = {t for times in step_times for t in times}
+        changes.update(x for hist in self.filter_hist for e in hist for x in (e[0], e[1].transition_until_s))
+        changes.update(x for src in sc.sources for x in (src.t_on_s, src.t_off_s))
+        # Each filter history starts at -inf, so point 0 is always read.
+        points = sorted({_first_point(c, dt) for c in changes if c < math.inf})
+        heads = []  # (start, in_dbm, out_dbm, per-stage snapshot values) of each run
+        for i in points[: bisect_left(points, n)]:
+            t = i * dt
+            lines = self._lines(t)
+            snaps = []
+            for k, (h, _) in enumerate(lines.state[1]):
+                j = bisect_right(step_times[k], t) - 1
+                fstate = self.filter_hist[k][h][1]
+                snaps.append((*(steps[k][j][1] if j >= 0 else _IDLE_VALUES), fstate.engaged, fstate.f_center_hz))
+            head = (lines.in_dbm, lines.out_dbm, tuple(snaps))
+            if not heads or head != heads[-1][1:]:
+                heads.append((i, *head))
         stops = [h[0] for h in heads[1:]] + [n]
-        return [TraceRun(h[0], stop, *h[1:]) for h, stop in zip(heads, stops)]
+        return [
+            TraceRun(start, stop, in_dbm, out_dbm, tuple(StageSnapshot(*v) for v in snaps))
+            for (start, in_dbm, out_dbm, snaps), stop in zip(heads, stops)
+        ]
 
     def _metrics(self, runs: list[TraceRun]) -> Metrics:
         sc = self.sc
@@ -594,6 +625,21 @@ def save_scenario(sc: Scenario, path: str) -> None:
 # ---------------- trace artifacts ----------------
 
 
+def _write_stretches(fh, stretches) -> None:
+    """Write CSV rows of a t_s cell and a stretch's cells, formatting each stretch's cells once.
+
+    stretches yields (t_s values, cells after t_s) pairs, each with at
+    least one t_s. csv.writer writes a float as repr(), its shortest form
+    that parses back exactly, so each row equals the one csv.writer writes
+    for [t_s, *cells].
+    """
+    # writerow returns what its file's write returns: here the formatted line.
+    csv_line = csv.writer(SimpleNamespace(write=str)).writerow
+    for times, cells in stretches:
+        tail = "," + csv_line(cells)
+        fh.write(tail.join(map(repr, times)) + tail)
+
+
 def trace_to_csv(trace: Trace, path: str) -> None:
     """Write the dt-grid trace; one row per instant, stage columns prefixed s<k>_.
 
@@ -608,12 +654,9 @@ def trace_to_csv(trace: Trace, path: str) -> None:
         cols += [f"s{k}_in{i}_dbm" for i in range(n_src)]
         cols += [f"s{k}_out{i}_dbm" for i in range(n_src)]
         cols += [f"s{k}_{f.name}" for f in fields(StageSnapshot)]
-    # csv.writer writes a float as repr(), its shortest form that parses back exactly.
     sampled = attrgetter(*_SAMPLE_COLUMNS[1:])
-    buf = io.StringIO()
-    tail_writer = csv.writer(buf)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(cols)
+
+    def stretches():
         for r in trace.runs:
             row: list = []
             for k, s in enumerate(r.stages):
@@ -621,16 +664,21 @@ def trace_to_csv(trace: Trace, path: str) -> None:
                 row += r.out_dbm[k]
                 row += sampled(s)
                 row += (int(s.filter_engaged), s.filter_center_hz)
-            buf.seek(0)
-            buf.truncate()
-            tail_writer.writerow(row)
-            tail = buf.getvalue()
-            fh.writelines(f"{i * dt!r},{tail}" for i in range(r.start, r.stop))
+            # dt.__rmul__(i) is i * dt.
+            yield map(dt.__rmul__, range(r.start, r.stop)), row
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(cols)
+        _write_stretches(fh, stretches())
 
 
 def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
-    """Write one stage's per-sample controller log."""
+    """Write one stage's per-sample controller log.
+
+    The cells after t_s are formatted once per stretch of consecutive rows
+    with equal values, such as a stage's repeats at a fixed point.
+    """
+    stretches = groupby(trace.samples[stage], _snapshot_values)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SAMPLE_COLUMNS)
-        w.writerows(map(itemgetter(*_SAMPLE_COLUMNS), trace.samples[stage]))
+        csv.writer(fh).writerow(_SAMPLE_COLUMNS)
+        _write_stretches(fh, ((map(itemgetter("t_s"), rows), values) for values, rows in stretches))

@@ -1,4 +1,4 @@
-"""Acquisitions, controller decisions, trace records and trace.csv match the from-scratch oracle exactly.
+"""Acquisitions, controller decisions, trace records and the CSV files match the from-scratch oracle exactly.
 
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
@@ -6,15 +6,17 @@ that one result; it reads the ADC once per line state and attenuator
 setting, and on_sample estimates each code triple once per run. A sample
 that repeats a fixed point of on_sample is logged as a copy of the one
 before it, with no acquisition and no decision. The engine stores the
-dt grid as runs of points that share their line powers and stage
-snapshots, and expands Trace.records from the runs; trace_to_csv formats
-each run's row tail once. tests/trace_reference.py recomputes every
-acquisition, every controller decision, every record and every cell.
-Records and decisions are compared through repr(), which gives each
-float's shortest exact form, so equal reprs mean bit-equal values with
-NaN equal to NaN.
+dt grid as maximal runs of points that share their line powers and stage
+snapshots, reading only the first dt point at or after each change point,
+and expands Trace.records from the runs; trace_to_csv formats each run's
+row tail once and samples_to_csv each stretch of equal rows' tail once.
+tests/trace_reference.py recomputes every acquisition, every controller
+decision, every record and every cell. Records and decisions are compared
+through repr(), which gives each float's shortest exact form, so equal
+reprs mean bit-equal values with NaN equal to NaN.
 """
 
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -24,7 +26,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import trace_reference
 from swsense.controller import ControllerConfig
 from swsense.core import Tone
-from swsense.engine import Scenario, StageSpec, _Runner, load_scenario, trace_to_csv
+from swsense.engine import (
+    _SILENT_DBM,
+    Scenario,
+    StageSpec,
+    _first_point,
+    _Runner,
+    load_scenario,
+    samples_to_csv,
+    trace_to_csv,
+)
 from swsense.filters import NotchModel
 from swsense.readout import AdcParams, ChainConfig
 
@@ -59,6 +70,9 @@ def assert_trace_parity(sc, tmp_path):
     assert runs[-1].stop == round(sc.duration_s / sc.dt_s)
     assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
     assert all(r.start < r.stop for r in runs)
+    # Runs are maximal: adjacent runs differ in their powers or in a stage snapshot.
+    heads = [repr((r.in_dbm, r.out_dbm, r.stages)) for r in runs]
+    assert all(a != b for a, b in zip(heads, heads[1:]))
     records = trace.records
     assert records is trace.records
     expanded = [run for run in runs for _ in range(run.start, run.stop)]
@@ -77,6 +91,11 @@ def assert_trace_parity(sc, tmp_path):
     trace_to_csv(trace, str(new))
     trace_reference.trace_to_csv(trace, str(old))
     assert new.read_bytes() == old.read_bytes()
+    for k in range(len(sc.stages)):
+        new, old = tmp_path / f"samples_stage{k}.csv", tmp_path / f"samples_stage{k}_reference.csv"
+        samples_to_csv(trace, k, str(new))
+        trace_reference.samples_to_csv(trace, k, str(old))
+        assert new.read_bytes() == old.read_bytes(), f"stage {k}"
     return trace
 
 
@@ -102,6 +121,55 @@ def test_records_of_one_state_share_tuples(tmp_path):
     records = trace.records
     assert len({id(r.in_dbm) for r in records}) < len(records) / 10
     assert len({id(r.stages) for r in records}) < len(records) / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dt=st.sampled_from((DT, 1e-9, 0.1, 1.0 / 3.0, 7e-12)),
+    i=st.integers(0, 10**7),
+    side=st.sampled_from((-1, 0, 1)),
+)
+def test_first_point_is_the_first_point_at_or_after_a_time(dt, i, side):
+    c = i * dt if side == 0 else math.nextafter(i * dt, side * math.inf)
+    # The answer is i - 1, i or i + 1; i - 2 lies before c.
+    assert _first_point(c, dt) == min(j for j in range(max(0, i - 2), i + 3) if c <= j * dt)
+
+
+# Per source, the dt points of its turn-on and turn-off. For the turn-ons,
+# ceil(i * DT / DT) is i + 1; for the turn-offs, the float one ulp above
+# i * DT, divided by DT, rounds up to i rather than i + 1.
+TIE_POINTS = ((44, 134), (81, 148))
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+@pytest.mark.parametrize("name", ["pulse_response", "cascade_6_12"])
+def test_edges_on_and_beside_dt_points_match_reference(tmp_path, name, side):
+    # An edge at i * DT or one ulp before it is first seen at point i, one
+    # ulp after it at point i + 1.
+    def edge(i):
+        return i * DT if side == 0 else math.nextafter(i * DT, side * math.inf)
+
+    base = scenario(name)
+    sources = tuple(
+        replace(src, t_on_s=edge(on), t_off_s=edge(off)) for src, (on, off) in zip(base.sources, TIE_POINTS)
+    )
+    trace = assert_trace_parity(replace(base, duration_s=6e-6, sources=sources), tmp_path)
+    for si, (on, off) in enumerate(TIE_POINTS[: len(sources)]):
+        live = [i for r in trace.runs if r.in_dbm[0][si] != _SILENT_DBM for i in range(r.start, r.stop)]
+        assert (live[0], live[-1] + 1) == (on + (side > 0), off + (side > 0))
+
+
+def test_long_steady_pulse_is_few_runs(tmp_path):
+    # The acceptance-5 pulse held on from 1 us to 0.7 ms of a 1 ms run:
+    # 40,000 dt points and 5,000 samples, almost all of them steady.
+    sc = Scenario(
+        duration_s=1e-3,
+        sources=(Tone(freq_hz=8e9, power_dbm=2.0, t_on_s=1e-6, t_off_s=0.7e-3),),
+        stages=(StageSpec(notch=NotchModel(reflective=False)),),
+    )
+    trace = assert_trace_parity(sc, tmp_path)
+    assert len(trace.samples[0]) == 5000
+    assert len(trace.runs) == 18
 
 
 @st.composite

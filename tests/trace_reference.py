@@ -1,17 +1,20 @@
-"""Per-sample acquisition, controller and per-dt-point trace oracles, and a per-cell trace.csv writer.
+"""Per-sample acquisition, controller and per-dt-point trace oracles, and per-cell CSV writers.
 
 swsense.engine pushes the source lines through the stages once per line
 state, for its acquisitions and its trace alike, reads the ADC once per
 line state and attenuator setting, and formats each distinct row tail of
-trace.csv once; on_sample estimates each code triple once per run. A
-sample that repeats a fixed point of on_sample, with no event since the
-one before, is logged as a copy of the previous row, with no acquisition
-and no on_sample call. The functions here recompute every acquisition,
-every controller decision and every record from scratch, pushing each
-source line through each stage and passing every sample, repeat or not,
-through on_sample, and format every cell of every row. They read a finished
-engine._Runner and are used only by tests, which require the two paths to
-give equal codes, equal decisions, equal records and byte-equal CSV files.
+trace.csv and of samples_stage<k>.csv once; on_sample estimates each code
+triple once per run. A sample that repeats a fixed point of on_sample,
+with no event since the one before, is logged as a copy of the previous
+row, with no acquisition and no on_sample call. The trace is stored as
+maximal runs of dt points, found by reading only the first dt point at or
+after each change point. The functions here recompute every acquisition,
+every controller decision and every dt point's record from scratch,
+pushing each source line through each stage and passing every sample,
+repeat or not, through on_sample, and format every cell of every row. They
+read a finished engine._Runner and are used only by tests, which require
+the two paths to give equal codes, equal decisions, equal records and
+byte-equal CSV files.
 """
 
 from __future__ import annotations
@@ -182,3 +185,12 @@ def trace_to_csv(trace: Trace, path: str) -> None:
                 row += sampled(s)
                 row += (int(s.filter_engaged), s.filter_center_hz)
             w.writerow(row)
+
+
+def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
+    """samples_stage<k>.csv with every cell of every row formatted by csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_SAMPLE_COLUMNS)
+        for s in trace.samples[stage]:
+            w.writerow([s[c] for c in _SAMPLE_COLUMNS])
