@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -239,7 +239,9 @@ def _first_point(c: float, dt: float) -> int:
     """The first dt point i >= 0 with c <= i * dt, as that float comparison decides it.
 
     ceil(c / dt) can be one off either way where c / dt or i * dt rounds,
-    so it is moved until (i - 1) * dt < c <= i * dt.
+    so it is moved until (i - 1) * dt < c <= i * dt. That takes a step or
+    two only while c / dt is well below 2**53, where consecutive integers
+    are distinct floats; callers pass no c after a run's last point.
     """
     if c <= 0.0:
         return 0
@@ -474,10 +476,13 @@ class _Runner:
         changes = {t for times in step_times for t in times}
         changes.update(x for hist in self.filter_hist for e in hist for x in (e[0], e[1].transition_until_s))
         changes.update(x for src in sc.sources for x in (src.t_on_s, src.t_off_s))
-        # Each filter history starts at -inf, so point 0 is always read.
-        points = sorted({_first_point(c, dt) for c in changes if c < math.inf})
+        # Each filter history starts at -inf, so point 0 is read whenever
+        # the grid has a point. A change after the last point, such as a far
+        # source edge, starts no run and is never mapped to a point.
+        last = (n - 1) * dt
+        points = sorted({_first_point(c, dt) for c in changes if c <= last}) if n else []
         heads = []  # (start, in_dbm, out_dbm, per-stage snapshot values) of each run
-        for i in points[: bisect_left(points, n)]:
+        for i in points:
             t = i * dt
             lines = self._lines(t)
             snaps = []
@@ -633,10 +638,13 @@ def _write_stretches(fh, stretches) -> None:
     that parses back exactly, so each row equals the one csv.writer writes
     for [t_s, *cells].
     """
-    # writerow returns what its file's write returns: here the formatted line.
-    csv_line = csv.writer(SimpleNamespace(write=str)).writerow
+    buf = io.StringIO()
+    tail_writer = csv.writer(buf)
     for times, cells in stretches:
-        tail = "," + csv_line(cells)
+        buf.seek(0)
+        buf.truncate()
+        tail_writer.writerow(cells)
+        tail = "," + buf.getvalue()
         fh.write(tail.join(map(repr, times)) + tail)
 
 
@@ -664,8 +672,7 @@ def trace_to_csv(trace: Trace, path: str) -> None:
                 row += r.out_dbm[k]
                 row += sampled(s)
                 row += (int(s.filter_engaged), s.filter_center_hz)
-            # dt.__rmul__(i) is i * dt.
-            yield map(dt.__rmul__, range(r.start, r.stop)), row
+            yield (i * dt for i in range(r.start, r.stop)), row
 
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(cols)
@@ -681,4 +688,4 @@ def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
     stretches = groupby(trace.samples[stage], _snapshot_values)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(_SAMPLE_COLUMNS)
-        _write_stretches(fh, ((map(itemgetter("t_s"), rows), values) for values, rows in stretches))
+        _write_stretches(fh, (((row["t_s"] for row in rows), values) for values, rows in stretches))

@@ -159,6 +159,25 @@ def test_edges_on_and_beside_dt_points_match_reference(tmp_path, name, side):
         assert (live[0], live[-1] + 1) == (on + (side > 0), off + (side > 0))
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [{"t_off_s": 1e18}, {"t_off_s": 1e300}, {"t_off_s": 1e308}, {"t_on_s": 1e300, "t_off_s": math.inf}, {"t_on_s": -1e300}],
+)
+def test_far_source_edges_match_reference(tmp_path, edges):
+    # Far from the grid, t / DT is past float's integer precision or not
+    # finite; such an edge lies before point 0 or after the last point.
+    base = scenario("pulse_response")
+    sc = replace(base, sources=(replace(base.sources[0], **edges),))
+    trace = assert_trace_parity(sc, tmp_path)
+    assert trace.runs[-1].stop == len(trace.records) == 800
+
+
+def test_run_shorter_than_half_a_dt_step_has_no_runs():
+    sc = Scenario(duration_s=DT / 4, sources=(Tone(freq_hz=8e9, power_dbm=2.0),), stages=(StageSpec(),))
+    trace = _Runner(sc, None).run(collect_trace=True)
+    assert (trace.runs, trace.records, trace.metrics.max_output_dbm) == ([], [], None)
+
+
 def test_long_steady_pulse_is_few_runs(tmp_path):
     # The acceptance-5 pulse held on from 1 us to 0.7 ms of a 1 ms run:
     # 40,000 dt points and 5,000 samples, almost all of them steady.
