@@ -9,8 +9,7 @@ clock after the triggering sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,23 +98,14 @@ class ControllerConfig:
         )
 
 
-class _EstimateMemo(NamedTuple):
-    """The estimates made against one table and switch frequency, keyed on (code_oc, code_l1, code_l2, att_db)."""
-
-    cal: CalibrationTable
-    switch_freq_hz: float | None
-    estimates: dict
-
-
 @dataclass(frozen=True)
 class ControllerState:
     """Controller bookkeeping between samples.
 
     A mode of engaging or releasing settles to engaged or idle at the
-    first sample at or after pending_at_s. estimate_memo carries the
-    estimates of the code triples seen so far from each state to the next,
-    so a repeated triple is not estimated again. It takes no part in
-    equality or repr.
+    first sample at or after pending_at_s. Two states are equal when all
+    their fields are, which is how the engine finds a fixed point of
+    on_sample.
     """
 
     mode: str = MODE_IDLE
@@ -125,7 +115,6 @@ class ControllerState:
     freeze_samples: int = 0
     last_estimate: Estimate | None = None
     diagnostic: str | None = None
-    estimate_memo: _EstimateMemo | None = field(default=None, compare=False, repr=False)
 
 
 def agc_policy(
@@ -196,21 +185,14 @@ def on_sample(
     if codes.code_oc >= cal.ceiling_code and st.att_db >= chain.attenuator.max_db:
         diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
 
-    memo = st.estimate_memo
-    if memo is None or memo.cal is not cal or memo.switch_freq_hz != ctrl.switch_freq_hz:
-        memo = _EstimateMemo(cal, ctrl.switch_freq_hz, {})
     frozen = st.freeze_samples > 0
     no_signal = not frozen and codes.code_oc <= cal.floor_code
     est: Estimate | None = None
     if not (frozen or no_signal):
-        key = (codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db)
-        est = memo.estimates.get(key)
-        if est is None:
-            # Errors are not memoised.
-            try:
-                est = memo.estimates[key] = estimate(codes, cal, ctrl.switch_freq_hz)
-            except SwsenseError as exc:
-                diagnostic = f"{type(exc).__name__}: {exc}"
+        try:
+            est = estimate(codes, cal, ctrl.switch_freq_hz)
+        except SwsenseError as exc:
+            diagnostic = f"{type(exc).__name__}: {exc}"
 
     tuned = st.tuned_freq_hz
     # A saturated open-end reading carries no usable tap ratio; hold all
@@ -236,6 +218,5 @@ def on_sample(
         freeze_samples=1 if stepped else max(st.freeze_samples - 1, 0),
         last_estimate=est if est is not None else (None if no_signal else st.last_estimate),
         diagnostic=diagnostic,
-        estimate_memo=memo,
     )
     return new_state, actions

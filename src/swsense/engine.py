@@ -225,7 +225,7 @@ def _validate(sc: Scenario) -> None:
 
 
 class _Lines(NamedTuple):
-    """The source lines through every stage in one line state."""
+    """The source lines through every stage in one line state, and the codes read in it."""
 
     pairs: tuple[tuple[tuple[float, float], ...], ...]  # [stage] (freq, watts) of each line reaching it
     ratios: tuple[tuple[float, ...], ...]  # [stage] sampled forward amplitude of each pair
@@ -295,29 +295,34 @@ class _Runner:
     # ---- line propagation ----
 
     def _line_state(self, t: float) -> tuple:
-        """Active-source flags and, per stage, (filter-history index, notch in transition) at time t."""
+        """Active-source flags and, per stage, (engaged, f_center_hz, in transition) of its notch at time t.
+
+        The notch functions read a FilterState and t only through these
+        three values, so two times with equal line states pass every line
+        through every stage alike.
+        """
         stages = []
         for hist in self.filter_hist:
-            h = bisect_right(hist, t, key=itemgetter(0)) - 1
-            stages.append((h, hist[h][1].in_transition(t)))
+            fs = _at(hist, t)
+            stages.append((fs.engaged, fs.f_center_hz, fs.in_transition(t)))
         return tuple(src.active(t) for src in self.sc.sources), tuple(stages)
 
     def _lines(self, t: float) -> _Lines:
         """The source lines pushed through every stage at time t, once per line state.
 
-        The notch functions read t only through in_transition, which the
-        line state holds. A filter history only grows past the event being
-        processed, so the line state of a time already reached never changes.
+        A limit cycle that returns to a notch setting returns to its line
+        state and reuses the lines and codes read there. A filter history
+        only grows past the event being processed, so the line state of a
+        time already reached never changes.
         """
         key = self._line_state(t)
         if key in self.line_cache:
             return self.line_cache[key]
-        active, stage_states = key
         n_src = len(self.sc.sources)
-        lines = [(f, w, si) for si, on in enumerate(active) if on for f, w in self.expanded[si]]
+        lines = [(f, w, si) for si, on in enumerate(key[0]) if on for f, w in self.expanded[si]]
         pairs, ratios, ins, outs = [], [], [], []
         for k, spec in enumerate(self.sc.stages):
-            state = self.filter_hist[k][stage_states[k][0]][1]
+            state = _at(self.filter_hist[k], t)
             chain, notch = spec.chain, spec.notch
             per_in, per_out = [0.0] * n_src, [0.0] * n_src
             stage_pairs, stage_ratios, through = [], [], []
@@ -459,10 +464,11 @@ class _Runner:
         A stage's snapshot is the values of its last delivered sample (idle
         before the first) and its notch setting. These and the powers change
         only at a change point: a sample whose values differ from the row
-        before it, a filter-history entry or the end of its tuning
-        transition, or a source edge. Only the first dt point at or after
-        each change point is read, once, and it starts a run unless its
-        powers and snapshots equal those of the run before it.
+        before it, or an event (a source edge, the effective time of an
+        action or the end of a tuning transition). Only the first dt point at
+        or after each change point is read, once, and it starts a run unless
+        its powers and snapshots equal those of the run before it, so an
+        event that changes nothing, such as an attenuator step, starts none.
         """
         sc = self.sc
         dt = sc.dt_s
@@ -473,12 +479,10 @@ class _Runner:
             for samples in self.samples
         ]
         step_times = [[t for t, _ in stage_steps] for stage_steps in steps]
-        changes = {t for times in step_times for t in times}
-        changes.update(x for hist in self.filter_hist for e in hist for x in (e[0], e[1].transition_until_s))
-        changes.update(x for src in sc.sources for x in (src.t_on_s, src.t_off_s))
-        # Each filter history starts at -inf, so point 0 is read whenever
-        # the grid has a point. A change after the last point, such as a far
-        # source edge, starts no run and is never mapped to a point.
+        # 0.0 reads point 0 whenever the grid has a point. A change after the
+        # last point, such as a far source edge or the inf that ends the
+        # events, starts no run and is never mapped to a point.
+        changes = {0.0, *self.events, *(t for times in step_times for t in times)}
         last = (n - 1) * dt
         points = sorted({_first_point(c, dt) for c in changes if c <= last}) if n else []
         heads = []  # (start, in_dbm, out_dbm, per-stage snapshot values) of each run
@@ -486,10 +490,9 @@ class _Runner:
             t = i * dt
             lines = self._lines(t)
             snaps = []
-            for k, (h, _) in enumerate(lines.state[1]):
+            for k, (engaged, f_center_hz, _) in enumerate(lines.state[1]):
                 j = bisect_right(step_times[k], t) - 1
-                fstate = self.filter_hist[k][h][1]
-                snaps.append((*(steps[k][j][1] if j >= 0 else _IDLE_VALUES), fstate.engaged, fstate.f_center_hz))
+                snaps.append((*(steps[k][j][1] if j >= 0 else _IDLE_VALUES), engaged, f_center_hz))
             head = (lines.in_dbm, lines.out_dbm, tuple(snaps))
             if not heads or head != heads[-1][1:]:
                 heads.append((i, *head))

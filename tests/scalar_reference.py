@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from swsense.controller import (
     MODE_RELEASING,
     Action,
     ControllerConfig,
-    _EstimateMemo,
     agc_policy,
 )
 from swsense.core import SignalDescriptor, Tone, watts_to_dbm
@@ -301,6 +301,14 @@ def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None)
         code_l2=_adc_sample(v2, adc),
         att_db=att_db,
     )
+
+
+class _EstimateMemo(NamedTuple):
+    """The estimates made against one table and switch frequency, keyed on (code_oc, code_l1, code_l2, att_db)."""
+
+    cal: CalibrationTable
+    switch_freq_hz: float | None
+    estimates: dict
 
 
 @dataclass(frozen=True)

@@ -291,31 +291,11 @@ class TestOnSample:
 
 
 class TestEstimateMemo:
-    def test_repeated_codes_are_estimated_once(self, chain, controller, calibration, monkeypatch):
-        import swsense.controller as controller_mod
+    """on_sample estimates no floor reading, and any other unfrozen one from its codes, table and switch alone.
 
-        calls = []
-        monkeypatch.setattr(controller_mod, "estimate", lambda *args: calls.append(args) or estimate(*args))
-        codes = codes_at(chain, 6e9, -5.0, 0.0)
-        st = ControllerState()
-        for _ in range(3):
-            st, _ = on_sample(codes, st, controller, calibration)
-        assert len(calls) == 1
-        assert st.last_estimate == estimate(codes, calibration)
-        assert st == replace(st, estimate_memo=None)  # the memo takes no part in equality
-
-    def test_no_signal_is_not_memoised(self, chain, controller, calibration, monkeypatch):
-        import swsense.controller as controller_mod
-
-        calls = []
-        monkeypatch.setattr(controller_mod, "estimate", lambda *args: calls.append(args) or estimate(*args))
-        floor = detector_floor_code(chain)
-        st = ControllerState()
-        for _ in range(2):
-            st, _ = on_sample(TapCodes(1e-6, floor, floor, floor, 0.0), st, controller, calibration)
-        assert calls == []  # a floor reading is not estimated at all
-        assert st.estimate_memo.estimates == {}
-        assert st.last_estimate is None
+    The state it is given, whatever samples it has seen, carries no
+    estimate into the answer.
+    """
 
     @pytest.mark.parametrize("mode, released", [(MODE_IDLE, False), (MODE_ENGAGED, True)])
     def test_floor_reading_makes_no_estimate_call(self, chain, controller, calibration, monkeypatch, mode, released):

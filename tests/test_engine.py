@@ -3,6 +3,7 @@
 import csv
 import math
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
@@ -30,11 +31,11 @@ from swsense.engine import (
     trace_to_csv,
     _validate,
 )
-from swsense.errors import SwsenseError
 from swsense.estimator import estimate
 from swsense.filters import NotchModel
 from swsense.readout import ChainConfig, TapCodes
 
+import trace_reference
 
 def pulse_scenario():
     return Scenario(
@@ -247,7 +248,7 @@ class TestPulseResponse:
 
 
 class TestWorkPerRun:
-    """A run reads the ADC once per (line state, attenuator) and estimates each code triple once."""
+    """A run reads the ADC once per (line state, attenuator) and estimates each sample it decides at most once."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_acceptance_pulse(self, calibration, monkeypatch, seed):
@@ -259,34 +260,58 @@ class TestWorkPerRun:
             return readout(*args, **kwargs)
 
         def counted_estimate(codes, cal, switch_freq_hz):
-            est = estimate(codes, cal, switch_freq_hz)  # a raised error is not counted
-            estimates.append((codes.code_oc, codes.code_l1, codes.code_l2, codes.att_db))
-            return est
+            estimates.append(codes.t_s)  # a call that raises is counted too
+            return estimate(codes, cal, switch_freq_hz)
 
         monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
         monkeypatch.setattr(swsense.controller, "estimate", counted_estimate)
         sc = acceptance_pulse(seed)
         runner = _Runner(sc, [calibration])
-        samples = runner.run(collect_trace=False).samples[0]
+        trace = runner.run(collect_trace=False)
+        calls = estimates.copy()  # non_repeats below calls estimate too
+        samples = trace.samples[0]
         period = sc.stages[0].chain.adc.sample_period
         reads = {
             (runner._line_state(s["t_s"] - period), _at(runner.att_hist[0], s["t_s"] - period)) for s in samples
         }
         assert len(readouts) == len(reads) == 13 < len(samples) == 30
 
-        # A sample after an attenuator step is frozen and not estimated.
+        # Each sample that is not a repeat is estimated once, unless it is
+        # frozen (the one after an attenuator step) or at the detector floor.
+        decided = set(non_repeats(runner, trace, 0))
         estimated, frozen = [], False
         for s in samples:
-            key = (s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
-            if not frozen:
-                try:
-                    estimate(TapCodes(s["t_s"], *key), calibration)
-                    estimated.append(key)
-                except SwsenseError:
-                    pass
+            if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.floor_code:
+                estimated.append(s["t_s"])
             frozen = ACT_SET_ATT in s["action"].split(";")
-        assert sorted(estimates) == sorted(set(estimated))
-        assert len(estimates) == 2 < len(estimated)
+        assert calls == estimated
+        assert len(calls) == 3
+
+    def test_limit_cycle_revisits_its_line_states(self, monkeypatch, tmp_path):
+        # Each engage and release of the notch returns to a line state seen
+        # before, so the cycle reuses the lines and codes read there.
+        readouts = []
+        readout = swsense.engine.chain_readout_lines
+
+        def counted_readout(*args, **kwargs):
+            readouts.append(args)
+            return readout(*args, **kwargs)
+
+        monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
+        sc = load_scenario(str(resources.files("swsense").joinpath("data/scenarios/limit_cycle_tap.json")))
+        assert sc.seed == 3
+        runner = _Runner(sc, None)
+        trace = runner.run(collect_trace=True)
+        assert detect_limit_cycle(trace)[0]
+        assert len(runner.line_cache) == 5
+        assert len(readouts) == 17
+
+        trace_to_csv(trace, str(tmp_path / "trace.csv"))
+        trace_reference.trace_to_csv(trace, str(tmp_path / "trace_reference.csv"))
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace_reference.csv").read_bytes()
+        samples_to_csv(trace, 0, str(tmp_path / "samples.csv"))
+        trace_reference.samples_to_csv(trace, 0, str(tmp_path / "samples_reference.csv"))
+        assert (tmp_path / "samples.csv").read_bytes() == (tmp_path / "samples_reference.csv").read_bytes()
 
 
 def non_repeats(runner, trace, k):

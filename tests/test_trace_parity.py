@@ -3,17 +3,17 @@
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
 that one result; it reads the ADC once per line state and attenuator
-setting, and on_sample estimates each code triple once per run. A sample
-that repeats a fixed point of on_sample is logged as a copy of the one
-before it, with no acquisition and no decision. The engine stores the
-dt grid as maximal runs of points that share their line powers and stage
-snapshots, reading only the first dt point at or after each change point,
-and expands Trace.records from the runs; trace_to_csv formats each run's
-row tail once and samples_to_csv each stretch of equal rows' tail once.
-tests/trace_reference.py recomputes every acquisition, every controller
-decision, every record and every cell. Records and decisions are compared
-through repr(), which gives each float's shortest exact form, so equal
-reprs mean bit-equal values with NaN equal to NaN.
+setting. A sample that repeats a fixed point of on_sample is logged as a
+copy of the one before it, with no acquisition and no decision. The
+engine stores the dt grid as maximal runs of points that share their
+line powers and stage snapshots, reading only the first dt point at or
+after each change point, and expands Trace.records from the runs;
+trace_to_csv formats each run's row tail once and samples_to_csv each
+stretch of equal rows' tail once. tests/trace_reference.py recomputes
+every acquisition, every controller decision, every record and every
+cell. Records and decisions are compared through repr(), which gives
+each float's shortest exact form, so equal reprs mean bit-equal values
+with NaN equal to NaN.
 """
 
 import math

@@ -3,18 +3,17 @@
 swsense.engine pushes the source lines through the stages once per line
 state, for its acquisitions and its trace alike, reads the ADC once per
 line state and attenuator setting, and formats each distinct row tail of
-trace.csv and of samples_stage<k>.csv once; on_sample estimates each code
-triple once per run. A sample that repeats a fixed point of on_sample,
-with no event since the one before, is logged as a copy of the previous
-row, with no acquisition and no on_sample call. The trace is stored as
-maximal runs of dt points, found by reading only the first dt point at or
-after each change point. The functions here recompute every acquisition,
-every controller decision and every dt point's record from scratch,
-pushing each source line through each stage and passing every sample,
-repeat or not, through on_sample, and format every cell of every row. They
-read a finished engine._Runner and are used only by tests, which require
-the two paths to give equal codes, equal decisions, equal records and
-byte-equal CSV files.
+trace.csv and of samples_stage<k>.csv once. A sample that repeats a
+fixed point of on_sample, with no event since the one before, is logged
+as a copy of the previous row, with no acquisition and no on_sample
+call. The trace is stored as maximal runs of dt points, found by reading
+only the first dt point at or after each change point. The functions
+here recompute every acquisition, every controller decision and every dt
+point's record from scratch, pushing each source line through each stage
+and passing every sample, repeat or not, through on_sample, and format
+every cell of every row. They read a finished engine._Runner and are
+used only by tests, which require the two paths to give equal codes,
+equal decisions, equal records and byte-equal CSV files.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import fields, replace
+from dataclasses import fields
 from operator import attrgetter
 
 from swsense.controller import ControllerState, on_sample
@@ -89,7 +88,7 @@ def acquire(runner, k: int, t_deliver: float) -> TapCodes:
 
 
 def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
-    """Stage k's delivered codes replayed through on_sample, with no memoised estimate at any sample.
+    """Stage k's delivered codes replayed through on_sample, one call per delivered sample, repeats included.
 
     Returns the per-sample (mode, f_est_hz, p_est_dbm, action) and the
     actions as (kind, decided_s, effective_at_s, freq_hz, att_db).
@@ -99,7 +98,7 @@ def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
     log, actions = [], []
     for s in runner.samples[k]:
         codes = TapCodes(s["t_s"], s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
-        state, acts = on_sample(codes, replace(state, estimate_memo=None), spec.controller, runner.cals[k])
+        state, acts = on_sample(codes, state, spec.controller, runner.cals[k])
         est = state.last_estimate
         log.append(
             (
