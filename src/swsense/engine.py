@@ -49,7 +49,7 @@ from .codec import from_json, to_json
 from .core import Tone, expand_modulated, watts_to_dbm
 from .coupling import sampled_forward_amplitude
 from .errors import TuningRangeError
-from .estimator import CalibrationGrid, CalibrationTable, build_calibration, default_grid_for
+from .estimator import CalibrationTable, build_calibration
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
 from .readout import ChainConfig, TapCodes, chain_config_hash, chain_readout_lines
 
@@ -184,20 +184,11 @@ def clear_calibration_cache() -> None:
     _CAL_CACHE.clear()
 
 
-def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig, grid: CalibrationGrid | None = None) -> CalibrationTable:
-    """Build (or reuse) the calibration table a controller estimates against."""
-    grid = grid or default_grid_for(cfg)
-    key = json.dumps(
-        [
-            chain_config_hash(cfg),
-            asdict(grid),
-            ctrl.agc_high_code,
-            ctrl.agc_low_code,
-            ctrl.agc_floor_code,
-        ]
-    )
+def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig) -> CalibrationTable:
+    """Build (or reuse) the calibration table a controller estimates against, over the chain's default grid."""
+    key = json.dumps([chain_config_hash(cfg), ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code])
     if key not in _CAL_CACHE:
-        _CAL_CACHE[key] = build_calibration(cfg, grid, ctrl)
+        _CAL_CACHE[key] = build_calibration(cfg, ctrl=ctrl)
     return _CAL_CACHE[key]
 
 
@@ -225,13 +216,12 @@ def _validate(sc: Scenario) -> None:
 
 
 class _Lines(NamedTuple):
-    """The source lines through every stage in one line state, and the codes read in it."""
+    """The source lines through every stage in one line state."""
 
     pairs: tuple[tuple[tuple[float, float], ...], ...]  # [stage] (freq, watts) of each line reaching it
     ratios: tuple[tuple[float, ...], ...]  # [stage] sampled forward amplitude of each pair
     in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
     out_dbm: tuple[tuple[float, ...], ...]
-    codes: tuple[dict, ...]  # [stage] {att_db: TapCodes} read so far in this line state
     state: tuple  # the line state, as _Runner._line_state gives it
 
 
@@ -311,7 +301,7 @@ class _Runner:
         """The source lines pushed through every stage at time t, once per line state.
 
         A limit cycle that returns to a notch setting returns to its line
-        state and reuses the lines and codes read there. A filter history
+        state and reuses the lines pushed through there. A filter history
         only grows past the event being processed, so the line state of a
         time already reached never changes.
         """
@@ -344,23 +334,17 @@ class _Runner:
             ratios.append(tuple(stage_ratios))
             ins.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in))
             outs.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out))
-        codes = tuple({} for _ in self.sc.stages)
-        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), codes, key)
+        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), key)
         return self.line_cache[key]
 
     # ---- sampling ----
 
     def _acquire(self, k: int, t_deliver: float) -> TapCodes:
-        """Stage k's codes delivered at t_deliver, read once per line state and attenuator setting."""
+        """Stage k's codes delivered at t_deliver, read from the lines and the setting at its conversion time."""
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
         lines = self._lines(tau)
-        att = _at(self.att_hist[k], tau)
-        read = lines.codes[k]
-        if att not in read:
-            read[att] = chain_readout_lines(lines.pairs[k], spec.chain, att, forward_ratios=lines.ratios[k])
-        c = read[att]
-        return TapCodes(t_deliver, c.code_oc, c.code_l1, c.code_l2, att)
+        return chain_readout_lines(lines.pairs[k], spec.chain, _at(self.att_hist[k], tau), t_deliver, lines.ratios[k])
 
     def _apply(self, k: int, decided_s: float, act: Action) -> None:
         applied = AppliedAction(
@@ -560,12 +544,24 @@ def _limit_cycle(hist: list[tuple[float, FilterState]]) -> tuple[bool, float | N
     return True, period
 
 
+def _check_stage(trace: Trace, stage: int) -> None:
+    """ValueError unless stage is an int (not a bool) in range(len(stages)) of the trace's scenario."""
+    n = len(trace.scenario.stages)
+    if isinstance(stage, bool) or not isinstance(stage, int) or not 0 <= stage < n:
+        raise ValueError(f"stage {stage!r} is not a stage of this trace: need an int in range({n})")
+
+
 def detect_limit_cycle(trace: Trace, stage: int = 0) -> tuple[bool, float | None]:
     """(cycling?, mean engage-to-engage period) for one stage's notch.
 
     A limit cycle is at least four engage/disengage toggles whose
     engage-to-engage intervals vary by less than 20 percent.
+
+    Domain: stage is an int in range(len(trace.scenario.stages)), not a
+    bool, and the run lasts more than 10 controller clocks; anything else
+    is a ValueError naming it.
     """
+    _check_stage(trace, stage)
     clock = trace.scenario.stages[stage].controller.clock_period
     if trace.scenario.duration_s <= 10.0 * clock:
         raise ValueError("trace too short to judge cycling (need > 10 controller clocks)")
@@ -588,7 +584,14 @@ def _response_time(actions: list[AppliedAction], stage: int, kind: str, t_edge: 
 
 
 def measure_response_time(trace: Trace, edge: str = "rise", stage: int = 0) -> float:
-    """Seconds from a source power edge to the stage's filter action taking effect."""
+    """Seconds from a source power edge to the stage's filter action taking effect.
+
+    Domain: stage is an int in range(len(trace.scenario.stages)), not a
+    bool, and edge is "rise" or "fall", of which the scenario has exactly
+    one; anything else is a ValueError naming it, as is an edge that no
+    filter action follows.
+    """
+    _check_stage(trace, stage)
     kind = {"rise": ACT_TUNE, "fall": ACT_RELEASE}.get(edge)
     if kind is None:
         raise ValueError("edge must be 'rise' or 'fall'")

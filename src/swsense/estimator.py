@@ -31,11 +31,11 @@ from .errors import (
     PowerOverrangeError,
 )
 from .readout import (
-    _cw_codes,
     AdcParams,
     ChainConfig,
     DetectorParams,
     TapCodes,
+    chain_codes_cw,
     chain_config_from_dict,
     chain_config_hash,
     chain_config_to_dict,
@@ -305,7 +305,7 @@ def build_calibration(
         a, codes = att[cells], (oc[cells], l1[cells], l2[cells])  # views
 
         def read(k):
-            for out, c in zip(codes, _cw_codes(f[k], p[k], a[k], cfg, c_db[k], r_db[k])):
+            for out, c in zip(codes, chain_codes_cw(f[k], p[k], a[k], cfg, c_db[k], r_db[k])):
                 out[k] = c
 
         moving = np.arange(a.size)

@@ -4,8 +4,8 @@ chain_readout composes the whole monitor path for a signal descriptor:
 pick-off coupling, step attenuation, saturating gain, stub drive, per-tap
 standing-wave voltages, logarithmic detection, and ADC quantization. The
 same composition runs unquantized via chain_voltages for analysis, and
-over whole arrays of CW cells via chain_codes_cw, whose arithmetic the
-calibration build shares.
+over whole arrays of CW cells via chain_codes_cw, which the calibration
+build reads its cells through.
 """
 
 from __future__ import annotations
@@ -358,6 +358,8 @@ def chain_codes_cw(
     power_dbm: np.ndarray,
     att_db: np.ndarray,
     cfg: ChainConfig,
+    coupling_db: np.ndarray | None = None,
+    ripple_db: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ADC codes (open end, tap 1, tap 2) of one CW line over a block of cells.
 
@@ -365,37 +367,22 @@ def chain_codes_cw(
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
     cfg, att): the arithmetic runs in the same order. A frequency above the
     stub band raises OutOfBandError, then an invalid setting in att_db
-    raises ValueError; coupling and gain ripple are evaluated once per
-    element of freq_hz, so an out-of-band coupler frequency raises
-    OutOfBandError.
+    raises ValueError. coupling_db and ripple_db, each broadcasting with
+    freq_hz, are the chain's coupling_db_at and ripple_db_at of freq_hz; a
+    caller that reads the same frequencies at many settings passes them.
+    Each one left as None is looked up here per element of freq_hz, and a
+    coupler's lookup raises OutOfBandError outside the coupler band.
     """
     f = np.asarray(freq_hz, dtype=float)
     if f.size:
         check_stub_band(float(f.max()), cfg)
-    return _cw_codes(f, power_dbm, att_db, cfg)
-
-
-def _cw_codes(
-    f: np.ndarray,
-    power_dbm: np.ndarray,
-    att_db: np.ndarray,
-    cfg: ChainConfig,
-    coupling_db: np.ndarray | None = None,
-    ripple_db: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chain_codes_cw for frequencies in the stub band.
-
-    coupling_db and ripple_db, each broadcasting with f, are the chain's
-    coupling_db_at and ripple_db_at of f; a caller that reads the same
-    frequencies at many settings passes them, and they are evaluated here
-    otherwise.
-    """
     p_dbm = np.asarray(power_dbm, dtype=float)
     att = np.asarray(att_db, dtype=float)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
     if coupling_db is None:
         coupling_db = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
+    if ripple_db is None:
         ripple_db = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
     g_db = coupling_db - att + cfg.amplifier.gain_db + ripple_db
     p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)

@@ -18,7 +18,6 @@ from swsense.engine import (
     _at,
     _Runner,
     clear_calibration_cache,
-    default_grid_for,
     detect_limit_cycle,
     get_calibration,
     load_scenario,
@@ -247,38 +246,52 @@ class TestPulseResponse:
             assert b - a == pytest.approx(200e-9, abs=1e-15)
 
 
+def counted_readouts(monkeypatch):
+    """Record the engine's chain_readout_lines calls; returns the (t_s, att_db) of each, in call order."""
+    calls = []
+    readout = swsense.engine.chain_readout_lines
+
+    def counted(lines, cfg, att_db, t_s, forward_ratios):
+        calls.append((t_s, att_db))
+        return readout(lines, cfg, att_db, t_s, forward_ratios)
+
+    monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted)
+    return calls
+
+
+def conversion_settings(runner, times):
+    """(t_s, stage 0's attenuator setting at that sample's conversion time) for each delivery time."""
+    period = runner.sc.stages[0].chain.adc.sample_period
+    return [(t, _at(runner.att_hist[0], t - period)) for t in times]
+
+
 class TestWorkPerRun:
-    """A run reads the ADC once per (line state, attenuator) and estimates each sample it decides at most once."""
+    """A run reads the ADC once per sample it decides, and estimates each such sample at most once.
+
+    A repeat is neither read nor decided. Every other sample is read by
+    one chain_readout_lines call, stamped with its delivery time and the
+    attenuator setting at its conversion time.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_acceptance_pulse(self, calibration, monkeypatch, seed):
-        readouts, estimates = [], []
-        readout = swsense.engine.chain_readout_lines
-
-        def counted_readout(*args, **kwargs):
-            readouts.append(args)
-            return readout(*args, **kwargs)
+        readouts, estimates = counted_readouts(monkeypatch), []
 
         def counted_estimate(codes, cal, switch_freq_hz):
             estimates.append(codes.t_s)  # a call that raises is counted too
             return estimate(codes, cal, switch_freq_hz)
 
-        monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
         monkeypatch.setattr(swsense.controller, "estimate", counted_estimate)
-        sc = acceptance_pulse(seed)
-        runner = _Runner(sc, [calibration])
+        runner = _Runner(acceptance_pulse(seed), [calibration])
         trace = runner.run(collect_trace=False)
         calls = estimates.copy()  # non_repeats below calls estimate too
         samples = trace.samples[0]
-        period = sc.stages[0].chain.adc.sample_period
-        reads = {
-            (runner._line_state(s["t_s"] - period), _at(runner.att_hist[0], s["t_s"] - period)) for s in samples
-        }
-        assert len(readouts) == len(reads) == 13 < len(samples) == 30
+        decided = non_repeats(runner, trace, 0)
+        assert readouts == conversion_settings(runner, decided)
+        assert len(readouts) == 16 < len(samples) == 30
 
         # Each sample that is not a repeat is estimated once, unless it is
         # frozen (the one after an attenuator step) or at the detector floor.
-        decided = set(non_repeats(runner, trace, 0))
         estimated, frozen = [], False
         for s in samples:
             if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.floor_code:
@@ -289,22 +302,17 @@ class TestWorkPerRun:
 
     def test_limit_cycle_revisits_its_line_states(self, monkeypatch, tmp_path):
         # Each engage and release of the notch returns to a line state seen
-        # before, so the cycle reuses the lines and codes read there.
-        readouts = []
-        readout = swsense.engine.chain_readout_lines
-
-        def counted_readout(*args, **kwargs):
-            readouts.append(args)
-            return readout(*args, **kwargs)
-
-        monkeypatch.setattr(swsense.engine, "chain_readout_lines", counted_readout)
+        # before, so the cycle reuses the lines pushed through there. A
+        # limit cycle has no fixed point, so most of its samples are read.
+        readouts = counted_readouts(monkeypatch)
         sc = load_scenario(str(resources.files("swsense").joinpath("data/scenarios/limit_cycle_tap.json")))
         assert sc.seed == 3
         runner = _Runner(sc, None)
         trace = runner.run(collect_trace=True)
         assert detect_limit_cycle(trace)[0]
         assert len(runner.line_cache) == 5
-        assert len(readouts) == 17
+        assert readouts == conversion_settings(runner, non_repeats(runner, trace, 0))
+        assert len(readouts) == 75
 
         trace_to_csv(trace, str(tmp_path / "trace.csv"))
         trace_reference.trace_to_csv(trace, str(tmp_path / "trace_reference.csv"))
@@ -528,6 +536,18 @@ class TestResponseTimeGuards:
             measure_response_time(pulse_trace, "sideways")
 
 
+@pytest.mark.parametrize("stage", [1, -1, True])
+def test_stage_outside_the_trace_is_refused(stage):
+    sc = load_scenario(str(resources.files("swsense").joinpath("data/scenarios/pulse_response.json")))
+    trace = run(sc, collect_trace=False)
+    assert len(sc.stages) == 1
+    with pytest.raises(ValueError, match=rf"stage {stage!r} is not a stage of this trace"):
+        detect_limit_cycle(trace, stage)
+    with pytest.raises(ValueError, match=rf"stage {stage!r} is not a stage of this trace"):
+        measure_response_time(trace, "rise", stage)
+    assert measure_response_time(trace, "rise", 0) > 0.0
+
+
 class TestScenarioJson:
     def test_dict_round_trip(self):
         sc = cascade_scenario()
@@ -629,10 +649,9 @@ class TestArtifacts:
 
 
 def test_calibration_cache_reuses_tables(chain, controller):
-    grid = default_grid_for(chain)
-    a = get_calibration(chain, controller, grid)
-    b = get_calibration(chain, controller, grid)
+    a = get_calibration(chain, controller)
+    b = get_calibration(chain, controller)
     assert a is b
     clear_calibration_cache()
-    c = get_calibration(chain, controller, grid)
+    c = get_calibration(chain, controller)
     assert c is not a

@@ -38,10 +38,10 @@ from swsense.controller import (
     on_sample,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
-from swsense.engine import default_grid_for, load_scenario
+from swsense.engine import load_scenario
 from swsense.errors import OutOfBandError
 from swsense.stub import StubParams, TapSpec
-from swsense.estimator import CalibrationGrid, build_calibration, estimate
+from swsense.estimator import CalibrationGrid, build_calibration, default_grid_for, estimate
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
@@ -298,6 +298,22 @@ class TestChainCodesCw:
         with pytest.raises(OutOfBandError):
             chain_codes_cw(np.array([8e9, 15e9]), np.array([0.0]), np.array([0.0]),
                            ChainConfig(coupling_kind="coupler"))
+
+    @pytest.mark.parametrize("cfg", _READOUT_CHAINS[:4], ids=["tap", "coupler", "tap_ripple", "coupler_ripple"])
+    def test_passed_coupling_and_ripple_match_looked_up(self, cfg):
+        # The calibration build passes each row's coupling and ripple, looked
+        # up once; the codes must be those chain_codes_cw looks up itself.
+        f = np.linspace(1.2e9, 14e9, 37)[:, None, None]
+        p, att = np.linspace(-20.0, 20.0, 9)[None, :, None], np.array([0.0, 2.25, 17.5])
+        coupling = np.array([cfg.coupling_db_at(x) for x in f.ravel()]).reshape(f.shape)
+        ripple = np.array([cfg.ripple_db_at(x) for x in f.ravel()]).reshape(f.shape)
+        got = chain_codes_cw(f, p, att, cfg, coupling, ripple)
+        for a, b in zip(got, chain_codes_cw(f, p, att, cfg)):
+            assert a.shape == (37, 9, 3) and a.tobytes() == b.tobytes()
+        # Passing them skips no check: a line above the stub band is refused.
+        above = np.array([8e9, cfg.stub.taps[0].f_max_hz * 1.01])
+        with pytest.raises(OutOfBandError):
+            chain_codes_cw(above, np.array([0.0]), np.array([0.0]), cfg, np.zeros(2), np.zeros(2))
 
 
 def _triples(cfg, rng, n):

@@ -2,8 +2,7 @@
 
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
-that one result; it reads the ADC once per line state and attenuator
-setting. A sample that repeats a fixed point of on_sample is logged as a
+that one result. A sample that repeats a fixed point of on_sample is logged as a
 copy of the one before it, with no acquisition and no decision. The
 engine stores the dt grid as maximal runs of points that share their
 line powers and stage snapshots, reading only the first dt point at or

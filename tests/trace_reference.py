@@ -1,9 +1,8 @@
 """Per-sample acquisition, controller and per-dt-point trace oracles, and per-cell CSV writers.
 
 swsense.engine pushes the source lines through the stages once per line
-state, for its acquisitions and its trace alike, reads the ADC once per
-line state and attenuator setting, and formats each distinct row tail of
-trace.csv and of samples_stage<k>.csv once. A sample that repeats a
+state, for its acquisitions and its trace alike, and formats each
+distinct row tail of trace.csv and of samples_stage<k>.csv once. A sample that repeats a
 fixed point of on_sample, with no event since the one before, is logged
 as a copy of the previous row, with no acquisition and no on_sample
 call. The trace is stored as maximal runs of dt points, found by reading
