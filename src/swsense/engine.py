@@ -14,10 +14,11 @@ action of any stage or the end of a notch's tuning transition falls
 between two of its conversions.
 
 A traced run costs what its change points cost, not what its dt points or
-samples cost: the trace is stored as maximal runs of dt points with equal
-powers and stage snapshots, found by reading only the first dt point at or
-after each change, and the CSV writers format each steady stretch's cells
-after t_s once.
+samples cost. Each stage's samples are stored as maximal stretches with
+equal values after t_s, which Trace.samples expands on first access; the
+trace as maximal runs of dt points with equal powers and stage snapshots,
+found by reading only the first dt point at or after each change. The CSV
+writers format each stretch's or run's cells after t_s once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
-from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -58,7 +58,6 @@ _SILENT_DBM = -300.0
 # Keys of a per-sample log dict and columns of its CSV. StageSnapshot
 # declares every column but t_s first, in this order.
 _SAMPLE_COLUMNS = ("t_s", "code_oc", "code_l1", "code_l2", "att_db", "f_est_hz", "p_est_dbm", "mode", "action")
-_snapshot_values = itemgetter(*_SAMPLE_COLUMNS[1:])
 # Snapshot values before a stage's first sample is delivered.
 _IDLE_VALUES = (0, 0, 0, 0.0, math.nan, math.nan, "idle", "")
 
@@ -165,7 +164,7 @@ class Trace:
 
     scenario: Scenario
     runs: list[TraceRun]  # the dt grid in order, each point in one run; empty when untraced
-    samples: list[list[dict]]  # per stage, one dict per ADC delivery
+    sample_runs: list[list[tuple[list[float], tuple]]]  # per stage, maximal stretches of (t_s values, values after t_s)
     actions: list[AppliedAction]
     filter_hist: list[list[tuple[float, FilterState]]]
     metrics: Metrics
@@ -175,6 +174,11 @@ class Trace:
         """One TraceRecord per dt point, expanded from the runs on first access."""
         dt = self.scenario.dt_s
         return [TraceRecord(i * dt, r.in_dbm, r.out_dbm, r.stages) for r in self.runs for i in range(r.start, r.stop)]
+
+    @cached_property
+    def samples(self) -> list[list[dict]]:
+        """Per stage, one dict per ADC delivery keyed by _SAMPLE_COLUMNS, expanded from sample_runs on first access."""
+        return [[dict(zip(_SAMPLE_COLUMNS, (t, *v))) for times, v in stage for t in times] for stage in self.sample_runs]
 
 
 _CAL_CACHE: dict[str, CalibrationTable] = {}
@@ -278,7 +282,7 @@ class _Runner:
         self.events = sorted(x for src in sc.sources for x in (src.t_on_s, src.t_off_s)) + [math.inf]
         self.line_cache: dict[tuple, _Lines] = {}
         self.ctrl_state = [ControllerState() for _ in sc.stages]
-        self.samples: list[list[dict]] = [[] for _ in sc.stages]
+        self.sample_runs: list[list[tuple[list[float], tuple]]] = [[] for _ in sc.stages]
         self.actions: list[AppliedAction] = []
         self.diagnostics: list[str] = []
 
@@ -379,10 +383,12 @@ class _Runner:
         point of on_sample (no action, no diagnostic, no pending mode, and
         the state mapped to itself) and no event time lies between the two
         conversions. Its codes, and so its decision, are the previous
-        sample's, so it is logged as a copy of the previous row with its own
-        t_s, with no acquisition and no on_sample call. An action decided at
-        t takes effect at t + clock_period, after every conversion already
-        processed, so no repeat is ever undone by a later event.
+        sample's, so its t_s joins its stage's last stretch, with no
+        acquisition and no on_sample call. A decided sample joins that
+        stretch when its values equal the stretch's, so stretches are
+        maximal. An action decided at t takes effect at t + clock_period,
+        after every conversion already processed, so no repeat is ever undone
+        by a later event.
         """
         sc = self.sc
         events = self.events
@@ -399,11 +405,9 @@ class _Runner:
             period = sc.stages[k].chain.adc.sample_period
             heapq.heappush(heap, (t + period, k))
             tau = t - period
-            samples = self.samples[k]
+            stretches = self.sample_runs[k]
             if fixed_tau[k] is not None and events[bisect_right(events, fixed_tau[k])] > tau:
-                row = samples[-1].copy()
-                row["t_s"] = t
-                samples.append(row)
+                stretches[-1][0].append(t)
                 fixed_tau[k] = tau
                 continue
             codes = self._acquire(k, t)
@@ -418,7 +422,6 @@ class _Runner:
             fixed_tau[k] = tau if fixed else None
             est = state.last_estimate
             values = (
-                t,
                 codes.code_oc,
                 codes.code_l1,
                 codes.code_l2,
@@ -428,13 +431,15 @@ class _Runner:
                 state.mode,
                 ";".join(a.kind for a in acts),
             )
-            samples.append(dict(zip(_SAMPLE_COLUMNS, values)))
+            if not stretches or stretches[-1][1] != values:
+                stretches.append(([], values))
+            stretches[-1][0].append(t)
 
         runs = self._build_runs() if collect_trace else []
         return Trace(
             scenario=sc,
             runs=runs,
-            samples=self.samples,
+            sample_runs=self.sample_runs,
             actions=self.actions,
             filter_hist=self.filter_hist,
             metrics=self._metrics(runs),
@@ -447,8 +452,8 @@ class _Runner:
 
         A stage's snapshot is the values of its last delivered sample (idle
         before the first) and its notch setting. These and the powers change
-        only at a change point: a sample whose values differ from the row
-        before it, or an event (a source edge, the effective time of an
+        only at a change point: the first sample of a stretch of the stage's
+        log, or an event (a source edge, the effective time of an
         action or the end of a tuning transition). Only the first dt point at
         or after each change point is read, once, and it starts a run unless
         its powers and snapshots equal those of the run before it, so an
@@ -457,16 +462,11 @@ class _Runner:
         sc = self.sc
         dt = sc.dt_s
         n = int(round(sc.duration_s / dt))
-        # Per stage: the t_s and snapshot values of each sample that differs from the one before it.
-        steps = [
-            [(next(rows)["t_s"], values) for values, rows in groupby(samples, _snapshot_values)]
-            for samples in self.samples
-        ]
-        step_times = [[t for t, _ in stage_steps] for stage_steps in steps]
+        starts = [[times[0] for times, _ in stretches] for stretches in self.sample_runs]  # per stage, each stretch's first t_s
         # 0.0 reads point 0 whenever the grid has a point. A change after the
         # last point, such as a far source edge or the inf that ends the
         # events, starts no run and is never mapped to a point.
-        changes = {0.0, *self.events, *(t for times in step_times for t in times)}
+        changes = {0.0, *self.events, *(t for times in starts for t in times)}
         last = (n - 1) * dt
         points = sorted({_first_point(c, dt) for c in changes if c <= last}) if n else []
         heads = []  # (start, in_dbm, out_dbm, per-stage snapshot values) of each run
@@ -475,8 +475,8 @@ class _Runner:
             lines = self._lines(t)
             snaps = []
             for k, (engaged, f_center_hz, _) in enumerate(lines.state[1]):
-                j = bisect_right(step_times[k], t) - 1
-                snaps.append((*(steps[k][j][1] if j >= 0 else _IDLE_VALUES), engaged, f_center_hz))
+                j = bisect_right(starts[k], t) - 1
+                snaps.append((*(self.sample_runs[k][j][1] if j >= 0 else _IDLE_VALUES), engaged, f_center_hz))
             head = (lines.in_dbm, lines.out_dbm, tuple(snaps))
             if not heads or head != heads[-1][1:]:
                 heads.append((i, *head))
@@ -686,12 +686,12 @@ def trace_to_csv(trace: Trace, path: str) -> None:
 
 
 def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
-    """Write one stage's per-sample controller log.
+    """Write one stage's per-sample controller log, formatting each stretch's cells after t_s once.
 
-    The cells after t_s are formatted once per stretch of consecutive rows
-    with equal values, such as a stage's repeats at a fixed point.
+    Domain: stage is an int in range(len(trace.scenario.stages)), not a
+    bool; anything else is a ValueError naming it, and no file is written.
     """
-    stretches = groupby(trace.samples[stage], _snapshot_values)
+    _check_stage(trace, stage)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(_SAMPLE_COLUMNS)
-        _write_stretches(fh, (((row["t_s"] for row in rows), values) for values, rows in stretches))
+        _write_stretches(fh, trace.sample_runs[stage])

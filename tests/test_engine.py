@@ -364,7 +364,7 @@ def counted_on_sample(monkeypatch):
 
 
 class TestRepeatedSamples:
-    """A sample that repeats a fixed point is logged as a copy of the previous row, with no acquisition or decision."""
+    """A sample that repeats a fixed point is logged as the previous row at its own t_s, with no acquisition or decision."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_on_sample_once_per_non_repeat(self, calibration, monkeypatch, seed):
@@ -537,7 +537,7 @@ class TestResponseTimeGuards:
 
 
 @pytest.mark.parametrize("stage", [1, -1, True])
-def test_stage_outside_the_trace_is_refused(stage):
+def test_stage_outside_the_trace_is_refused(stage, tmp_path):
     sc = load_scenario(str(resources.files("swsense").joinpath("data/scenarios/pulse_response.json")))
     trace = run(sc, collect_trace=False)
     assert len(sc.stages) == 1
@@ -545,6 +545,10 @@ def test_stage_outside_the_trace_is_refused(stage):
         detect_limit_cycle(trace, stage)
     with pytest.raises(ValueError, match=rf"stage {stage!r} is not a stage of this trace"):
         measure_response_time(trace, "rise", stage)
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match=rf"stage {stage!r} is not a stage of this trace"):
+        samples_to_csv(trace, stage, str(path))
+    assert not path.exists()
     assert measure_response_time(trace, "rise", 0) > 0.0
 
 
@@ -610,6 +614,13 @@ class TestArtifacts:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,code_oc,code_l1,code_l2,att_db,f_est_hz,p_est_dbm,mode,action"
         assert len(lines) == 1 + len(pulse_trace.samples[0])
+
+    def test_csv_writers_leave_rows_and_records_unexpanded(self, tmp_path):
+        trace = run(pulse_scenario())
+        trace_to_csv(trace, str(tmp_path / "trace.csv"))
+        samples_to_csv(trace, 0, str(tmp_path / "samples.csv"))
+        assert "samples" not in vars(trace) and "records" not in vars(trace)
+        assert trace.samples is trace.samples and "samples" in vars(trace)
 
     def test_csv_cells_round_trip(self, tmp_path, pulse_trace):
         def same_float(cell, value):

@@ -2,17 +2,18 @@
 
 The engine pushes the source lines through the stages once per line
 state and reads its ADC acquisitions, its trace and its metrics from
-that one result. A sample that repeats a fixed point of on_sample is logged as a
-copy of the one before it, with no acquisition and no decision. The
-engine stores the dt grid as maximal runs of points that share their
-line powers and stage snapshots, reading only the first dt point at or
-after each change point, and expands Trace.records from the runs;
-trace_to_csv formats each run's row tail once and samples_to_csv each
-stretch of equal rows' tail once. tests/trace_reference.py recomputes
-every acquisition, every controller decision, every record and every
-cell. Records and decisions are compared through repr(), which gives
-each float's shortest exact form, so equal reprs mean bit-equal values
-with NaN equal to NaN.
+that one result. A sample that repeats a fixed point of on_sample only
+adds its t_s to its stage's last stretch of equal rows, with no
+acquisition and no decision, and Trace.samples expands the stretches
+into one row per sample. The engine stores the dt grid as maximal runs
+of points that share their line powers and stage snapshots, reading only
+the first dt point at or after each change point, and expands
+Trace.records from the runs; trace_to_csv formats each run's row tail
+once and samples_to_csv each stretch's tail once.
+tests/trace_reference.py recomputes every acquisition, every controller
+decision, every record and every cell. Sample rows and records are
+compared through repr(), which gives each float's shortest exact form,
+so equal reprs mean bit-equal values with NaN equal to NaN.
 """
 
 import math
@@ -26,6 +27,7 @@ import trace_reference
 from swsense.controller import ControllerConfig
 from swsense.core import Tone
 from swsense.engine import (
+    _SAMPLE_COLUMNS,
     _SILENT_DBM,
     Scenario,
     StageSpec,
@@ -50,18 +52,18 @@ def scenario(name):
 def assert_trace_parity(sc, tmp_path):
     runner = _Runner(sc, None)
     trace = runner.run(collect_trace=True)
-    for k, samples in enumerate(trace.samples):
-        for s in samples:
-            codes = trace_reference.acquire(runner, k, s["t_s"])
-            assert (s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"]) == (
-                codes.code_oc,
-                codes.code_l1,
-                codes.code_l2,
-                codes.att_db,
-            ), f"stage {k} sample at {s['t_s']!r}"
-        log, actions = trace_reference.decide(runner, k)
-        got = [(s["mode"], s["f_est_hz"], s["p_est_dbm"], s["action"]) for s in samples]
-        assert [repr(x) for x in got] == [repr(x) for x in log], f"stage {k}"
+    for k, (stretches, samples) in enumerate(zip(trace.sample_runs, trace.samples, strict=True)):
+        # Stretches are maximal: each holds ascending times, and adjacent stretches' values differ.
+        assert all(times and all(a < b for a, b in zip(times, times[1:])) for times, _ in stretches)
+        assert all(a[1] != b[1] for a, b in zip(stretches, stretches[1:])), f"stage {k}"
+        # The expansion equals the rows of freshly acquired codes and replayed decisions.
+        log, actions = trace_reference.decide(runner, k, samples)
+        replayed = []
+        for s, (mode, f_est_hz, p_est_dbm, action) in zip(samples, log, strict=True):
+            c = trace_reference.acquire(runner, k, s["t_s"])
+            values = (s["t_s"], c.code_oc, c.code_l1, c.code_l2, c.att_db, f_est_hz, p_est_dbm, mode, action)
+            replayed.append(dict(zip(_SAMPLE_COLUMNS, values)))
+        assert [repr(s) for s in samples] == [repr(r) for r in replayed], f"stage {k}"
         applied = [(a.kind, a.decided_s, a.effective_at_s, a.freq_hz, a.att_db) for a in trace.actions if a.stage == k]
         assert applied == actions, f"stage {k}"
     runs = trace.runs
@@ -80,7 +82,7 @@ def assert_trace_parity(sc, tmp_path):
         assert r.t_s == i * sc.dt_s
         assert r.in_dbm is run.in_dbm and r.out_dbm is run.out_dbm and r.stages is run.stages
 
-    expected = trace_reference.build_records(runner)
+    expected = trace_reference.build_records(runner, trace.samples)
     assert len(trace.records) == len(expected)
     for got, want in zip(trace.records, expected):
         assert repr(got) == repr(want)

@@ -3,16 +3,17 @@
 swsense.engine pushes the source lines through the stages once per line
 state, for its acquisitions and its trace alike, and formats each
 distinct row tail of trace.csv and of samples_stage<k>.csv once. A sample that repeats a
-fixed point of on_sample, with no event since the one before, is logged
-as a copy of the previous row, with no acquisition and no on_sample
-call. The trace is stored as maximal runs of dt points, found by reading
-only the first dt point at or after each change point. The functions
-here recompute every acquisition, every controller decision and every dt
-point's record from scratch, pushing each source line through each stage
-and passing every sample, repeat or not, through on_sample, and format
-every cell of every row. They read a finished engine._Runner and are
-used only by tests, which require the two paths to give equal codes,
-equal decisions, equal records and byte-equal CSV files.
+fixed point of on_sample, with no event since the one before, only adds
+its t_s to its stage's last stretch of equal rows, with no acquisition
+and no on_sample call. The trace is stored as maximal runs of dt points,
+found by reading only the first dt point at or after each change point.
+The functions here recompute every acquisition, every controller
+decision and every dt point's record from scratch, pushing each source
+line through each stage and passing every sample, repeat or not, through
+on_sample, and format every cell of every row. They read a finished
+engine._Runner and the rows of Trace.samples, and are used only by
+tests, which require the two paths to give equal codes, equal decisions,
+equal records and byte-equal CSV files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from swsense.controller import ControllerState, on_sample
 from swsense.core import watts_to_dbm
@@ -33,10 +34,12 @@ from swsense.engine import (
     StageSnapshot,
     Trace,
     TraceRecord,
-    _snapshot_values,
 )
 from swsense.filters import notch_s21_db, stopband_gamma
 from swsense.readout import TapCodes, chain_readout_lines
+
+# The values of a per-sample log row after t_s.
+_row_values = itemgetter(*_SAMPLE_COLUMNS[1:])
 
 
 def _filter_state_at(runner, k: int, t: float):
@@ -86,8 +89,8 @@ def acquire(runner, k: int, t_deliver: float) -> TapCodes:
     return chain_readout_lines(pairs, spec.chain, att, t_s=t_deliver, forward_ratios=ratios)
 
 
-def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
-    """Stage k's delivered codes replayed through on_sample, one call per delivered sample, repeats included.
+def decide(runner, k: int, rows: list[dict]) -> tuple[list[tuple], list[tuple]]:
+    """Stage k's log rows replayed through on_sample, one call per row, repeats included.
 
     Returns the per-sample (mode, f_est_hz, p_est_dbm, action) and the
     actions as (kind, decided_s, effective_at_s, freq_hz, att_db).
@@ -95,7 +98,7 @@ def decide(runner, k: int) -> tuple[list[tuple], list[tuple]]:
     spec = runner.sc.stages[k]
     state = ControllerState()
     log, actions = [], []
-    for s in runner.samples[k]:
+    for s in rows:
         codes = TapCodes(s["t_s"], s["code_oc"], s["code_l1"], s["code_l2"], s["att_db"])
         state, acts = on_sample(codes, state, spec.controller, runner.cals[k])
         est = state.last_estimate
@@ -129,19 +132,19 @@ def powers_at(runner, t: float) -> tuple[list[list[float]], list[list[float]]]:
     return ins, outs
 
 
-def build_records(runner) -> list[TraceRecord]:
-    """One freshly computed TraceRecord per dt point of a finished run."""
+def build_records(runner, samples: list[list[dict]]) -> list[TraceRecord]:
+    """One freshly computed TraceRecord per dt point of a finished run whose per-stage log rows are samples."""
     sc = runner.sc
     n = int(round(sc.duration_s / sc.dt_s))
     records = []
-    sample_times = [[s["t_s"] for s in runner.samples[k]] for k in range(len(sc.stages))]
+    sample_times = [[s["t_s"] for s in samples[k]] for k in range(len(sc.stages))]
     for i in range(n):
         t = i * sc.dt_s
         ins, outs = powers_at(runner, t)
         snaps = []
         for k in range(len(sc.stages)):
             j = bisect_right(sample_times[k], t) - 1
-            values = _snapshot_values(runner.samples[k][j]) if j >= 0 else _IDLE_VALUES
+            values = _row_values(samples[k][j]) if j >= 0 else _IDLE_VALUES
             fstate = _filter_state_at(runner, k, t)
             snaps.append(StageSnapshot(*values, fstate.engaged, fstate.f_center_hz))
         records.append(
