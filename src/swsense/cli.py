@@ -162,14 +162,15 @@ def _cmd_place_nodes(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg, ctrl = _build(args.config)
+    given = (args.codes is not None, args.freq is not None, args.power is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        print("estimate: give either --codes or both --freq and --power", file=sys.stderr)
+        return 2
     cal = build_calibration(cfg, None, ctrl)
     if args.codes is not None:
         oc, l1, l2 = (int(x) for x in args.codes.split(","))
         codes = TapCodes(t_s=0.0, code_oc=oc, code_l1=l1, code_l2=l2, att_db=args.att)
     else:
-        if args.freq is None or args.power is None:
-            print("estimate: give either --codes or both --freq and --power", file=sys.stderr)
-            return 2
         sig = SignalDescriptor((Tone(freq_hz=args.freq, power_dbm=args.power),))
         codes = chain_readout(sig, cfg, args.att)
     est = estimate(codes, cal, ctrl.switch_freq_hz)
@@ -254,8 +255,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one subcommand; argv is a list of strings, or None for sys.argv[1:].
+
+    Returns 0 on success, 1 for a SwsenseError (a domain error) and 2 for an
+    OSError or ValueError (malformed input); argparse errors raise
+    SystemExit(2). The parser is built once at import, and every call parses
+    into a fresh namespace, so main may be called repeatedly in one process.
+    """
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SwsenseError as exc:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import swsense
+from swsense import cli
 from swsense.cli import main
 from swsense.estimator import load_calibration
 
@@ -218,6 +219,22 @@ class TestEstimate:
         assert "codes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--codes", "3000,2900,2950", "--freq", "8e9"],
+            ["--codes", "3000,2900,2950", "--power", "0"],
+            ["--codes", "3000,2900,2950", "--freq", "8e9", "--power", "0"],
+            ["--freq", "8e9"],
+            ["--power", "0"],
+        ],
+    )
+    def test_codes_and_signal_are_exclusive(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, "estimate", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "estimate: give either --codes or both --freq and --power\n"
+
+    @pytest.mark.parametrize(
         "argv, err",
         [
             (["--codes", "99999,-5,0"], "swsense: code_oc=99999 is not an ADC code in [0, 4095]\n"),
@@ -326,6 +343,76 @@ class TestSimulate:
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "simulate", str(tmp_path / "nope.json")) == 2
         assert "swsense:" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ("sweep-sparams", "calibrate", "resolution", "place-nodes", "estimate", "simulate")
+
+
+def _files(folder):
+    return {p.name: p.read_bytes() for p in folder.iterdir()} if folder.exists() else {}
+
+
+class TestRepeatedCalls:
+    """main() parses with one parser built at import; calls must not see each other."""
+
+    def test_main_does_not_rebuild_the_parser(self, tmp_path, capsys, monkeypatch):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_parser", no_rebuild)
+        assert run_cli(tmp_path, "resolution", "--freq", "8e9") == 0
+        assert run_cli(tmp_path, "estimate", "--codes", "2965,2788,2857") == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[1])["tap_used"] == "l1"
+
+    def test_calls_in_one_process_match_calls_made_alone(self, tmp_path, capsys, monkeypatch):
+        """Each call's exit code, output and files equal those of the same call
+        in a fresh interpreter, though all share one --out and one parser."""
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("SWSENSE_CONFIG", raising=False)
+        calls = [
+            ["--config", coupler_config(tmp_path), "estimate", "--codes", "2965,2788,2857"],
+            ["--seed", "eleven", "simulate", scenario_path("pulse_response.json")],
+            ["--seed", "11", "simulate", "--no-trace", scenario_path("cascade_6_12.json")],
+            ["simulate", scenario_path("pulse_response.json")],
+            ["estimate", "--codes", "2965,2788,2857"],
+        ]
+        entry_point = EntryPoint(name="swsense", value="swsense.cli:main", group="console_scripts")
+        shared = tmp_path / "shared"
+        codes = []
+        for k, argv in enumerate(calls):
+            alone_dir = tmp_path / f"alone{k}"
+            alone = _run_console_script(entry_point, tmp_path, "--out", str(alone_dir), *argv)
+            before = _files(shared)
+            try:
+                rc = main(["--out", str(shared), *argv])
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr), argv
+            codes.append(rc)
+            # The call wrote what it writes alone and left every other file as it was.
+            written, after = _files(alone_dir), _files(shared)
+            assert {name: after.get(name) for name in written} == written, argv
+            assert {name: after[name] for name in after if name not in written} == {
+                name: before[name] for name in before if name not in written
+            }, argv
+        assert codes == [0, 2, 0, 0, 0]
+        assert sorted(_files(tmp_path / "alone2")) == ["metrics.json", "samples_stage0.csv", "samples_stage1.csv"]
+        assert sorted(_files(tmp_path / "alone3")) == ["metrics.json", "samples_stage0.csv", "trace.csv"]
+
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["resolution", "--freq", "8e9"]) == 0
+        capsys.readouterr()
+
+        def help_text(parse, argv):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
+            assert help_text(main, argv) == help_text(cli._parser().parse_args, argv)
 
 
 class TestConfigPlumbing:
