@@ -22,8 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .codec import from_json
-from .controller import ControllerConfig
-from .core import SignalDescriptor, Tone
+from .controller import ControllerConfig, settle_cw
 from .coupling import ResistiveTapParams, tap_sparams
 from .engine import load_scenario, run, samples_to_csv, trace_to_csv
 from .errors import SwsenseError
@@ -37,7 +36,7 @@ from .estimator import (
     resolution,
     save_calibration,
 )
-from .readout import ChainConfig, TapCodes, chain_readout
+from .readout import ChainConfig, TapCodes
 from .stub import tap_length
 
 
@@ -171,8 +170,9 @@ def _cmd_estimate(args) -> int:
         oc, l1, l2 = (int(x) for x in args.codes.split(","))
         codes = TapCodes(t_s=0.0, code_oc=oc, code_l1=l1, code_l2=l2, att_db=args.att)
     else:
-        sig = SignalDescriptor((Tone(freq_hz=args.freq, power_dbm=args.power),))
-        codes = chain_readout(sig, cfg, args.att)
+        # The gain control settles from --att, as the controller's would on a steady tone.
+        oc, l1, l2, att = settle_cw(args.freq, args.power, cfg, ctrl, args.att)
+        codes = TapCodes(t_s=0.0, code_oc=int(oc), code_l1=int(l1), code_l2=int(l2), att_db=float(att))
     est = estimate(codes, cal, ctrl.switch_freq_hz)
     print(
         json.dumps(
@@ -242,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
 
     ep = sub.add_parser("estimate", help="one-shot frequency/power estimate")
     ep.add_argument("--codes", help="OC,L1,L2 ADC codes")
-    ep.add_argument("--att", type=float, default=0.0)
+    ep.add_argument("--att", type=float, default=0.0, help="attenuator setting in dB (--freq/--power: where the AGC starts)")
     ep.add_argument("--freq", type=float, help="synthesize codes for this input frequency")
     ep.add_argument("--power", type=float, help="synthesize codes for this input power (dBm)")
     ep.set_defaults(func=_cmd_estimate)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
-from .readout import ChainConfig, TapCodes, detector_floor_code
+from .readout import ChainConfig, TapCodes, chain_codes_cw, check_cw, detector_floor_code
 
 MODE_IDLE = "idle"
 MODE_ENGAGING = "engaging"
@@ -84,13 +84,8 @@ class ControllerConfig:
     @staticmethod
     def for_chain(cfg: ChainConfig, window_codes: int = 150) -> "ControllerConfig":
         """Derive the code window from a chain config: its top is the open-end code at _AGC_PROBE_DBM."""
-        from .core import SignalDescriptor, Tone
-        from .readout import chain_voltages, adc_sample
-
         f_probe = cfg.stub.taps[0].f_max_hz / 2.0
-        sig = SignalDescriptor((Tone(freq_hz=f_probe, power_dbm=_AGC_PROBE_DBM),))
-        v_oc, _, _ = chain_voltages(sig, cfg, 0.0)
-        high = adc_sample(v_oc, cfg.adc)
+        high = int(chain_codes_cw(f_probe, _AGC_PROBE_DBM, 0.0, cfg)[0])
         return ControllerConfig(
             agc_high_code=high,
             agc_low_code=high - window_codes,
@@ -129,7 +124,7 @@ def agc_policy(
     is att_db itself.
 
     This is the only gain-control rule: on_sample applies it to one
-    reading, and build_calibration to numpy arrays of code_oc and att_db,
+    reading, and settle_cw to numpy arrays of code_oc and att_db,
     element by element, with the same result per element. Scalars give a
     Python float when att_db is one; arrays give an array.
     """
@@ -147,6 +142,56 @@ def agc_policy(
         return att_db
     moved = round((att_db + step * steps) / step) * step
     return moved if 0.0 <= moved <= max_db else (0.0 if moved < 0.0 else max_db)
+
+
+def settle_cw(
+    freq_hz: float | np.ndarray,
+    power_dbm: float | np.ndarray,
+    cfg: ChainConfig,
+    ctrl: ControllerConfig,
+    att0: float | np.ndarray = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Settle the gain control on CW lines; returns (code_oc, code_l1, code_l2, att_db).
+
+    This is the one walk of agc_policy over readings: each cell starts at
+    att0 and is read through chain_codes_cw. In each round, the cells the
+    policy still moves take one step and are read again; a cell the policy
+    leaves where it is is final. The walk gets one round per attenuator step
+    plus two, so a cell whose window is narrower than a step, and which
+    swings between two settings, ends where that budget runs out.
+
+    The three inputs broadcast like numpy arrays, and the four results have
+    their broadcast shape; scalars give 0-d arrays. Each distinct frequency's
+    coupling and ripple are looked up once. Domain: chain_codes_cw's, checked
+    before any lookup, so a frequency that is not positive and finite or a
+    power that is not finite raises ValueError, one above the stub band
+    OutOfBandError, and a setting in att0 that the attenuator lacks
+    ValueError. A coupler's lookup raises OutOfBandError outside its band.
+    """
+    shape = np.broadcast_shapes(np.shape(freq_hz), np.shape(power_dbm), np.shape(att0))
+    f, p, att = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (freq_hz, power_dbm, att0))
+    check_cw(f, p, cfg)
+    att = att.copy()  # ravel may give a read-only view of the caller's array
+    f_unique, row = np.unique(f, return_inverse=True)
+    coupling_db = np.array([cfg.coupling_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
+    ripple_db = np.array([cfg.ripple_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
+    codes = tuple(np.empty(f.size, dtype=int) for _ in range(3))
+
+    def read(k):
+        for out, c in zip(codes, chain_codes_cw(f[k], p[k], att[k], cfg, coupling_db[k], ripple_db[k])):
+            out[k] = c
+
+    moving = np.arange(f.size)
+    read(moving)
+    for _ in range(int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2):
+        nxt = agc_policy(codes[0][moving], att[moving], ctrl, cfg)
+        stepped = nxt != att[moving]
+        moving = moving[stepped]
+        if not moving.size:
+            break
+        att[moving] = nxt[stepped]
+        read(moving)
+    return codes[0].reshape(shape), codes[1].reshape(shape), codes[2].reshape(shape), att.reshape(shape)
 
 
 # The mode a pending transition settles to once its time is reached.

@@ -35,7 +35,6 @@ from .readout import (
     ChainConfig,
     DetectorParams,
     TapCodes,
-    chain_codes_cw,
     chain_config_from_dict,
     chain_config_hash,
     chain_config_to_dict,
@@ -232,8 +231,8 @@ def place_nodes(
     return f_max_2, f_min
 
 
-# Cells per block of the walk; the block's float temporaries stay at a few
-# MiB whatever the grid size.
+# Cells per settle_cw call of the build; the call's float temporaries stay
+# at a few MiB whatever the grid size.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -249,19 +248,14 @@ def build_calibration(
     default_grid_for(cfg), the chain's usable band), and ctrl is None or a
     ControllerConfig (None is ControllerConfig.for_chain(cfg)).
 
-    Every cell walks the controller's own agc_policy, applied to arrays of
-    cells: it starts at zero attenuation, and in each round the cells the
-    policy still moves take one step and are read again with
-    chain_codes_cw's arithmetic. A cell that stops is final. The walk gets
-    one round per attenuator step plus two, the budget of one cell's scalar
-    walk, so a cell whose window is narrower than a step, and which cycles
-    between two settings, ends where that scalar walk ends. Raises
+    Every cell is settled by settle_cw, the controller's own agc_policy
+    walked from zero attenuation, one block of whole rows per call. Raises
     CalibrationRangeError for the first cell, in row order, that the
     detectors cannot represent (floor at the bottom, unservable overload at
     the top) or whose frequency is outside the coupler band or above the
     stub band.
     """
-    from .controller import ControllerConfig, agc_policy
+    from .controller import ControllerConfig, settle_cw
 
     if not isinstance(cfg, ChainConfig):
         raise ValueError(f"cfg must be a ChainConfig, got {cfg!r}")
@@ -274,57 +268,36 @@ def build_calibration(
     freqs = grid.freqs()
     powers = grid.powers()
     nf, npow = len(freqs), len(powers)
-    # The cells in row order; reshaped to (nf, npow) for the table.
-    att = np.zeros(nf * npow)
-    oc = np.zeros(nf * npow, dtype=int)
-    l1 = np.zeros(nf * npow, dtype=int)
-    l2 = np.zeros(nf * npow, dtype=int)
+    att = np.zeros((nf, npow))
+    oc = np.zeros((nf, npow), dtype=int)
+    l1 = np.zeros((nf, npow), dtype=int)
+    l2 = np.zeros((nf, npow), dtype=int)
     floor = detector_floor_code(cfg)
     max_db = cfg.attenuator.max_db
-    rounds = int(round(max_db / cfg.attenuator.step_db)) + 2
 
-    # Rows before the first out-of-band frequency are checked before it.
-    # Each row's coupling and ripple are looked up once, for every round.
-    row_db, out_of_band = [], None
+    # The coupler's lookup or the stub band refuses an out-of-band row; the
+    # rows before the first one are settled and checked before it is reported.
+    n_rows, out_of_band = 0, None
     for f in freqs.tolist():
         try:
-            db = (cfg.coupling_db_at(f), cfg.ripple_db_at(f))
+            cfg.coupling_db_at(f)
             check_stub_band(f, cfg)
         except OutOfBandError as exc:
             out_of_band = exc
             break
-        row_db.append(db)
-    n_cells = len(row_db) * npow
+        n_rows += 1
 
-    block = max(1, _BLOCK_CELLS // npow) * npow  # whole rows
-    for c0 in range(0, n_cells, block):
-        cells = slice(c0, min(c0 + block, n_cells))
-        rows = slice(c0 // npow, cells.stop // npow)
-        f, p = np.repeat(freqs[rows], npow), np.tile(powers, rows.stop - rows.start)
-        c_db, r_db = np.repeat(np.array(row_db[rows]), npow, axis=0).T
-        a, codes = att[cells], (oc[cells], l1[cells], l2[cells])  # views
-
-        def read(k):
-            for out, c in zip(codes, chain_codes_cw(f[k], p[k], a[k], cfg, c_db[k], r_db[k])):
-                out[k] = c
-
-        moving = np.arange(a.size)
-        read(moving)
-        for _ in range(rounds):
-            nxt = agc_policy(codes[0][moving], a[moving], ctrl, cfg)
-            stepped = nxt != a[moving]
-            moving = moving[stepped]
-            if not moving.size:
-                break
-            a[moving] = nxt[stepped]
-            read(moving)
-        at_floor = codes[0] <= floor
-        exhausted = (codes[0] > ctrl.agc_high_code) & (a >= max_db)
-        bad = np.flatnonzero(at_floor | exhausted)
+    block = max(1, _BLOCK_CELLS // npow)  # rows per settle_cw call
+    for r0 in range(0, n_rows, block):
+        rows = slice(r0, min(r0 + block, n_rows))
+        oc[rows], l1[rows], l2[rows], att[rows] = settle_cw(freqs[rows, None], powers, cfg, ctrl)
+        at_floor = oc[rows] <= floor
+        exhausted = (oc[rows] > ctrl.agc_high_code) & (att[rows] >= max_db)
+        bad = np.argwhere(at_floor | exhausted)
         if bad.size:
-            i, j = divmod(c0 + int(bad[0]), npow)
-            cell = f"{freqs[i] / 1e9:.2f} GHz, {powers[j]:.1f} dBm"
-            if at_floor[bad[0]]:
+            i, j = bad[0]
+            cell = f"{freqs[r0 + i] / 1e9:.2f} GHz, {powers[j]:.1f} dBm"
+            if at_floor[i, j]:
                 raise CalibrationRangeError(f"open-end reading at detector floor for {cell}")
             raise CalibrationRangeError(f"attenuator exhausted holding {cell}")
     if out_of_band is not None:
@@ -333,10 +306,10 @@ def build_calibration(
     return CalibrationTable(
         freqs_hz=freqs,
         powers_dbm=powers,
-        att_db=att.reshape(nf, npow),
-        code_oc=oc.reshape(nf, npow),
-        code_l1=l1.reshape(nf, npow),
-        code_l2=l2.reshape(nf, npow),
+        att_db=att,
+        code_oc=oc,
+        code_l1=l1,
+        code_l2=l2,
         config_hash=chain_config_hash(cfg),
         cfg=cfg,
     )

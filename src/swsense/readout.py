@@ -4,8 +4,8 @@ chain_readout composes the whole monitor path for a signal descriptor:
 pick-off coupling, step attenuation, saturating gain, stub drive, per-tap
 standing-wave voltages, logarithmic detection, and ADC quantization. The
 same composition runs unquantized via chain_voltages for analysis, and
-over whole arrays of CW cells via chain_codes_cw, which the calibration
-build reads its cells through.
+over whole arrays of CW cells via chain_codes_cw, which the gain-control
+settle (controller.settle_cw) reads its cells through.
 """
 
 from __future__ import annotations
@@ -353,6 +353,23 @@ def chain_readout_lines(
     )
 
 
+def check_cw(freq_hz: np.ndarray, power_dbm: np.ndarray, cfg: ChainConfig) -> None:
+    """Refuse CW cells outside chain_codes_cw's domain, which is Tone's.
+
+    ValueError for a frequency that is not positive and finite, then for a
+    power in dBm that is not finite; OutOfBandError for a frequency above
+    the stub band.
+    """
+    bad = ~((freq_hz > 0.0) & (freq_hz < math.inf))
+    if bad.any():
+        raise ValueError(f"frequency {float(freq_hz[bad][0])!r} Hz is not positive and finite")
+    bad = ~np.isfinite(power_dbm)
+    if bad.any():
+        raise ValueError(f"power {float(power_dbm[bad][0])!r} dBm is not finite")
+    if freq_hz.size:
+        check_stub_band(float(freq_hz.max()), cfg)
+
+
 def chain_codes_cw(
     freq_hz: np.ndarray,
     power_dbm: np.ndarray,
@@ -365,18 +382,20 @@ def chain_codes_cw(
 
     The three arrays broadcast together, and every cell of their broadcast
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
-    cfg, att): the arithmetic runs in the same order. A frequency above the
-    stub band raises OutOfBandError, then an invalid setting in att_db
-    raises ValueError. coupling_db and ripple_db, each broadcasting with
-    freq_hz, are the chain's coupling_db_at and ripple_db_at of freq_hz; a
-    caller that reads the same frequencies at many settings passes them.
-    Each one left as None is looked up here per element of freq_hz, and a
-    coupler's lookup raises OutOfBandError outside the coupler band.
+    cfg, att): the arithmetic runs in the same order. Scalars are 0-d
+    arrays, and give 0-d arrays of codes. Domain: every frequency is
+    positive, finite and within the stub band, every power finite and every
+    att_db an attenuator setting; check_cw refuses the first two, once per
+    call, then an invalid setting raises ValueError. coupling_db and
+    ripple_db, each broadcasting with freq_hz, are the chain's
+    coupling_db_at and ripple_db_at of freq_hz; a caller that reads the
+    same frequencies at many settings passes them. Each one left as None is
+    looked up here per element of freq_hz, and a coupler's lookup raises
+    OutOfBandError outside the coupler band.
     """
     f = np.asarray(freq_hz, dtype=float)
-    if f.size:
-        check_stub_band(float(f.max()), cfg)
     p_dbm = np.asarray(power_dbm, dtype=float)
+    check_cw(f, p_dbm, cfg)
     att = np.asarray(att_db, dtype=float)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
@@ -401,10 +420,11 @@ def chain_codes_cw(
         level = det.slope_a * np.log10(np.clip(v, det.v_in_min, det.v_in_max)) + det.intercept_b
         level /= adc.lsb
         near |= np.abs(level - np.rint(level)) < 1e-9
-        codes.append(np.clip(np.floor(level), 0, adc.full_code).astype(int))
+        # An array even for 0-d cells, where numpy's ufuncs give scalars.
+        codes.append(np.asarray(np.clip(np.floor(level), 0, adc.full_code), dtype=int))
     if near.any():
         fb, pb, ab = np.broadcast_arrays(f, p_dbm, att)
-        for idx in zip(*np.nonzero(near)):
+        for idx in map(tuple, np.argwhere(near)):
             c = chain_readout_lines(
                 [(float(fb[idx]), dbm_to_watts(float(pb[idx])))], cfg, float(ab[idx])
             )

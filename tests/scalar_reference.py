@@ -1,7 +1,7 @@
 """Scalar reference implementations that the array code is checked against.
 
-build_calibration_scalar is the calibration build as one chain_readout
-call per AGC step per cell. estimate_scalar is the estimator that derives
+settle_ref is the gain-control walk of one CW cell, one chain_readout
+call per AGC step, and build_calibration_scalar runs it per cell. estimate_scalar is the estimator that derives
 everything from the table on every call. chain_voltages_lines_scalar and
 chain_readout_lines_scalar are the read-out chain that derives every
 constant of the config (ADC step, tap coupling, amplifier ceiling, tap
@@ -67,6 +67,20 @@ from swsense.readout import (
 from swsense.stub import wrapped_ratio
 
 
+def settle_ref(f, p, cfg, ctrl, att0=0.0) -> tuple[TapCodes, float]:
+    """One CW cell's gain-control walk from att0, one chain_readout per step; returns (codes, att)."""
+    sig = SignalDescriptor((Tone(freq_hz=float(f), power_dbm=float(p)),))
+    a = float(att0)
+    codes = chain_readout(sig, cfg, a)
+    for _ in range(int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2):
+        a_next = agc_policy(codes.code_oc, a, ctrl, cfg)
+        if a_next == a:
+            break
+        a = a_next
+        codes = chain_readout(sig, cfg, a)
+    return codes, a
+
+
 def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
     grid = grid or CalibrationGrid()
     ctrl = ctrl or ControllerConfig.for_chain(cfg)
@@ -78,20 +92,11 @@ def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
     l1 = np.zeros((nf, npow), dtype=int)
     l2 = np.zeros((nf, npow), dtype=int)
     floor = detector_floor_code(cfg)
-    max_iter = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2
 
     for i, f in enumerate(freqs):
         for j, p in enumerate(powers):
-            sig = SignalDescriptor((Tone(freq_hz=float(f), power_dbm=float(p)),))
-            a = 0.0
             try:
-                codes = chain_readout(sig, cfg, a)
-                for _ in range(max_iter):
-                    a_next = agc_policy(codes.code_oc, a, ctrl, cfg)
-                    if a_next == a:
-                        break
-                    a = a_next
-                    codes = chain_readout(sig, cfg, a)
+                codes, a = settle_ref(f, p, cfg, ctrl)
             except OutOfBandError as exc:
                 raise CalibrationRangeError(str(exc)) from exc
             if codes.code_oc <= floor:

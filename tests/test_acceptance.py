@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swsense.controller import ControllerConfig, agc_policy
+from swsense.controller import ControllerConfig, agc_policy, settle_cw
 from swsense.core import SignalDescriptor, Tone
 from swsense.coupling import tap_coupling, tap_sparams, ResistiveTapParams
 from swsense.engine import (
@@ -33,7 +33,7 @@ from swsense.filters import (
     notch_s21_db,
     stopband_gamma,
 )
-from swsense.readout import AdcParams, DetectorParams, chain_readout
+from swsense.readout import AdcParams, DetectorParams, TapCodes, chain_readout
 from swsense.stub import standing_ratio, tap_rms_voltages, StubParams
 
 RESULTS = []
@@ -44,19 +44,6 @@ def _verdict(n: int, ok: bool, detail: str) -> str:
     RESULTS.append(line)
     print(line)
     return line
-
-
-def _settle_agc(chain, controller, sig, att0=0.0):
-    """Iterate the gain policy to its fixed point; returns (codes, att)."""
-    att = att0
-    codes = chain_readout(sig, chain, att)
-    for _ in range(130):
-        nxt = agc_policy(codes.code_oc, att, controller, chain)
-        if nxt == att:
-            break
-        att = nxt
-        codes = chain_readout(sig, chain, att)
-    return codes, att
 
 
 def test_01_tap_sparams_anchor():
@@ -94,19 +81,23 @@ def test_02_resolution_and_tap_placement():
 def test_03_round_trip_estimation(chain, controller, calibration):
     freqs = np.arange(1.2e9, 15e9 + 1e6, 0.2e9)
     powers = np.arange(-18.0, 18.1, 2.0)
+    # Each frequency steps up through the powers, and its gain control
+    # settles from where the previous power left it: one call per power.
+    settled, att = [], np.zeros(len(freqs))
+    for p in powers:
+        oc, l1, l2, att = settle_cw(freqs, p, chain, controller, att)
+        settled.append((oc, l1, l2, att))
     n = 0
     bad_f, bad_tap = [], []
     p_errs = []
-    for f in freqs:
-        att = 0.0
+    for i, f in enumerate(freqs):
         f = float(f)
         f_max = 5e9 if f < 5e9 else 16e9
         budget = resolution(f, f_max, chain.detector, chain.adc) + 0.2e9
         want_tap = "l2" if f < 5e9 else "l1"
-        for p in powers:
+        for p, (oc, l1, l2, att) in zip(powers, settled):
             p = float(p)
-            sig = SignalDescriptor((Tone(freq_hz=f, power_dbm=p),))
-            codes, att = _settle_agc(chain, controller, sig, att)
+            codes = TapCodes(0.0, int(oc[i]), int(l1[i]), int(l2[i]), float(att[i]))
             est = estimate(codes, calibration)
             n += 1
             if abs(est.freq_hz - f) > budget:
@@ -351,12 +342,9 @@ def test_09_property_suites(chain, controller):
     checks["power-sum homogeneity"] = homo
 
     # gain control reaches a fixed point for every constant drive level
-    agc = True
-    for p in range(-20, 21):
-        sig = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=float(p)),))
-        codes, att = _settle_agc(chain, controller, sig)
-        agc &= agc_policy(codes.code_oc, att, controller, chain) == att
-        agc &= codes.code_oc <= controller.agc_high_code or att >= chain.attenuator.max_db
+    code_oc, _, _, att = settle_cw(8e9, np.arange(-20.0, 21.0), chain, controller)
+    agc = np.array_equal(agc_policy(code_oc, att, controller, chain), att)
+    agc &= bool(np.all((code_oc <= controller.agc_high_code) | (att >= chain.attenuator.max_db)))
     checks["AGC fixed point"] = agc
 
     # bit-identical artifacts for a fixed seed

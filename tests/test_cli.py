@@ -214,6 +214,42 @@ class TestEstimate:
         assert captured.err.startswith("swsense: 20.000 GHz above the stub band")
         assert run_cli(tmp_path, "estimate", "--freq", "16e9", "--power", "0") == 0
 
+    @pytest.mark.parametrize("power", ["0", "5", "10", "20"])
+    def test_gain_control_settles_before_the_inversion(self, tmp_path, capsys, power):
+        # Read at 0 dB, +5 dBm came out saturated and +10 and +20 dBm
+        # exited 1; settled, each reads as exactly as 0 dBm (README's line).
+        assert run_cli(tmp_path, "estimate", "--freq", "8e9", "--power", power) == 0
+        assert capsys.readouterr().out == (
+            f'{{"freq_hz": 8000000000.0, "power_dbm": {float(power)}, "tap_used": "l1", "confidence": "in-range"}}\n'
+        )
+
+    def test_gain_control_starts_from_att(self, tmp_path, capsys):
+        # From 10 dB, +10 dBm is already in the window. From the top the walk
+        # comes down and stops at the window's lower edge, not at the table
+        # cell's setting, so the answer is interpolated.
+        assert run_cli(tmp_path, "estimate", "--freq", "8e9", "--power", "10", "--att", "10") == 0
+        assert json.loads(capsys.readouterr().out)["power_dbm"] == 10.0
+        assert run_cli(tmp_path, "estimate", "--freq", "8e9", "--power", "10", "--att", "31.75") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["power_dbm"] != 10.0 and out["power_dbm"] == pytest.approx(10.0, abs=0.05)
+        assert out["freq_hz"] == pytest.approx(8e9, abs=30e6)
+        assert (out["tap_used"], out["confidence"]) == ("l1", "in-range")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--freq=-8e9", "--power", "0"], "swsense: frequency -8000000000.0 Hz is not positive and finite\n"),
+            (["--freq", "nan", "--power", "0"], "swsense: frequency nan Hz is not positive and finite\n"),
+            (["--freq", "inf", "--power", "0"], "swsense: frequency inf Hz is not positive and finite\n"),
+            (["--freq", "0", "--power", "0"], "swsense: frequency 0.0 Hz is not positive and finite\n"),
+            (["--freq", "8e9", "--power=-inf"], "swsense: power -inf dBm is not finite\n"),
+            (["--freq", "8e9", "--power", "nan"], "swsense: power nan dBm is not finite\n"),
+        ],
+    )
+    def test_signal_outside_the_tone_domain_is_malformed(self, tmp_path, capsys, argv, err):
+        assert run_cli(tmp_path, "estimate", *argv) == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_requires_codes_or_signal(self, tmp_path, capsys):
         assert run_cli(tmp_path, "estimate") == 2
         assert "codes" in capsys.readouterr().err

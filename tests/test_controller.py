@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,11 +19,12 @@ from swsense.controller import (
     ControllerState,
     agc_policy,
     on_sample,
+    settle_cw,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
-from swsense.errors import SwsenseError
+from swsense.errors import OutOfBandError, SwsenseError
 from swsense.estimator import CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, estimate
-from swsense.readout import TapCodes, chain_readout, chain_readout_lines, detector_floor_code
+from swsense.readout import ChainConfig, TapCodes, chain_readout, chain_readout_lines, detector_floor_code
 
 
 def codes_at(chain, f_hz, p_dbm, att_db, t_s=1e-6):
@@ -58,19 +60,49 @@ class TestAgcPolicy:
         assert agc_policy(controller.agc_floor_code, 8.0, controller, chain) == 8.0
 
     def test_fixed_point_for_all_drive_levels(self, chain, controller):
-        for p_dbm in range(-20, 21):
-            att = 0.0
-            for _ in range(130):
-                code = codes_at(chain, 8e9, float(p_dbm), att).code_oc
-                nxt = agc_policy(code, att, controller, chain)
-                if nxt == att:
-                    break
-                att = nxt
-            code = codes_at(chain, 8e9, float(p_dbm), att).code_oc
-            assert agc_policy(code, att, controller, chain) == att
-            assert code <= controller.agc_high_code or att == chain.attenuator.max_db
-            if att > 0.0:
-                assert code >= controller.agc_low_code
+        powers = np.arange(-20.0, 21.0)
+        code, _, _, att = settle_cw(8e9, powers, chain, controller)
+        # The settled code is the one read at the settled setting.
+        assert code.tolist() == [codes_at(chain, 8e9, p, a).code_oc for p, a in zip(powers, att)]
+        assert np.array_equal(agc_policy(code, att, controller, chain), att)
+        assert np.all((code <= controller.agc_high_code) | (att == chain.attenuator.max_db))
+        assert np.all((code >= controller.agc_low_code) | (att == 0.0))
+
+
+class TestSettleCw:
+    def test_scalars_give_0d_results(self, chain, controller):
+        got = settle_cw(8e9, 20.0, chain, controller)
+        assert all(isinstance(x, np.ndarray) and x.shape == () for x in got)
+        code, att = codes_at(chain, 8e9, 20.0, float(got[3])), float(got[3])
+        assert tuple(got) == (code.code_oc, code.code_l1, code.code_l2, att)
+        assert att > 0.0 and agc_policy(code.code_oc, att, controller, chain) == att
+
+    def test_start_setting_is_the_callers_and_left_unchanged(self, chain, controller):
+        att0 = np.array([0.0, 31.75])
+        _, _, _, att = settle_cw(8e9, 10.0, chain, controller, att0)
+        assert att0.tolist() == [0.0, 31.75]
+        # From below the walk stops at the window's top, from above at its bottom.
+        assert att[0] < att[1]
+
+    def test_empty_input(self, chain, controller):
+        assert all(x.shape == (0,) for x in settle_cw(np.array([]), 0.0, chain, controller))
+
+    @pytest.mark.parametrize("kind", ["tap", "coupler"])
+    @pytest.mark.parametrize(
+        "f_hz, p_dbm, att0, error, match",
+        [
+            (math.nan, 0.0, 0.0, ValueError, "^frequency nan Hz"),
+            (-8e9, 0.0, 0.0, ValueError, "^frequency -8000000000.0 Hz"),
+            (8e9, -math.inf, 0.0, ValueError, "^power -inf dBm"),
+            (20e9, 0.0, 0.0, OutOfBandError, "^20.000 GHz above the stub band"),
+            (8e9, 0.0, 0.3, ValueError, "^att_db=0.3 is not a multiple"),
+        ],
+    )
+    def test_out_of_domain_input_is_refused(self, kind, f_hz, p_dbm, att0, error, match):
+        # The domain is checked before a coupler looks up its coupling.
+        cfg = ChainConfig(coupling_kind=kind)
+        with pytest.raises(error, match=match):
+            settle_cw(f_hz, p_dbm, cfg, ControllerConfig.for_chain(cfg), att0)
 
 
 class TestForChain:

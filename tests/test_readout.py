@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import swsense.readout
 import swsense.stub
 from swsense.codec import to_json
-from swsense.core import SignalDescriptor, Tone
+from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams, tap_coupling, tap_sparams
 from swsense.engine import load_scenario
 from swsense.errors import OutOfBandError
@@ -364,6 +364,49 @@ class TestLineDomain:
     def test_a_line_above_the_stub_band_stays_out_of_band(self, chain):
         with pytest.raises(OutOfBandError):
             chain_readout_lines([(8e9, 1e-3), (16.5e9, math.nan)], chain, 0.0)
+
+
+class TestCwDomain:
+    """chain_codes_cw takes Tone's domain, checked before any lookup, and reads 0-d cells."""
+
+    @pytest.mark.parametrize("kind", ["tap", "coupler"])
+    @pytest.mark.parametrize(
+        "f_hz, p_dbm, message",
+        [
+            (math.nan, 0.0, r"^frequency nan Hz is not positive and finite$"),
+            (-8e9, 0.0, r"^frequency -8000000000\.0 Hz is not positive and finite$"),
+            (0.0, 0.0, r"^frequency 0\.0 Hz"),
+            (math.inf, 0.0, r"^frequency inf Hz"),
+            (8e9, math.nan, r"^power nan dBm is not finite$"),
+            (8e9, math.inf, r"^power inf dBm is not finite$"),
+            (8e9, -math.inf, r"^power -inf dBm is not finite$"),
+        ],
+    )
+    def test_out_of_domain_cells_are_refused(self, kind, f_hz, p_dbm, message):
+        cfg = ChainConfig(coupling_kind=kind)
+        with pytest.raises(ValueError, match=message):
+            chain_codes_cw(f_hz, p_dbm, 0.0, cfg)
+        with pytest.raises(ValueError, match=message):
+            chain_codes_cw(np.array([8e9, f_hz]), np.array([0.0, p_dbm]), np.array([0.0]), cfg)
+
+    def test_domain_edges_are_accepted(self, chain):
+        f_max = chain.stub.taps[0].f_max_hz
+        chain_codes_cw(np.array([5e-324, f_max]), np.array([-300.0, 300.0]), 0.0, chain)
+
+    def test_cell_at_a_code_boundary_is_read_by_the_scalar_chain(self, chain, monkeypatch):
+        # 8 GHz at this power lies within 1e-9 of a code boundary. A 0-d
+        # cell once failed there, because np.nonzero refuses 0-d input.
+        p_dbm = -1.1138135866867416
+        ref = chain_readout_lines([(8e9, dbm_to_watts(p_dbm))], chain, 0.0)
+        assert (ref.code_oc, ref.code_l1, ref.code_l2) == (2900, 2723, 2792)
+        calls = []
+        scalar = swsense.readout.chain_readout_lines
+        monkeypatch.setattr(swsense.readout, "chain_readout_lines", lambda *a: calls.append(a) or scalar(*a))
+        codes = chain_codes_cw(8e9, p_dbm, 0.0, chain)
+        assert all(c.shape == () for c in codes) and codes == (2900, 2723, 2792)
+        codes = chain_codes_cw(np.array([8e9]), np.array([p_dbm]), np.array([0.0]), chain)
+        assert [c.tolist() for c in codes] == [[2900], [2723], [2792]]
+        assert len(calls) == 2
 
 
 def _bundled_chains():

@@ -4,8 +4,8 @@ tests/scalar_reference.py keeps the read-out chain that derives every
 config constant per call, the per-cell calibration loop, the per-call
 estimator and the controller with a code check in each branch. The
 library must reproduce them bit for bit: every detector voltage and code,
-every array of every table, every Estimate, every controller state and
-action, and the type and text of every error. agc_policy on arrays must
+every array of every table, every settled CW cell, every Estimate, every
+controller state and action, and the type and text of every error. agc_policy on arrays must
 give its scalar result per element, and the bundled tables are pinned by
 digest, which a change to that rule would move.
 """
@@ -26,6 +26,7 @@ from scalar_reference import (
     chain_voltages_lines_scalar,
     estimate_scalar,
     on_sample_ref,
+    settle_ref,
 )
 from swsense.controller import (
     MODE_ENGAGED,
@@ -36,6 +37,7 @@ from swsense.controller import (
     ControllerState,
     agc_policy,
     on_sample,
+    settle_cw,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.engine import load_scenario
@@ -314,6 +316,33 @@ class TestChainCodesCw:
         above = np.array([8e9, cfg.stub.taps[0].f_max_hz * 1.01])
         with pytest.raises(OutOfBandError):
             chain_codes_cw(above, np.array([0.0]), np.array([0.0]), cfg, np.zeros(2), np.zeros(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=st.sampled_from(_READOUT_CHAINS[:3]),
+    data=st.data(),
+    n_f=st.integers(1, 4),
+    n_p=st.integers(1, 4),
+)
+def test_settle_cw_is_the_scalar_walk_per_cell(cfg, data, n_f, n_p):
+    # Tap, coupler and rippled chains; frequencies across the band (the
+    # coupler's is narrower), powers from below the detector floor to past
+    # the attenuator's reach, and a start setting per cell.
+    lo, hi = (1e9, 14e9) if cfg.coupling_kind == "coupler" else (1e6, cfg.stub.taps[0].f_max_hz)
+    freqs = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n_f, max_size=n_f)))[:, None]
+    powers = np.array(data.draw(st.lists(st.floats(-45.0, 50.0), min_size=n_p, max_size=n_p)))
+    n_set = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db))
+    steps = data.draw(st.lists(st.integers(0, n_set), min_size=n_f * n_p, max_size=n_f * n_p))
+    att0 = cfg.attenuator.step_db * np.array(steps, dtype=float).reshape(n_f, n_p)
+    ctrl = ControllerConfig.for_chain(cfg)
+    oc, l1, l2, att = settle_cw(freqs, powers, cfg, ctrl, att0)
+    assert all(a.shape == (n_f, n_p) for a in (oc, l1, l2, att))
+    for i, j in np.ndindex(n_f, n_p):
+        ref, a = settle_ref(freqs[i, 0], powers[j], cfg, ctrl, att0[i, j])
+        assert (oc[i, j], l1[i, j], l2[i, j], att[i, j]) == (ref.code_oc, ref.code_l1, ref.code_l2, a)
+    fixed = agc_policy(oc, att, ctrl, cfg) == att
+    assert np.all(fixed | (att == cfg.attenuator.max_db))
 
 
 def _triples(cfg, rng, n):
