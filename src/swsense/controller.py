@@ -153,20 +153,30 @@ def settle_cw(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Settle the gain control on CW lines; returns (code_oc, code_l1, code_l2, att_db).
 
-    This is the one walk of agc_policy over readings: each cell starts at
-    att0 and is read through chain_codes_cw. In each round, the cells the
-    policy still moves take one step and are read again; a cell the policy
-    leaves where it is is final. The walk gets one round per attenuator step
+    The result is that of the one walk of agc_policy over readings: each
+    cell starts at att0, and in each round a cell the policy moves takes
+    one step and is read again through chain_codes_cw, until the policy
+    leaves it where it is. The walk gets one round per attenuator step
     plus two, so a cell whose window is narrower than a step, and which
     swings between two settings, ends where that budget runs out.
+
+    The walk's end is found by bisection. A CW cell's code_oc never rises
+    with att_db, so the settings at which the policy pushes a moving cell
+    on, in the direction of its first step, are a run from att0 towards
+    that end of the attenuator. Each moving cell bisects that run for its
+    last setting, in rounds that read every still-open cell once (at most
+    log2 of the number of steps rounds); the one-step walk then finishes it
+    from there with the rounds it has left, so the codes and setting are
+    the walk's, bit for bit.
 
     The three inputs broadcast like numpy arrays, and the four results have
     their broadcast shape; scalars give 0-d arrays. Each distinct frequency's
     coupling and ripple are looked up once. Domain: chain_codes_cw's, checked
     before any lookup, so a frequency that is not positive and finite or a
-    power that is not finite raises ValueError, one above the stub band
-    OutOfBandError, and a setting in att0 that the attenuator lacks
-    ValueError. A coupler's lookup raises OutOfBandError outside its band.
+    power that is not finite, or whose watts overflow a float, raises
+    ValueError, one above the stub band OutOfBandError, and a setting in
+    att0 that the attenuator lacks ValueError. A coupler's lookup raises
+    OutOfBandError outside its band.
     """
     shape = np.broadcast_shapes(np.shape(freq_hz), np.shape(power_dbm), np.shape(att0))
     f, p, att = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (freq_hz, power_dbm, att0))
@@ -175,22 +185,52 @@ def settle_cw(
     f_unique, row = np.unique(f, return_inverse=True)
     coupling_db = np.array([cfg.coupling_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
     ripple_db = np.array([cfg.ripple_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
-    codes = tuple(np.empty(f.size, dtype=int) for _ in range(3))
+    codes = chain_codes_cw(f, p, att, cfg, coupling_db, ripple_db)
 
-    def read(k):
-        for out, c in zip(codes, chain_codes_cw(f[k], p[k], att[k], cfg, coupling_db[k], ripple_db[k])):
-            out[k] = c
+    def read(k, a):
+        return chain_codes_cw(f[k], p[k], a, cfg, coupling_db[k], ripple_db[k])
 
-    moving = np.arange(f.size)
-    read(moving)
-    for _ in range(int(round(cfg.attenuator.max_db / cfg.attenuator.step_db)) + 2):
+    step, max_db = cfg.attenuator.step_db, cfg.attenuator.max_db
+    n_steps = int(round(max_db / step))
+    n_rounds = n_steps + 2
+    nxt = agc_policy(codes[0], att, ctrl, cfg)
+    moving = np.flatnonzero(nxt != att)
+    # After m steps in its direction d, a moving cell is at k0 + d * m whole
+    # steps, clipped to [0, max_db], as the policy rounds it. Reads show the
+    # policy pushing the cell on after lo steps (att and codes hold that
+    # setting's) and not after hi, which starts at the end of the
+    # attenuator: max_db going up, 0 going down.
+    d = np.where(nxt[moving] > att[moving], 1, -1)
+    k0 = np.rint(att[moving] / step)
+    lo = np.zeros(moving.size, dtype=int)
+    hi = np.where(d > 0, n_steps + 1 - k0, k0).astype(int)
+    open_ = np.flatnonzero(hi - lo > 1)
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        k, a = moving[open_], np.clip((k0[open_] + d[open_] * mid) * step, 0.0, max_db)
+        got = read(k, a)
+        on = (agc_policy(got[0], a, ctrl, cfg) - a) * d[open_] > 0
+        lo[open_[on]], hi[open_[~on]] = mid[on], mid[~on]
+        att[k[on]] = a[on]
+        for out, c in zip(codes, got):
+            out[k[on]] = c[on]
+        open_ = open_[hi[open_] - lo[open_] > 1]
+
+    # The one-step walk finishes each cell from lo steps out, with the
+    # rounds it has left: it takes the step to where the policy stops
+    # pushing, and a cell whose window is narrower than a step swings there.
+    left = n_rounds - lo
+    for r in range(n_rounds):
+        keep = left > r
+        moving, left = moving[keep], left[keep]
         nxt = agc_policy(codes[0][moving], att[moving], ctrl, cfg)
         stepped = nxt != att[moving]
-        moving = moving[stepped]
+        moving, left = moving[stepped], left[stepped]
         if not moving.size:
             break
         att[moving] = nxt[stepped]
-        read(moving)
+        for out, c in zip(codes, read(moving, att[moving])):
+            out[moving] = c
     return codes[0].reshape(shape), codes[1].reshape(shape), codes[2].reshape(shape), att.reshape(shape)
 
 

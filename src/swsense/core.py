@@ -17,6 +17,14 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
+def check_watts(p_dbm: float) -> None:
+    """ValueError naming p_dbm when its watts, dbm_to_watts(p_dbm), overflow a float."""
+    try:
+        dbm_to_watts(p_dbm)
+    except OverflowError:
+        raise ValueError(f"power {p_dbm!r} dBm is too large: its watts overflow a float") from None
+
+
 def watts_to_dbm(p_w: float) -> float:
     """Convert watts to dBm. Requires p_w > 0."""
     if p_w <= 0.0:
@@ -46,6 +54,7 @@ class Tone:
             raise ValueError(f"freq_hz must be finite and positive, got {self.freq_hz}")
         if not math.isfinite(self.power_dbm):
             raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
+        check_watts(self.power_dbm)
         if self.occupied_bw_hz < 0.0:
             raise ValueError("occupied_bw_hz must be >= 0")
         if self.t_off_s <= self.t_on_s:

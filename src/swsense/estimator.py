@@ -141,7 +141,7 @@ class CalibrationTable:
                 raise ValueError(f"calibration codes outside the ADC range [0, {full}]")
         self.floor_code = detector_floor_code(cfg)
         self.ceiling_code = detector_ceiling_code(cfg)
-        self.stub_dbm = np.array([_code_to_stub_dbm(c, cfg) for c in range(full + 1)])
+        self.stub_dbm = _stub_dbm(cfg)
         self.stub_level = self.stub_dbm[self.code_oc] + self.att_db
         self.tap_rows = tuple(
             int(np.searchsorted(f, t.f_max_hz * (1.0 + 1e-12), side="right")) for t in cfg.stub.taps
@@ -248,8 +248,10 @@ def build_calibration(
     default_grid_for(cfg), the chain's usable band), and ctrl is None or a
     ControllerConfig (None is ControllerConfig.for_chain(cfg)).
 
-    Every cell is settled by settle_cw, the controller's own agc_policy
-    walked from zero attenuation, one block of whole rows per call. Raises
+    Every cell is settled by settle_cw from zero attenuation, one block of
+    whole rows per call: where the controller's own agc_policy, stepped one
+    setting per round, would stop, found by bisection of each moving cell's
+    run of settings rather than by stepping (see settle_cw). Raises
     CalibrationRangeError for the first cell, in row order, that the
     detectors cannot represent (floor at the bottom, unservable overload at
     the top) or whose frequency is outside the coupler band or above the
@@ -315,11 +317,15 @@ def build_calibration(
     )
 
 
-def _code_to_stub_dbm(code: int, cfg: ChainConfig) -> float:
-    """Equivalent stub power implied by an open-end code."""
-    v_det = code * cfg.adc.lsb
-    v = 10.0 ** ((v_det - cfg.detector.intercept_b) / cfg.detector.slope_a)
-    return watts_to_dbm(v * v / (8.0 * cfg.stub.z0s))
+def _stub_dbm(cfg: ChainConfig) -> np.ndarray:
+    """Equivalent stub power (dBm) implied by each open-end code 0..full_code."""
+    lsb, b, a = cfg.adc.lsb, cfg.detector.intercept_b, cfg.detector.slope_a
+    z8 = 8.0 * cfg.stub.z0s
+    out = []
+    for code in range(cfg.adc.full_code + 1):
+        v = 10.0 ** ((code * lsb - b) / a)
+        out.append(watts_to_dbm(v * v / z8))
+    return np.array(out)
 
 
 def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:

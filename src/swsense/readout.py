@@ -22,6 +22,7 @@ import numpy as np
 from .codec import from_json, to_json
 from .core import (
     SignalDescriptor,
+    check_watts,
     dbm_to_watts,
     expand_signal,  # unused here; perfbench/tracer.py rebinds this name
 )
@@ -357,8 +358,8 @@ def check_cw(freq_hz: np.ndarray, power_dbm: np.ndarray, cfg: ChainConfig) -> No
     """Refuse CW cells outside chain_codes_cw's domain, which is Tone's.
 
     ValueError for a frequency that is not positive and finite, then for a
-    power in dBm that is not finite; OutOfBandError for a frequency above
-    the stub band.
+    power in dBm that is not finite, then for one whose watts overflow a
+    float (check_watts); OutOfBandError for a frequency above the stub band.
     """
     bad = ~((freq_hz > 0.0) & (freq_hz < math.inf))
     if bad.any():
@@ -366,6 +367,8 @@ def check_cw(freq_hz: np.ndarray, power_dbm: np.ndarray, cfg: ChainConfig) -> No
     bad = ~np.isfinite(power_dbm)
     if bad.any():
         raise ValueError(f"power {float(power_dbm[bad][0])!r} dBm is not finite")
+    if power_dbm.size:
+        check_watts(float(power_dbm.max()))  # watts rise with dBm
     if freq_hz.size:
         check_stub_band(float(freq_hz.max()), cfg)
 
@@ -384,14 +387,15 @@ def chain_codes_cw(
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
     cfg, att): the arithmetic runs in the same order. Scalars are 0-d
     arrays, and give 0-d arrays of codes. Domain: every frequency is
-    positive, finite and within the stub band, every power finite and every
-    att_db an attenuator setting; check_cw refuses the first two, once per
-    call, then an invalid setting raises ValueError. coupling_db and
-    ripple_db, each broadcasting with freq_hz, are the chain's
-    coupling_db_at and ripple_db_at of freq_hz; a caller that reads the
-    same frequencies at many settings passes them. Each one left as None is
-    looked up here per element of freq_hz, and a coupler's lookup raises
-    OutOfBandError outside the coupler band.
+    positive, finite and within the stub band, every power finite with
+    watts that do not overflow a float, and every att_db an attenuator
+    setting; check_cw refuses the first two, once per call, then an invalid
+    setting raises ValueError. coupling_db and ripple_db, each broadcasting
+    with freq_hz, are the chain's coupling_db_at and ripple_db_at of
+    freq_hz; a caller that reads the same frequencies at many settings
+    passes them. Each one left as None is looked up here per element of
+    freq_hz, and a coupler's lookup raises OutOfBandError outside the
+    coupler band.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)

@@ -244,6 +244,10 @@ class TestEstimate:
             (["--freq", "0", "--power", "0"], "swsense: frequency 0.0 Hz is not positive and finite\n"),
             (["--freq", "8e9", "--power=-inf"], "swsense: power -inf dBm is not finite\n"),
             (["--freq", "8e9", "--power", "nan"], "swsense: power nan dBm is not finite\n"),
+            (
+                ["--freq", "8e9", "--power", "4000"],
+                "swsense: power 4000.0 dBm is too large: its watts overflow a float\n",
+            ),
         ],
     )
     def test_signal_outside_the_tone_domain_is_malformed(self, tmp_path, capsys, argv, err):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swsense.controller
 from swsense.controller import (
     ACT_RELEASE,
     ACT_SET_ATT,
@@ -23,7 +24,7 @@ from swsense.controller import (
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.errors import OutOfBandError, SwsenseError
-from swsense.estimator import CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, estimate
+from swsense.estimator import _BLOCK_CELLS, CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, build_calibration, estimate
 from swsense.readout import ChainConfig, TapCodes, chain_readout, chain_readout_lines, detector_floor_code
 
 
@@ -94,6 +95,7 @@ class TestSettleCw:
             (math.nan, 0.0, 0.0, ValueError, "^frequency nan Hz"),
             (-8e9, 0.0, 0.0, ValueError, "^frequency -8000000000.0 Hz"),
             (8e9, -math.inf, 0.0, ValueError, "^power -inf dBm"),
+            (8e9, 4000.0, 0.0, ValueError, "^power 4000.0 dBm is too large: its watts overflow a float$"),
             (20e9, 0.0, 0.0, OutOfBandError, "^20.000 GHz above the stub band"),
             (8e9, 0.0, 0.3, ValueError, "^att_db=0.3 is not a multiple"),
         ],
@@ -103,6 +105,33 @@ class TestSettleCw:
         cfg = ChainConfig(coupling_kind=kind)
         with pytest.raises(error, match=match):
             settle_cw(f_hz, p_dbm, cfg, ControllerConfig.for_chain(cfg), att0)
+
+
+class TestSettleWork:
+    """settle_cw bisects: a block of a calibration build takes a few reads of its moving cells, not one per step.
+
+    Stepping each moving cell one setting per round would make 81
+    chain_codes_cw calls per block of the default builds, and read 133,031
+    cells on the tap chain and 115,411 on the coupler chain.
+    """
+
+    @pytest.mark.parametrize("kind, cells, read", [("tap", 6191, 30352), ("coupler", 5371, 26332)])
+    def test_default_build(self, monkeypatch, kind, cells, read):
+        calls = []
+        codes_cw = swsense.controller.chain_codes_cw
+
+        def counted(freq_hz, power_dbm, att_db, *rest):
+            calls.append(np.broadcast(freq_hz, power_dbm, att_db).size)
+            return codes_cw(freq_hz, power_dbm, att_db, *rest)
+
+        monkeypatch.setattr(swsense.controller, "chain_codes_cw", counted)
+        cal = build_calibration(ChainConfig(coupling_kind=kind))
+        # ControllerConfig.for_chain reads one cell; then the grid is one
+        # block, read whole once and then only where cells move.
+        assert cal.code_oc.size == cells <= _BLOCK_CELLS
+        assert calls[:2] == [1, cells]
+        assert len(calls) - 1 <= 11
+        assert sum(calls) == read
 
 
 class TestForChain:

@@ -45,6 +45,13 @@ class TestTone:
             # comb must not reach into nonpositive frequencies
             Tone(freq_hz=1e9, power_dbm=0.0, occupied_bw_hz=2.5e9)
 
+    def test_power_whose_watts_overflow_is_refused(self):
+        # The watts of 3082.55 dBm overflow a float; 3082.54 dBm is about 1.79e305 W.
+        assert Tone(freq_hz=8e9, power_dbm=3082.54).power_dbm == 3082.54
+        for p_dbm in (3082.55, 4000.0):
+            with pytest.raises(ValueError, match=rf"^power {p_dbm} dBm is too large: its watts overflow a float$"):
+                Tone(freq_hz=8e9, power_dbm=p_dbm)
+
     def test_subtone_defaults(self):
         assert Tone(freq_hz=1e9, power_dbm=0.0).n_subtones == 1
         assert Tone(freq_hz=1e9, power_dbm=0.0, occupied_bw_hz=12e6).n_subtones == 31

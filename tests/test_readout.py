@@ -36,6 +36,7 @@ from swsense.readout import (
     chain_readout_lines,
     chain_voltages,
     chain_voltages_lines,
+    check_cw,
     detector_ceiling_code,
     detector_floor_code,
     detector_voltage,
@@ -380,6 +381,7 @@ class TestCwDomain:
             (8e9, math.nan, r"^power nan dBm is not finite$"),
             (8e9, math.inf, r"^power inf dBm is not finite$"),
             (8e9, -math.inf, r"^power -inf dBm is not finite$"),
+            (8e9, 4000.0, r"^power 4000\.0 dBm is too large: its watts overflow a float$"),
         ],
     )
     def test_out_of_domain_cells_are_refused(self, kind, f_hz, p_dbm, message):
@@ -392,6 +394,19 @@ class TestCwDomain:
     def test_domain_edges_are_accepted(self, chain):
         f_max = chain.stub.taps[0].f_max_hz
         chain_codes_cw(np.array([5e-324, f_max]), np.array([-300.0, 300.0]), 0.0, chain)
+
+    def test_power_whose_watts_overflow_is_refused(self, chain):
+        # 3082.54 dBm is about 1.79e305 W; at 3082.55 dBm, 10 ** (p / 10)
+        # overflows, and the chain once read int64-minimum codes there.
+        f = np.array([8e9, 8e9])
+        check_cw(f, np.array([-300.0, 3082.54]), chain)
+        with pytest.raises(ValueError, match=r"^power 3082\.55 dBm is too large"):
+            check_cw(f, np.array([3082.55, 3082.54]), chain)
+        # Checked after the frequencies and the non-finite powers.
+        with pytest.raises(ValueError, match=r"^frequency nan Hz"):
+            check_cw(np.array([math.nan, 8e9]), np.array([0.0, 4000.0]), chain)
+        with pytest.raises(ValueError, match=r"^power nan dBm is not finite$"):
+            check_cw(f, np.array([4000.0, math.nan]), chain)
 
     def test_cell_at_a_code_boundary_is_read_by_the_scalar_chain(self, chain, monkeypatch):
         # 8 GHz at this power lies within 1e-9 of a code boundary. A 0-d

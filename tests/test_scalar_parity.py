@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from scalar_reference import (
     ControllerStateRef,
+    _code_to_stub_dbm,
     build_calibration_scalar,
     chain_readout_lines_scalar,
     chain_voltages_lines_scalar,
@@ -43,7 +44,13 @@ from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.engine import load_scenario
 from swsense.errors import OutOfBandError
 from swsense.stub import StubParams, TapSpec
-from swsense.estimator import CalibrationGrid, build_calibration, default_grid_for, estimate
+from swsense.estimator import (
+    CalibrationGrid,
+    _stub_dbm,
+    build_calibration,
+    default_grid_for,
+    estimate,
+)
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
@@ -318,31 +325,75 @@ class TestChainCodesCw:
             chain_codes_cw(above, np.array([0.0]), np.array([0.0]), cfg, np.zeros(2), np.zeros(2))
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize("cfg", _READOUT_CHAINS)
+def test_stub_dbm_is_the_scalar_conversion_per_code(cfg):
+    ref = [_code_to_stub_dbm(code, cfg) for code in range(cfg.adc.full_code + 1)]
+    assert _stub_dbm(cfg).tobytes() == np.array(ref).tobytes()
+
+
+def test_stub_dbm_refuses_a_code_with_no_power():
+    # A steep detector puts code 0 at 10 ** -1000 V, which is 0.0 W, and
+    # watts_to_dbm refuses it in both.
+    cfg = ChainConfig(detector=DetectorParams(slope_a=0.001))
+    with pytest.raises(ValueError, match=r"^power must be positive, got 0\.0 W$"):
+        _code_to_stub_dbm(0, cfg)
+    with pytest.raises(ValueError, match=r"^power must be positive, got 0\.0 W$"):
+        _stub_dbm(cfg)
+
+
+# ATTENUATORS, and ladders whose max_db is only within valid_setting's
+# tolerance of a whole number of steps: above it the walk takes one more
+# step, from n * step_db to max_db; below it the top step lands on max_db.
+_SETTLE_ATTENUATORS = ATTENUATORS + (
+    AttenuatorParams(0.25, 31.7500001),
+    AttenuatorParams(0.3, 29.7000002),
+    AttenuatorParams(0.25, 31.7499999),
+    AttenuatorParams(0.1, 12.70000005),
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     cfg=st.sampled_from(_READOUT_CHAINS[:3]),
+    attenuator=st.sampled_from(_SETTLE_ATTENUATORS),
+    window=st.one_of(st.just(150), st.integers(1, 60)),
     data=st.data(),
     n_f=st.integers(1, 4),
     n_p=st.integers(1, 4),
 )
-def test_settle_cw_is_the_scalar_walk_per_cell(cfg, data, n_f, n_p):
+def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_f, n_p):
     # Tap, coupler and rippled chains; frequencies across the band (the
     # coupler's is narrower), powers from below the detector floor to past
-    # the attenuator's reach, and a start setting per cell.
+    # the attenuator's reach, and a start setting per cell: a whole number
+    # of steps, one 1e-8 dB off it, or max_db. A window narrower than a
+    # step leaves cells swinging between two settings, walked both up and
+    # down into it.
+    cfg = replace(cfg, attenuator=attenuator)
+    step, max_db = attenuator.step_db, attenuator.max_db
     lo, hi = (1e9, 14e9) if cfg.coupling_kind == "coupler" else (1e6, cfg.stub.taps[0].f_max_hz)
     freqs = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n_f, max_size=n_f)))[:, None]
     powers = np.array(data.draw(st.lists(st.floats(-45.0, 50.0), min_size=n_p, max_size=n_p)))
-    n_set = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db))
-    steps = data.draw(st.lists(st.integers(0, n_set), min_size=n_f * n_p, max_size=n_f * n_p))
-    att0 = cfg.attenuator.step_db * np.array(steps, dtype=float).reshape(n_f, n_p)
-    ctrl = ControllerConfig.for_chain(cfg)
+    n_set = int(round(max_db / step))
+    starts = data.draw(
+        st.lists(st.tuples(st.integers(0, n_set), st.sampled_from(["exact", "off", "top"])),
+                 min_size=n_f * n_p, max_size=n_f * n_p)
+    )
+    att0 = np.array(
+        [max_db if how == "top" else min(k * step, max_db) + (1e-8 if how == "off" and k < n_set else 0.0)
+         for k, how in starts]
+    ).reshape(n_f, n_p)
+    ctrl = ControllerConfig.for_chain(cfg, window_codes=window)
     oc, l1, l2, att = settle_cw(freqs, powers, cfg, ctrl, att0)
     assert all(a.shape == (n_f, n_p) for a in (oc, l1, l2, att))
     for i, j in np.ndindex(n_f, n_p):
         ref, a = settle_ref(freqs[i, 0], powers[j], cfg, ctrl, att0[i, j])
         assert (oc[i, j], l1[i, j], l2[i, j], att[i, j]) == (ref.code_oc, ref.code_l1, ref.code_l2, a)
-    fixed = agc_policy(oc, att, ctrl, cfg) == att
-    assert np.all(fixed | (att == cfg.attenuator.max_db))
+    # Each cell is a fixed point of agc_policy, at max_db, or swings: one
+    # more step and read, and the policy sends it back.
+    nxt = agc_policy(oc, att, ctrl, cfg)
+    for i, j in np.argwhere((nxt != att) & (att != max_db)).tolist():
+        back = chain_codes_cw(freqs[i, 0], powers[j], nxt[i, j], cfg)[0]
+        assert agc_policy(int(back), float(nxt[i, j]), ctrl, cfg) == att[i, j]
 
 
 def _triples(cfg, rng, n):
