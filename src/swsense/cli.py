@@ -181,6 +181,8 @@ def _cmd_estimate(args) -> int:
                 "power_dbm": est.power_dbm,
                 "tap_used": est.tap_used,
                 "confidence": est.confidence,
+                # The setting the codes were read at: --att's for --codes, the settled one for --freq/--power.
+                "att_db": codes.att_db,
             }
         )
     )

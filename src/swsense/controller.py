@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,7 @@ ACT_RELEASE = "release"
 ACT_SET_ATT = "set_att"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One controller output, applied at effective_at_s."""
 
     kind: str
@@ -93,14 +93,14 @@ class ControllerConfig:
         )
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Controller bookkeeping between samples.
 
     A mode of engaging or releasing settles to engaged or idle at the
     first sample at or after pending_at_s. Two states are equal when all
     their fields are, which is how the engine finds a fixed point of
-    on_sample.
+    on_sample. Like TapCodes and Action, a NamedTuple, built once per
+    sample: immutable, and a changed copy is st._replace(mode=...).
     """
 
     mode: str = MODE_IDLE
@@ -176,7 +176,8 @@ def settle_cw(
     power that is not finite, or whose watts overflow a float, raises
     ValueError, one above the stub band OutOfBandError, and a setting in
     att0 that the attenuator lacks ValueError. A coupler's lookup raises
-    OutOfBandError outside its band.
+    OutOfBandError outside its band, and the first read raises ValueError
+    for a cell whose watts overflow a float after the gain.
     """
     shape = np.broadcast_shapes(np.shape(freq_hz), np.shape(power_dbm), np.shape(att0))
     f, p, att = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (freq_hz, power_dbm, att0))

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,9 +199,12 @@ class ChainConfig:
         return table_value(self._ripple, f_hz) if self.gain_ripple else 0.0
 
 
-@dataclass(frozen=True)
-class TapCodes:
-    """One synchronous ADC acquisition of the three detector outputs."""
+class TapCodes(NamedTuple):
+    """One synchronous ADC acquisition of the three detector outputs.
+
+    A NamedTuple, built once per readout: immutable, compared and hashed
+    field by field; a changed copy is codes._replace(att_db=...).
+    """
 
     t_s: float
     code_oc: int
@@ -275,6 +278,9 @@ def chain_voltages_lines(
     frequency is positive and finite, every power and ratio >= 0 and
     finite, and forward_ratios has one entry per line (else ValueError
     naming the line). A line above the stub band raises OutOfBandError.
+    A line whose watts after the gain (and its ratio) overflow a float
+    raises ValueError naming it, and so do lines whose sum overflows,
+    before any NaN reaches the detectors.
 
     One pass over the lines applies the pick-off coupling, the attenuator,
     the gain and its ripple; the amplifier ceiling and tap_rms_voltages
@@ -303,8 +309,14 @@ def chain_voltages_lines(
         )
         p = p_w * 10.0 ** (g_db / 10.0)
         p *= r * r
+        if not p < inf:  # also inf * 0.0, which is NaN
+            raise ValueError(
+                f"line {len(drive)} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W overflows a float after the gain"
+            )
         drive.append((f_hz, p))
         total_w += p
+    if total_w == inf:
+        raise ValueError(f"the {len(drive)} lines' total power after the gain overflows a float")
     # Hard amplifier ceiling on total output power; line ratios are preserved.
     sat_w = cfg._sat_w
     if total_w > sat_w:
@@ -388,14 +400,15 @@ def chain_codes_cw(
     cfg, att): the arithmetic runs in the same order. Scalars are 0-d
     arrays, and give 0-d arrays of codes. Domain: every frequency is
     positive, finite and within the stub band, every power finite with
-    watts that do not overflow a float, and every att_db an attenuator
-    setting; check_cw refuses the first two, once per call, then an invalid
-    setting raises ValueError. coupling_db and ripple_db, each broadcasting
-    with freq_hz, are the chain's coupling_db_at and ripple_db_at of
-    freq_hz; a caller that reads the same frequencies at many settings
-    passes them. Each one left as None is looked up here per element of
-    freq_hz, and a coupler's lookup raises OutOfBandError outside the
-    coupler band.
+    watts that do not overflow a float, every att_db an attenuator setting,
+    and every cell's watts after the gain finite; check_cw refuses the first
+    two, once per call, then an invalid setting raises ValueError, and so
+    does the first cell, named, whose watts overflow after the gain.
+    coupling_db and ripple_db, each broadcasting with freq_hz, are the
+    chain's coupling_db_at and ripple_db_at of freq_hz; a caller that
+    reads the same frequencies at many settings passes them. Each one left
+    as None is looked up here per element of freq_hz, and a coupler's
+    lookup raises OutOfBandError outside the coupler band.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)
@@ -408,9 +421,21 @@ def chain_codes_cw(
     if ripple_db is None:
         ripple_db = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
     g_db = coupling_db - att + cfg.amplifier.gain_db + ripple_db
-    p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
+    bad = ~(p < math.inf)  # also NaN: a power that underflows to 0 W times a gain that overflows
+    if bad.any():
+        fb, pb, ab = np.broadcast_arrays(f, p_dbm, att)
+        idx = tuple(np.argwhere(bad)[0])
+        raise ValueError(
+            f"cell at {float(fb[idx]) / 1e9:.3f} GHz, {float(pb[idx])!r} dBm and att_db={float(ab[idx])!r}: "
+            "its watts after the gain overflow a float"
+        )
     sat_w = cfg._sat_w
-    p = np.where(p > sat_w, p * (sat_w / p), p)
+    # np.where computes both branches: at a cell of 0 W, which the ceiling
+    # leaves alone, the division would warn.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(p > sat_w, p * (sat_w / p), p)
     v_sq = 8.0 * p * cfg.stub.z0s
     det, adc = cfg.detector, cfg.adc
     # numpy's pow, log10 and cos may differ from the C library's by a few

@@ -9,7 +9,10 @@ f_max) on every call. on_sample_ref is the controller with a pending_mode
 field and a code check in each of its branches. Each is kept as it was
 written before the array build, the precomputed inverse, the config
 constants and the one decision path replaced it; the tests require the
-library to reproduce them bit for bit. estimate_power_scalar keeps the old
+library to reproduce them bit for bit. chain_voltages_lines_scalar has
+since gained the library's refusal of a line, or a sum of lines, whose
+watts overflow a float after the gain, with the same messages.
+estimate_power_scalar keeps the old
 edge extrapolation along the first or last pair of columns, which divides
 by zero on a row whose edge columns share a level; the library takes the
 nearest column whose level differs and refuses a row with a single level,
@@ -281,8 +284,12 @@ def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
         if forward_ratios is not None:
             r = forward_ratios[i]
             p *= r * r
+        if not p < math.inf:
+            raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W overflows a float after the gain")
         drive.append((f_hz, p))
         total_w += p
+    if total_w == math.inf:
+        raise ValueError(f"the {len(drive)} lines' total power after the gain overflows a float")
     sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
     if total_w > sat_w:
         scale = sat_w / total_w

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -217,11 +218,32 @@ class TestEstimate:
     @pytest.mark.parametrize("power", ["0", "5", "10", "20"])
     def test_gain_control_settles_before_the_inversion(self, tmp_path, capsys, power):
         # Read at 0 dB, +5 dBm came out saturated and +10 and +20 dBm
-        # exited 1; settled, each reads as exactly as 0 dBm (README's line).
+        # exited 1; settled, each reads as exactly as 0 dBm (README's line),
+        # at the setting that brings it there.
         assert run_cli(tmp_path, "estimate", "--freq", "8e9", "--power", power) == 0
         assert capsys.readouterr().out == (
-            f'{{"freq_hz": 8000000000.0, "power_dbm": {float(power)}, "tap_used": "l1", "confidence": "in-range"}}\n'
+            f'{{"freq_hz": 8000000000.0, "power_dbm": {float(power)}, "tap_used": "l1", "confidence": "in-range", '
+            f'"att_db": {float(power)}}}\n'
         )
+
+    def test_att_db_is_the_setting_the_codes_were_read_at(self, tmp_path, capsys):
+        # --codes are read at --att; --freq/--power at the setting settled from --att.
+        for argv, att in [
+            (["--codes", "2965,2788,2857"], 0.0),
+            (["--codes", "2965,2788,2857", "--att", "2.5"], 2.5),
+            (["--freq", "8e9", "--power", "-10", "--att", "12"], 0.0),
+            (["--freq", "8e9", "--power", "10", "--att", "31.75"], 12.5),
+        ]:
+            assert run_cli(tmp_path, "estimate", *argv) == 0
+            assert json.loads(capsys.readouterr().out)["att_db"] == att, argv
+
+    def test_readme_sample_outputs(self, tmp_path, capsys):
+        readme = (PYPROJECT.parent / "README.md").read_text()
+        samples = re.findall(r"^\$ swsense (estimate .*)\n(.*)$", readme, flags=re.M)
+        assert len(samples) == 2
+        for command, output in samples:
+            assert run_cli(tmp_path, *command.split()) == 0
+            assert capsys.readouterr().out == output + "\n"
 
     def test_gain_control_starts_from_att(self, tmp_path, capsys):
         # From 10 dB, +10 dBm is already in the window. From the top the walk

@@ -16,6 +16,7 @@ from swsense.controller import (
     MODE_ENGAGING,
     MODE_IDLE,
     MODE_RELEASING,
+    Action,
     ControllerConfig,
     ControllerState,
     agc_policy,
@@ -24,7 +25,15 @@ from swsense.controller import (
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.errors import OutOfBandError, SwsenseError
-from swsense.estimator import _BLOCK_CELLS, CONF_CLAMPED, CONF_IN_RANGE, CONF_SATURATED, build_calibration, estimate
+from swsense.estimator import (
+    _BLOCK_CELLS,
+    CONF_CLAMPED,
+    CONF_IN_RANGE,
+    CONF_SATURATED,
+    Estimate,
+    build_calibration,
+    estimate,
+)
 from swsense.readout import ChainConfig, TapCodes, chain_readout, chain_readout_lines, detector_floor_code
 
 
@@ -389,7 +398,7 @@ class TestEstimateMemo:
     def test_same_codes_at_another_attenuation_are_estimated_afresh(self, chain, controller, calibration):
         codes = codes_at(chain, 6e9, -5.0, 0.0)
         warm, _ = on_sample(codes, ControllerState(), controller, calibration)
-        attenuated = replace(codes, att_db=1.0)
+        attenuated = codes._replace(att_db=1.0)
         st, _ = on_sample(attenuated, warm, controller, calibration)
         assert st.last_estimate == estimate(attenuated, calibration)
         assert st.last_estimate.power_dbm > warm.last_estimate.power_dbm
@@ -398,7 +407,7 @@ class TestEstimateMemo:
         codes = codes_at(chain, 6e9, -5.0, 0.0)
         warm, _ = on_sample(codes, ControllerState(), controller, calibration)
         with pytest.raises(ValueError, match="code_oc="):
-            on_sample(replace(codes, code_oc=float(codes.code_oc)), warm, controller, calibration)
+            on_sample(codes._replace(code_oc=float(codes.code_oc)), warm, controller, calibration)
 
 
 _CONFIDENCES = (CONF_IN_RANGE, CONF_CLAMPED, CONF_SATURATED)
@@ -452,3 +461,75 @@ def test_code_triples_give_a_typed_error_or_an_in_domain_answer(
     est = nxt.last_estimate
     if est is not None:
         assert 0.0 <= est.freq_hz <= f_max and est.confidence in _CONFIDENCES
+
+
+class TestRecords:
+    """TapCodes, ControllerState and Action: immutable records, equal and hashed field by field."""
+
+    RECORDS = [
+        (TapCodes, ("t_s", "code_oc", "code_l1", "code_l2", "att_db"), (1e-6, 2900, 2723, 2792, 0.25)),
+        (
+            ControllerState,
+            ("mode", "att_db", "tuned_freq_hz", "pending_at_s", "freeze_samples", "last_estimate", "diagnostic"),
+            (MODE_ENGAGING, 1.5, 8e9, 2e-6, 1, Estimate(8e9, 2.0, "l1"), "note"),
+        ),
+        (Action, ("kind", "effective_at_s", "freq_hz", "att_db"), (ACT_TUNE, 2e-7, 8e9, None)),
+    ]
+
+    @pytest.mark.parametrize("cls, fields, values", RECORDS)
+    def test_fields_in_order(self, cls, fields, values):
+        assert cls._fields == fields
+        rec = cls(*values)
+        assert tuple(getattr(rec, name) for name in fields) == values
+
+    def test_defaults(self):
+        assert ControllerState() == ControllerState(MODE_IDLE, 0.0, None, None, 0, None, None)
+        assert ControllerState._field_defaults == {
+            "mode": MODE_IDLE,
+            "att_db": 0.0,
+            "tuned_freq_hz": None,
+            "pending_at_s": None,
+            "freeze_samples": 0,
+            "last_estimate": None,
+            "diagnostic": None,
+        }
+        assert Action(ACT_RELEASE, 2e-7) == Action(ACT_RELEASE, 2e-7, None, None)
+        assert Action._field_defaults == {"freq_hz": None, "att_db": None}
+        assert TapCodes._field_defaults == {}
+
+    @pytest.mark.parametrize("cls, fields, values", RECORDS)
+    def test_fields_cannot_be_assigned(self, cls, fields, values):
+        rec = cls(*values)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    @pytest.mark.parametrize("cls, fields, values", RECORDS)
+    def test_equality_and_hash(self, cls, fields, values):
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(fields, values)))
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert len({by_position, by_keyword}) == 1
+        for name in fields:
+            assert by_position._replace(**{name: "other"}) != by_position
+
+    @pytest.mark.parametrize("cls, fields, values", RECORDS)
+    def test_replace(self, cls, fields, values):
+        rec = cls(*values)
+        for i, name in enumerate(fields):
+            new = rec._replace(**{name: "other"})
+            assert type(new) is cls and getattr(new, name) == "other"
+            assert new[:i] + new[i + 1 :] == values[:i] + values[i + 1 :]
+        assert rec == cls(*values)  # unchanged
+
+    def test_on_sample_sees_states_built_either_way_alike(self, chain, controller, calibration):
+        codes = codes_at(chain, 6e9, -5.0, 0.0)
+        warm, _ = on_sample(codes, ControllerState(), controller, calibration)
+        for st in (ControllerState(), warm, warm._replace(mode=MODE_ENGAGED, tuned_freq_hz=5e9, freeze_samples=0)):
+            by_keyword = ControllerState(**st._asdict())
+            by_position = ControllerState(*st)
+            assert on_sample(codes, by_keyword, controller, calibration) == on_sample(
+                codes, by_position, controller, calibration
+            )

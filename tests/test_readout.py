@@ -7,6 +7,7 @@ written out in test_chain_codes_hand_composed below.
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import swsense.readout
 import swsense.stub
 from swsense.codec import to_json
+from swsense.controller import ControllerConfig, settle_cw
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams, tap_coupling, tap_sparams
 from swsense.engine import load_scenario
@@ -366,6 +368,31 @@ class TestLineDomain:
         with pytest.raises(OutOfBandError):
             chain_readout_lines([(8e9, 1e-3), (16.5e9, math.nan)], chain, 0.0)
 
+    @pytest.mark.parametrize("kind", ["tap", "coupler"])
+    def test_watts_that_overflow_after_the_gain(self, kind):
+        # 3082 dBm is 1.58e305 W, which 60 dB of gain takes past the largest
+        # float; the chain once read NaN voltages there.
+        cfg = ChainConfig(coupling_kind=kind, amplifier=AmplifierParams(gain_db=60.0))
+        big = dbm_to_watts(3082.0)
+        message = r"^line 1 at 9\.000 GHz: power 1\.5848931924610721e\+305 W overflows a float after the gain$"
+        for fn in (chain_voltages_lines, chain_readout_lines):
+            with pytest.raises(ValueError, match=message):
+                fn([(8e9, 1e-3), (9e9, big), (16.5e9, 1e-3)], cfg, 0.0)
+        # At 31.75 dB of attenuation it fits.
+        chain_readout_lines([(9e9, big)], cfg, 31.75)
+
+    def test_forward_ratio_that_overflows_the_watts(self, chain):
+        for ratio in (1e160, 0.0):  # 0.0 times an overflowed line is NaN
+            with pytest.raises(ValueError, match=r"^line 0 at 8\.000 GHz: .* overflows a float after the gain$"):
+                chain_voltages_lines([(8e9, 1e-3 if ratio else 1e308)], chain, 0.0, forward_ratios=[ratio])
+
+    def test_lines_whose_sum_overflows(self, chain):
+        # Each line fits after the default chain's gain; their sum does not.
+        lines = [(8e9, 4e307), (9e9, 4e307)]
+        with pytest.raises(ValueError, match=r"^the 2 lines' total power after the gain overflows a float$"):
+            chain_readout_lines(lines, chain, 0.0)
+        chain_readout_lines(lines[:1], chain, 0.0)
+
 
 class TestCwDomain:
     """chain_codes_cw takes Tone's domain, checked before any lookup, and reads 0-d cells."""
@@ -407,6 +434,31 @@ class TestCwDomain:
             check_cw(np.array([math.nan, 8e9]), np.array([0.0, 4000.0]), chain)
         with pytest.raises(ValueError, match=r"^power nan dBm is not finite$"):
             check_cw(f, np.array([4000.0, math.nan]), chain)
+
+    @pytest.mark.parametrize("kind", ["tap", "coupler"])
+    def test_cells_whose_watts_overflow_after_the_gain_are_refused(self, kind):
+        cfg = ChainConfig(coupling_kind=kind, amplifier=AmplifierParams(gain_db=60.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            with pytest.raises(ValueError, match=r"^cell at 8\.000 GHz, 3082\.0 dBm and att_db=0\.0: its watts after"):
+                chain_codes_cw(8e9, 3082.0, 0.0, cfg)
+            # The first such cell in C order is named.
+            f, p = np.array([8e9, 9e9]), np.array([[0.0], [3082.0], [3082.5]])
+            with pytest.raises(ValueError, match=r"^cell at 8\.000 GHz, 3082\.0 dBm and att_db=0\.0"):
+                chain_codes_cw(f, p, np.array([0.0]), cfg)
+            with pytest.raises(ValueError, match=r"overflow a float$"):
+                settle_cw(8e9, 3082.0, cfg, ControllerConfig.for_chain(cfg))
+            # Attenuation brings it back within a float, to the scalar chain's codes.
+            got = chain_codes_cw(8e9, 3082.0, 31.75, cfg)
+        ref = chain_readout_lines([(8e9, dbm_to_watts(3082.0))], cfg, 31.75)
+        assert got == (ref.code_oc, ref.code_l1, ref.code_l2)
+
+    def test_cell_whose_watts_underflow_reads_the_floor(self, chain):
+        # -4000 dBm is 0 W; the amplifier ceiling's division once warned there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = chain_codes_cw(8e9, -4000.0, 0.0, chain)
+        assert codes == (detector_floor_code(chain),) * 3
 
     def test_cell_at_a_code_boundary_is_read_by_the_scalar_chain(self, chain, monkeypatch):
         # 8 GHz at this power lies within 1e-9 of a code boundary. A 0-d

@@ -275,6 +275,30 @@ def test_readout_matches_scalar_reference(case):
     )
 
 
+_HIGH_GAIN = ChainConfig(amplifier=AmplifierParams(gain_db=60.0))
+
+
+@pytest.mark.parametrize(
+    "cfg, lines, att, ratios",
+    [
+        # 3082 dBm is 1.58e305 W; 60 dB of gain takes it past the largest float.
+        (_HIGH_GAIN, [(8e9, dbm_to_watts(3082.0))], 0.0, None),
+        (_HIGH_GAIN, [(8e9, 1e-3), (9e9, dbm_to_watts(3082.0)), (16.5e9, 1e-3)], 0.0, None),
+        (_HIGH_GAIN, [(8e9, dbm_to_watts(3082.0))], 31.75, None),
+        (_HIGH_GAIN, [(8e9, 1e-3), (9e9, 1e-3)], 0.0, [1.0, 1e160]),
+        (_HIGH_GAIN, [(8e9, 1e308)], 0.0, [0.0]),
+        (ChainConfig(), [(8e9, 4e307), (9e9, 4e307)], 0.0, None),
+        (ChainConfig(coupling_kind="coupler", amplifier=AmplifierParams(gain_db=60.0)), [(9e9, 1e300)], 2.5, None),
+    ],
+)
+def test_high_gain_readout_matches_scalar_reference(cfg, lines, att, ratios):
+    got = outcome(chain_readout_lines, lines, cfg, att, 1e-6, ratios)
+    assert got == outcome(chain_readout_lines_scalar, lines, cfg, att, 1e-6, ratios)
+    assert outcome(chain_voltages_lines, lines, cfg, att, ratios) == outcome(
+        chain_voltages_lines_scalar, lines, cfg, att, ratios
+    )
+
+
 class TestChainCodesCw:
     def test_matches_scalar_readout_at_code_boundaries(self, chain):
         # Powers whose open-end level lands within a few ulps of a code
