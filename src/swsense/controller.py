@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
-from .readout import ChainConfig, TapCodes, chain_codes_cw, check_cw, detector_floor_code
+from .readout import ChainConfig, TapCodes, chain_codes_cw, detector_floor_code
 
 MODE_IDLE = "idle"
 MODE_ENGAGING = "engaging"
@@ -37,8 +37,9 @@ class Action(NamedTuple):
     att_db: float | None = None
 
 
-# Input power (dBm) at which ControllerConfig.for_chain puts the top of the AGC window.
+# ControllerConfig.for_chain's AGC window: the input power (dBm) of its top, and its width in codes.
 _AGC_PROBE_DBM = 0.0
+_AGC_WINDOW_CODES = 150
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,13 @@ class ControllerConfig:
             )
 
     @staticmethod
-    def for_chain(cfg: ChainConfig, window_codes: int = 150) -> "ControllerConfig":
-        """Derive the code window from a chain config: its top is the open-end code at _AGC_PROBE_DBM."""
+    def for_chain(cfg: ChainConfig) -> "ControllerConfig":
+        """The code window of a chain: _AGC_WINDOW_CODES wide, its top the open-end code at _AGC_PROBE_DBM."""
         f_probe = cfg.stub.taps[0].f_max_hz / 2.0
         high = int(chain_codes_cw(f_probe, _AGC_PROBE_DBM, 0.0, cfg)[0])
         return ControllerConfig(
             agc_high_code=high,
-            agc_low_code=high - window_codes,
+            agc_low_code=high - _AGC_WINDOW_CODES,
             agc_floor_code=detector_floor_code(cfg),
         )
 
@@ -170,27 +171,15 @@ def settle_cw(
     the walk's, bit for bit.
 
     The three inputs broadcast like numpy arrays, and the four results have
-    their broadcast shape; scalars give 0-d arrays. Each distinct frequency's
-    coupling and ripple are looked up once. Domain: chain_codes_cw's, checked
-    before any lookup, so a frequency that is not positive and finite or a
-    power that is not finite, or whose watts overflow a float, raises
-    ValueError, one above the stub band OutOfBandError, and a setting in
-    att0 that the attenuator lacks ValueError. A coupler's lookup raises
-    OutOfBandError outside its band, and the first read raises ValueError
-    for a cell whose watts overflow a float after the gain.
+    their broadcast shape; scalars give 0-d arrays. Every read is one
+    chain_codes_cw call, in which the chain looks up its coupling and ripple
+    over the cells read. Domain: chain_codes_cw's, refused in its order by
+    the first read, of every cell at att0.
     """
     shape = np.broadcast_shapes(np.shape(freq_hz), np.shape(power_dbm), np.shape(att0))
     f, p, att = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (freq_hz, power_dbm, att0))
-    check_cw(f, p, cfg)
     att = att.copy()  # ravel may give a read-only view of the caller's array
-    f_unique, row = np.unique(f, return_inverse=True)
-    coupling_db = np.array([cfg.coupling_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
-    ripple_db = np.array([cfg.ripple_db_at(x) for x in f_unique.tolist()], dtype=float)[row]
-    codes = chain_codes_cw(f, p, att, cfg, coupling_db, ripple_db)
-
-    def read(k, a):
-        return chain_codes_cw(f[k], p[k], a, cfg, coupling_db[k], ripple_db[k])
-
+    codes = chain_codes_cw(f, p, att, cfg)
     step, max_db = cfg.attenuator.step_db, cfg.attenuator.max_db
     n_steps = int(round(max_db / step))
     n_rounds = n_steps + 2
@@ -209,7 +198,7 @@ def settle_cw(
     while open_.size:
         mid = (lo[open_] + hi[open_]) // 2
         k, a = moving[open_], np.clip((k0[open_] + d[open_] * mid) * step, 0.0, max_db)
-        got = read(k, a)
+        got = chain_codes_cw(f[k], p[k], a, cfg)
         on = (agc_policy(got[0], a, ctrl, cfg) - a) * d[open_] > 0
         lo[open_[on]], hi[open_[~on]] = mid[on], mid[~on]
         att[k[on]] = a[on]
@@ -230,7 +219,7 @@ def settle_cw(
         if not moving.size:
             break
         att[moving] = nxt[stepped]
-        for out, c in zip(codes, read(moving, att[moving])):
+        for out, c in zip(codes, chain_codes_cw(f[moving], p[moving], att[moving], cfg)):
             out[moving] = c
     return codes[0].reshape(shape), codes[1].reshape(shape), codes[2].reshape(shape), att.reshape(shape)
 

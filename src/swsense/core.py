@@ -25,6 +25,14 @@ def check_watts(p_dbm: float) -> None:
         raise ValueError(f"power {p_dbm!r} dBm is too large: its watts overflow a float") from None
 
 
+def check_positive(obj, *names: str) -> None:
+    """ValueError naming the first of obj's fields that is not positive and finite; NaN is neither."""
+    for name in names:
+        x = getattr(obj, name)
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 def watts_to_dbm(p_w: float) -> float:
     """Convert watts to dBm. Requires p_w > 0."""
     if p_w <= 0.0:
@@ -55,10 +63,11 @@ class Tone:
         if not math.isfinite(self.power_dbm):
             raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
         check_watts(self.power_dbm)
-        if self.occupied_bw_hz < 0.0:
-            raise ValueError("occupied_bw_hz must be >= 0")
-        if self.t_off_s <= self.t_on_s:
-            raise ValueError("t_off_s must exceed t_on_s")
+        # Each check fails for a NaN; t_off_s may be inf.
+        if not 0.0 <= self.occupied_bw_hz < math.inf:
+            raise ValueError(f"occupied_bw_hz must be >= 0 and finite, got {self.occupied_bw_hz!r}")
+        if not -math.inf < self.t_on_s < self.t_off_s:
+            raise ValueError(f"need -inf < t_on_s < t_off_s, got t_on_s={self.t_on_s!r}, t_off_s={self.t_off_s!r}")
         if self.n_subtones == 0:
             object.__setattr__(self, "n_subtones", 1 if self.occupied_bw_hz == 0.0 else 31)
         if self.occupied_bw_hz == 0.0 and self.n_subtones != 1:

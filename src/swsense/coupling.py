@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import check_positive
 from .errors import OutOfBandError
 
 
@@ -28,8 +29,7 @@ class ResistiveTapParams:
     z0: float = 50.0
 
     def __post_init__(self):
-        if self.r_c <= 0.0 or self.z0 <= 0.0:
-            raise ValueError("r_c and z0 must be positive")
+        check_positive(self, "r_c", "z0")
 
 
 # A table is either a flat scalar or [(freq_hz, value_db), ...] breakpoints.
@@ -49,10 +49,12 @@ def table_points(table: Table) -> Points:
     return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
 
 
-def table_value(points: Points, f_hz: float) -> float:
-    """A converted table at f_hz, interpolated piecewise-linearly and held flat past its ends."""
+def table_value(points: Points, f_hz: float | np.ndarray) -> float | np.ndarray:
+    """A converted table at f_hz, a float or an array, interpolated piecewise-linearly and held flat past its ends."""
     if isinstance(points, float):
         return points
+    if isinstance(f_hz, np.ndarray):
+        return np.interp(f_hz, *points)
     return float(np.interp(f_hz, *points))
 
 
@@ -71,8 +73,8 @@ class DirectionalCouplerParams:
     f_max_hz: float = 14e9
 
     def __post_init__(self):
-        if self.f_min_hz <= 0.0 or self.f_max_hz <= self.f_min_hz:
-            raise ValueError("coupler band must satisfy 0 < f_min < f_max")
+        if not 0.0 < self.f_min_hz < self.f_max_hz < math.inf:
+            raise ValueError(f"need 0 < f_min_hz < f_max_hz < inf, got {self.f_min_hz!r}, {self.f_max_hz!r}")
         for name in ("coupling_db", "insertion_db", "directivity_db"):
             table = getattr(self, name)
             if not isinstance(table, (int, float)) and len(table) == 0:
@@ -113,15 +115,20 @@ def tap_input_limit_dbm(p: ResistiveTapParams, package_limit_w: float) -> float:
     return 30.0 + 10.0 * math.log10(package_limit_w / one_watt_in)
 
 
-def coupler_db_at(p: DirectionalCouplerParams, table: str, f_hz: float) -> float:
+def coupler_db_at(p: DirectionalCouplerParams, table: str, f_hz: float | np.ndarray) -> float | np.ndarray:
     """One table of p ("coupling_db", "insertion_db" or "directivity_db") at f_hz.
 
-    Tables are interpolated piecewise-linearly; queries outside
-    [f_min_hz, f_max_hz] raise OutOfBandError.
+    Tables are interpolated piecewise-linearly, as table_value reads them, at
+    a float or over an array. A query outside [f_min_hz, f_max_hz] raises
+    OutOfBandError; over an array, naming the first such element in C order.
     """
-    if not p.f_min_hz <= f_hz <= p.f_max_hz:
+    f = f_hz  # compared as a plain float, as the scalar readout does per line
+    if isinstance(f_hz, np.ndarray):
+        out = f_hz[~((p.f_min_hz <= f_hz) & (f_hz <= p.f_max_hz))]  # ~ of numpy bools: a Python ~True is -2
+        f = float(out[0]) if out.size else p.f_min_hz
+    if not p.f_min_hz <= f <= p.f_max_hz:
         raise OutOfBandError(
-            f"{f_hz / 1e9:.3f} GHz outside coupler band "
+            f"{f / 1e9:.3f} GHz outside coupler band "
             f"[{p.f_min_hz / 1e9:.3f}, {p.f_max_hz / 1e9:.3f}] GHz"
         )
     return table_value(p._points[table], f_hz)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .core import check_positive
 from .errors import TuningRangeError
 
 MIN_DEPTH_DB = 3.0  # depth floor when power-handling compression is severe
@@ -33,11 +34,15 @@ class NotchModel:
     def __post_init__(self):
         if self.kind not in ("evanescent_pin", "yig", "ideal"):
             raise ValueError("kind must be 'evanescent_pin', 'yig', or 'ideal'")
-        if self.depth_db <= 0.0 or self.bw_3db_hz <= 0.0:
-            raise ValueError("depth_db and bw_3db_hz must be positive")
+        check_positive(self, "depth_db", "bw_3db_hz")
+        if not 0.0 <= self.tuning_time_s < math.inf:
+            raise ValueError(f"tuning_time_s must be >= 0 and finite, got {self.tuning_time_s!r}")
+        for name in ("power_knee_dbm", "depth_slope_db_per_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         lo, hi = self.f_tune_range_hz
-        if not 0.0 < lo < hi:
-            raise ValueError("f_tune_range_hz must be an increasing positive pair")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"f_tune_range_hz must be an increasing pair in (0, inf), got {self.f_tune_range_hz!r}")
 
     @staticmethod
     def yig(**overrides) -> "NotchModel":

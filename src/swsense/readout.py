@@ -22,6 +22,7 @@ import numpy as np
 from .codec import from_json, to_json
 from .core import (
     SignalDescriptor,
+    check_positive,
     check_watts,
     dbm_to_watts,
     expand_signal,  # unused here; perfbench/tracer.py rebinds this name
@@ -48,8 +49,8 @@ class AttenuatorParams:
     max_db: float = 31.75
 
     def __post_init__(self):
-        if self.step_db <= 0.0 or self.max_db < self.step_db:
-            raise ValueError("need 0 < step_db <= max_db")
+        if not (0.0 < self.step_db <= self.max_db and self.max_db / self.step_db < math.inf):
+            raise ValueError(f"need 0 < step_db <= max_db, max_db / step_db < inf, got {self.step_db}, {self.max_db}")
         # The gain-control loop steps up to max_db, so it must be a setting.
         if not self.valid_setting(self.max_db):
             raise ValueError("max_db must be a whole number of step_db")
@@ -86,6 +87,16 @@ class AmplifierParams:
     gain_db: float = 20.0
     p_out_sat_dbm: float = 20.0
 
+    def __post_init__(self):
+        for name in ("gain_db", "p_out_sat_dbm"):  # the chain scales by 10 ** (x / 10) of each
+            x = getattr(self, name)
+            try:
+                fits = math.isfinite(x) and 10.0 ** (x / 10.0) < math.inf
+            except OverflowError:
+                fits = False
+            if not fits:
+                raise ValueError(f"{name} must be finite with a linear factor that fits a float, got {x!r}")
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -103,10 +114,11 @@ class DetectorParams:
     v_in_max: float = 1.4
 
     def __post_init__(self):
-        if self.slope_a <= 0.0:
-            raise ValueError("slope_a must be positive")
-        if not 0.0 < self.v_in_min < self.v_in_max:
-            raise ValueError("need 0 < v_in_min < v_in_max")
+        check_positive(self, "slope_a")
+        if not math.isfinite(self.intercept_b):
+            raise ValueError(f"intercept_b must be finite, got {self.intercept_b!r}")
+        if not 0.0 < self.v_in_min < self.v_in_max < math.inf:
+            raise ValueError(f"need 0 < v_in_min < v_in_max < inf, got {self.v_in_min!r}, {self.v_in_max!r}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +136,7 @@ class AdcParams:
     def __post_init__(self):
         if not 6 <= self.bits <= 16:
             raise ValueError("bits must lie in [6, 16]")
-        if self.sample_rate <= 0.0 or self.v_fs <= 0.0:
-            raise ValueError("sample_rate and v_fs must be positive")
+        check_positive(self, "sample_rate", "v_fs")
         # Not fields, so the JSON codec, equality and repr never see them.
         object.__setattr__(self, "lsb", self.v_fs / 2**self.bits)
         object.__setattr__(self, "full_code", 2**self.bits - 1)
@@ -366,70 +377,49 @@ def chain_readout_lines(
     )
 
 
-def check_cw(freq_hz: np.ndarray, power_dbm: np.ndarray, cfg: ChainConfig) -> None:
-    """Refuse CW cells outside chain_codes_cw's domain, which is Tone's.
-
-    ValueError for a frequency that is not positive and finite, then for a
-    power in dBm that is not finite, then for one whose watts overflow a
-    float (check_watts); OutOfBandError for a frequency above the stub band.
-    """
-    bad = ~((freq_hz > 0.0) & (freq_hz < math.inf))
-    if bad.any():
-        raise ValueError(f"frequency {float(freq_hz[bad][0])!r} Hz is not positive and finite")
-    bad = ~np.isfinite(power_dbm)
-    if bad.any():
-        raise ValueError(f"power {float(power_dbm[bad][0])!r} dBm is not finite")
-    if power_dbm.size:
-        check_watts(float(power_dbm.max()))  # watts rise with dBm
-    if freq_hz.size:
-        check_stub_band(float(freq_hz.max()), cfg)
-
-
 def chain_codes_cw(
-    freq_hz: np.ndarray,
-    power_dbm: np.ndarray,
-    att_db: np.ndarray,
-    cfg: ChainConfig,
-    coupling_db: np.ndarray | None = None,
-    ripple_db: np.ndarray | None = None,
+    freq_hz: np.ndarray, power_dbm: np.ndarray, att_db: np.ndarray, cfg: ChainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ADC codes (open end, tap 1, tap 2) of one CW line over a block of cells.
 
     The three arrays broadcast together, and every cell of their broadcast
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
-    cfg, att): the arithmetic runs in the same order. Scalars are 0-d
-    arrays, and give 0-d arrays of codes. Domain: every frequency is
-    positive, finite and within the stub band, every power finite with
-    watts that do not overflow a float, every att_db an attenuator setting,
-    and every cell's watts after the gain finite; check_cw refuses the first
-    two, once per call, then an invalid setting raises ValueError, and so
-    does the first cell, named, whose watts overflow after the gain.
-    coupling_db and ripple_db, each broadcasting with freq_hz, are the
-    chain's coupling_db_at and ripple_db_at of freq_hz; a caller that
-    reads the same frequencies at many settings passes them. Each one left
-    as None is looked up here per element of freq_hz, and a coupler's
-    lookup raises OutOfBandError outside the coupler band.
+    cfg, att): the arithmetic runs in the same order, and the chain looks up
+    its coupling and ripple over the whole array of frequencies. Scalars are
+    0-d arrays, and give 0-d arrays of codes.
+
+    Domain, which is Tone's, refused in this order: ValueError for a
+    frequency that is not positive and finite, then for a power in dBm that
+    is not finite, then for one whose watts overflow a float (check_watts);
+    OutOfBandError for a frequency above the stub band, then outside a
+    coupler's band; ValueError for an att_db that is not an attenuator
+    setting, and for the first cell, named, whose watts overflow a float
+    after the gain.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)
-    check_cw(f, p_dbm, cfg)
     att = np.asarray(att_db, dtype=float)
+    bad = ~((f > 0.0) & (f < math.inf))
+    if bad.any():
+        raise ValueError(f"frequency {float(f[bad][0])!r} Hz is not positive and finite")
+    bad = ~np.isfinite(p_dbm)
+    if bad.any():
+        raise ValueError(f"power {float(p_dbm[bad][0])!r} dBm is not finite")
+    check_watts(float(p_dbm.max(initial=-math.inf)))  # watts rise with dBm
+    check_stub_band(float(f.max(initial=0.0)), cfg)
+    g_db = cfg.coupling_db_at(f) - att + cfg.amplifier.gain_db + cfg.ripple_db_at(f)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
-    if coupling_db is None:
-        coupling_db = np.vectorize(cfg.coupling_db_at, otypes=[float])(f)
-    if ripple_db is None:
-        ripple_db = np.vectorize(cfg.ripple_db_at, otypes=[float])(f)
-    g_db = coupling_db - att + cfg.amplifier.gain_db + ripple_db
+    cells = np.broadcast_arrays(f, p_dbm, att)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = 10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0)
+        # A tap chain without ripple reads alike at every frequency: p takes the cells' shape here.
+        p = np.broadcast_to(10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0), cells[0].shape)
     bad = ~(p < math.inf)  # also NaN: a power that underflows to 0 W times a gain that overflows
     if bad.any():
-        fb, pb, ab = np.broadcast_arrays(f, p_dbm, att)
         idx = tuple(np.argwhere(bad)[0])
+        fb, pb, ab = (float(x[idx]) for x in cells)
         raise ValueError(
-            f"cell at {float(fb[idx]) / 1e9:.3f} GHz, {float(pb[idx])!r} dBm and att_db={float(ab[idx])!r}: "
-            "its watts after the gain overflow a float"
+            f"cell at {fb / 1e9:.3f} GHz, {pb!r} dBm and att_db={ab!r}: its watts after the gain overflow a float"
         )
     sat_w = cfg._sat_w
     # np.where computes both branches: at a cell of 0 W, which the ceiling
@@ -451,13 +441,10 @@ def chain_codes_cw(
         near |= np.abs(level - np.rint(level)) < 1e-9
         # An array even for 0-d cells, where numpy's ufuncs give scalars.
         codes.append(np.asarray(np.clip(np.floor(level), 0, adc.full_code), dtype=int))
-    if near.any():
-        fb, pb, ab = np.broadcast_arrays(f, p_dbm, att)
-        for idx in map(tuple, np.argwhere(near)):
-            c = chain_readout_lines(
-                [(float(fb[idx]), dbm_to_watts(float(pb[idx])))], cfg, float(ab[idx])
-            )
-            codes[0][idx], codes[1][idx], codes[2][idx] = c.code_oc, c.code_l1, c.code_l2
+    for idx in map(tuple, np.argwhere(near)):
+        fc, pc, ac = (float(x[idx]) for x in cells)
+        c = chain_readout_lines([(fc, dbm_to_watts(pc))], cfg, ac)
+        codes[0][idx], codes[1][idx], codes[2][idx] = c.code_oc, c.code_l1, c.code_l2
     return codes[0], codes[1], codes[2]
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .core import check_positive
 from .errors import BijectivityError
 
 _C0 = 299792458.0  # speed of light in vacuum, m/s
@@ -27,8 +28,7 @@ class TapSpec:
     f_max_hz: float = field(metadata={"json": "f_max"})
 
     def __post_init__(self):
-        if self.f_max_hz <= 0.0:
-            raise ValueError("f_max_hz must be positive")
+        check_positive(self, "f_max_hz")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class StubParams:
     eps_eff: float = 1.0
 
     def __post_init__(self):
-        if self.z0s <= 0.0 or self.eps_eff <= 0.0:
-            raise ValueError("z0s and eps_eff must be positive")
+        check_positive(self, "z0s", "eps_eff")
         object.__setattr__(self, "taps", tuple(self.taps))
         fs = tuple(t.f_max_hz for t in self.taps)
         if list(fs) != sorted(fs, reverse=True):

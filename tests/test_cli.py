@@ -511,6 +511,8 @@ class TestConfigPlumbing:
             ({"controller": {"agc_engage_power": 0.0}}, "controller: unknown key 'agc_engage_power'"),
             ({"chain": {"coupling_kind": "coupler", "coupler": {"insertion_db": []}}},
              "chain.coupler: insertion_db needs a number or at least one breakpoint"),
+            ({"chain": {"amplifier": {"p_out_sat_dbm": 4000.0}}},
+             "chain.amplifier: p_out_sat_dbm must be finite with a linear factor that fits a float, got 4000.0"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):

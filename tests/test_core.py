@@ -45,6 +45,21 @@ class TestTone:
             # comb must not reach into nonpositive frequencies
             Tone(freq_hz=1e9, power_dbm=0.0, occupied_bw_hz=2.5e9)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"t_on_s": math.nan}, r"^need -inf < t_on_s < t_off_s, got t_on_s=nan, t_off_s=inf$"),
+            ({"t_on_s": -math.inf}, r"^need -inf < t_on_s < t_off_s, got t_on_s=-inf, t_off_s=inf$"),
+            ({"t_off_s": math.nan}, r"^need -inf < t_on_s < t_off_s, got t_on_s=0\.0, t_off_s=nan$"),
+            ({"occupied_bw_hz": math.nan}, r"^occupied_bw_hz must be >= 0 and finite, got nan$"),
+            ({"occupied_bw_hz": math.inf}, r"^occupied_bw_hz must be >= 0 and finite, got inf$"),
+        ],
+    )
+    def test_nan_is_refused_by_name(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            Tone(freq_hz=8e9, power_dbm=0.0, **kw)
+        assert Tone(freq_hz=8e9, power_dbm=0.0, t_off_s=math.inf).active(1e300)
+
     def test_power_whose_watts_overflow_is_refused(self):
         # The watts of 3082.55 dBm overflow a float; 3082.54 dBm is about 1.79e305 W.
         assert Tone(freq_hz=8e9, power_dbm=3082.54).power_dbm == 3082.54

@@ -147,6 +147,24 @@ def test_s21_always_nonpositive(f_hz, p_dbm):
     assert 0.0 <= g <= 1.0
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"depth_db": math.nan}, r"^depth_db must be positive and finite, got nan$"),
+        ({"bw_3db_hz": math.inf}, r"^bw_3db_hz must be positive and finite, got inf$"),
+        ({"tuning_time_s": math.nan}, r"^tuning_time_s must be >= 0 and finite, got nan$"),
+        ({"tuning_time_s": -1.0}, r"^tuning_time_s must be >= 0 and finite, got -1\.0$"),
+        ({"power_knee_dbm": math.nan}, r"^power_knee_dbm must be finite, got nan$"),
+        ({"depth_slope_db_per_db": math.inf}, r"^depth_slope_db_per_db must be finite, got inf$"),
+        ({"f_tune_range_hz": (1e9, math.nan)}, r"^f_tune_range_hz must be an increasing pair in \(0, inf\)"),
+    ],
+)
+def test_model_refuses_by_name(kw, message):
+    with pytest.raises(ValueError, match=message):
+        NotchModel(**kw)
+    assert NotchModel(tuning_time_s=0.0).tuning_time_s == 0.0
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NotchModel(kind="brickwall")

@@ -38,7 +38,6 @@ from swsense.readout import (
     chain_readout_lines,
     chain_voltages,
     chain_voltages_lines,
-    check_cw,
     detector_ceiling_code,
     detector_floor_code,
     detector_voltage,
@@ -394,6 +393,46 @@ class TestLineDomain:
         chain_readout_lines(lines[:1], chain, 0.0)
 
 
+class TestBlockDomains:
+    """Each block of the chain refuses, with a ValueError naming the field, a value it cannot model."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: AmplifierParams(gain_db=4000.0),
+             r"^gain_db must be finite with a linear factor that fits a float, got 4000\.0$"),
+            (lambda: AmplifierParams(gain_db=math.nan), r"^gain_db must be finite"),
+            (lambda: AmplifierParams(p_out_sat_dbm=4000.0), r"^p_out_sat_dbm must be finite with a linear factor"),
+            (lambda: AmplifierParams(p_out_sat_dbm=-math.inf), r"^p_out_sat_dbm must be finite"),
+            (lambda: DetectorParams(slope_a=math.nan), r"^slope_a must be positive and finite, got nan$"),
+            (lambda: DetectorParams(intercept_b=math.inf), r"^intercept_b must be finite, got inf$"),
+            (lambda: DetectorParams(v_in_max=math.inf), r"^need 0 < v_in_min < v_in_max < inf"),
+            (lambda: AdcParams(v_fs=math.nan), r"^v_fs must be positive and finite, got nan$"),
+            (lambda: AdcParams(sample_rate=math.inf), r"^sample_rate must be positive and finite, got inf$"),
+            (lambda: TapSpec("l1", math.nan), r"^f_max_hz must be positive and finite, got nan$"),
+            (lambda: StubParams(z0s=math.nan), r"^z0s must be positive and finite, got nan$"),
+            (lambda: StubParams(eps_eff=math.inf), r"^eps_eff must be positive and finite, got inf$"),
+            (lambda: ResistiveTapParams(r_c=math.nan), r"^r_c must be positive and finite, got nan$"),
+            (lambda: ResistiveTapParams(z0=-50.0), r"^z0 must be positive and finite, got -50\.0$"),
+            (lambda: DirectionalCouplerParams(f_min_hz=math.nan), r"^need 0 < f_min_hz < f_max_hz < inf, got nan, 14000000000\.0$"),
+            (lambda: DirectionalCouplerParams(f_max_hz=math.inf), r"^need 0 < f_min_hz < f_max_hz < inf, got 1000000000\.0, inf$"),
+            (lambda: AttenuatorParams(max_db=math.inf),
+             r"^need 0 < step_db <= max_db, max_db / step_db < inf, got 0\.25, inf$"),
+            (lambda: AttenuatorParams(step_db=math.nan), r"^need 0 < step_db <= max_db, max_db / step_db < inf"),
+            (lambda: AttenuatorParams(step_db=1e-320, max_db=1e10), r", got 1e-320, 10000000000\.0$"),
+        ],
+    )
+    def test_block_refuses(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_amplifier_edges(self):
+        # The largest gain whose factor fits a float, and a ceiling of 0 W.
+        cfg = ChainConfig(amplifier=AmplifierParams(gain_db=3082.0, p_out_sat_dbm=-4000.0))
+        assert cfg._sat_w == 0.0
+        assert chain_readout_lines([(8e9, 1e-3)], cfg, 0.0)[1:4] == (detector_floor_code(cfg),) * 3
+
+
 class TestCwDomain:
     """chain_codes_cw takes Tone's domain, checked before any lookup, and reads 0-d cells."""
 
@@ -426,14 +465,14 @@ class TestCwDomain:
         # 3082.54 dBm is about 1.79e305 W; at 3082.55 dBm, 10 ** (p / 10)
         # overflows, and the chain once read int64-minimum codes there.
         f = np.array([8e9, 8e9])
-        check_cw(f, np.array([-300.0, 3082.54]), chain)
+        chain_codes_cw(f, np.array([-300.0, 3082.54]), 0.0, chain)
         with pytest.raises(ValueError, match=r"^power 3082\.55 dBm is too large"):
-            check_cw(f, np.array([3082.55, 3082.54]), chain)
+            chain_codes_cw(f, np.array([3082.55, 3082.54]), 0.0, chain)
         # Checked after the frequencies and the non-finite powers.
         with pytest.raises(ValueError, match=r"^frequency nan Hz"):
-            check_cw(np.array([math.nan, 8e9]), np.array([0.0, 4000.0]), chain)
+            chain_codes_cw(np.array([math.nan, 8e9]), np.array([0.0, 4000.0]), 0.0, chain)
         with pytest.raises(ValueError, match=r"^power nan dBm is not finite$"):
-            check_cw(f, np.array([4000.0, math.nan]), chain)
+            chain_codes_cw(f, np.array([4000.0, math.nan]), 0.0, chain)
 
     @pytest.mark.parametrize("kind", ["tap", "coupler"])
     def test_cells_whose_watts_overflow_after_the_gain_are_refused(self, kind):

@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scalar_reference import (
     ControllerStateRef,
@@ -99,6 +99,12 @@ def agc_window(ctrl):
     return ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code
 
 
+def with_window(cfg, window):
+    """The chain's controller with an AGC window `window` codes wide."""
+    ctrl = ControllerConfig.for_chain(cfg)
+    return replace(ctrl, agc_low_code=ctrl.agc_high_code - window)
+
+
 def table_digest(cal):
     """sha256 of the six arrays of a table, as little-endian 8-byte numbers."""
     h = hashlib.sha256()
@@ -141,7 +147,7 @@ class TestCalibrationParity:
     def test_narrow_window_oscillation(self, chain, window):
         # The window is narrower than one attenuator step, so the AGC loop
         # can swing between two settings until its step budget runs out.
-        ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+        ctrl = with_window(chain, window)
         assert_same_build(chain, CalibrationGrid(2e9, 14e9, 2e9, -20.0, 20.0, 0.1), ctrl)
 
     def test_bundled_tables_are_pinned(self):
@@ -199,7 +205,7 @@ ATTENUATORS = (
 )
 def test_agc_windows_and_power_steps(chain, window, p_step, p_start, f_start, attenuator):
     cfg = replace(chain, attenuator=attenuator)
-    ctrl = ControllerConfig.for_chain(cfg, window_codes=window)
+    ctrl = with_window(cfg, window)
     grid = CalibrationGrid(f_start, f_start + 3e9, 1.5e9, p_start, p_start + 7 * p_step, p_step)
     assert_same_build(cfg, grid, ctrl)
 
@@ -214,7 +220,7 @@ def test_agc_policy_on_arrays_is_the_scalar_rule_per_element(attenuator, window,
     # Every setting, including 0 and max_db, against codes on and beside
     # each window edge, at both ends of the ADC range, and drawn ones.
     chain = ChainConfig(attenuator=attenuator)
-    ctrl = ControllerConfig.for_chain(chain, window_codes=window)
+    ctrl = with_window(chain, window)
     edges = (ctrl.agc_floor_code, ctrl.agc_low_code, ctrl.agc_high_code)
     codes = [0, chain.adc.full_code, *drawn_codes, *(e + d for e in edges for d in (-1, 0, 1))]
     n = int(round(attenuator.max_db / attenuator.step_db))
@@ -332,21 +338,57 @@ class TestChainCodesCw:
             chain_codes_cw(np.array([8e9, 15e9]), np.array([0.0]), np.array([0.0]),
                            ChainConfig(coupling_kind="coupler"))
 
-    @pytest.mark.parametrize("cfg", _READOUT_CHAINS[:4], ids=["tap", "coupler", "tap_ripple", "coupler_ripple"])
-    def test_passed_coupling_and_ripple_match_looked_up(self, cfg):
-        # The calibration build passes each row's coupling and ripple, looked
-        # up once; the codes must be those chain_codes_cw looks up itself.
-        f = np.linspace(1.2e9, 14e9, 37)[:, None, None]
-        p, att = np.linspace(-20.0, 20.0, 9)[None, :, None], np.array([0.0, 2.25, 17.5])
-        coupling = np.array([cfg.coupling_db_at(x) for x in f.ravel()]).reshape(f.shape)
-        ripple = np.array([cfg.ripple_db_at(x) for x in f.ravel()]).reshape(f.shape)
-        got = chain_codes_cw(f, p, att, cfg, coupling, ripple)
-        for a, b in zip(got, chain_codes_cw(f, p, att, cfg)):
-            assert a.shape == (37, 9, 3) and a.tobytes() == b.tobytes()
-        # Passing them skips no check: a line above the stub band is refused.
-        above = np.array([8e9, cfg.stub.taps[0].f_max_hz * 1.01])
-        with pytest.raises(OutOfBandError):
-            chain_codes_cw(above, np.array([0.0]), np.array([0.0]), cfg, np.zeros(2), np.zeros(2))
+    @settings(max_examples=120, deadline=None)
+    @given(cfg=st.sampled_from(_READOUT_CHAINS[:4]), data=st.data())
+    def test_lookups_on_arrays_are_the_scalar_calls(self, cfg, data):
+        # The chain answers its per-frequency lookups for a whole array, as
+        # chain_codes_cw asks them; each element is the scalar call's, bit for bit.
+        lo, hi = (1e9, 14e9) if cfg.coupling_kind == "coupler" else (1e6, 40e9)
+        n = data.draw(st.integers(1, 12))
+        f = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        f = f.reshape(data.draw(st.sampled_from([(n,), (n, 1), (1, n)])))
+        lookups = (cfg.coupling_db_at, cfg.through_loss_db_at, cfg.directivity_db_at, cfg.ripple_db_at)
+        for at in lookups:
+            got = np.broadcast_to(np.asarray(at(f), dtype=float), f.shape)
+            assert got.tobytes() == np.array([at(x) for x in f.ravel().tolist()]).reshape(f.shape).tobytes()
+        if cfg.coupling_kind == "coupler":
+            # Out of the coupler band, the first offender in C order is named
+            # as the scalar call names it.
+            k = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+            f.flat[k] = data.draw(st.lists(st.sampled_from([0.5e9, 14.5e9, 15.9e9, math.nan]), min_size=len(k),
+                                           max_size=len(k)))
+            for at in lookups[:3]:
+                expected = outcome(at, float(f.flat[k[0]]))
+                assert expected[0] is OutOfBandError and outcome(at, f) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=st.sampled_from(_READOUT_CHAINS[:4]), data=st.data())
+    def test_cell_breaking_two_rules_raises_the_first(self, cfg, data):
+        # The rules in the order both entry points check them: the tone's
+        # domain, the coupler band, the attenuator setting, then the watts
+        # after the gain. Each is (the input it breaks, values that break it).
+        cfg = replace(cfg, amplifier=AmplifierParams(gain_db=300.0))
+        rules = [
+            ("f", [math.nan, -8e9, 0.0, math.inf]),
+            ("p", [math.nan, math.inf, -math.inf]),
+            ("p", [4000.0]),  # watts overflow a float
+            ("f", [cfg.stub.taps[0].f_max_hz * 1.01]),
+            *([("f", [0.5e9, 15e9])] if cfg.coupling_kind == "coupler" else []),
+            ("att", [0.3, -0.25, 40.0, math.nan]),
+            ("p", [3000.0]),  # watts overflow a float after the 300 dB gain
+        ]
+        i, j = sorted(data.draw(st.lists(st.integers(0, len(rules) - 1), min_size=2, max_size=2, unique=True)))
+        assume(rules[i][0] != rules[j][0])
+        good = {"f": 8e9, "p": 0.0, "att": 0.0}
+        first, both = dict(good), dict(good)
+        first[rules[i][0]] = both[rules[i][0]] = data.draw(st.sampled_from(rules[i][1]))
+        both[rules[j][0]] = data.draw(st.sampled_from(rules[j][1]))
+        # One bad cell after a good one, read by both entry points.
+        cells = {k: np.array([good[k], v]) for k, v in both.items()}
+        expected = outcome(chain_codes_cw, first["f"], first["p"], first["att"], cfg)
+        assert isinstance(expected, tuple) and issubclass(expected[0], (ValueError, OutOfBandError))
+        assert outcome(chain_codes_cw, cells["f"], cells["p"], cells["att"], cfg) == expected
+        assert outcome(settle_cw, cells["f"], cells["p"], cfg, ControllerConfig(), cells["att"]) == expected
 
 
 @pytest.mark.parametrize("cfg", _READOUT_CHAINS)
@@ -406,7 +448,7 @@ def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_
         [max_db if how == "top" else min(k * step, max_db) + (1e-8 if how == "off" and k < n_set else 0.0)
          for k, how in starts]
     ).reshape(n_f, n_p)
-    ctrl = ControllerConfig.for_chain(cfg, window_codes=window)
+    ctrl = with_window(cfg, window)
     oc, l1, l2, att = settle_cw(freqs, powers, cfg, ctrl, att0)
     assert all(a.shape == (n_f, n_p) for a in (oc, l1, l2, att))
     for i, j in np.ndindex(n_f, n_p):
