@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import math
 import typing
-from collections.abc import Sequence
 
 # The Python types a JSON value may have, per scalar annotation.
 _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,), type(None): (type(None),)}
@@ -93,10 +92,10 @@ def _decode(tp, v, path: str):
     if dataclasses.is_dataclass(tp):
         return from_json(tp, v, path)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is tuple or origin is Sequence:
+    if origin is tuple:
         if not isinstance(v, (list, tuple)):
             raise ValueError(f"{path}: expected a list, got {_kind(v)}")
-        fixed = origin is tuple and args[-1] is not Ellipsis
+        fixed = args[-1] is not Ellipsis
         if fixed and len(v) != len(args):
             raise ValueError(f"{path}: expected {len(args)} items, got {len(v)}")
         items = args if fixed else [args[0]] * len(v)
@@ -120,7 +119,7 @@ def _describe(tp) -> str:
         return tp.__name__
     if dataclasses.is_dataclass(tp):
         return "an object"
-    if typing.get_origin(tp) in (tuple, Sequence):
+    if typing.get_origin(tp) is tuple:
         return "a list"
     return " or ".join(_describe(a) for a in typing.get_args(tp) if a is not type(None))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +31,29 @@ class ResistiveTapParams:
         check_positive(self, "r_c", "z0")
 
 
-# A table is either a flat scalar or [(freq_hz, value_db), ...] breakpoints.
-Table = float | Sequence[tuple[float, float]]
+# A table is either a flat scalar or ((freq_hz, value_db), ...) breakpoints.
+Table = float | tuple[tuple[float, float], ...]
 
 
 # A table converted once for evaluation: a flat float, or its breakpoints
 # sorted into (frequencies, values) arrays.
 Points = float | tuple[np.ndarray, np.ndarray]
+
+
+def frozen_table(name: str, table) -> Table:
+    """table, a number or breakpoint pairs, with its pairs as tuples and its values as given.
+
+    A non-finite value or a breakpoint that is not a pair is a ValueError naming the field.
+    """
+    flat = isinstance(table, (int, float))
+    try:
+        pts = ((0.0, table),) if flat else tuple(map(tuple, table))
+        ok = all(len(p) == 2 and all(map(math.isfinite, p)) for p in pts)
+    except TypeError:  # an item that is not a sequence, or a value that is not a number
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} needs a finite number or finite (freq_hz, db) pairs, got {table!r}")
+    return table if flat else pts
 
 
 def table_points(table: Table) -> Points:
@@ -75,10 +90,11 @@ class DirectionalCouplerParams:
     def __post_init__(self):
         if not 0.0 < self.f_min_hz < self.f_max_hz < math.inf:
             raise ValueError(f"need 0 < f_min_hz < f_max_hz < inf, got {self.f_min_hz!r}, {self.f_max_hz!r}")
-        for name in ("coupling_db", "insertion_db", "directivity_db"):
-            table = getattr(self, name)
-            if not isinstance(table, (int, float)) and len(table) == 0:
+        for name in _COUPLER_TABLES:
+            table = frozen_table(name, getattr(self, name))
+            if table == ():
                 raise ValueError(f"{name} needs a number or at least one breakpoint")
+            object.__setattr__(self, name, table)
         # Converted once here. Not a field, so the JSON codec, equality and
         # repr never see it.
         object.__setattr__(self, "_points", {name: table_points(getattr(self, name)) for name in _COUPLER_TABLES})

@@ -51,7 +51,7 @@ from .coupling import sampled_forward_amplitude
 from .errors import TuningRangeError
 from .estimator import CalibrationTable, build_calibration
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
-from .readout import ChainConfig, TapCodes, chain_config_hash, chain_readout_lines
+from .readout import ChainConfig, TapCodes, chain_readout_lines
 
 _SILENT_DBM = -300.0
 
@@ -181,7 +181,7 @@ class Trace:
         return [[dict(zip(_SAMPLE_COLUMNS, (t, *v))) for times, v in stage for t in times] for stage in self.sample_runs]
 
 
-_CAL_CACHE: dict[str, CalibrationTable] = {}
+_CAL_CACHE: dict[tuple[ChainConfig, int, int, int], CalibrationTable] = {}
 
 
 def clear_calibration_cache() -> None:
@@ -189,8 +189,8 @@ def clear_calibration_cache() -> None:
 
 
 def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig) -> CalibrationTable:
-    """Build (or reuse) the calibration table a controller estimates against, over the chain's default grid."""
-    key = json.dumps([chain_config_hash(cfg), ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code])
+    """Build (or reuse, keyed by the chain's value and AGC window) the table a controller estimates against, over the chain's default grid."""
+    key = (cfg, ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code)
     if key not in _CAL_CACHE:
         _CAL_CACHE[key] = build_calibration(cfg, ctrl=ctrl)
     return _CAL_CACHE[key]

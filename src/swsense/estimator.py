@@ -99,9 +99,9 @@ class CalibrationGrid:
 class CalibrationTable:
     """Forward-simulated codes over a CW grid, at AGC-dictated attenuation.
 
-    The fields after cfg are derived from the others when the table is
-    made. Its arrays are read-only; change a table with
-    dataclasses.replace, which makes a new one with empty fronts.
+    cfg, a hashable value, is the chain it was built for; the later fields
+    are derived when the table is made. Its arrays are read-only; change a
+    table with dataclasses.replace, which makes a new one with empty fronts.
     """
 
     freqs_hz: np.ndarray
@@ -110,7 +110,6 @@ class CalibrationTable:
     code_oc: np.ndarray
     code_l1: np.ndarray
     code_l2: np.ndarray
-    config_hash: str
     cfg: ChainConfig = field(repr=False)
     floor_code: int = field(init=False, repr=False)
     ceiling_code: int = field(init=False, repr=False)
@@ -312,7 +311,6 @@ def build_calibration(
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        config_hash=chain_config_hash(cfg),
         cfg=cfg,
     )
 
@@ -540,7 +538,7 @@ def save_calibration(cal: CalibrationTable, csv_path: str, header_path: str) -> 
     header = {
         "freqs_hz": [float(x) for x in cal.freqs_hz],
         "powers_dbm": [float(x) for x in cal.powers_dbm],
-        "config_hash": cal.config_hash,
+        "config_hash": chain_config_hash(cal.cfg),
         "chain": chain_config_to_dict(cal.cfg),
     }
     with open(header_path, "w") as fh:
@@ -581,6 +579,5 @@ def load_calibration(csv_path: str, header_path: str) -> CalibrationTable:
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        config_hash=header["config_hash"],
         cfg=cfg,
     )

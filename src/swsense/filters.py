@@ -40,9 +40,10 @@ class NotchModel:
         for name in ("power_knee_dbm", "depth_slope_db_per_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        lo, hi = self.f_tune_range_hz
-        if not 0.0 < lo < hi < math.inf:
+        pair = tuple(self.f_tune_range_hz)
+        if len(pair) != 2 or not 0.0 < pair[0] < pair[1] < math.inf:
             raise ValueError(f"f_tune_range_hz must be an increasing pair in (0, inf), got {self.f_tune_range_hz!r}")
+        object.__setattr__(self, "f_tune_range_hz", pair)
 
     @staticmethod
     def yig(**overrides) -> "NotchModel":

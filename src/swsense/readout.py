@@ -32,6 +32,7 @@ from .coupling import (
     ResistiveTapParams,
     coupler_db_at,
     coupler_response,  # unused here; perfbench/tracer.py rebinds this name
+    frozen_table,
     table_points,
     table_value,
     tap_coupling,
@@ -158,7 +159,7 @@ class ChainConfig:
     amplifier: AmplifierParams = field(default_factory=AmplifierParams)
     detector: DetectorParams = field(default_factory=DetectorParams)
     adc: AdcParams = field(default_factory=AdcParams)
-    # Optional monitor-path gain ripple versus frequency, [(freq_hz, db), ...].
+    # Optional monitor-path gain ripple versus frequency, ((freq_hz, db), ...).
     gain_ripple: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -168,6 +169,8 @@ class ChainConfig:
             object.__setattr__(self, "coupler", DirectionalCouplerParams())
         if len(self.stub.taps) != 2:
             raise ValueError("read-out chain expects exactly two stub taps")
+        if self.gain_ripple is not None:
+            object.__setattr__(self, "gain_ripple", frozen_table("gain_ripple", self.gain_ripple))
         # Computed once, like the coupler's tables. Not fields, so the JSON
         # codec, equality, repr and chain_config_hash never see them.
         object.__setattr__(self, "_ripple", table_points(self.gain_ripple) if self.gain_ripple else None)

@@ -79,8 +79,9 @@ def wrapped_ratio(f_hz: float, f_max_hz: float) -> float:
 
 def tap_length(f_max_hz: float, eps_eff: float = 1.0) -> float:
     """Distance from the open end placing the first null at f_max_hz, in meters."""
-    if f_max_hz <= 0.0 or eps_eff <= 0.0:
-        raise ValueError("f_max_hz and eps_eff must be positive")
+    for name, x in (("f_max_hz", f_max_hz), ("eps_eff", eps_eff)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
     return _C0 / (4.0 * f_max_hz * math.sqrt(eps_eff))
 
 

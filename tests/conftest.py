@@ -17,8 +17,9 @@ def controller():
 
 @pytest.fixture(scope="session")
 def calibration(chain, controller):
-    # Built once, by an 80-round AGC walk; about 0.04 s. Everything downstream
-    # treats it as immutable.
+    # Built once; settle_cw bisects each cell's AGC walk in 9 chain_codes_cw
+    # calls, about 0.013 s on a 2-core host. Everything downstream treats it
+    # as immutable.
     return build_calibration(chain, None, controller)
 
 

@@ -61,7 +61,6 @@ from swsense.estimator import (
 from swsense.coupling import coupler_db_at, tap_coupling
 from swsense.readout import (
     TapCodes,
-    chain_config_hash,
     chain_readout,
     check_stub_band,
     detector_ceiling_code,
@@ -122,7 +121,6 @@ def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        config_hash=chain_config_hash(cfg),
         cfg=cfg,
     )
 

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from swsense.readout import (
     ChainConfig,
     DetectorParams,
     TapCodes,
+    chain_config_hash,
     chain_readout,
     detector_ceiling_code,
     detector_floor_code,
@@ -158,11 +159,11 @@ class TestCalibrationBuild:
         assert list(g.freqs()) == [6e9] and list(g.powers()) == [0.0]
 
     def test_table_shape_and_metadata(self, chain, calibration):
-        from swsense.readout import chain_config_hash
-
         cal = calibration
         assert cal.code_oc.shape == (151, 41)
-        assert cal.config_hash == chain_config_hash(chain)
+        # The chain is the table's one identity; no hash rides along with it.
+        assert cal.cfg is chain
+        assert "config_hash" not in {f.name for f in fields(cal)}
 
     def test_agc_holds_codes_in_window(self, calibration, controller):
         # wherever attenuation is active the open-end code sits in the window
@@ -368,7 +369,7 @@ class TestTableState:
         codes = chain_readout(SignalDescriptor((Tone(freq_hz=3e9, power_dbm=0.0),)), chain, 0.0)
         est = estimate(codes, calibration)
         assert any(calibration.fronts) and calibration.shared_fronts
-        new = replace(calibration, config_hash=calibration.config_hash)
+        new = replace(calibration)
         assert new.fronts == ({}, {}) and new.shared_fronts == {}
         assert estimate(codes, new) == est
         assert new.fronts[1].keys() == {codes.code_oc}
@@ -486,8 +487,8 @@ class TestPersistence:
         assert np.array_equal(back.code_l1, small_cal.code_l1)
         assert np.array_equal(back.code_l2, small_cal.code_l2)
         assert np.allclose(back.att_db, small_cal.att_db)
-        assert back.config_hash == small_cal.config_hash
         assert back.cfg == small_cal.cfg
+        assert json.loads(hdr_p.read_text())["config_hash"] == chain_config_hash(small_cal.cfg)
         # The loaded table derives the same inverse as the built one.
         codes = _cell_codes(small_cal, 1, 1)
         assert estimate(codes, back) == estimate(codes, small_cal)

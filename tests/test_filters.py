@@ -157,6 +157,8 @@ def test_s21_always_nonpositive(f_hz, p_dbm):
         ({"power_knee_dbm": math.nan}, r"^power_knee_dbm must be finite, got nan$"),
         ({"depth_slope_db_per_db": math.inf}, r"^depth_slope_db_per_db must be finite, got inf$"),
         ({"f_tune_range_hz": (1e9, math.nan)}, r"^f_tune_range_hz must be an increasing pair in \(0, inf\)"),
+        ({"f_tune_range_hz": (1e9, 2e9, 3e9)}, r"^f_tune_range_hz must be an increasing pair in \(0, inf\), got \(1000000000\.0, "),
+        ({"f_tune_range_hz": [1e9]}, r"^f_tune_range_hz must be an increasing pair in \(0, inf\), got \[1000000000\.0\]$"),
     ],
 )
 def test_model_refuses_by_name(kw, message):

@@ -21,8 +21,9 @@ from swsense.codec import to_json
 from swsense.controller import ControllerConfig, settle_cw
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams, tap_coupling, tap_sparams
-from swsense.engine import load_scenario
+from swsense.engine import get_calibration, load_scenario
 from swsense.errors import OutOfBandError
+from swsense.filters import NotchModel, tune
 from swsense.readout import (
     AdcParams,
     AmplifierParams,
@@ -393,6 +394,10 @@ class TestLineDomain:
         chain_readout_lines(lines[:1], chain, 0.0)
 
 
+# The refusal of a coupler table or gain ripple, after the field's name.
+TABLE = r" needs a finite number or finite \(freq_hz, db\) pairs, got "
+
+
 class TestBlockDomains:
     """Each block of the chain refuses, with a ValueError naming the field, a value it cannot model."""
 
@@ -420,6 +425,14 @@ class TestBlockDomains:
              r"^need 0 < step_db <= max_db, max_db / step_db < inf, got 0\.25, inf$"),
             (lambda: AttenuatorParams(step_db=math.nan), r"^need 0 < step_db <= max_db, max_db / step_db < inf"),
             (lambda: AttenuatorParams(step_db=1e-320, max_db=1e10), r", got 1e-320, 10000000000\.0$"),
+            (lambda: DirectionalCouplerParams(coupling_db=((1e9, -15.0), (14e9, math.nan))),
+             r"^coupling_db" + TABLE + r"\(\(1000000000\.0, -15\.0\), \(14000000000\.0, nan\)\)$"),
+            (lambda: DirectionalCouplerParams(insertion_db=[(math.inf, 1.0)]), r"^insertion_db" + TABLE),
+            (lambda: DirectionalCouplerParams(insertion_db=((1e9, 0.8, 1.6),)), r"^insertion_db" + TABLE),
+            (lambda: DirectionalCouplerParams(coupling_db=(-15.0,)), r"^coupling_db" + TABLE),
+            (lambda: DirectionalCouplerParams(directivity_db=math.nan), r"^directivity_db" + TABLE + "nan$"),
+            (lambda: ChainConfig(gain_ripple=((1e9, math.nan),)), r"^gain_ripple" + TABLE),
+            (lambda: ChainConfig(gain_ripple=[[1e9, 1.0], [16e9]]), r"^gain_ripple" + TABLE),
         ],
     )
     def test_block_refuses(self, make, message):
@@ -574,6 +587,11 @@ class TestConstantsAtConstruction:
         assert other == chain and hash(other) == hash(chain) and repr(other) == repr(chain)
         assert chain_config_hash(other) == chain_config_hash(chain)
 
+    def test_bundled_chains_are_hashable_values(self):
+        for chains in _bundled_chains().values():
+            for c in chains:
+                assert hash(c) == hash(replace(c)) and c == replace(c)
+
     def test_bundled_config_hashes_unchanged(self):
         assert {name: [chain_config_hash(c) for c in chains] for name, chains in _bundled_chains().items()} == {
             "cascade_6_12.json": ["23e0f5265ca1cbe8", "23e0f5265ca1cbe8"],
@@ -582,6 +600,68 @@ class TestConstantsAtConstruction:
             "pulse_response.json": ["23e0f5265ca1cbe8"],
         }
         assert chain_config_hash(ChainConfig()) == "23e0f5265ca1cbe8"
+
+
+def mixed_chain(seq):
+    """A coupler chain with tabled coupling and gain ripple, every sequence built by seq."""
+    return ChainConfig(
+        coupling_kind="coupler",
+        coupler=DirectionalCouplerParams(
+            coupling_db=seq([seq([1e9, -15.0]), seq([14e9, -14.0])]), insertion_db=seq([(1e9, 0.8), (14e9, 1.6)])
+        ),
+        gain_ripple=seq([seq([1e9, -1.0]), seq([14e9, 1.0])]),
+    )
+
+
+class TestOneIdentity:
+    """A chain is a value: blocks keep tuples, never the caller's list."""
+
+    def test_lists_and_tuples_make_one_value(self):
+        a, b = mixed_chain(list), mixed_chain(tuple)
+        assert a == b and hash(a) == hash(b)
+        assert a.gain_ripple == ((1e9, -1.0), (14e9, 1.0))
+        assert a.coupler.coupling_db == ((1e9, -15.0), (14e9, -14.0))
+        assert chain_config_hash(a) == chain_config_hash(b) == "562495cb1ded70c7"
+
+    def test_calibration_cache_keys_on_the_chains_value(self):
+        # Equal chains, one built from lists, share a table; another AGC window builds its own.
+        a, b = mixed_chain(list), mixed_chain(tuple)
+        ctrl = ControllerConfig.for_chain(b)
+        cal = get_calibration(a, ctrl)
+        assert get_calibration(b, ctrl) is cal and cal.cfg == b
+        assert get_calibration(b, replace(ctrl, agc_low_code=ctrl.agc_low_code - 1)) is not cal
+
+    def test_caller_list_changed_after_construction_changes_nothing(self):
+        ripple = [[1e9, 0.0], [16e9, 0.0]]
+        table = [[1e9, -15.0], [14e9, -15.0]]
+        cfg = ChainConfig(
+            coupling_kind="coupler", coupler=DirectionalCouplerParams(coupling_db=table), gain_ripple=ripple
+        )
+
+        def seen():
+            codes = chain_codes_cw(np.array([1e9]), 0.0, 0.0, cfg)
+            return (
+                hash(cfg), chain_config_hash(cfg), cfg.ripple_db_at(1e9), cfg.coupling_db_at(1e9),
+                chain_readout_lines([(1e9, 1e-3)], cfg, 0.0), [c.tolist() for c in codes],
+            )
+
+        before = seen()
+        ripple[0][1] = 6.0
+        table[0] = (1e9, -5.0)
+        ripple.append((17e9, 1.0))
+        assert seen() == before
+        assert cfg == ChainConfig(
+            coupling_kind="coupler",
+            coupler=DirectionalCouplerParams(coupling_db=((1e9, -15.0), (14e9, -15.0))),
+            gain_ripple=((1e9, 0.0), (16e9, 0.0)),
+        )
+
+    def test_tuning_range_is_a_tuple(self):
+        rng = [1e9, 16e9]
+        m = NotchModel(f_tune_range_hz=rng)
+        rng[1] = 2e9
+        assert m.f_tune_range_hz == (1e9, 16e9) and hash(m) == hash(NotchModel())
+        assert tune(m, 8e9, 0.0).f_center_hz == 8e9
 
 
 class TestOnePassReadout:

@@ -82,7 +82,7 @@ def assert_same_table(cal, ref):
         a, b = getattr(cal, name), getattr(ref, name)
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    assert cal.config_hash == ref.config_hash
+    assert cal.cfg == ref.cfg
 
 
 def assert_same_build(cfg, grid, ctrl):

@@ -59,6 +59,22 @@ def test_tap_length_air_dielectric():
     assert tap_length(5e9) == pytest.approx(C0 / 2e10, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((math.nan,), r"^f_max_hz must be positive and finite, got nan$"),
+        ((math.inf,), r"^f_max_hz must be positive and finite, got inf$"),
+        ((0.0,), r"^f_max_hz must be positive and finite, got 0\.0$"),
+        ((16e9, math.nan), r"^eps_eff must be positive and finite, got nan$"),
+        ((16e9, math.inf), r"^eps_eff must be positive and finite, got inf$"),
+        ((16e9, -1.0), r"^eps_eff must be positive and finite, got -1\.0$"),
+    ],
+)
+def test_tap_length_refuses_by_name(args, message):
+    with pytest.raises(ValueError, match=message):
+        tap_length(*args)
+
+
 def test_tap_length_scales_with_dielectric():
     assert tap_length(16e9, eps_eff=4.0) == pytest.approx(tap_length(16e9) / 2.0, rel=1e-12)
 
