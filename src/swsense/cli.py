@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .codec import from_json
+from .codec import from_json, load, save
 from .controller import ControllerConfig, settle_cw
 from .coupling import ResistiveTapParams, tap_sparams
 from .engine import load_scenario, run, samples_to_csv, trace_to_csv
@@ -54,16 +54,26 @@ def _build(path: str | None) -> tuple[ChainConfig, ControllerConfig]:
         path = os.environ.get("SWSENSE_CONFIG")
     if path is None:
         d = json.loads(resources.files("swsense").joinpath("data/default_config.json").read_text())
+        c = from_json(_Config, d, "config", root=True)
     else:
-        with open(path) as fh:
-            d = json.load(fh)
-    c = from_json(_Config, d, "config", root=True)
+        c = load(_Config, path, "config", root=True)
     return c.chain, c.controller
 
 
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
+
+
+def _write_rows(args, name: str, columns: list[str], rows: list[list[str]]) -> int:
+    """Write columns then rows to the CSV file name in --out, say so, and return 0."""
+    path = _outpath(args, name)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)
+    print(f"wrote {len(rows)} rows to {path}")
+    return 0
 
 
 def _cmd_sweep_sparams(args) -> int:
@@ -85,13 +95,7 @@ def _cmd_sweep_sparams(args) -> int:
     for f in map(float, freqs):
         c, s21 = cfg.coupling_db_at(f), -cfg.through_loss_db_at(f)
         rows.append([repr(f), repr(s11), repr(s21), repr(c), repr(0.0)])
-    path = _outpath(args, "sparams.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["freq_hz", "s11_db", "s21_db", "coupling_db", "s21_absent_db"])
-        w.writerows(rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
+    return _write_rows(args, "sparams.csv", ["freq_hz", "s11_db", "s21_db", "coupling_db", "s21_absent_db"], rows)
 
 
 def _cmd_calibrate(args) -> int:
@@ -124,13 +128,7 @@ def _cmd_resolution(args) -> int:
         for f in map(float, freqs):
             r = resolution(f, f_max, cfg.detector, cfg.adc)
             rows.append([repr(f), repr(r / 1e9), repr(100.0 * r / f)])
-        path = _outpath(args, "resolution.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["freq_hz", "resolution_ghz", "resolution_pct"])
-            w.writerows(rows)
-        print(f"wrote {len(rows)} rows to {path}")
-        return 0
+        return _write_rows(args, "resolution.csv", ["freq_hz", "resolution_ghz", "resolution_pct"], rows)
     r = resolution(args.freq, f_max, cfg.detector, cfg.adc)
     print(
         json.dumps(
@@ -199,9 +197,7 @@ def _cmd_simulate(args) -> int:
     for k in range(len(sc.stages)):
         samples_to_csv(trace, k, _outpath(args, f"samples_stage{k}.csv"))
     metrics = trace.metrics.to_dict()
-    with open(_outpath(args, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save(metrics, _outpath(args, "metrics.json"))
     print(json.dumps(metrics, sort_keys=True))
     return 0
 

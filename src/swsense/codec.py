@@ -7,12 +7,15 @@ infinite default is an open-ended tone's t_off_s. from_json checks every
 key and value against the field annotations, so malformed input is a
 ValueError that starts with its JSON path, for example
 "sources[0].power_dbm: expected float, got str".
+
+save and load are the package's one road for JSON files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import typing
 
@@ -58,6 +61,19 @@ def from_json(cls, d, where: str, *, root: bool = False):
         return cls(**kw)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def save(obj, path: str) -> None:
+    """Write to_json(obj) to path as JSON: indent 2, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(to_json(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load(cls, path: str, where: str, *, root: bool = False):
+    """cls from the JSON file at path, checked as from_json checks it; a file that is not JSON is a ValueError."""
+    with open(path) as fh:
+        return from_json(cls, json.load(fh), where, root=root)
 
 
 @functools.cache

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import json
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field, fields, asdict
@@ -45,7 +44,7 @@ from .controller import (
     ControllerState,
     on_sample,
 )
-from .codec import from_json, to_json
+from .codec import from_json, load, save
 from .core import Tone, expand_modulated, watts_to_dbm
 from .coupling import sampled_forward_amplitude
 from .errors import TuningRangeError
@@ -607,10 +606,6 @@ def measure_response_time(trace: Trace, edge: str = "rise", stage: int = 0) -> f
 # ---------------- scenario JSON ----------------
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    return to_json(sc)
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     """Scenario from its JSON form.
 
@@ -623,14 +618,12 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    """Scenario from a JSON file, checked as scenario_from_dict checks it."""
+    return load(Scenario, path, "scenario", root=True)
 
 
 def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save(sc, path)
 
 
 # ---------------- trace artifacts ----------------

@@ -13,13 +13,14 @@ code.
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import load, save
 from .core import watts_to_dbm
 from .errors import (
     BijectivityError,
@@ -35,9 +36,7 @@ from .readout import (
     ChainConfig,
     DetectorParams,
     TapCodes,
-    chain_config_from_dict,
     chain_config_hash,
-    chain_config_to_dict,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
     check_stub_band,
     detector_ceiling_code,
@@ -456,11 +455,13 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
     along the calibration row nearest to freq_hz. Raises ValueError for a
     code outside the ADC range, an att_db that is not a setting, or a
     freq_hz that is not positive and finite, and OutOfBandError for a
-    freq_hz above the stub band.
+    freq_hz outside a coupler chain's coupler band or above the stub band,
+    as build_calibration refuses such a row.
     """
     check_codes(codes, cal.cfg)
     if not 0.0 < freq_hz < math.inf:
         raise ValueError(f"freq_hz={freq_hz!r} is not positive and finite")
+    cal.cfg.coupling_db_at(freq_hz)  # the coupler's lookup refuses a frequency outside its band
     check_stub_band(freq_hz, cal.cfg)
     return _power(codes, freq_hz, cal)
 
@@ -518,66 +519,67 @@ def estimate(codes: TapCodes, cal: CalibrationTable, switch_freq_hz: float | Non
 # ---------------- persistence ----------------
 
 
+_CSV_COLUMNS = ["freq_hz", "power_dbm", "att_db", "code_oc", "code_l1", "code_l2"]
+
+
+@dataclass(frozen=True)
+class _Header:
+    """The JSON header of a saved calibration: its grid and the chain it was built for."""
+
+    freqs_hz: tuple[float, ...]
+    powers_dbm: tuple[float, ...]
+    config_hash: str
+    chain: ChainConfig
+
+
 def save_calibration(cal: CalibrationTable, csv_path: str, header_path: str) -> None:
-    """Write the table as CSV rows plus a JSON header with grids and metadata."""
+    """Write the table as CSV rows, one per grid cell in row order, and a JSON header block."""
+    freqs, powers = tuple(map(float, cal.freqs_hz)), tuple(map(float, cal.powers_dbm))
+    codes = zip(*(map(int, c.flat) for c in (cal.code_oc, cal.code_l1, cal.code_l2)))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power_dbm", "att_db", "code_oc", "code_l1", "code_l2"])
-        for i, f in enumerate(cal.freqs_hz):
-            for j, p in enumerate(cal.powers_dbm):
-                writer.writerow(
-                    [
-                        repr(float(f)),
-                        repr(float(p)),
-                        repr(float(cal.att_db[i, j])),
-                        int(cal.code_oc[i, j]),
-                        int(cal.code_l1[i, j]),
-                        int(cal.code_l2[i, j]),
-                    ]
-                )
-    header = {
-        "freqs_hz": [float(x) for x in cal.freqs_hz],
-        "powers_dbm": [float(x) for x in cal.powers_dbm],
-        "config_hash": chain_config_hash(cal.cfg),
-        "chain": chain_config_to_dict(cal.cfg),
-    }
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows(
+            [repr(f), repr(p), repr(a), *c]
+            for (f, p), a, c in zip(itertools.product(freqs, powers), map(float, cal.att_db.flat), codes)
+        )
+    save(_Header(freqs, powers, chain_config_hash(cal.cfg), cal.cfg), header_path)
 
 
 def load_calibration(csv_path: str, header_path: str) -> CalibrationTable:
-    """Read a calibration saved by save_calibration, verifying completeness."""
-    with open(header_path) as fh:
-        header = json.load(fh)
-    cfg = chain_config_from_dict(header["chain"])
-    if chain_config_hash(cfg) != header["config_hash"]:
+    """Read a calibration saved by save_calibration; its CSV must hold the
+    header's grid in row order, six cells a row with att_db a setting. A
+    malformed header or row is a ValueError naming its key or CSV line."""
+    hdr = load(_Header, header_path, "header", root=True)
+    if chain_config_hash(hdr.chain) != hdr.config_hash:
         raise ValueError("calibration header hash does not match its chain config")
-    freqs = np.array(header["freqs_hz"])
-    powers = np.array(header["powers_dbm"])
-    nf, npow = len(freqs), len(powers)
-    att = np.full((nf, npow), np.nan)
-    oc = np.full((nf, npow), -1, dtype=int)
-    l1 = np.full((nf, npow), -1, dtype=int)
-    l2 = np.full((nf, npow), -1, dtype=int)
-    fi = {float(f): i for i, f in enumerate(freqs)}
-    pj = {float(p): j for j, p in enumerate(powers)}
+    grid = list(itertools.product(hdr.freqs_hz, hdr.powers_dbm))
     with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            i = fi[float(row["freq_hz"])]
-            j = pj[float(row["power_dbm"])]
-            att[i, j] = float(row["att_db"])
-            oc[i, j] = int(row["code_oc"])
-            l1[i, j] = int(row["code_l1"])
-            l2[i, j] = int(row["code_l2"])
-    if np.isnan(att).any() or (oc < 0).any():
-        raise ValueError("calibration CSV does not cover the full grid in its header")
+        rows = list(csv.reader(fh))
+    if rows[:1] != [_CSV_COLUMNS]:
+        raise ValueError(f"calibration CSV line 1 must be {','.join(_CSV_COLUMNS)}")
+    if len(rows) - 1 != len(grid):
+        raise ValueError(f"calibration CSV has {len(rows) - 1} rows for the {len(grid)} cells of its header's grid")
+    att, codes = [], []
+    for line, (row, cell) in enumerate(zip(rows[1:], grid), 2):
+        try:
+            if len(row) != 6:
+                raise ValueError(f"expected 6 cells, got {len(row)}")
+            if (float(row[0]), float(row[1])) != cell:
+                raise ValueError(f"({row[0]} Hz, {row[1]} dBm) is not grid cell ({cell[0]!r} Hz, {cell[1]!r} dBm)")
+            att.append(float(row[2]))
+            hdr.chain.attenuator.check_setting(att[-1])
+            codes.append([int(c) for c in row[3:]])
+        except ValueError as exc:
+            raise ValueError(f"calibration CSV line {line}: {exc}") from None
+    # No dtype: a code past int64 makes an object array, which the table's range check refuses.
+    oc, l1, l2 = np.array(codes).T.reshape(3, len(hdr.freqs_hz), len(hdr.powers_dbm))
     return CalibrationTable(
-        freqs_hz=freqs,
-        powers_dbm=powers,
-        att_db=att,
+        freqs_hz=np.array(hdr.freqs_hz),
+        powers_dbm=np.array(hdr.powers_dbm),
+        att_db=np.array(att).reshape(oc.shape),
         code_oc=oc,
         code_l1=l1,
         code_l2=l2,
-        cfg=cfg,
+        cfg=hdr.chain,
     )

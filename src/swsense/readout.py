@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import from_json, to_json
+from .codec import from_json, load, save, to_json
 from .core import (
     SignalDescriptor,
     check_positive,
@@ -149,7 +149,7 @@ class AdcParams:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Every hardware parameter of one sensing stage."""
+    """Every hardware parameter of one sensing stage; a tap chain carries no coupler block."""
 
     coupling_kind: str = "tap"  # "tap" or "coupler"
     tap: ResistiveTapParams = field(default_factory=ResistiveTapParams)
@@ -167,6 +167,8 @@ class ChainConfig:
             raise ValueError("coupling_kind must be 'tap' or 'coupler'")
         if self.coupling_kind == "coupler" and self.coupler is None:
             object.__setattr__(self, "coupler", DirectionalCouplerParams())
+        if self.coupling_kind == "tap" and self.coupler is not None:
+            raise ValueError("coupler must be null on a tap chain; set coupling_kind to 'coupler' to read through it")
         if len(self.stub.taps) != 2:
             raise ValueError("read-out chain expects exactly two stub taps")
         if self.gain_ripple is not None:
@@ -464,27 +466,21 @@ def chain_readout(
 # ---------------- ChainConfig JSON ----------------
 
 
-def chain_config_to_dict(cfg: ChainConfig) -> dict:
-    return to_json(cfg)
-
-
 def chain_config_from_dict(d: dict) -> ChainConfig:
     """ChainConfig from its JSON form; a malformed entry is a ValueError starting with its path."""
     return from_json(ChainConfig, d, "chain")
 
 
 def save_chain_config(cfg: ChainConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save(cfg, path)
 
 
 def load_chain_config(path: str) -> ChainConfig:
-    with open(path) as fh:
-        return chain_config_from_dict(json.load(fh))
+    """ChainConfig from a JSON file; a malformed entry is a ValueError starting with its path."""
+    return load(ChainConfig, path, "chain")
 
 
 def chain_config_hash(cfg: ChainConfig) -> str:
-    """Stable short hash of a chain configuration, for calibration headers."""
-    blob = json.dumps(chain_config_to_dict(cfg), sort_keys=True).encode()
+    """Stable short hash of a chain's value, in the form the codec reads back, for calibration headers."""
+    blob = json.dumps(to_json(chain_config_from_dict(to_json(cfg))), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

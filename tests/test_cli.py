@@ -513,6 +513,8 @@ class TestConfigPlumbing:
              "chain.coupler: insertion_db needs a number or at least one breakpoint"),
             ({"chain": {"amplifier": {"p_out_sat_dbm": 4000.0}}},
              "chain.amplifier: p_out_sat_dbm must be finite with a linear factor that fits a float, got 4000.0"),
+            ({"chain": {"coupler": {"coupling_db": -10.0}}},
+             "chain: coupler must be null on a tap chain; set coupling_kind to 'coupler' to read through it"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -14,7 +15,7 @@ from swsense.codec import from_json, to_json
 from swsense.controller import ControllerConfig
 from swsense.core import Tone
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams
-from swsense.engine import Scenario, StageSpec, scenario_from_dict
+from swsense.engine import Scenario, StageSpec, load_scenario, save_scenario, scenario_from_dict
 from swsense.filters import NotchModel
 from swsense.readout import (
     AdcParams,
@@ -23,7 +24,9 @@ from swsense.readout import (
     ChainConfig,
     DetectorParams,
     chain_config_from_dict,
-    chain_config_to_dict,
+    chain_config_hash,
+    load_chain_config,
+    save_chain_config,
 )
 from swsense.stub import StubParams, TapSpec
 
@@ -75,18 +78,22 @@ def detectors(draw):
     return DetectorParams(draw(pos), draw(real), v_min, v_min * draw(st.floats(min_value=1.5, max_value=1e3)))
 
 
-chains = st.builds(
-    ChainConfig,
-    coupling_kind=st.sampled_from(["tap", "coupler"]),
-    tap=st.builds(ResistiveTapParams, pos, pos),
-    coupler=st.none() | couplers(),
-    stub=stubs(),
-    attenuator=attenuators(),
-    amplifier=st.builds(AmplifierParams, real, real),
-    detector=detectors(),
-    adc=st.builds(AdcParams, st.integers(6, 16), pos, pos),
-    gain_ripple=st.none() | table_points,
-)
+@st.composite
+def chains(draw):
+    kind = draw(st.sampled_from(["tap", "coupler"]))
+    return ChainConfig(
+        coupling_kind=kind,
+        tap=draw(st.builds(ResistiveTapParams, pos, pos)),
+        # A coupler block only on a coupler chain, which without one takes the default coupler.
+        coupler=draw(st.none() | couplers()) if kind == "coupler" else None,
+        stub=draw(stubs()),
+        attenuator=draw(attenuators()),
+        amplifier=draw(st.builds(AmplifierParams, real, real)),
+        detector=draw(detectors()),
+        adc=draw(st.builds(AdcParams, st.integers(6, 16), pos, pos)),
+        gain_ripple=draw(st.none() | table_points),
+    )
+
 
 @st.composite
 def controllers(draw):
@@ -135,7 +142,7 @@ scenarios = st.builds(
     Scenario,
     duration_s=pos,
     sources=st.lists(tones(), max_size=3).map(tuple),
-    stages=st.lists(st.builds(StageSpec, chains, controllers(), notches(), real), max_size=2).map(tuple),
+    stages=st.lists(st.builds(StageSpec, chains(), controllers(), notches(), real), max_size=2).map(tuple),
     dt_s=pos,
     seed=st.integers(0, 2**32),
 )
@@ -143,7 +150,7 @@ scenarios = st.builds(
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(chains)
+    @given(chains())
     def test_chain_config(self, cfg):
         assert chain_config_from_dict(through_json(cfg)) == cfg
 
@@ -163,7 +170,34 @@ class TestRoundTrip:
         assert from_json(Tone, d, "sources[0]").t_off_s == math.inf
 
     def test_tap_keeps_its_f_max_key(self):
-        assert chain_config_to_dict(ChainConfig())["stub"]["taps"][0] == {"name": "l1", "f_max": 16e9}
+        assert to_json(ChainConfig())["stub"]["taps"][0] == {"name": "l1", "f_max": 16e9}
+
+
+class TestFileRoundTrip:
+    """A value saved to a file loads back equal, with the same chain_config_hash."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chains(), st.none() | st.integers(1, 10**4))
+    def test_chain_config(self, tmp_path, cfg, r_c):
+        if r_c is not None:  # an int resistance, as a Python caller may give it, reads back as a float
+            cfg = replace(cfg, tap=ResistiveTapParams(r_c, cfg.tap.z0))
+        path = str(tmp_path / "chain.json")
+        save_chain_config(cfg, path)
+        back = load_chain_config(path)
+        assert back == cfg and chain_config_hash(back) == chain_config_hash(cfg)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(scenarios)
+    def test_scenario(self, tmp_path, sc):
+        path = str(tmp_path / "scenario.json")
+        save_scenario(sc, path)
+        back = load_scenario(path)
+        assert back == sc
+        assert [chain_config_hash(s.chain) for s in back.stages] == [chain_config_hash(s.chain) for s in sc.stages]
 
 
 class TestValues:

@@ -9,6 +9,7 @@ import pytest
 
 import swsense.controller
 import swsense.engine
+from swsense.codec import to_json
 from swsense.controller import ACT_SET_ATT, ControllerConfig, ControllerState, on_sample
 from swsense.core import Tone
 from swsense.engine import (
@@ -26,7 +27,6 @@ from swsense.engine import (
     samples_to_csv,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     trace_to_csv,
     _validate,
 )
@@ -555,7 +555,7 @@ def test_stage_outside_the_trace_is_refused(stage, tmp_path):
 class TestScenarioJson:
     def test_dict_round_trip(self):
         sc = cascade_scenario()
-        assert scenario_from_dict(scenario_to_dict(sc)) == sc
+        assert scenario_from_dict(to_json(sc)) == sc
 
     def test_file_round_trip_with_open_ended_tone(self, tmp_path):
         sc = tap_cycle_scenario()
@@ -579,18 +579,18 @@ class TestScenarioJson:
         ],
     )
     def test_malformed_entries_name_their_path(self, edit, message):
-        d = scenario_to_dict(cascade_scenario())
+        d = to_json(cascade_scenario())
         edit(d)
         with pytest.raises(ValueError, match=rf"^{message}$"):
             scenario_from_dict(d)
 
     def test_notch_tuning_range_list_is_read(self):
-        d = scenario_to_dict(cascade_scenario())
+        d = to_json(cascade_scenario())
         d["stages"][0]["notch"]["f_tune_range_hz"] = [2e9, 12e9]
         assert scenario_from_dict(d).stages[0].notch.f_tune_range_hz == (2e9, 12e9)
 
     def test_unknown_controller_key_names_stage(self):
-        d = scenario_to_dict(cascade_scenario())
+        d = to_json(cascade_scenario())
         d["stages"][1]["controller"]["threshold"] = 1.0
         with pytest.raises(ValueError, match=r"^stages\[1\]\.controller: unknown key 'threshold'$"):
             scenario_from_dict(d)

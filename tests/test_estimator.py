@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import swsense
 from swsense.core import SignalDescriptor, Tone
+from swsense.coupling import ResistiveTapParams
 from swsense.errors import (
     BijectivityError,
     CalibrationRangeError,
@@ -50,6 +51,7 @@ from swsense.readout import (
     detector_ceiling_code,
     detector_floor_code,
 )
+from swsense.stub import StubParams
 
 
 class TestResolution:
@@ -453,6 +455,13 @@ class TestInputDomain:
     def test_power_accepts_the_frequency_domain_edges(self, small_cal, freq_hz):
         assert estimate_power(TapCodes(0.0, 2965, 2788, 2857, 0.0), freq_hz, small_cal) == 0.0
 
+    # Each of these used to answer -1.525 dBm, read off an edge row of the table.
+    @pytest.mark.parametrize("freq_hz", [0.5e9, 14.5e9, 15.9e9])
+    def test_power_refuses_a_frequency_outside_the_coupler_band(self, freq_hz):
+        cal = build_calibration(ChainConfig(coupling_kind="coupler"), CalibrationGrid(5e9, 7e9, 1e9, -5.0, 5.0, 5.0))
+        with pytest.raises(OutOfBandError, match=r"outside coupler band \[1\.000, 14\.000\] GHz$"):
+            estimate_power(TapCodes(0.0, 2900, 2800, 2700, 0.0), freq_hz, cal)
+
     def test_range_edges_are_in_domain(self, chain, calibration):
         full = chain.adc.full_code
         with pytest.raises(NoSignalError):
@@ -518,7 +527,76 @@ class TestPersistence:
         hdr = json.loads(hdr_p.read_text())
         hdr["freqs_hz"].reverse()
         hdr_p.write_text(json.dumps(hdr))
+        # The CSV's blocks of rows, one block per frequency, reversed with the header.
+        column_row, *rows = csv_p.read_text().splitlines()
+        n = len(hdr["powers_dbm"])
+        blocks = [rows[i : i + n] for i in range(0, len(rows), n)]
+        csv_p.write_text("\n".join([column_row, *sum(reversed(blocks), [])]) + "\n")
         with pytest.raises(ValueError, match="ascending"):
+            load_calibration(str(csv_p), str(hdr_p))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ChainConfig(tap=ResistiveTapParams(r_c=220)), ChainConfig(stub=StubParams(z0s=50))],
+        ids=["r_c=220", "z0s=50"],
+    )
+    def test_chain_with_int_values_loads_back(self, tmp_path, cfg):
+        # Equal to the default chain by value, so its header's hash is the default's.
+        assert cfg == ChainConfig() and chain_config_hash(cfg) == chain_config_hash(ChainConfig())
+        cal = build_calibration(cfg, CalibrationGrid(5e9, 7e9, 1e9, -5.0, 5.0, 5.0))
+        csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"
+        save_calibration(cal, str(csv_p), str(hdr_p))
+        back = load_calibration(str(csv_p), str(hdr_p))
+        assert back.cfg == cal.cfg
+        for name in ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2"):
+            assert np.array_equal(getattr(back, name), getattr(cal, name))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h, rows: ({k: v for k, v in h.items() if k != "freqs_hz"}, rows), r"^header: missing key 'freqs_hz'$"),
+            (lambda h, rows: (list(h), rows), r"^header: expected an object, got list$"),
+            (lambda h, rows: ({**h, "grid": "5-7 GHz"}, rows), r"^header: unknown key 'grid'$"),
+            (lambda h, rows: ({**h, "config_hash": 7}, rows), r"^config_hash: expected str, got int$"),
+            (lambda h, rows: (h, rows[1:]), r"^calibration CSV line 1 must be freq_hz,power_dbm,att_db,code_oc,code_l1,code_l2$"),
+            (
+                lambda h, rows: (h, [rows[0], ["7100000000.0", *rows[1][1:]], *rows[2:]]),
+                r"^calibration CSV line 2: \(7100000000\.0 Hz, -5\.0 dBm\) is not grid cell \(5000000000\.0 Hz, -5\.0 dBm\)$",
+            ),
+            (lambda h, rows: (h, [rows[0], rows[1][:5], *rows[2:]]), r"^calibration CSV line 2: expected 6 cells, got 5$"),
+            (
+                lambda h, rows: (h, [rows[0], [*rows[1][:3], "x", *rows[1][4:]], *rows[2:]]),
+                r"^calibration CSV line 2: invalid literal for int\(\) with base 10: 'x'$",
+            ),
+            (
+                lambda h, rows: (h, [rows[0], [*rows[1][:3], "9" * 20, *rows[1][4:]], *rows[2:]]),
+                r"^calibration codes outside the ADC range \[0, 4095\]$",
+            ),
+            (
+                lambda h, rows: (h, [rows[0], [*rows[1][:2], "0.3", *rows[1][3:]], *rows[2:]]),
+                r"^calibration CSV line 2: att_db=0\.3 is not a multiple of 0\.25",
+            ),
+            (
+                lambda h, rows: (h, [rows[0], rows[2], rows[1], *rows[3:]]),
+                r"^calibration CSV line 2: \(5000000000\.0 Hz, 0\.0 dBm\) is not grid cell \(5000000000\.0 Hz, -5\.0 dBm\)$",
+            ),
+            (lambda h, rows: (h, rows[:-1]), r"^calibration CSV has 8 rows for the 9 cells of its header's grid$"),
+            (lambda h, rows: (h, [*rows, rows[-1]]), r"^calibration CSV has 10 rows for the 9 cells of its header's grid$"),
+        ],
+        ids=[
+            "header-missing-key", "header-list", "header-unknown-key", "header-mistyped-key", "no-column-row",
+            "row-off-grid", "short-row", "code-not-a-number", "code-past-int64", "att-not-a-setting", "rows-out-of-order",
+            "missing-row", "extra-row",
+        ],
+    )
+    def test_malformed_file_is_a_value_error(self, tmp_path, small_cal, edit, message):
+        csv_p, hdr_p = tmp_path / "cal.csv", tmp_path / "cal.json"
+        save_calibration(small_cal, str(csv_p), str(hdr_p))
+        rows = [line.split(",") for line in csv_p.read_text().splitlines()]
+        hdr, rows = edit(json.loads(hdr_p.read_text()), rows)
+        hdr_p.write_text(json.dumps(hdr))
+        csv_p.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=message):
             load_calibration(str(csv_p), str(hdr_p))
 
     def test_empty_table_rejected(self, small_cal):

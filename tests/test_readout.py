@@ -33,7 +33,6 @@ from swsense.readout import (
     adc_sample,
     chain_config_from_dict,
     chain_config_hash,
-    chain_config_to_dict,
     chain_codes_cw,
     chain_readout,
     chain_readout_lines,
@@ -275,12 +274,25 @@ class TestConfigPersistence:
         other = ChainConfig(adc=AdcParams(bits=10))
         assert chain_config_hash(other) != h
 
+    @pytest.mark.parametrize(
+        "cfg", [ChainConfig(tap=ResistiveTapParams(r_c=220)), ChainConfig(stub=StubParams(z0s=50))], ids=["r_c", "z0s"]
+    )
+    def test_hash_is_a_function_of_the_value(self, cfg):
+        # An int where the codec reads a float: equal by value, so one hash.
+        assert cfg == ChainConfig() and chain_config_hash(cfg) == "23e0f5265ca1cbe8"
+
+    def test_tap_chain_refuses_a_coupler_block(self):
+        with pytest.raises(ValueError, match=r"^coupler must be null on a tap chain"):
+            ChainConfig(coupler=DirectionalCouplerParams(coupling_db=-10.0))
+        with pytest.raises(ValueError, match=r"^chain: coupler must be null on a tap chain"):
+            chain_config_from_dict({"coupler": {"coupling_db": -10.0}})
+
     def test_dict_round_trip(self, chain):
-        assert chain_config_from_dict(chain_config_to_dict(chain)) == chain
+        assert chain_config_from_dict(to_json(chain)) == chain
 
     @pytest.mark.parametrize("block", ["tap", "attenuator", "amplifier", "detector", "adc"])
     def test_unknown_block_key_names_block_and_key(self, chain, block):
-        d = chain_config_to_dict(chain)
+        d = to_json(chain)
         d[block]["settle_time"] = 5e-8
         with pytest.raises(ValueError, match=rf"^chain\.{block}: unknown key 'settle_time'$"):
             chain_config_from_dict(d)
@@ -288,7 +300,7 @@ class TestConfigPersistence:
     def test_partial_coupler_block_takes_defaults(self):
         cfg = chain_config_from_dict({"coupling_kind": "coupler", "coupler": {"coupling_db": -12.0}})
         assert cfg.coupler == DirectionalCouplerParams(coupling_db=-12.0)
-        table = {"coupler": {"insertion_db": [[1e9, 0.5], [14e9, 1.0]]}}
+        table = {"coupling_kind": "coupler", "coupler": {"insertion_db": [[1e9, 0.5], [14e9, 1.0]]}}
         assert chain_config_from_dict(table).coupler.insertion_db == ((1e9, 0.5), (14e9, 1.0))
 
     @pytest.mark.parametrize(
@@ -312,7 +324,7 @@ class TestConfigPersistence:
         ],
     )
     def test_stub_block_keys_checked(self, chain, edit, message):
-        d = chain_config_to_dict(chain)
+        d = to_json(chain)
         edit(d)
         with pytest.raises(ValueError, match=message):
             chain_config_from_dict(d)
@@ -550,7 +562,7 @@ class TestConstantsAtConstruction:
         assert chain_readout_lines([(8e9, 1e-2)], cfg, 0.0).code_oc < chain_readout_lines([(8e9, 1e-2)], chain, 0.0).code_oc
 
     def test_from_dict_recomputes(self, chain):
-        d = chain_config_to_dict(chain)
+        d = to_json(chain)
         d["tap"]["r_c"] = 100.0
         d["adc"]["bits"] = 10
         d["stub"]["taps"][0]["f_max"] = 12e9
@@ -568,10 +580,9 @@ class TestConstantsAtConstruction:
         assert cfg._stub_band_hz == 12e9 and chain._stub_band_hz == 16e9
         assert cfg._det_law == (0.05, 0.5, 0.3, 0.8)
         assert cfg._adc_codes == (1.398 / 64, 63)
-        # A tap chain that carries coupler params still reads through its tap.
-        tap = replace(chain, coupler=DirectionalCouplerParams())
-        assert tap._coupler is None
-        assert chain_readout_lines([(8e9, 1e-3)], tap, 0.0) == chain_readout_lines([(8e9, 1e-3)], chain, 0.0)
+        # A tap chain refuses coupler params rather than reading through its tap.
+        with pytest.raises(ValueError, match=r"^coupler must be null on a tap chain"):
+            replace(chain, coupler=DirectionalCouplerParams())
 
     def test_not_in_json_repr_or_equality(self, chain):
         derived = {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w", "_coupler", "_stub_band_hz", "_det_law", "_adc_codes"}
