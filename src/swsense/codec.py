@@ -17,18 +17,35 @@ import dataclasses
 import functools
 import json
 import math
+import types
 import typing
+from itertools import repeat
 
 # The Python types a JSON value may have, per scalar annotation.
 _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,), type(None): (type(None),)}
 
 
-def to_json(obj):
-    """JSON-able form of a config value: dataclasses by field, tuples as lists, inf as None."""
+def to_json(obj, tp=None):
+    """JSON-able form of a config value: dataclasses by field, tuples as lists, inf as None.
+
+    tp is obj's annotation, which a dataclass passes down to each field.
+    Where it says float, a number is written as a float, as from_json
+    reads it back, so equal values write equal JSON: "r_c": 220.0 whether
+    the block was given 220 or 220.0.
+    """
     if dataclasses.is_dataclass(obj):
-        return {key: to_json(getattr(obj, name)) for key, (name, _, _) in _schema(type(obj)).items()}
+        return {key: to_json(getattr(obj, name), t) for key, (name, t, _) in _schema(type(obj)).items()}
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # the arm _decode would read obj's JSON with
+        tp = next((arm for arm in typing.get_args(tp) if _accepts(arm, obj)), None)
     if isinstance(obj, (tuple, list)):
-        return [to_json(x) for x in obj]
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin is list or args[-1:] == (Ellipsis,):  # list[X] or tuple[X, ...]
+            args = repeat(args[0])
+        elif origin is not tuple or len(args) != len(obj):  # not a fixed tuple of this length
+            args = repeat(None)
+        return [to_json(x, t) for x, t in zip(obj, args)]
+    if tp is float and isinstance(obj, (int, float)):
+        obj = float(obj)
     if isinstance(obj, float) and math.isinf(obj):
         return None
     return obj
@@ -71,9 +88,13 @@ def save(obj, path: str) -> None:
 
 
 def load(cls, path: str, where: str, *, root: bool = False):
-    """cls from the JSON file at path, checked as from_json checks it; a file that is not JSON is a ValueError."""
+    """cls from the JSON file at path, checked as from_json checks it; a file that is not JSON is a ValueError naming path."""
     with open(path) as fh:
-        return from_json(cls, json.load(fh), where, root=root)
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return from_json(cls, d, where, root=root)
 
 
 @functools.cache

@@ -131,18 +131,24 @@ def agc_policy(
     """
     step = chain.attenuator.step_db
     max_db = chain.attenuator.max_db
+    if not (getattr(code_oc, "ndim", 0) or getattr(att_db, "ndim", 0)):
+        # One reading, once per sample: Python's round and comparisons give
+        # the same setting as numpy's rint and clip below, at a fraction of
+        # their cost (up and down exclude each other).
+        if code_oc > ctrl.agc_high_code:
+            if not att_db < max_db - 1e-9:
+                return att_db
+            moved = round((att_db + step) / step) * step
+        elif ctrl.agc_floor_code < code_oc < ctrl.agc_low_code and att_db > 1e-9:
+            moved = round((att_db - step) / step) * step
+        else:
+            return att_db
+        return moved if 0.0 <= moved <= max_db else (0.0 if moved < 0.0 else max_db)
     up = (code_oc > ctrl.agc_high_code) & (att_db < max_db - 1e-9)
     down = (ctrl.agc_floor_code < code_oc) & (code_oc < ctrl.agc_low_code) & (att_db > 1e-9)
     steps = 1 * up - 1 * down
-    if isinstance(steps, np.ndarray):
-        moved = np.clip(np.rint((att_db + step * steps) / step) * step, 0.0, max_db)
-        return np.where(steps != 0, moved, att_db)
-    # One reading, once per sample: Python's round and comparisons give the
-    # same setting as numpy's rint and clip, at a fraction of their cost.
-    if not steps:
-        return att_db
-    moved = round((att_db + step * steps) / step) * step
-    return moved if 0.0 <= moved <= max_db else (0.0 if moved < 0.0 else max_db)
+    moved = np.clip(np.rint((att_db + step * steps) / step) * step, 0.0, max_db)
+    return np.where(steps != 0, moved, att_db)
 
 
 def settle_cw(

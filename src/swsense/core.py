@@ -1,4 +1,4 @@
-"""Signal descriptions and power unit conversions.
+"""Signal descriptions, power unit conversions and scalar interpolation.
 
 Narrowband sources are described as tones with dBm powers. A modulated
 carrier is approximated by a flat comb of subtones spanning its occupied
@@ -9,6 +9,7 @@ combine power-wise everywhere downstream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -38,6 +39,31 @@ def watts_to_dbm(p_w: float) -> float:
     if p_w <= 0.0:
         raise ValueError(f"power must be positive, got {p_w} W")
     return 10.0 * math.log10(p_w / 1e-3)
+
+
+def interp(x: float, xs, ys) -> float:
+    """float(np.interp(x, xs, ys)) for one float x, on sequences of Python floats.
+
+    xs ascends, repeats allowed. The branches are numpy's, in its order:
+    ys[0] below xs[0], ys[-1] at or past xs[-1], ys[j] exactly on xs[j],
+    otherwise the same slope and the same arithmetic, for finite xs and ys
+    (numpy's retries after a NaN slope, which only infinite values give,
+    are not ported). A NaN x gives NaN, or ys[0] when xs has one point, as
+    numpy answers it, equal ys included.
+    A bisection over plain floats costs a fraction of numpy's per-call
+    overhead, so the per-reading lookups use this and arrays np.interp.
+    """
+    j = bisect_right(xs, x)
+    if j == len(xs):
+        return ys[-1] if x >= xs[-1] or j == 1 else x  # only a NaN x fails both
+    if not j:
+        return ys[0]
+    j -= 1
+    x0 = xs[j]
+    if x == x0:
+        return ys[j]
+    y0 = ys[j]
+    return (ys[j + 1] - y0) / (xs[j + 1] - x0) * (x - x0) + y0
 
 
 @dataclass(frozen=True)

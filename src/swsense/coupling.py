@@ -12,11 +12,12 @@ the forward and reflected waves alike, so its directivity is 0 dB.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_positive
+from .core import check_positive, interp
 from .errors import OutOfBandError
 
 
@@ -36,8 +37,9 @@ Table = float | tuple[tuple[float, float], ...]
 
 
 # A table converted once for evaluation: a flat float, or its breakpoints
-# sorted into (frequencies, values) arrays.
-Points = float | tuple[np.ndarray, np.ndarray]
+# sorted into (frequencies, values) array('d')s, which interp reads as
+# Python floats and np.interp as float64 arrays.
+Points = float | tuple[array, array]
 
 
 def frozen_table(name: str, table) -> Table:
@@ -61,7 +63,7 @@ def table_points(table: Table) -> Points:
     if isinstance(table, (int, float)):
         return float(table)
     pts = sorted(table)
-    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    return array("d", [p[0] for p in pts]), array("d", [p[1] for p in pts])
 
 
 def table_value(points: Points, f_hz: float | np.ndarray) -> float | np.ndarray:
@@ -70,7 +72,7 @@ def table_value(points: Points, f_hz: float | np.ndarray) -> float | np.ndarray:
         return points
     if isinstance(f_hz, np.ndarray):
         return np.interp(f_hz, *points)
-    return float(np.interp(f_hz, *points))
+    return interp(float(f_hz), *points)
 
 
 # The three tables of a DirectionalCouplerParams.
@@ -126,7 +128,12 @@ def tap_dissipation(p: ResistiveTapParams, p_in_dbm: float) -> float:
 
 
 def tap_input_limit_dbm(p: ResistiveTapParams, package_limit_w: float) -> float:
-    """Largest input power (dBm) keeping the tap resistor within a package rating."""
+    """Largest input power (dBm) keeping the tap resistor within a package rating.
+
+    package_limit_w must be positive and finite, else ValueError.
+    """
+    if not 0.0 < package_limit_w < math.inf:
+        raise ValueError(f"package_limit_w must be positive and finite, got {package_limit_w!r}")
     one_watt_in = tap_dissipation(p, 30.0)  # dissipation at 1 W input
     return 30.0 + 10.0 * math.log10(package_limit_w / one_watt_in)
 

@@ -16,12 +16,12 @@ import csv
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .codec import load, save
-from .core import watts_to_dbm
+from .core import interp, watts_to_dbm
 from .errors import (
     BijectivityError,
     CalibrationRangeError,
@@ -112,8 +112,9 @@ class CalibrationTable:
     cfg: ChainConfig = field(repr=False)
     floor_code: int = field(init=False, repr=False)
     ceiling_code: int = field(init=False, repr=False)
-    # Stub power (dBm) implied by each open-end code 0..full_code.
-    stub_dbm: np.ndarray = field(init=False, repr=False)
+    # Stub power (dBm) implied by each open-end code 0..full_code, as a
+    # read-only float64 memoryview, which indexes to Python floats.
+    stub_dbm: memoryview = field(init=False, repr=False, compare=False)
     # Attenuation-compensated stub level of every cell, stub_dbm[code_oc] + att_db.
     stub_level: np.ndarray = field(init=False, repr=False)
     # Per tap, the number of leading grid rows (f <= the tap's f_max) it resolves.
@@ -121,6 +122,11 @@ class CalibrationTable:
     grid_step_hz: float = field(init=False, repr=False)
     # freqs_hz as a list, for bisect.
     freqs_list: list[float] = field(init=False, repr=False, compare=False)
+    # Read-only memoryviews of each row of stub_level and of powers_dbm,
+    # sharing their memory, which interp reads per reading without making
+    # numpy scalars.
+    stub_rows: tuple[memoryview, ...] = field(init=False, repr=False, compare=False)
+    powers_view: memoryview = field(init=False, repr=False, compare=False)
     # Per tap, the refinement's front for each open-end code, built on first
     # use (see _front); equal fronts are one object, kept in shared_fronts.
     fronts: tuple[dict, ...] = field(init=False, repr=False, compare=False)
@@ -139,19 +145,31 @@ class CalibrationTable:
                 raise ValueError(f"calibration codes outside the ADC range [0, {full}]")
         self.floor_code = detector_floor_code(cfg)
         self.ceiling_code = detector_ceiling_code(cfg)
-        self.stub_dbm = _stub_dbm(cfg)
-        self.stub_level = self.stub_dbm[self.code_oc] + self.att_db
+        stub_dbm = _stub_dbm(cfg)
+        self.stub_level = stub_dbm[self.code_oc] + self.att_db
         self.tap_rows = tuple(
             int(np.searchsorted(f, t.f_max_hz * (1.0 + 1e-12), side="right")) for t in cfg.stub.taps
         )
         self.grid_step_hz = float(f[1] - f[0]) if len(f) > 1 else 0.0
         self.freqs_list = f.tolist()
+        self.stub_dbm = _view(stub_dbm)
+        self.stub_rows = tuple(map(_view, self.stub_level))
+        self.powers_view = _view(self.powers_dbm)
         self.fronts = tuple({} for _ in self.tap_rows)
         self.shared_fronts = {}
         # The fronts are derived from these arrays, so no one may change them.
-        for a in (f, self.powers_dbm, self.att_db, self.code_oc, self.code_l1, self.code_l2,
-                  self.stub_dbm, self.stub_level):
+        for a in (f, self.powers_dbm, self.att_db, self.code_oc, self.code_l1, self.code_l2, self.stub_level):
             a.flags.writeable = False
+
+    def __reduce__(self):
+        # Memoryviews do not pickle: a table pickles as the fields it is made
+        # from, and the copy derives the rest, with empty fronts.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+def _view(a: np.ndarray) -> memoryview:
+    """A read-only memoryview of a 1-D array's values as float64, sharing its memory when it is float64."""
+    return memoryview(np.asarray(a, dtype=float)).toreadonly()
 
 
 def default_grid_for(cfg: ChainConfig) -> CalibrationGrid:
@@ -332,8 +350,9 @@ def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:
     open-end code best matches code_oc_obs is selected, and the rows where
     the tap is above its floor give delta = code_tap - code_oc. A row stays
     when its delta is below every delta before it. Returns (lowest delta,
-    highest delta, -deltas ascending, frequencies), or () when fewer than
-    two rows stay. Built once per (tap, code) and kept on the table.
+    highest delta, -deltas ascending, frequencies), the last two as
+    read-only memoryviews for interp, or () when fewer than two rows stay.
+    Built once per (tap, code) and kept on the table.
     """
     fronts = cal.fronts[tap_idx]
     front = fronts.get(code_oc_obs)
@@ -355,7 +374,7 @@ def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:
         if len(keep_d) >= 2:
             d_arr = -keep_d.astype(float)  # ascending for interp
             front = cal.shared_fronts.setdefault(
-                (d_arr.tobytes(), keep_f.tobytes()), (int(keep_d[-1]), int(keep_d[0]), d_arr, keep_f)
+                (d_arr.tobytes(), keep_f.tobytes()), (int(keep_d[-1]), int(keep_d[0]), _view(d_arr), _view(keep_f))
             )
     fronts[code_oc_obs] = front
     return front
@@ -378,7 +397,7 @@ def _refine_against_table(
     front = _front(cal, tap_idx, code_oc_obs)
     if not front or not front[0] <= delta_obs <= front[1]:
         return f_closed_hz
-    refined = float(np.interp(-float(delta_obs), front[2], front[3]))
+    refined = interp(-float(delta_obs), front[2], front[3])
     if cal.grid_step_hz and abs(refined - f_closed_hz) > 2.0 * cal.grid_step_hz:
         return f_closed_hz
     return refined
@@ -387,10 +406,11 @@ def _refine_against_table(
 def check_codes(codes: TapCodes, cfg: ChainConfig) -> None:
     """ValueError unless all three codes are ADC codes and att_db a setting."""
     full = cfg.adc.full_code
-    for name, c in (("code_oc", codes.code_oc), ("code_l1", codes.code_l1), ("code_l2", codes.code_l2)):
+    _, oc, l1, l2, att = codes
+    for name, c in (("code_oc", oc), ("code_l1", l1), ("code_l2", l2)):
         if not (isinstance(c, (int, np.integer)) and 0 <= c <= full):
             raise ValueError(f"{name}={c!r} is not an ADC code in [0, {full}]")
-    cfg.attenuator.check_setting(codes.att_db)
+    cfg.attenuator.check_setting(att)
 
 
 def estimate_frequency(
@@ -474,13 +494,13 @@ def _power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> float:
         raise PowerOverrangeError("open-end saturated with attenuator at maximum")
 
     i0 = _nearest_row(cal.freqs_list, freq_hz)
-    s_row = cal.stub_level[i0]
+    s_row = cal.stub_rows[i0]
     s_obs = cal.stub_dbm[codes.code_oc] + codes.att_db
-    p_row = cal.powers_dbm
     if s_row[0] < s_obs < s_row[-1]:
-        return float(np.interp(s_obs, s_row, p_row))
-    # np.interp clamps at the ends; extend the row linearly instead, along
+        return interp(s_obs, s_row, cal.powers_view)
+    # interp clamps at the ends; extend the row linearly instead, along
     # the edge column and the nearest column whose level differs from it.
+    s_row, p_row = cal.stub_level[i0], cal.powers_dbm
     edge = 0 if s_obs <= s_row[0] else len(s_row) - 1
     differ = np.flatnonzero(s_row != s_row[edge])
     if not differ.size:

@@ -111,8 +111,11 @@ def tune(model: NotchModel, f_target_hz: float, t_s: float) -> FilterState:
     """Engage (or retune) the notch toward f_target_hz starting at time t_s.
 
     The transition clock restarts on every retune; until it expires the
-    notch is transparent at all frequencies.
+    notch is transparent at all frequencies. A t_s that is not finite is a
+    ValueError.
     """
+    if not math.isfinite(t_s):
+        raise ValueError(f"t_s={t_s!r} is not a finite time")
     lo, hi = model.f_tune_range_hz
     if not lo <= f_target_hz <= hi:
         raise TuningRangeError(

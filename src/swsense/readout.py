@@ -481,6 +481,6 @@ def load_chain_config(path: str) -> ChainConfig:
 
 
 def chain_config_hash(cfg: ChainConfig) -> str:
-    """Stable short hash of a chain's value, in the form the codec reads back, for calibration headers."""
-    blob = json.dumps(to_json(chain_config_from_dict(to_json(cfg))), sort_keys=True).encode()
+    """Stable short hash of a chain's value, its JSON form (equal chains write equal JSON), for calibration headers."""
+    blob = json.dumps(to_json(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -402,6 +402,13 @@ class TestSimulate:
         assert capsys.readouterr().err == f"swsense: {err}\n"
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_scenario_that_is_not_json_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"a": }')
+        assert run_cli(tmp_path, "simulate", str(path)) == 2
+        assert capsys.readouterr().err == f"swsense: {path}: Expecting value: line 1 column 7 (char 6)\n"
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "simulate", str(tmp_path / "nope.json")) == 2
         assert "swsense:" in capsys.readouterr().err
@@ -522,6 +529,19 @@ class TestConfigPlumbing:
         path.write_text(json.dumps(cfg))
         assert run_cli(tmp_path, "--config", str(path), "place-nodes") == 2
         assert capsys.readouterr().err == f"swsense: {err}\n"
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_config_that_is_not_json_names_its_file(self, tmp_path, capsys, monkeypatch, env):
+        # With $SWSENSE_CONFIG set, the path tells a broken config from a broken scenario.
+        path = tmp_path / "bad.json"
+        path.write_text('{"a": }')
+        argv = ["resolution", "--freq", "8e9"]
+        if env:
+            monkeypatch.setenv("SWSENSE_CONFIG", str(path))
+        else:
+            argv = ["--config", str(path), *argv]
+        assert run_cli(tmp_path, *argv) == 2
+        assert capsys.readouterr() == ("", f"swsense: {path}: Expecting value: line 1 column 7 (char 6)\n")
 
     def test_partial_coupler_block(self, tmp_path, capsys):
         cfg = {"chain": {"coupling_kind": "coupler", "coupler": {"coupling_db": -15.0}}}

@@ -15,7 +15,7 @@ from swsense.codec import from_json, to_json
 from swsense.controller import ControllerConfig
 from swsense.core import Tone
 from swsense.coupling import DirectionalCouplerParams, ResistiveTapParams
-from swsense.engine import Scenario, StageSpec, load_scenario, save_scenario, scenario_from_dict
+from swsense.engine import Metrics, Scenario, StageSpec, load_scenario, save_scenario, scenario_from_dict
 from swsense.filters import NotchModel
 from swsense.readout import (
     AdcParams,
@@ -198,6 +198,55 @@ class TestFileRoundTrip:
         back = load_scenario(path)
         assert back == sc
         assert [chain_config_hash(s.chain) for s in back.stages] == [chain_config_hash(s.chain) for s in sc.stages]
+
+
+int_points = st.lists(st.tuples(st.integers(10**8, 2 * 10**10), st.integers(-100, 100)), min_size=1, max_size=4).map(
+    tuple
+)
+
+
+class TestFloatForm:
+    """A number in a float field is written as a float, so equal values write equal bytes."""
+
+    def test_int_resistance_saves_the_default_chains_bytes(self, tmp_path):
+        a, b = tmp_path / "int.json", tmp_path / "float.json"
+        save_chain_config(ChainConfig(tap=ResistiveTapParams(r_c=220, z0=50)), str(a))
+        save_chain_config(ChainConfig(), str(b))
+        assert a.read_bytes() == b.read_bytes()
+        assert '"r_c": 220.0' in a.read_text()
+
+    def test_int_table_items_are_written_as_floats(self):
+        cfg = ChainConfig(
+            coupling_kind="coupler",
+            coupler=DirectionalCouplerParams(coupling_db=-15, insertion_db=((10**9, 1), (14 * 10**9, 2))),
+            gain_ripple=((10**9, 0),),
+        )
+        d = to_json(cfg)
+        assert json.dumps(d["coupler"]["coupling_db"]) == "-15.0"
+        assert json.dumps(d["coupler"]["insertion_db"]) == "[[1000000000.0, 1.0], [14000000000.0, 2.0]]"
+        assert json.dumps(d["gain_ripple"]) == "[[1000000000.0, 0.0]]"
+        assert json.dumps(d["adc"]["bits"]) == "12"  # an int field stays an int
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_list_items_are_written_as_floats_at_any_length(self, n):
+        d = to_json(Metrics(final_output_dbm=list(range(n)), suppression_db=[*range(n - 1), None]))
+        assert json.dumps(d["final_output_dbm"]) == json.dumps([float(i) for i in range(n)])
+        assert json.dumps(d["suppression_db"]) == json.dumps([*map(float, range(n - 1)), None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(chains(), st.none() | st.integers(1, 10**4), st.none() | int_points, st.none() | int_points)
+    def test_json_form_is_its_own_round_trip(self, cfg, r_c, ripple, coupling):
+        # chain_config_hash hashes to_json(cfg) directly, so this must hold with ints anywhere a float goes.
+        if r_c is not None:
+            cfg = replace(cfg, tap=ResistiveTapParams(r_c, cfg.tap.z0))
+        if ripple is not None:
+            cfg = replace(cfg, gain_ripple=ripple)
+        if coupling is not None and cfg.coupling_kind == "coupler":
+            cfg = replace(cfg, coupler=replace(cfg.coupler, coupling_db=coupling))
+        text = json.dumps(to_json(cfg), sort_keys=True)
+        back = chain_config_from_dict(json.loads(text))
+        assert back == cfg
+        assert json.dumps(to_json(back), sort_keys=True) == text
 
 
 class TestValues:

@@ -1,6 +1,8 @@
 import math
+from array import array
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from swsense.core import (
     dbm_to_watts,
     expand_modulated,
     expand_signal,
+    interp,
     watts_to_dbm,
 )
 
@@ -162,3 +165,36 @@ class TestStoredLines:
         moved = replace(sig, tones=(comb,))
         assert moved.lines == tuple(expand_modulated(comb)) != sig.lines
         assert len(moved.lines) == 3
+
+
+# Ascending breakpoints: any floats, integer-valued ones like a front's
+# deltas, and repeated ones, which a coupler table may hold.
+_breakpoints = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+    st.lists(st.integers(-40, 40).map(float), min_size=1, max_size=12),
+    st.lists(st.sampled_from([-2.5, 0.0, 0.5, 7.0]), min_size=1, max_size=12),
+).map(sorted)
+
+
+@given(_breakpoints, st.data())
+def test_interp_is_np_interp(xs, data):
+    ys = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xs), max_size=len(xs)))
+    mids = [a + u * (b - a) for a, b in zip(xs, xs[1:]) for u in (0.25, 0.5, 0.9)]
+    near = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+    queries = [xs[0] - 1.0, *xs, *mids, *near, xs[-1] + 1.0, data.draw(st.floats(-2e6, 2e6))]
+    xa, ya = array("d", xs), array("d", ys)
+    for q in queries:
+        want = float(np.interp(q, np.array(xs), np.array(ys)))
+        assert interp(q, xa, ya).hex() == want.hex(), (q, xs, ys)
+        assert interp(q, xs, ys).hex() == want.hex(), (q, xs, ys)  # plain lists read alike
+
+
+@pytest.mark.parametrize("xs", [[1.0], [1.0, 2.0], [1.0, 1.0, 3.0], [1e9, 14e9], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+@pytest.mark.parametrize("flat", [False, True])
+def test_interp_of_nan_is_np_interp(xs, flat):
+    # Equal ys too: numpy answers a NaN x with NaN before any slope, so its
+    # equal-ys fallback for a NaN slope never applies to it.
+    ys = [5.0 if flat else float(i + 5) for i in range(len(xs))]
+    want = float(np.interp(math.nan, xs, ys))
+    got = interp(math.nan, array("d", xs), array("d", ys))
+    assert got == want or (math.isnan(got) and math.isnan(want))

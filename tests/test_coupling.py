@@ -104,6 +104,13 @@ def test_input_limit_matches_dissipation():
     assert tap_dissipation(p, 20.0) < 0.05
 
 
+@pytest.mark.parametrize("limit_w", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_input_limit_refuses_a_package_limit_by_name(limit_w):
+    # -1.0 W once raised a bare "math domain error"; inf answered inf dBm.
+    with pytest.raises(ValueError, match=rf"^package_limit_w must be positive and finite, got {limit_w!r}$"):
+        tap_input_limit_dbm(ResistiveTapParams(), limit_w)
+
+
 class TestCoupler:
     def test_insertion_interpolates(self):
         p = DirectionalCouplerParams()

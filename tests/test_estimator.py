@@ -359,13 +359,17 @@ class TestDegeneratePowerRows:
 
 
 class TestTableState:
-    ARRAYS = ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2", "stub_dbm", "stub_level")
+    ARRAYS = ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2", "stub_level")
 
     @pytest.mark.parametrize("name", ARRAYS)
     def test_arrays_are_read_only(self, calibration, name):
         a = getattr(calibration, name)
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+
+    def test_stub_dbm_is_read_only(self, calibration):
+        with pytest.raises(TypeError, match="read-only"):
+            calibration.stub_dbm[0] = calibration.stub_dbm[0]
 
     def test_replace_starts_with_empty_fronts(self, chain, calibration):
         codes = chain_readout(SignalDescriptor((Tone(freq_hz=3e9, power_dbm=0.0),)), chain, 0.0)

@@ -129,6 +129,12 @@ class TestTransitions:
         with pytest.raises(TuningRangeError):
             tune(m, 17e9, t_s=0.0)
 
+    @pytest.mark.parametrize("t_s", [math.nan, math.inf, -math.inf])
+    def test_time_that_is_not_finite_is_refused(self, t_s):
+        # A NaN start once gave an engaged notch whose transition never ended.
+        with pytest.raises(ValueError, match=rf"^t_s={t_s!r} is not a finite time$"):
+            tune(NotchModel(), 6e9, t_s=t_s)
+
 
 class TestCascade:
     def test_two_stage_depth_adds_in_db(self):
