@@ -47,6 +47,9 @@ class _Config:
     chain: ChainConfig = field(default_factory=ChainConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
 
+    def __post_init__(self):
+        self.controller.check_chain(self.chain)
+
 
 def _build(path: str | None) -> tuple[ChainConfig, ControllerConfig]:
     """(chain, controller) from a config file, $SWSENSE_CONFIG or the bundled default."""

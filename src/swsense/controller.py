@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
-from .readout import ChainConfig, TapCodes, chain_codes_cw, detector_floor_code
+from .readout import ChainConfig, TapCodes, chain_codes_cw
 
 MODE_IDLE = "idle"
 MODE_ENGAGING = "engaging"
@@ -49,20 +49,20 @@ class ControllerConfig:
     The code window defaults match the default chain: agc_high_code is the
     open-end code seen at 0 dBm input with zero attenuation, so the
     attenuator starts stepping right above that input level. Readings
-    at agc_floor_code mean "no signal" and freeze the attenuator rather
-    than walking it down.
+    at the chain's floor_code mean "no signal" and freeze the attenuator
+    rather than walking it down.
 
     Domain, enforced with ValueError: threshold_dbm is not NaN,
     clock_period is positive and finite (an action takes effect after the
     sample that decided it), retune_deadband_hz >= 0, switch_freq_hz is None
-    or positive and finite, and agc_floor_code < agc_low_code <=
-    agc_high_code.
+    or positive and finite, and agc_low_code <= agc_high_code. Where the
+    controller meets its chain (build_calibration, StageSpec), check_chain
+    also requires agc_low_code above the chain's floor_code.
     """
 
     threshold_dbm: float = 0.0
     agc_high_code: int = 2965
     agc_low_code: int = 2815
-    agc_floor_code: int = 757
     clock_period: float = 200e-9
     retune_deadband_hz: float = 400e6
     switch_freq_hz: float | None = None
@@ -76,22 +76,20 @@ class ControllerConfig:
             raise ValueError(f"retune_deadband_hz must be >= 0, got {self.retune_deadband_hz!r}")
         if self.switch_freq_hz is not None and not 0.0 < self.switch_freq_hz < math.inf:
             raise ValueError(f"switch_freq_hz must be null or positive and finite, got {self.switch_freq_hz!r}")
-        if not self.agc_floor_code < self.agc_low_code <= self.agc_high_code:
-            raise ValueError(
-                "need agc_floor_code < agc_low_code <= agc_high_code, got "
-                f"{self.agc_floor_code}, {self.agc_low_code}, {self.agc_high_code}"
-            )
+        if not self.agc_low_code <= self.agc_high_code:
+            raise ValueError(f"need agc_low_code <= agc_high_code, got {self.agc_low_code}, {self.agc_high_code}")
+
+    def check_chain(self, cfg: ChainConfig) -> None:
+        """ValueError unless agc_low_code lies above cfg's floor_code, the code that means no signal."""
+        if not self.agc_low_code > cfg.floor_code:
+            raise ValueError(f"agc_low_code={self.agc_low_code} must lie above the chain's floor_code={cfg.floor_code}")
 
     @staticmethod
     def for_chain(cfg: ChainConfig) -> "ControllerConfig":
         """The code window of a chain: _AGC_WINDOW_CODES wide, its top the open-end code at _AGC_PROBE_DBM."""
         f_probe = cfg.stub.taps[0].f_max_hz / 2.0
         high = int(chain_codes_cw(f_probe, _AGC_PROBE_DBM, 0.0, cfg)[0])
-        return ControllerConfig(
-            agc_high_code=high,
-            agc_low_code=high - _AGC_WINDOW_CODES,
-            agc_floor_code=detector_floor_code(cfg),
-        )
+        return ControllerConfig(agc_high_code=high, agc_low_code=high - _AGC_WINDOW_CODES)
 
 
 class ControllerState(NamedTuple):
@@ -139,13 +137,13 @@ def agc_policy(
             if not att_db < max_db - 1e-9:
                 return att_db
             moved = round((att_db + step) / step) * step
-        elif ctrl.agc_floor_code < code_oc < ctrl.agc_low_code and att_db > 1e-9:
+        elif chain.floor_code < code_oc < ctrl.agc_low_code and att_db > 1e-9:
             moved = round((att_db - step) / step) * step
         else:
             return att_db
         return moved if 0.0 <= moved <= max_db else (0.0 if moved < 0.0 else max_db)
     up = (code_oc > ctrl.agc_high_code) & (att_db < max_db - 1e-9)
-    down = (ctrl.agc_floor_code < code_oc) & (code_oc < ctrl.agc_low_code) & (att_db > 1e-9)
+    down = (chain.floor_code < code_oc) & (code_oc < ctrl.agc_low_code) & (att_db > 1e-9)
     steps = 1 * up - 1 * down
     moved = np.clip(np.rint((att_db + step * steps) / step) * step, 0.0, max_db)
     return np.where(steps != 0, moved, att_db)
@@ -263,11 +261,11 @@ def on_sample(
     actions = [Action(ACT_SET_ATT, effective_at, att_db=att_cmd)] if stepped else []
 
     diagnostic = None
-    if codes.code_oc >= cal.ceiling_code and st.att_db >= chain.attenuator.max_db:
+    if codes.code_oc >= chain.ceiling_code and st.att_db >= chain.attenuator.max_db:
         diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
 
     frozen = st.freeze_samples > 0
-    no_signal = not frozen and codes.code_oc <= cal.floor_code
+    no_signal = not frozen and codes.code_oc <= chain.floor_code
     est: Estimate | None = None
     if not (frozen or no_signal):
         try:

@@ -27,10 +27,10 @@ def check_watts(p_dbm: float) -> None:
 
 
 def check_positive(obj, *names: str) -> None:
-    """ValueError naming the first of obj's fields that is not positive and finite; NaN is neither."""
+    """ValueError naming the first of obj's fields that is not positive and finite; NaN is neither, nor is a bool."""
     for name in names:
         x = getattr(obj, name)
-        if not 0.0 < x < math.inf:
+        if isinstance(x, bool) or not 0.0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 

@@ -120,11 +120,18 @@ def tap_dissipation(p: ResistiveTapParams, p_in_dbm: float) -> float:
 
     The dissipated fraction of the incident power is k^2 * r_c*z0/(r_c+z0)^2
     with k the through-line voltage transfer; it does not depend on drive
-    level, so the result is linear in the input power.
+    level, so the result is linear in the input power. p_in_dbm must be
+    finite with watts that fit a float, else ValueError naming it.
     """
+    if not math.isfinite(p_in_dbm):
+        raise ValueError(f"p_in_dbm must be finite, got {p_in_dbm!r}")
+    try:
+        ratio = 10.0 ** (p_in_dbm / 10.0)
+    except OverflowError:
+        raise ValueError(f"p_in_dbm={p_in_dbm!r} is too large: its watts overflow a float") from None
     k = (2.0 * p.r_c + 2.0 * p.z0) / (2.0 * p.r_c + 3.0 * p.z0)
     fraction = k * k * p.r_c * p.z0 / (p.r_c + p.z0) ** 2
-    return fraction * 10.0 ** (p_in_dbm / 10.0) * 1e-3
+    return fraction * ratio * 1e-3
 
 
 def tap_input_limit_dbm(p: ResistiveTapParams, package_limit_w: float) -> float:

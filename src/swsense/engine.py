@@ -70,6 +70,9 @@ class StageSpec:
     notch: NotchModel = field(default_factory=NotchModel)
     electrical_delay_s: float = 0.0
 
+    def __post_init__(self):
+        self.controller.check_chain(self.chain)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -180,7 +183,7 @@ class Trace:
         return [[dict(zip(_SAMPLE_COLUMNS, (t, *v))) for times, v in stage for t in times] for stage in self.sample_runs]
 
 
-_CAL_CACHE: dict[tuple[ChainConfig, int, int, int], CalibrationTable] = {}
+_CAL_CACHE: dict[tuple[ChainConfig, int, int], CalibrationTable] = {}
 
 
 def clear_calibration_cache() -> None:
@@ -189,7 +192,7 @@ def clear_calibration_cache() -> None:
 
 def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig) -> CalibrationTable:
     """Build (or reuse, keyed by the chain's value and AGC window) the table a controller estimates against, over the chain's default grid."""
-    key = (cfg, ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code)
+    key = (cfg, ctrl.agc_high_code, ctrl.agc_low_code)
     if key not in _CAL_CACHE:
         _CAL_CACHE[key] = build_calibration(cfg, ctrl=ctrl)
     return _CAL_CACHE[key]

@@ -39,8 +39,6 @@ from .readout import (
     chain_config_hash,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
     check_stub_band,
-    detector_ceiling_code,
-    detector_floor_code,
 )
 
 CONF_IN_RANGE = "in-range"
@@ -110,8 +108,6 @@ class CalibrationTable:
     code_l1: np.ndarray
     code_l2: np.ndarray
     cfg: ChainConfig = field(repr=False)
-    floor_code: int = field(init=False, repr=False)
-    ceiling_code: int = field(init=False, repr=False)
     # Stub power (dBm) implied by each open-end code 0..full_code, as a
     # read-only float64 memoryview, which indexes to Python floats.
     stub_dbm: memoryview = field(init=False, repr=False, compare=False)
@@ -143,8 +139,6 @@ class CalibrationTable:
         for codes in (self.code_oc, self.code_l1, self.code_l2):
             if codes.size and not 0 <= codes.min() <= codes.max() <= full:
                 raise ValueError(f"calibration codes outside the ADC range [0, {full}]")
-        self.floor_code = detector_floor_code(cfg)
-        self.ceiling_code = detector_ceiling_code(cfg)
         stub_dbm = _stub_dbm(cfg)
         self.stub_level = stub_dbm[self.code_oc] + self.att_db
         self.tap_rows = tuple(
@@ -262,7 +256,8 @@ def build_calibration(
     Domain, enforced with ValueError naming the argument: cfg is a
     ChainConfig, grid is None or a CalibrationGrid (None is
     default_grid_for(cfg), the chain's usable band), and ctrl is None or a
-    ControllerConfig (None is ControllerConfig.for_chain(cfg)).
+    ControllerConfig (None is ControllerConfig.for_chain(cfg)) whose
+    agc_low_code lies above the chain's floor_code.
 
     Every cell is settled by settle_cw from zero attenuation, one block of
     whole rows per call: where the controller's own agc_policy, stepped one
@@ -283,6 +278,7 @@ def build_calibration(
         raise ValueError(f"ctrl must be None or a ControllerConfig, got {ctrl!r}")
     grid = grid or default_grid_for(cfg)
     ctrl = ctrl or ControllerConfig.for_chain(cfg)
+    ctrl.check_chain(cfg)
     freqs = grid.freqs()
     powers = grid.powers()
     nf, npow = len(freqs), len(powers)
@@ -290,7 +286,7 @@ def build_calibration(
     oc = np.zeros((nf, npow), dtype=int)
     l1 = np.zeros((nf, npow), dtype=int)
     l2 = np.zeros((nf, npow), dtype=int)
-    floor = detector_floor_code(cfg)
+    floor = cfg.floor_code
     max_db = cfg.attenuator.max_db
 
     # The coupler's lookup or the stub band refuses an out-of-band row; the
@@ -366,7 +362,7 @@ def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:
         j_star = np.abs(code_oc - code_oc_obs).argmin(axis=1)
         rows = np.arange(n)
         tap_j = code_tap[rows, j_star]
-        ok = tap_j > cal.floor_code
+        ok = tap_j > cal.cfg.floor_code
         freqs, deltas = cal.freqs_hz[:n][ok], (tap_j - code_oc[rows, j_star])[ok]
         keep = np.ones(len(deltas), dtype=bool)
         keep[1:] = deltas[1:] < np.minimum.accumulate(deltas)[:-1]
@@ -404,11 +400,11 @@ def _refine_against_table(
 
 
 def check_codes(codes: TapCodes, cfg: ChainConfig) -> None:
-    """ValueError unless all three codes are ADC codes and att_db a setting."""
+    """ValueError unless all three codes are ADC codes, each an int or numpy integer (not a bool) in [0, full_code], and att_db a setting."""
     full = cfg.adc.full_code
     _, oc, l1, l2, att = codes
     for name, c in (("code_oc", oc), ("code_l1", l1), ("code_l2", l2)):
-        if not (isinstance(c, (int, np.integer)) and 0 <= c <= full):
+        if not ((type(c) is int or isinstance(c, np.integer)) and 0 <= c <= full):
             raise ValueError(f"{name}={c!r} is not an ADC code in [0, {full}]")
     cfg.attenuator.check_setting(att)
 
@@ -434,7 +430,7 @@ def _frequency(codes: TapCodes, cal: CalibrationTable, switch_freq_hz: float | N
     """estimate_frequency for codes already checked."""
     cfg = cal.cfg
     det, adc = cfg.detector, cfg.adc
-    floor, ceiling = cal.floor_code, cal.ceiling_code
+    floor, ceiling = cfg.floor_code, cfg.ceiling_code
     if codes.code_oc <= floor:
         raise NoSignalError("open-end reading at detector floor")
     if codes.code_l1 >= ceiling and codes.code_l2 >= ceiling:
@@ -488,9 +484,10 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
 
 def _power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> float:
     """estimate_power for codes already checked."""
-    if codes.code_oc <= cal.floor_code:
+    cfg = cal.cfg
+    if codes.code_oc <= cfg.floor_code:
         raise NoSignalError("open-end reading at detector floor")
-    if codes.code_oc >= cal.ceiling_code and codes.att_db >= cal.cfg.attenuator.max_db:
+    if codes.code_oc >= cfg.ceiling_code and codes.att_db >= cfg.attenuator.max_db:
         raise PowerOverrangeError("open-end saturated with attenuator at maximum")
 
     i0 = _nearest_row(cal.freqs_list, freq_hz)

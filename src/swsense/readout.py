@@ -149,7 +149,11 @@ class AdcParams:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Every hardware parameter of one sensing stage; a tap chain carries no coupler block."""
+    """Every hardware parameter of one sensing stage; a tap chain carries no coupler block.
+
+    floor_code and ceiling_code, the ADC codes of a detector input at
+    v_in_min and at v_in_max, are computed once, when the chain is made.
+    """
 
     coupling_kind: str = "tap"  # "tap" or "coupler"
     tap: ResistiveTapParams = field(default_factory=ResistiveTapParams)
@@ -181,14 +185,17 @@ class ChainConfig:
         # The amplifier's output ceiling, in watts.
         object.__setattr__(self, "_sat_w", 10.0 ** (self.amplifier.p_out_sat_dbm / 10.0) * 1e-3)
         # What chain_voltages_lines and chain_readout_lines read on every call:
-        # the coupler (None on a tap chain), the stub band edge, the detector
-        # law as (v_in_min, v_in_max, slope_a, intercept_b) and the ADC's
-        # (lsb, full_code).
-        object.__setattr__(self, "_coupler", self.coupler if self.coupling_kind == "coupler" else None)
+        # the stub band edge, the detector law as (v_in_min, v_in_max,
+        # slope_a, intercept_b) and the ADC's (lsb, full_code).
         object.__setattr__(self, "_stub_band_hz", self.stub.taps[0].f_max_hz)
         det = self.detector
         object.__setattr__(self, "_det_law", (det.v_in_min, det.v_in_max, det.slope_a, det.intercept_b))
-        object.__setattr__(self, "_adc_codes", (self.adc.lsb, self.adc.full_code))
+        lsb, full = self.adc.lsb, self.adc.full_code
+        object.__setattr__(self, "_adc_codes", (lsb, full))
+        # The law at v_in_min and at v_in_max, quantized as chain_readout_lines quantizes.
+        for name, v in (("floor_code", det.v_in_min), ("ceiling_code", det.v_in_max)):
+            code = math.floor((det.slope_a * math.log10(v) + det.intercept_b) / lsb)
+            object.__setattr__(self, name, 0 if code < 0 else full if code > full else code)
 
     def coupling_db_at(self, f_hz: float) -> float:
         if self.coupling_kind == "tap":
@@ -227,35 +234,6 @@ class TapCodes(NamedTuple):
     code_l1: int
     code_l2: int
     att_db: float
-
-
-def detector_voltage(v_rms: float, det: DetectorParams) -> float:
-    """Log-detector output for an input of v_rms volts, clamped to its range."""
-    if v_rms < 0.0:
-        raise ValueError("detector input voltage must be >= 0")
-    if v_rms < det.v_in_min:
-        v_rms = det.v_in_min
-    elif v_rms > det.v_in_max:
-        v_rms = det.v_in_max
-    return det.slope_a * math.log10(v_rms) + det.intercept_b
-
-
-def adc_sample(v: float, adc: AdcParams) -> int:
-    """Quantize a detector voltage to an ADC code (floor, clamped to range)."""
-    code = math.floor(v / adc.lsb)
-    if code < 0:
-        return 0
-    return adc.full_code if code > adc.full_code else code
-
-
-def detector_floor_code(cfg: ChainConfig) -> int:
-    """Code produced when a detector input sits at (or below) its linear floor."""
-    return adc_sample(detector_voltage(0.0, cfg.detector), cfg.adc)
-
-
-def detector_ceiling_code(cfg: ChainConfig) -> int:
-    """Code produced when a detector input is pinned at its linear ceiling."""
-    return adc_sample(detector_voltage(cfg.detector.v_in_max, cfg.detector), cfg.adc)
 
 
 def check_stub_band(f_hz: float, cfg: ChainConfig) -> None:
@@ -300,7 +278,8 @@ def chain_voltages_lines(
 
     One pass over the lines applies the pick-off coupling, the attenuator,
     the gain and its ripple; the amplifier ceiling and tap_rms_voltages
-    follow, then detector_voltage's law on each of the three voltages.
+    follow, then the detector law, clamped to [v_in_min, v_in_max], on
+    each of the three voltages.
     """
     cfg.attenuator.check_setting(att_db)
     if forward_ratios is None:
@@ -309,7 +288,7 @@ def chain_voltages_lines(
         raise ValueError(f"{len(forward_ratios)} forward ratios for {len(lines)} lines")
     f_max = cfg._stub_band_hz
     gain_db = cfg.amplifier.gain_db
-    coupler, ripple = cfg._coupler, cfg._ripple
+    coupler, ripple = cfg.coupler, cfg._ripple
     # The tap's coupling is flat, so a tap chain's gain before ripple is one number.
     tap_g_db = cfg._tap_coupling_db - att_db + gain_db
     inf = math.inf
@@ -339,7 +318,7 @@ def chain_voltages_lines(
         scale = sat_w / total_w
         drive = [(f, p * scale) for f, p in drive]
     v_oc, (v1, v2) = tap_rms_voltages(drive, cfg.stub)
-    # detector_voltage's law; a root-sum-square voltage is never negative.
+    # The detector law; a root-sum-square voltage is never negative.
     v_min, v_max, a, b = cfg._det_law
     log10 = math.log10
     return (
@@ -367,7 +346,7 @@ def chain_readout_lines(
 ) -> TapCodes:
     """Digitized three-detector acquisition for pre-expanded lines.
 
-    chain_voltages_lines quantized by adc_sample's rule: floor, clamped to
+    chain_voltages_lines quantized by the ADC: floor(v / lsb), clamped to
     [0, full_code].
     """
     v_oc, v1, v2 = chain_voltages_lines(lines, cfg, att_db, forward_ratios)

@@ -53,9 +53,15 @@ class StubParams:
 
 
 def v_oc_magnitude(p_stub_w: float, z0s: float) -> float:
-    """Open-end voltage magnitude for power p_stub_w delivered into the stub."""
-    if p_stub_w < 0.0:
-        raise ValueError("stub power must be >= 0")
+    """Open-end voltage magnitude for power p_stub_w delivered into the stub.
+
+    p_stub_w must be >= 0 and finite and z0s positive and finite, else
+    ValueError naming the argument.
+    """
+    if not 0.0 <= p_stub_w < math.inf:
+        raise ValueError(f"p_stub_w must be >= 0 and finite, got {p_stub_w!r}")
+    if not 0.0 < z0s < math.inf:
+        raise ValueError(f"z0s must be positive and finite, got {z0s!r}")
     return math.sqrt(8.0 * p_stub_w * z0s)
 
 

@@ -12,6 +12,9 @@ constants and the one decision path replaced it; the tests require the
 library to reproduce them bit for bit. chain_voltages_lines_scalar has
 since gained the library's refusal of a line, or a sum of lines, whose
 watts overflow a float after the gain, with the same messages.
+floor_code_ref and ceiling_code_ref give a chain's detector range in
+codes from the oracle's own law and quantizer, which every function here
+reads instead of the chain's floor_code and ceiling_code.
 estimate_power_scalar keeps the old
 edge extrapolation along the first or last pair of columns, which divides
 by zero on a row whose edge columns share a level; the library takes the
@@ -63,8 +66,6 @@ from swsense.readout import (
     TapCodes,
     chain_readout,
     check_stub_band,
-    detector_ceiling_code,
-    detector_floor_code,
 )
 from swsense.stub import wrapped_ratio
 
@@ -93,7 +94,7 @@ def build_calibration_scalar(cfg, grid=None, ctrl=None) -> CalibrationTable:
     oc = np.zeros((nf, npow), dtype=int)
     l1 = np.zeros((nf, npow), dtype=int)
     l2 = np.zeros((nf, npow), dtype=int)
-    floor = detector_floor_code(cfg)
+    floor = floor_code_ref(cfg)
 
     for i, f in enumerate(freqs):
         for j, p in enumerate(powers):
@@ -133,7 +134,7 @@ def _code_to_stub_dbm(code, cfg) -> float:
 
 def _refine_against_table(f_closed_hz, delta_obs, code_oc_obs, tap_idx, f_limit_hz, cal):
     code_tap = (cal.code_l1, cal.code_l2)[tap_idx]
-    floor = detector_floor_code(cal.cfg)
+    floor = floor_code_ref(cal.cfg)
     usable = cal.freqs_hz <= f_limit_hz * (1.0 + 1e-12)
     if usable.sum() < 2:
         return f_closed_hz
@@ -164,8 +165,8 @@ def _refine_against_table(f_closed_hz, delta_obs, code_oc_obs, tap_idx, f_limit_
 def estimate_frequency_scalar(codes, cal, switch_freq_hz=None):
     cfg = cal.cfg
     det, adc = cfg.detector, cfg.adc
-    floor = detector_floor_code(cfg)
-    ceiling = detector_ceiling_code(cfg)
+    floor = floor_code_ref(cfg)
+    ceiling = ceiling_code_ref(cfg)
     if codes.code_oc <= floor:
         raise NoSignalError("open-end reading at detector floor")
     if codes.code_l1 >= ceiling and codes.code_l2 >= ceiling:
@@ -202,8 +203,8 @@ def estimate_frequency_scalar(codes, cal, switch_freq_hz=None):
 
 def estimate_power_scalar(codes, freq_hz, cal):
     cfg = cal.cfg
-    floor = detector_floor_code(cfg)
-    ceiling = detector_ceiling_code(cfg)
+    floor = floor_code_ref(cfg)
+    ceiling = ceiling_code_ref(cfg)
     if codes.code_oc <= floor:
         raise NoSignalError("open-end reading at detector floor")
     if codes.code_oc >= ceiling and codes.att_db >= cfg.attenuator.max_db:
@@ -264,6 +265,16 @@ def _adc_sample(v, adc) -> int:
     lsb = adc.v_fs / 2**adc.bits
     full_code = 2**adc.bits - 1
     return min(max(int(math.floor(v / lsb)), 0), full_code)
+
+
+def floor_code_ref(cfg) -> int:
+    """The code of a detector input at (or below) its floor."""
+    return _adc_sample(_detector_voltage(0.0, cfg.detector), cfg.adc)
+
+
+def ceiling_code_ref(cfg) -> int:
+    """The code of a detector input pinned at its ceiling."""
+    return _adc_sample(_detector_voltage(cfg.detector.v_in_max, cfg.detector), cfg.adc)
 
 
 def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
@@ -340,7 +351,7 @@ def on_sample_ref(codes, st, ctrl, chain, cal):
     """The controller as it was written before its one decision path, with three code checks and two tune blocks.
 
     The only change is the overrange threshold: the open-end code is
-    compared with cal.ceiling_code, the detector ceiling that the power
+    compared with ceiling_code_ref(chain), the detector ceiling that the power
     estimate uses, where it was compared with the ADC's full code, which an
     acquired code never reaches.
     """
@@ -358,7 +369,7 @@ def on_sample_ref(codes, st, ctrl, chain, cal):
         actions.append(Action(ACT_SET_ATT, now + ctrl.clock_period, att_db=att_cmd))
 
     diagnostic = None
-    if codes.code_oc >= cal.ceiling_code and st.att_db >= chain.attenuator.max_db:
+    if codes.code_oc >= ceiling_code_ref(chain) and st.att_db >= chain.attenuator.max_db:
         diagnostic = "overrange: code pinned at full scale with attenuator exhausted"
 
     memo = st.estimate_memo
@@ -379,7 +390,7 @@ def on_sample_ref(codes, st, ctrl, chain, cal):
         if est is None:
             # The check estimate would make; a floor reading is no signal and is not estimated.
             check_codes(codes, cal.cfg)
-            if codes.code_oc <= cal.floor_code:
+            if codes.code_oc <= floor_code_ref(chain):
                 no_signal = True
             else:
                 # Errors are not memoised.

@@ -11,6 +11,18 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def test_default_config_is_the_clis(monkeypatch):
+    # workloads.default_config builds ControllerConfig(**d["controller"]) from
+    # the bundled file, so a field the file keeps and the class drops would
+    # end every benchmark run with a TypeError before its first operation.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("SWSENSE_CONFIG", raising=False)
+    workloads = importlib.import_module("workloads")
+    from swsense.cli import _build
+
+    assert workloads.default_config() == _build(None)
+
+
 def test_tracer_binds_every_site(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")

@@ -390,7 +390,11 @@ class TestSimulate:
             (lambda d: d["stages"][0]["controller"].update(clock_period=-2e-7),
              "stages[0].controller: clock_period must be positive and finite, got -2e-07"),
             (lambda d: d["stages"][0]["controller"].update(agc_low_code=5000),
-             "stages[0].controller: need agc_floor_code < agc_low_code <= agc_high_code, got 757, 5000, 2965"),
+             "stages[0].controller: need agc_low_code <= agc_high_code, got 5000, 2965"),
+            (lambda d: d["stages"][0]["controller"].update(agc_floor_code=757),
+             "stages[0].controller: unknown key 'agc_floor_code'"),
+            (lambda d: d["stages"][0]["controller"].update(agc_low_code=757),
+             "stages[0]: agc_low_code=757 must lie above the chain's floor_code=757"),
         ],
     )
     def test_malformed_scenario_is_malformed(self, tmp_path, capsys, edit, err):
@@ -488,7 +492,7 @@ class TestConfigPlumbing:
     def test_config_flag(self, tmp_path, capsys):
         cfg = {
             "chain": {"adc": {"bits": 10}},
-            "controller": {"agc_high_code": 741, "agc_low_code": 704, "agc_floor_code": 189},
+            "controller": {"agc_high_code": 741, "agc_low_code": 704},
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -522,6 +526,8 @@ class TestConfigPlumbing:
              "chain.amplifier: p_out_sat_dbm must be finite with a linear factor that fits a float, got 4000.0"),
             ({"chain": {"coupler": {"coupling_db": -10.0}}},
              "chain: coupler must be null on a tap chain; set coupling_kind to 'coupler' to read through it"),
+            ({"controller": {"agc_floor_code": 757}}, "controller: unknown key 'agc_floor_code'"),
+            ({"controller": {"agc_low_code": 700}}, "config: agc_low_code=700 must lie above the chain's floor_code=757"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):

@@ -96,14 +96,13 @@ def chains(draw):
 
 
 @st.composite
-def controllers(draw):
-    floor = draw(st.integers(0, 4094))
-    low = draw(st.integers(floor + 1, 4095))
+def controllers(draw, floor=-1):
+    """A controller whose window's bottom lies above floor, a chain's floor_code."""
+    low = draw(st.integers(floor + 1, max(floor + 1, 4095)))
     return ControllerConfig(
         threshold_dbm=draw(real),
-        agc_high_code=draw(st.integers(low, 4095)),
+        agc_high_code=draw(st.integers(low, max(low, 4095))),
         agc_low_code=low,
-        agc_floor_code=floor,
         clock_period=draw(pos),
         retune_deadband_hz=draw(pos),
         switch_freq_hz=draw(st.none() | freq),
@@ -138,11 +137,17 @@ def notches(draw):
     )
 
 
+@st.composite
+def stages(draw):
+    chain = draw(chains())
+    return StageSpec(chain, draw(controllers(chain.floor_code)), draw(notches()), draw(real))
+
+
 scenarios = st.builds(
     Scenario,
     duration_s=pos,
     sources=st.lists(tones(), max_size=3).map(tuple),
-    stages=st.lists(st.builds(StageSpec, chains(), controllers(), notches(), real), max_size=2).map(tuple),
+    stages=st.lists(stages(), max_size=2).map(tuple),
     dt_s=pos,
     seed=st.integers(0, 2**32),
 )

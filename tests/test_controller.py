@@ -1,7 +1,7 @@
 """Controller state machine and gain-control policy."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from swsense.controller import (
     settle_cw,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
+from swsense.engine import StageSpec
 from swsense.errors import OutOfBandError, SwsenseError
 from swsense.estimator import (
     _BLOCK_CELLS,
@@ -34,7 +35,7 @@ from swsense.estimator import (
     build_calibration,
     estimate,
 )
-from swsense.readout import ChainConfig, TapCodes, chain_readout, chain_readout_lines, detector_floor_code
+from swsense.readout import ChainConfig, DetectorParams, TapCodes, chain_readout, chain_readout_lines
 
 
 def codes_at(chain, f_hz, p_dbm, att_db, t_s=1e-6):
@@ -67,7 +68,7 @@ class TestAgcPolicy:
 
     def test_floor_reading_freezes_attenuator(self, chain, controller):
         # signal gone: do not bleed attenuation away chasing the noise floor
-        assert agc_policy(controller.agc_floor_code, 8.0, controller, chain) == 8.0
+        assert agc_policy(chain.floor_code, 8.0, controller, chain) == 8.0
 
     def test_fixed_point_for_all_drive_levels(self, chain, controller):
         powers = np.arange(-20.0, 21.0)
@@ -148,7 +149,7 @@ class TestForChain:
         ctrl = ControllerConfig.for_chain(chain)
         assert ctrl.agc_high_code == 2965
         assert ctrl.agc_low_code == 2815
-        assert ctrl.agc_floor_code == detector_floor_code(chain) == 757
+        assert chain.floor_code == 757
 
     def test_timing_defaults(self, controller):
         assert controller.clock_period == pytest.approx(200e-9)
@@ -168,9 +169,9 @@ class TestConfigDomain:
             (dict(switch_freq_hz=0.0), "switch_freq_hz"),
             (dict(switch_freq_hz=-5e9), "switch_freq_hz"),
             (dict(switch_freq_hz=math.nan), "switch_freq_hz"),
-            (dict(agc_low_code=5000), "agc_floor_code < agc_low_code <= agc_high_code"),
-            (dict(agc_low_code=757), "agc_floor_code < agc_low_code <= agc_high_code"),
-            (dict(agc_floor_code=3000), "agc_floor_code < agc_low_code <= agc_high_code"),
+            (dict(agc_low_code=5000), "^need agc_low_code <= agc_high_code, got 5000, 2965$"),
+            (dict(agc_high_code=2814), "^need agc_low_code <= agc_high_code, got 2815, 2814$"),
+            (dict(agc_low_code=2966), "^need agc_low_code <= agc_high_code, got 2966, 2965$"),
             (dict(threshold_dbm=math.nan), "threshold_dbm"),
         ],
     )
@@ -180,7 +181,39 @@ class TestConfigDomain:
 
     def test_domain_edges_are_accepted(self):
         ControllerConfig(agc_low_code=2965, retune_deadband_hz=0.0, switch_freq_hz=5e9)
-        ControllerConfig(agc_floor_code=2814)
+        ControllerConfig(agc_low_code=0, agc_high_code=0)
+
+    def test_floor_is_the_chains_not_a_knob(self):
+        assert [f.name for f in fields(ControllerConfig)] == [
+            "threshold_dbm", "agc_high_code", "agc_low_code", "clock_period", "retune_deadband_hz", "switch_freq_hz",
+        ]
+        with pytest.raises(TypeError, match="agc_floor_code"):
+            ControllerConfig(agc_floor_code=757)
+
+
+class TestControllerMeetsChain:
+    """A window whose bottom is not above the chain's floor code is refused where controller and chain meet."""
+
+    @pytest.mark.parametrize("low", [757, 700])
+    def test_window_at_or_below_the_floor_is_refused(self, chain, controller, low):
+        ctrl = replace(controller, agc_low_code=low)
+        message = rf"^agc_low_code={low} must lie above the chain's floor_code=757$"
+        with pytest.raises(ValueError, match=message):
+            build_calibration(chain, ctrl=ctrl)
+        with pytest.raises(ValueError, match=message):
+            StageSpec(chain=chain, controller=ctrl)
+
+    def test_window_just_above_the_floor_is_taken(self, chain, controller):
+        ctrl = replace(controller, agc_low_code=758)
+        ctrl.check_chain(chain)
+        assert StageSpec(chain=chain, controller=ctrl).controller is ctrl
+
+    def test_a_chain_with_a_higher_floor_refuses_the_default_window(self, controller):
+        # An intercept 0.8 V higher lifts the floor above the default window's bottom.
+        raised = ChainConfig(detector=DetectorParams(intercept_b=1.8))
+        assert raised.floor_code == 3101 > controller.agc_low_code
+        with pytest.raises(ValueError, match=rf"^agc_low_code=2815 must lie above the chain's floor_code={raised.floor_code}$"):
+            StageSpec(chain=raised)
 
 
 class TestOnSample:
@@ -218,7 +251,7 @@ class TestOnSample:
         assert ACT_TUNE in kinds(actions)
 
     def test_release_on_signal_loss(self, chain, controller, calibration):
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         engaged = ControllerState(mode=MODE_ENGAGED, tuned_freq_hz=6e9)
         codes = TapCodes(2e-6, floor, floor, floor, 0.0)
         st, actions = on_sample(codes, engaged, controller, calibration)
@@ -263,7 +296,7 @@ class TestOnSample:
         assert ACT_RELEASE not in kinds(actions2)
 
     def test_idle_no_signal_takes_no_action(self, chain, controller, calibration):
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         codes = TapCodes(1e-6, floor, floor, floor, 0.0)
         st, actions = on_sample(codes, ControllerState(), controller, calibration)
         assert not actions
@@ -338,7 +371,7 @@ class TestOnSample:
         # An acquired open-end code tops out at the detector ceiling, below the ADC's full code.
         top = chain.attenuator.max_db
         codes = chain_readout_lines([(8e9, dbm_to_watts(35.0))], chain, top, t_s=1e-6)
-        assert codes.code_oc == calibration.ceiling_code < chain.adc.full_code
+        assert codes.code_oc == chain.ceiling_code < chain.adc.full_code
         st, actions = on_sample(codes, ControllerState(att_db=top, freeze_samples=1), controller, calibration)
         assert not actions
         assert st.diagnostic is not None and st.diagnostic.startswith("overrange")
@@ -375,7 +408,7 @@ class TestEstimateMemo:
             raise AssertionError("estimate called on a floor reading")
 
         monkeypatch.setattr(controller_mod, "estimate", refuse)
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         prior = ControllerState(mode=mode, tuned_freq_hz=8e9 if released else None)
         st, actions = on_sample(TapCodes(1e-6, floor, 2000, 2000, 0.0), prior, controller, calibration)
         assert kinds(actions) == ([ACT_RELEASE] if released else [])

@@ -1,6 +1,7 @@
 import math
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from swsense.codec import to_json
 from swsense.core import (
     SignalDescriptor,
     Tone,
+    check_positive,
     dbm_to_watts,
     expand_modulated,
     expand_signal,
@@ -27,6 +29,13 @@ def test_dbm_to_watts_anchors():
 @given(st.floats(min_value=-80.0, max_value=40.0))
 def test_dbm_watts_round_trip(p_dbm):
     assert watts_to_dbm(dbm_to_watts(p_dbm)) == pytest.approx(p_dbm, abs=1e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [True, False, 0, -1.0, math.nan, math.inf])
+def test_check_positive_refuses_by_name(x):
+    # A bool is not a number here: True once passed as 1.
+    with pytest.raises(ValueError, match=rf"^r_c must be positive and finite, got {x!r}$"):
+        check_positive(SimpleNamespace(z0=50.0, r_c=x), "z0", "r_c")
 
 
 def test_watts_to_dbm_rejects_nonpositive():

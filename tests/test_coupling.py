@@ -111,6 +111,26 @@ def test_input_limit_refuses_a_package_limit_by_name(limit_w):
         tap_input_limit_dbm(ResistiveTapParams(), limit_w)
 
 
+@pytest.mark.parametrize(
+    "p_in_dbm, message",
+    [
+        (math.nan, r"^p_in_dbm must be finite, got nan$"),
+        (math.inf, r"^p_in_dbm must be finite, got inf$"),
+        (-math.inf, r"^p_in_dbm must be finite, got -inf$"),
+        (1e6, r"^p_in_dbm=1000000\.0 is too large: its watts overflow a float$"),
+    ],
+)
+def test_dissipation_refuses_an_input_power_by_name(p_in_dbm, message):
+    # NaN once answered NaN, and 1e6 dBm raised a bare OverflowError.
+    with pytest.raises(ValueError, match=message):
+        tap_dissipation(ResistiveTapParams(), p_in_dbm)
+
+
+def test_tap_refuses_a_bool_resistance():
+    with pytest.raises(ValueError, match=r"^r_c must be positive and finite, got True$"):
+        ResistiveTapParams(r_c=True)
+
+
 class TestCoupler:
     def test_insertion_interpolates(self):
         p = DirectionalCouplerParams()

@@ -294,7 +294,7 @@ class TestWorkPerRun:
         # frozen (the one after an attenuator step) or at the detector floor.
         estimated, frozen = [], False
         for s in samples:
-            if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.floor_code:
+            if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.cfg.floor_code:
                 estimated.append(s["t_s"])
             frozen = ACT_SET_ATT in s["action"].split(";")
         assert calls == estimated

@@ -48,8 +48,6 @@ from swsense.readout import (
     TapCodes,
     chain_config_hash,
     chain_readout,
-    detector_ceiling_code,
-    detector_floor_code,
 )
 from swsense.stub import StubParams
 
@@ -174,7 +172,7 @@ class TestCalibrationBuild:
         assert np.all(calibration.code_oc[active] >= controller.agc_low_code)
 
     def test_coarse_tap_floors_at_its_null(self, chain, calibration):
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         assert np.all(calibration.code_l1[-1, :] == floor)  # 16 GHz row
         assert np.all(calibration.code_oc > floor)
 
@@ -288,12 +286,12 @@ class TestEstimation:
 
     def test_saturated_open_end_flagged(self, chain, calibration):
         codes = chain_readout(SignalDescriptor((Tone(freq_hz=8e9, power_dbm=3.0),)), chain, 0.0)
-        assert codes.code_oc >= detector_ceiling_code(chain)
+        assert codes.code_oc >= chain.ceiling_code
         est = estimate(codes, calibration)
         assert est.confidence == CONF_SATURATED
 
     def test_no_signal_raises(self, chain, calibration):
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         codes = TapCodes(0.0, floor, floor, floor, 0.0)
         with pytest.raises(NoSignalError):
             estimate_frequency(codes, calibration)
@@ -301,13 +299,13 @@ class TestEstimation:
             estimate_power(codes, 8e9, calibration)
 
     def test_both_taps_saturated_indeterminate(self, chain, calibration):
-        ceil = detector_ceiling_code(chain)
+        ceil = chain.ceiling_code
         codes = TapCodes(0.0, ceil, ceil, ceil, 0.0)
         with pytest.raises(IndeterminateFrequencyError):
             estimate_frequency(codes, calibration)
 
     def test_overrange_power_raises(self, chain, calibration):
-        ceil = detector_ceiling_code(chain)
+        ceil = chain.ceiling_code
         codes = TapCodes(0.0, ceil, 2000, 2000, chain.attenuator.max_db)
         with pytest.raises(PowerOverrangeError):
             estimate_power(codes, 8e9, calibration)
@@ -317,7 +315,7 @@ class TestEstimation:
         # near its null: the coarse tap places the tone below the switch
         # point, so the answer must still come from the fine tap, flagged
         # clamped, with the floored code bounding the ratio from above
-        floor = detector_floor_code(chain)
+        floor = chain.floor_code
         i = int(round((4.8e9 - 1e9) / 0.1e9))
         j = 20
         codes = TapCodes(

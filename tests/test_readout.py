@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import swsense.readout
 import swsense.stub
+from scalar_reference import ceiling_code_ref, floor_code_ref
 from swsense.codec import to_json
 from swsense.controller import ControllerConfig, settle_cw
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
@@ -30,7 +31,6 @@ from swsense.readout import (
     AttenuatorParams,
     ChainConfig,
     DetectorParams,
-    adc_sample,
     chain_config_from_dict,
     chain_config_hash,
     chain_codes_cw,
@@ -38,30 +38,34 @@ from swsense.readout import (
     chain_readout_lines,
     chain_voltages,
     chain_voltages_lines,
-    detector_ceiling_code,
-    detector_floor_code,
-    detector_voltage,
     load_chain_config,
     save_chain_config,
 )
 from swsense.stub import StubParams, TapSpec
 
 
-class TestDetector:
-    def test_log_law_anchor(self):
-        det = DetectorParams()
-        assert detector_voltage(0.63245553, det) == pytest.approx(0.92041200, abs=1e-6)
-        assert detector_voltage(1.0, det) == pytest.approx(det.intercept_b)
+def watts_for_open_end(cfg, v_oc):
+    """Input watts of one 8 GHz line that put v_oc volts rms on cfg's open end at 0 dB attenuation."""
+    p_stub = v_oc * v_oc / (8.0 * cfg.stub.z0s)
+    return p_stub / 10.0 ** ((cfg.coupling_db_at(8e9) + cfg.amplifier.gain_db) / 10.0)
 
-    def test_clamps(self):
-        det = DetectorParams()
+
+class TestDetector:
+    """The detector law, read through chain_voltages_lines at the open end."""
+
+    def test_log_law_anchor(self, chain):
+        for v_oc, level in ((0.63245553, 0.92041200), (1.0, chain.detector.intercept_b)):
+            got = chain_voltages_lines([(8e9, watts_for_open_end(chain, v_oc))], chain, 0.0)[0]
+            assert got == pytest.approx(level, abs=1e-6)
+
+    def test_clamps(self, chain):
+        det = chain.detector
         lo = det.slope_a * math.log10(det.v_in_min) + det.intercept_b
         hi = det.slope_a * math.log10(det.v_in_max) + det.intercept_b
-        assert detector_voltage(0.0, det) == pytest.approx(lo)
-        assert detector_voltage(1e-9, det) == pytest.approx(lo)
-        assert detector_voltage(100.0, det) == pytest.approx(hi)
-        with pytest.raises(ValueError):
-            detector_voltage(-0.1, det)
+        assert chain_voltages_lines([], chain, 0.0) == (lo, lo, lo)
+        assert chain_voltages_lines([(8e9, watts_for_open_end(chain, 1e-9))], chain, 0.0) == (lo, lo, lo)
+        # 100 V asked for; the amplifier's ceiling leaves 6.3 V, still past v_in_max.
+        assert chain_voltages_lines([(8e9, watts_for_open_end(chain, 100.0))], chain, 0.0)[0] == hi
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,16 +74,22 @@ class TestDetector:
             DetectorParams(v_in_min=2.0, v_in_max=1.0)
 
 
+def level_chain(level, adc=AdcParams()):
+    """A chain whose detectors all read `level` volts for a 1 W line at 8 GHz: they clamp at v_in_max = 1 V, where log10 is 0."""
+    return ChainConfig(detector=DetectorParams(intercept_b=level, v_in_min=0.01, v_in_max=1.0), adc=adc)
+
+
 class TestAdc:
+    """The ADC's quantization, read through chain_readout_lines."""
+
     def test_midscale(self):
         adc = AdcParams()
         assert adc.lsb == pytest.approx(1.398 / 4096)
-        assert adc_sample(adc.v_fs / 2.0, adc) == 2048
+        assert chain_readout_lines([(8e9, 1.0)], level_chain(adc.v_fs / 2.0), 0.0)[1:4] == (2048,) * 3
 
     def test_clamps_to_code_range(self):
-        adc = AdcParams()
-        assert adc_sample(-0.5, adc) == 0
-        assert adc_sample(10.0, adc) == adc.full_code == 4095
+        assert chain_readout_lines([(8e9, 1.0)], level_chain(-0.5), 0.0)[1:4] == (0,) * 3
+        assert chain_readout_lines([(8e9, 1.0)], level_chain(10.0), 0.0)[1:4] == (AdcParams().full_code,) * 3 == (4095,) * 3
 
     def test_bits_validated(self):
         AdcParams(bits=6)
@@ -144,8 +154,44 @@ class TestAttenuator:
 
 
 def test_floor_and_ceiling_codes(chain):
-    assert detector_floor_code(chain) == 757
-    assert detector_ceiling_code(chain) == 3101
+    assert (chain.floor_code, chain.ceiling_code) == (757, 3101)
+    assert chain_readout_lines([], chain, 0.0)[1:4] == (757,) * 3
+    assert chain_readout_lines([(8e9, 1.0)], chain, 0.0).code_oc == 3101
+
+
+@st.composite
+def range_chains(draw):
+    """A tap, coupler or rippled chain with a drawn detector and ADC whose v_in_max the amplifier's ceiling (6.3 V) passes."""
+    det = DetectorParams(
+        slope_a=draw(st.floats(0.01, 2.0)),
+        intercept_b=draw(st.floats(-3.0, 3.0)),
+        v_in_min=draw(st.floats(1e-4, 0.5)),
+        v_in_max=draw(st.floats(0.6, 6.0)),
+    )
+    adc = AdcParams(bits=draw(st.integers(6, 16)), v_fs=draw(st.floats(0.5, 3.0)))
+    kind = draw(st.sampled_from(["tap", "coupler", "ripple"]))
+    if kind == "ripple":
+        return ChainConfig(detector=det, adc=adc, gain_ripple=((1e9, -1.0), (16e9, 2.0)))
+    return ChainConfig(coupling_kind=kind, detector=det, adc=adc)
+
+
+def read_range(cfg):
+    """(floor, ceiling) as the readout reads them: every code of no input, and the open end of a 10 W line."""
+    zero = chain_readout_lines([], cfg, 0.0)[1:4]
+    assert len(set(zero)) == 1
+    return zero[0], chain_readout_lines([(8e9, 10.0)], cfg, 0.0).code_oc
+
+
+class TestRangeCodes:
+    """A chain's floor_code and ceiling_code are the codes its readout gives, recomputed with the chain."""
+
+    @given(range_chains(), range_chains())
+    def test_codes_are_the_readouts(self, cfg, other):
+        assert (cfg.floor_code, cfg.ceiling_code) == read_range(cfg) == (floor_code_ref(cfg), ceiling_code_ref(cfg))
+        moved = replace(cfg, detector=other.detector, adc=other.adc)
+        assert (moved.floor_code, moved.ceiling_code) == read_range(moved)
+        loaded = chain_config_from_dict(to_json(moved))
+        assert loaded == moved and (loaded.floor_code, loaded.ceiling_code) == read_range(moved)
 
 
 def test_chain_codes_hand_composed(chain):
@@ -173,7 +219,7 @@ def test_chain_readout_descriptor_matches_lines(chain):
 
 def test_l1_null_reads_floor(chain):
     codes = chain_readout_lines([(16e9, 1e-3)], chain, 0.0)
-    assert codes.code_l1 == detector_floor_code(chain)
+    assert codes.code_l1 == chain.floor_code
     assert codes.code_oc > codes.code_l1
 
 
@@ -216,7 +262,7 @@ def test_amplifier_ceiling_clamps_total_power(chain):
     codes = chain_readout_lines([(8e9, 1.0)], chain, 0.0)
     v_cap = math.sqrt(8.0 * 0.1 * 50.0)  # 6.32 V, far past the detector ceiling
     assert v_cap > chain.detector.v_in_max
-    assert codes.code_oc == detector_ceiling_code(chain)
+    assert codes.code_oc == chain.ceiling_code
     # ratios between lines survive the clamp
     v = chain_voltages_lines([(6e9, 1.0), (9e9, 0.5)], chain, 0.0)
     assert v[0] == pytest.approx(
@@ -227,7 +273,7 @@ def test_amplifier_ceiling_clamps_total_power(chain):
 def test_forward_ratio_scales_monitored_lines(chain):
     # a null at the pick-off point hides the line from every detector
     dark = chain_readout_lines([(8e9, 1e-3)], chain, 0.0, forward_ratios=[0.0])
-    floor = detector_floor_code(chain)
+    floor = chain.floor_code
     assert (dark.code_oc, dark.code_l1, dark.code_l2) == (floor, floor, floor)
     # a full standing-wave peak doubles the monitored voltage: +A*log10(2)
     v_flat = chain_voltages_lines([(8e9, 1e-5)], chain, 0.0)
@@ -455,7 +501,7 @@ class TestBlockDomains:
         # The largest gain whose factor fits a float, and a ceiling of 0 W.
         cfg = ChainConfig(amplifier=AmplifierParams(gain_db=3082.0, p_out_sat_dbm=-4000.0))
         assert cfg._sat_w == 0.0
-        assert chain_readout_lines([(8e9, 1e-3)], cfg, 0.0)[1:4] == (detector_floor_code(cfg),) * 3
+        assert chain_readout_lines([(8e9, 1e-3)], cfg, 0.0)[1:4] == (cfg.floor_code,) * 3
 
 
 class TestCwDomain:
@@ -522,7 +568,7 @@ class TestCwDomain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             codes = chain_codes_cw(8e9, -4000.0, 0.0, chain)
-        assert codes == (detector_floor_code(chain),) * 3
+        assert codes == (chain.floor_code,) * 3
 
     def test_cell_at_a_code_boundary_is_read_by_the_scalar_chain(self, chain, monkeypatch):
         # 8 GHz at this power lies within 1e-9 of a code boundary. A 0-d
@@ -551,7 +597,8 @@ class TestConstantsAtConstruction:
     def test_adc_replace_recomputes(self):
         adc = replace(AdcParams(), bits=10)
         assert (adc.lsb, adc.full_code) == (1.398 / 2**10, 1023)
-        assert adc_sample(10.0, adc) == 1023
+        cfg = replace(level_chain(10.0), adc=adc)
+        assert chain_readout_lines([(8e9, 1.0)], cfg, 0.0)[1:4] == (1023,) * 3 == (cfg.ceiling_code,) * 3
 
     def test_chain_replace_recomputes(self, chain):
         tap = ResistiveTapParams(r_c=100.0)
@@ -576,16 +623,18 @@ class TestConstantsAtConstruction:
         det = DetectorParams(slope_a=0.3, intercept_b=0.8, v_in_min=0.05, v_in_max=0.5)
         stub = StubParams(taps=(TapSpec("l1", 12e9), TapSpec("l2", 4e9)))
         cfg = replace(chain, coupling_kind="coupler", detector=det, adc=AdcParams(bits=6), stub=stub)
-        assert cfg._coupler == DirectionalCouplerParams() and chain._coupler is None
+        assert cfg.coupler == DirectionalCouplerParams() and chain.coupler is None
         assert cfg._stub_band_hz == 12e9 and chain._stub_band_hz == 16e9
         assert cfg._det_law == (0.05, 0.5, 0.3, 0.8)
         assert cfg._adc_codes == (1.398 / 64, 63)
+        assert (cfg.floor_code, cfg.ceiling_code) == (18, 32) and (chain.floor_code, chain.ceiling_code) == (757, 3101)
         # A tap chain refuses coupler params rather than reading through its tap.
         with pytest.raises(ValueError, match=r"^coupler must be null on a tap chain"):
             replace(chain, coupler=DirectionalCouplerParams())
 
     def test_not_in_json_repr_or_equality(self, chain):
-        derived = {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w", "_coupler", "_stub_band_hz", "_det_law", "_adc_codes"}
+        derived = {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w", "_stub_band_hz", "_det_law", "_adc_codes",
+                   "floor_code", "ceiling_code"}
         assert derived <= set(vars(chain))
         assert set(to_json(chain.adc)) == {"bits", "sample_rate", "v_fs"}
         assert not derived & set(to_json(chain))
@@ -700,8 +749,6 @@ class TestOnePassReadout:
             return wrapper
 
         for module, name in (
-            (swsense.readout, "detector_voltage"),
-            (swsense.readout, "adc_sample"),
             (swsense.readout, "expand_signal"),
             (swsense.readout, "tap_rms_voltages"),
             (swsense.stub, "wrapped_ratio"),

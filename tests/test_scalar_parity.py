@@ -62,8 +62,6 @@ from swsense.readout import (
     chain_readout,
     chain_readout_lines,
     chain_voltages_lines,
-    detector_ceiling_code,
-    detector_floor_code,
 )
 
 TABLE_ARRAYS = ("freqs_hz", "powers_dbm", "att_db", "code_oc", "code_l1", "code_l2")
@@ -96,7 +94,7 @@ def assert_same_build(cfg, grid, ctrl):
 
 
 def agc_window(ctrl):
-    return ctrl.agc_high_code, ctrl.agc_low_code, ctrl.agc_floor_code
+    return ctrl.agc_high_code, ctrl.agc_low_code
 
 
 def with_window(cfg, window):
@@ -221,7 +219,7 @@ def test_agc_policy_on_arrays_is_the_scalar_rule_per_element(attenuator, window,
     # each window edge, at both ends of the ADC range, and drawn ones.
     chain = ChainConfig(attenuator=attenuator)
     ctrl = with_window(chain, window)
-    edges = (ctrl.agc_floor_code, ctrl.agc_low_code, ctrl.agc_high_code)
+    edges = (chain.floor_code, ctrl.agc_low_code, ctrl.agc_high_code)
     codes = [0, chain.adc.full_code, *drawn_codes, *(e + d for e in edges for d in (-1, 0, 1))]
     n = int(round(attenuator.max_db / attenuator.step_db))
     all_settings = [k * attenuator.step_db for k in range(n + 1)] + [attenuator.max_db]
@@ -465,7 +463,7 @@ def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_
 def _triples(cfg, rng, n):
     """Seeded acquisitions: readouts over the band at random settings, raw
     code triples, and triples at the floor, ceiling and overrange corners."""
-    full, floor, ceiling = cfg.adc.full_code, detector_floor_code(cfg), detector_ceiling_code(cfg)
+    full, floor, ceiling = cfg.adc.full_code, cfg.floor_code, cfg.ceiling_code
     n_set = int(round(cfg.attenuator.max_db / cfg.attenuator.step_db))
     max_db = cfg.attenuator.max_db
     band = default_grid_for(cfg)
@@ -533,7 +531,7 @@ def test_memoised_fronts_answer_as_a_fresh_table(chain, calibration):
 def test_fronts_are_built_once_within_the_key_bound(chain, calibration):
     cal = replace(calibration)
     triples = _triples(chain, np.random.default_rng(5), 1000)
-    floor, full = cal.floor_code, chain.adc.full_code
+    floor, full = chain.floor_code, chain.adc.full_code
 
     def stored():
         return [{code: id(front) for code, front in memo.items()} for memo in cal.fronts]
@@ -561,7 +559,7 @@ _SETTLES_TO = {MODE_ENGAGING: MODE_ENGAGED, MODE_RELEASING: MODE_IDLE}
 
 def _acquisitions(cfg):
     """Per sample, a CW line read at the controller's setting, an in-range triple, or the last codes again."""
-    floor, ceiling = detector_floor_code(cfg), detector_ceiling_code(cfg)
+    floor, ceiling = cfg.floor_code, cfg.ceiling_code
     band = default_grid_for(cfg)
     readout = st.tuples(st.just("readout"), st.floats(max(1e9, band.f_start_hz), min(16e9, band.f_stop_hz)),
                         st.floats(-30.0, 35.0))

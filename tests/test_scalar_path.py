@@ -84,7 +84,7 @@ def outcome(fn, *args):
         (TapCodes(0.0, np.int64(2900), 2700, 2800, 0.25), None),
         (TapCodes(0.0, 2900, np.int64(2700), 2800, np.float64(0.25)), None),
         (TapCodes(0.0, 2900, 2700, 2800, 1), None),
-        (TapCodes(0.0, True, 2700, 2800, 0.25), None),
+        (TapCodes(0.0, True, 2700, 2800, 0.25), "code_oc=True is not an ADC code in [0, 4095]"),
         (TapCodes(0.0, 2900, 4096, 2800, 0.25), "code_l1=4096 is not an ADC code in [0, 4095]"),
         (TapCodes(0.0, 2900, 2700, -1, 0.25), "code_l2=-1 is not an ADC code in [0, 4095]"),
         (TapCodes(0.0, np.int64(5000), 2700, 2800, 0.25), "code_oc=np.int64(5000) is not an ADC code in [0, 4095]"),
@@ -92,6 +92,7 @@ def outcome(fn, *args):
         (TapCodes(0.0, 2900, 2700, 2800, 0.3), "att_db=0.3 is not a multiple of 0.25 within [0, 31.75]"),
         (TapCodes(0.0, 9999, 2700, 2800, 0.3), "code_oc=9999 is not an ADC code in [0, 4095]"),
         (TapCodes(0.0, 2900, 2700, 2800, math.nan), "att_db=nan is not a multiple of 0.25 within [0, 31.75]"),
+        (TapCodes(0.0, 2900, False, 2800, 0.25), "code_l1=False is not an ADC code in [0, 4095]"),
     ],
 )
 def test_check_codes(chain, codes, message):

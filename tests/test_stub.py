@@ -24,8 +24,23 @@ def test_v_oc_anchors():
     assert v_oc_magnitude(1e-3, 50.0) == pytest.approx(0.63245553, abs=1e-7)
     assert v_oc_magnitude(0.1, 50.0) == pytest.approx(6.32455532, abs=1e-7)
     assert v_oc_magnitude(0.0, 50.0) == 0.0
-    with pytest.raises(ValueError):
-        v_oc_magnitude(-1e-6, 50.0)
+
+
+@pytest.mark.parametrize(
+    "p_w, z0s, message",
+    [
+        (-1e-6, 50.0, r"^p_stub_w must be >= 0 and finite, got -1e-06$"),
+        (math.nan, 50.0, r"^p_stub_w must be >= 0 and finite, got nan$"),
+        (math.inf, 50.0, r"^p_stub_w must be >= 0 and finite, got inf$"),
+        (1e-3, math.nan, r"^z0s must be positive and finite, got nan$"),
+        (1e-3, 0.0, r"^z0s must be positive and finite, got 0\.0$"),
+        (1e-3, math.inf, r"^z0s must be positive and finite, got inf$"),
+    ],
+)
+def test_v_oc_refuses_by_name(p_w, z0s, message):
+    # NaN once answered NaN.
+    with pytest.raises(ValueError, match=message):
+        v_oc_magnitude(p_w, z0s)
 
 
 def test_v_oc_composite():
