@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import check_not_bool
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
 from .readout import ChainConfig, TapCodes, chain_codes_cw
@@ -52,12 +53,13 @@ class ControllerConfig:
     at the chain's floor_code mean "no signal" and freeze the attenuator
     rather than walking it down.
 
-    Domain, enforced with ValueError: threshold_dbm is not NaN,
-    clock_period is positive and finite (an action takes effect after the
-    sample that decided it), retune_deadband_hz >= 0, switch_freq_hz is None
-    or positive and finite, and agc_low_code <= agc_high_code. Where the
-    controller meets its chain (build_calibration, StageSpec), check_chain
-    also requires agc_low_code above the chain's floor_code.
+    Domain, enforced with ValueError: no field is a bool, threshold_dbm
+    is not NaN, clock_period is positive and finite (an action takes effect
+    after the sample that decided it), retune_deadband_hz >= 0,
+    switch_freq_hz is None or positive and finite, and agc_low_code <=
+    agc_high_code. Where the controller meets its chain (build_calibration,
+    StageSpec), check_chain also requires agc_low_code above the chain's
+    floor_code.
     """
 
     threshold_dbm: float = 0.0
@@ -68,6 +70,9 @@ class ControllerConfig:
     switch_freq_hz: float | None = None
 
     def __post_init__(self):
+        check_not_bool(
+            self, "threshold_dbm", "agc_high_code", "agc_low_code", "clock_period", "retune_deadband_hz", "switch_freq_hz"
+        )
         if math.isnan(self.threshold_dbm):
             raise ValueError("threshold_dbm must be a number")
         if not 0.0 < self.clock_period < math.inf:

@@ -14,16 +14,20 @@ from dataclasses import dataclass, field
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """Convert dBm to watts."""
-    return 10.0 ** (p_dbm / 10.0) * 1e-3
+    """Convert dBm to watts.
 
-
-def check_watts(p_dbm: float) -> None:
-    """ValueError naming p_dbm when its watts, dbm_to_watts(p_dbm), overflow a float."""
+    ValueError naming p_dbm when it is NaN or its watts overflow a float
+    (above about 3082.5 dBm); -inf dBm is 0 W.
+    """
     try:
-        dbm_to_watts(p_dbm)
+        p_w = 10.0 ** (p_dbm / 10.0) * 1e-3
+        if p_w < math.inf:  # NaN is not, nor are a numpy float's overflowed watts
+            return p_w
     except OverflowError:
-        raise ValueError(f"power {p_dbm!r} dBm is too large: its watts overflow a float") from None
+        pass
+    if p_dbm != p_dbm:
+        raise ValueError(f"power {p_dbm!r} dBm is not a number")
+    raise ValueError(f"power {p_dbm!r} dBm is too large: its watts overflow a float")
 
 
 def check_positive(obj, *names: str) -> None:
@@ -34,9 +38,19 @@ def check_positive(obj, *names: str) -> None:
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
+def check_not_bool(obj, *names: str) -> None:
+    """ValueError naming the first of obj's fields that holds a bool, which would pass as the number 0 or 1."""
+    # getattr, not vars(obj): reading an instance's __dict__ makes CPython
+    # keep its attributes in a dict, which slows every later read of them.
+    for name in names:
+        x = getattr(obj, name)
+        if isinstance(x, bool):
+            raise ValueError(f"{name} must be a number, not a bool; got {x!r}")
+
+
 def watts_to_dbm(p_w: float) -> float:
-    """Convert watts to dBm. Requires p_w > 0."""
-    if p_w <= 0.0:
+    """Convert watts to dBm. ValueError unless p_w > 0, which NaN is not."""
+    if not p_w > 0.0:
         raise ValueError(f"power must be positive, got {p_w} W")
     return 10.0 * math.log10(p_w / 1e-3)
 
@@ -84,11 +98,12 @@ class Tone:
     n_subtones: int = 0  # 0 = pick default from bandwidth
 
     def __post_init__(self):
+        check_not_bool(self, "freq_hz", "power_dbm", "t_on_s", "t_off_s", "occupied_bw_hz", "n_subtones")
         if not (math.isfinite(self.freq_hz) and self.freq_hz > 0.0):
             raise ValueError(f"freq_hz must be finite and positive, got {self.freq_hz}")
         if not math.isfinite(self.power_dbm):
             raise ValueError(f"power_dbm must be finite, got {self.power_dbm}")
-        check_watts(self.power_dbm)
+        dbm_to_watts(self.power_dbm)  # refuses a power whose watts overflow a float
         # Each check fails for a NaN; t_off_s may be inf.
         if not 0.0 <= self.occupied_bw_hz < math.inf:
             raise ValueError(f"occupied_bw_hz must be >= 0 and finite, got {self.occupied_bw_hz!r}")

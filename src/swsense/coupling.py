@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_positive, interp
+from .core import check_not_bool, check_positive, interp
 from .errors import OutOfBandError
 
 
@@ -90,6 +90,7 @@ class DirectionalCouplerParams:
     f_max_hz: float = 14e9
 
     def __post_init__(self):
+        check_not_bool(self, "f_min_hz", "f_max_hz")
         if not 0.0 < self.f_min_hz < self.f_max_hz < math.inf:
             raise ValueError(f"need 0 < f_min_hz < f_max_hz < inf, got {self.f_min_hz!r}, {self.f_max_hz!r}")
         for name in _COUPLER_TABLES:

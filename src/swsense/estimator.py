@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .codec import load, save
-from .core import interp, watts_to_dbm
+from .core import check_not_bool, interp, watts_to_dbm
 from .errors import (
     BijectivityError,
     CalibrationRangeError,
@@ -36,6 +36,7 @@ from .readout import (
     ChainConfig,
     DetectorParams,
     TapCodes,
+    chain_codes_cw,
     chain_config_hash,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
     check_stub_band,
@@ -66,8 +67,13 @@ def check_sweep(what: str, start: float, stop: float, step: float) -> None:
 class CalibrationGrid:
     """Rectangular CW calibration sweep.
 
-    Every field is finite, 0 < f_start_hz <= f_stop_hz, p_start_dbm <=
-    p_stop_dbm, and both steps are positive; anything else is a ValueError.
+    Every field is a finite number, not a bool, 0 < f_start_hz <=
+    f_stop_hz, p_start_dbm <= p_stop_dbm, and both steps are positive;
+    anything else is a ValueError.
+    Each axis runs from its start by whole steps while below its stop, and
+    ends on the stop itself, so it never passes it: the last step is
+    shorter when the span is not a whole number of steps, and a span within
+    1e-9 of a step of one counts as whole.
     """
 
     f_start_hz: float = 1e9
@@ -78,18 +84,23 @@ class CalibrationGrid:
     p_step_dbm: float = 1.0
 
     def __post_init__(self):
+        check_not_bool(self, "f_start_hz", "f_stop_hz", "f_step_hz", "p_start_dbm", "p_stop_dbm", "p_step_dbm")
         check_sweep("frequency", self.f_start_hz, self.f_stop_hz, self.f_step_hz)
         check_sweep("power", self.p_start_dbm, self.p_stop_dbm, self.p_step_dbm)
         if not self.f_start_hz > 0.0:
             raise ValueError(f"frequency sweep must start above 0 Hz; got {self.f_start_hz!r}")
 
     def freqs(self) -> np.ndarray:
-        n = int(round((self.f_stop_hz - self.f_start_hz) / self.f_step_hz)) + 1
-        return self.f_start_hz + self.f_step_hz * np.arange(n)
+        return _axis(self.f_start_hz, self.f_stop_hz, self.f_step_hz)
 
     def powers(self) -> np.ndarray:
-        n = int(round((self.p_stop_dbm - self.p_start_dbm) / self.p_step_dbm)) + 1
-        return self.p_start_dbm + self.p_step_dbm * np.arange(n)
+        return _axis(self.p_start_dbm, self.p_stop_dbm, self.p_step_dbm)
+
+
+def _axis(start: float, stop: float, step: float) -> np.ndarray:
+    """start + k * step for the whole steps k below stop, then stop (see CalibrationGrid)."""
+    n = math.ceil((stop - start) / step - 1e-9)
+    return np.append(start + step * np.arange(n), stop)
 
 
 @dataclass
@@ -241,8 +252,8 @@ def place_nodes(
     return f_max_2, f_min
 
 
-# Cells per settle_cw call of the build; the call's float temporaries stay
-# at a few MiB whatever the grid size.
+# Cells per settle_cw or chain_codes_cw call of the build; the call's float
+# temporaries stay at a few MiB whatever the grid size.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -259,10 +270,17 @@ def build_calibration(
     ControllerConfig (None is ControllerConfig.for_chain(cfg)) whose
     agc_low_code lies above the chain's floor_code.
 
-    Every cell is settled by settle_cw from zero attenuation, one block of
-    whole rows per call: where the controller's own agc_policy, stepped one
-    setting per round, would stop, found by bisection of each moving cell's
-    run of settings rather than by stepping (see settle_cw). Raises
+    A cell's open-end code, and with it the gain control's walk, depends
+    on its row's frequency only through the chain's coupling and ripple
+    there (chain_codes_cw adds them to the gain), so the rows are grouped
+    by that pair, compared exactly. The first row of each group is settled
+    by settle_cw from zero attenuation: where the controller's own
+    agc_policy, stepped one setting per round, would stop, found by
+    bisection of each moving cell's run of settings rather than by stepping
+    (see settle_cw). Every other row takes its group's settings and is read
+    once through chain_codes_cw. Both run over blocks of whole rows, at most
+    _BLOCK_CELLS cells each, so a chain whose rows all differ, such as a
+    sloped coupler or a ripple, settles every row. Raises
     CalibrationRangeError for the first cell, in row order, that the
     detectors cannot represent (floor at the bottom, unservable overload at
     the top) or whose frequency is outside the coupler band or above the
@@ -289,22 +307,31 @@ def build_calibration(
     floor = cfg.floor_code
     max_db = cfg.attenuator.max_db
 
-    # The coupler's lookup or the stub band refuses an out-of-band row; the
-    # rows before the first one are settled and checked before it is reported.
-    n_rows, out_of_band = 0, None
-    for f in freqs.tolist():
+    # Each in-band row's group is named by its first row. The coupler's
+    # lookup or the stub band refuses an out-of-band row; the rows before
+    # the first one are settled and checked before it is reported.
+    first_of: dict[tuple[float, float], int] = {}
+    group, out_of_band = [], None
+    for i, f in enumerate(freqs.tolist()):
         try:
-            cfg.coupling_db_at(f)
+            key = (cfg.coupling_db_at(f), cfg.ripple_db_at(f))
             check_stub_band(f, cfg)
         except OutOfBandError as exc:
             out_of_band = exc
             break
-        n_rows += 1
+        group.append(first_of.setdefault(key, i))
+    n_rows = len(group)
+    group = np.array(group, dtype=int)
 
-    block = max(1, _BLOCK_CELLS // npow)  # rows per settle_cw call
+    block = max(1, _BLOCK_CELLS // npow)  # rows per settle_cw or chain_codes_cw call
     for r0 in range(0, n_rows, block):
-        rows = slice(r0, min(r0 + block, n_rows))
-        oc[rows], l1[rows], l2[rows], att[rows] = settle_cw(freqs[rows, None], powers, cfg, ctrl)
+        rows = np.arange(r0, min(r0 + block, n_rows))
+        first, rest = rows[group[rows] == rows], rows[group[rows] != rows]
+        if first.size:
+            oc[first], l1[first], l2[first], att[first] = settle_cw(freqs[first, None], powers, cfg, ctrl)
+        if rest.size:
+            att[rest] = att[group[rest]]
+            oc[rest], l1[rest], l2[rest] = chain_codes_cw(freqs[rest, None], powers, att[rest], cfg)
         at_floor = oc[rows] <= floor
         exhausted = (oc[rows] > ctrl.agc_high_code) & (att[rows] >= max_db)
         bad = np.argwhere(at_floor | exhausted)
@@ -329,14 +356,20 @@ def build_calibration(
 
 
 def _stub_dbm(cfg: ChainConfig) -> np.ndarray:
-    """Equivalent stub power (dBm) implied by each open-end code 0..full_code."""
+    """Equivalent stub power (dBm) implied by each open-end code 0..full_code.
+
+    Each entry is watts_to_dbm's arithmetic, code by code; a code whose
+    watts are 0 W is refused as watts_to_dbm refuses it.
+    """
     lsb, b, a = cfg.adc.lsb, cfg.detector.intercept_b, cfg.detector.slope_a
     z8 = 8.0 * cfg.stub.z0s
-    out = []
-    for code in range(cfg.adc.full_code + 1):
-        v = 10.0 ** ((code * lsb - b) / a)
-        out.append(watts_to_dbm(v * v / z8))
-    return np.array(out)
+    log10 = math.log10
+    volts = (10.0 ** ((code * lsb - b) / a) for code in range(cfg.adc.full_code + 1))
+    try:
+        return np.array([10.0 * log10(v * v / z8 / 1e-3) for v in volts])
+    except ValueError:  # math.log10 refuses only 0 W here
+        watts_to_dbm(0.0)
+        raise
 
 
 def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import check_positive
+from .core import check_not_bool, check_positive
 from .errors import TuningRangeError
 
 MIN_DEPTH_DB = 3.0  # depth floor when power-handling compression is severe
@@ -35,6 +35,7 @@ class NotchModel:
         if self.kind not in ("evanescent_pin", "yig", "ideal"):
             raise ValueError("kind must be 'evanescent_pin', 'yig', or 'ideal'")
         check_positive(self, "depth_db", "bw_3db_hz")
+        check_not_bool(self, "tuning_time_s", "power_knee_dbm", "depth_slope_db_per_db")
         if not 0.0 <= self.tuning_time_s < math.inf:
             raise ValueError(f"tuning_time_s must be >= 0 and finite, got {self.tuning_time_s!r}")
         for name in ("power_knee_dbm", "depth_slope_db_per_db"):

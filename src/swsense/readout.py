@@ -22,8 +22,8 @@ import numpy as np
 from .codec import from_json, load, save, to_json
 from .core import (
     SignalDescriptor,
+    check_not_bool,
     check_positive,
-    check_watts,
     dbm_to_watts,
     expand_signal,  # unused here; perfbench/tracer.py rebinds this name
 )
@@ -50,6 +50,7 @@ class AttenuatorParams:
     max_db: float = 31.75
 
     def __post_init__(self):
+        check_not_bool(self, "step_db", "max_db")
         if not (0.0 < self.step_db <= self.max_db and self.max_db / self.step_db < math.inf):
             raise ValueError(f"need 0 < step_db <= max_db, max_db / step_db < inf, got {self.step_db}, {self.max_db}")
         # The gain-control loop steps up to max_db, so it must be a setting.
@@ -89,6 +90,7 @@ class AmplifierParams:
     p_out_sat_dbm: float = 20.0
 
     def __post_init__(self):
+        check_not_bool(self, "gain_db", "p_out_sat_dbm")
         for name in ("gain_db", "p_out_sat_dbm"):  # the chain scales by 10 ** (x / 10) of each
             x = getattr(self, name)
             try:
@@ -115,6 +117,7 @@ class DetectorParams:
     v_in_max: float = 1.4
 
     def __post_init__(self):
+        check_not_bool(self, "intercept_b", "v_in_min", "v_in_max")
         check_positive(self, "slope_a")
         if not math.isfinite(self.intercept_b):
             raise ValueError(f"intercept_b must be finite, got {self.intercept_b!r}")
@@ -374,7 +377,7 @@ def chain_codes_cw(
 
     Domain, which is Tone's, refused in this order: ValueError for a
     frequency that is not positive and finite, then for a power in dBm that
-    is not finite, then for one whose watts overflow a float (check_watts);
+    is not finite, then for one whose watts overflow a float (dbm_to_watts);
     OutOfBandError for a frequency above the stub band, then outside a
     coupler's band; ValueError for an att_db that is not an attenuator
     setting, and for the first cell, named, whose watts overflow a float
@@ -389,7 +392,7 @@ def chain_codes_cw(
     bad = ~np.isfinite(p_dbm)
     if bad.any():
         raise ValueError(f"power {float(p_dbm[bad][0])!r} dBm is not finite")
-    check_watts(float(p_dbm.max(initial=-math.inf)))  # watts rise with dBm
+    dbm_to_watts(float(p_dbm.max(initial=-math.inf)))  # refuses watts that overflow; they rise with dBm
     check_stub_band(float(f.max(initial=0.0)), cfg)
     g_db = cfg.coupling_db_at(f) - att + cfg.amplifier.gain_db + cfg.ripple_db_at(f)
     for a in sorted(set(att.ravel().tolist())):

@@ -163,6 +163,14 @@ class TestCalibrate:
         assert cal.code_oc.shape == (131, 41)
         assert (cal.freqs_hz[0], cal.freqs_hz[-1]) == (1e9, 14e9)
 
+    def test_a_step_that_does_not_divide_the_band_ends_on_its_edge(self, tmp_path, capsys):
+        # 1 to 16 GHz is 37.5 steps of 0.4 GHz: the last, short step ends on
+        # the band edge, and no row passes it.
+        assert run_cli(tmp_path, "calibrate", "--f-step", "0.4e9") == 0
+        assert capsys.readouterr().out.startswith("wrote 1599 cells")
+        cal = load_calibration(str(tmp_path / "calibration.csv"), str(tmp_path / "calibration.json"))
+        assert cal.freqs_hz[-3:].tolist() == [15.4e9, 15.8e9, 16e9]
+
     @pytest.mark.parametrize(
         "argv, err",
         [
@@ -183,6 +191,17 @@ class TestCalibrate:
 
 
 class TestEstimate:
+    def test_top_tap_off_the_grid_step(self, tmp_path, capsys):
+        # The default grid ends on the top tap's f_max, 16.16 GHz, rather than
+        # one 0.1 GHz step past it, above the stub band.
+        path = tmp_path / "config.json"
+        taps = [{"name": "l1", "f_max": 16.16e9}, {"name": "l2", "f_max": 5e9}]
+        path.write_text(json.dumps({"chain": {"stub": {"taps": taps}}}))
+        assert run_cli(tmp_path, "--config", str(path), "estimate", "--freq", "8e9", "--power", "0") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["freq_hz"] == pytest.approx(8e9, abs=30e6)
+        assert out["power_dbm"] == pytest.approx(0.0, abs=0.1)
+
     def test_synthesized_codes(self, tmp_path, capsys):
         assert run_cli(tmp_path, "estimate", "--freq", "6e9", "--power", "-3") == 0
         out = json.loads(capsys.readouterr().out)

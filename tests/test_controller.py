@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swsense.controller
+import swsense.estimator
 from swsense.controller import (
     ACT_RELEASE,
     ACT_SET_ATT,
@@ -118,30 +119,37 @@ class TestSettleCw:
 
 
 class TestSettleWork:
-    """settle_cw bisects: a block of a calibration build takes a few reads of its moving cells, not one per step.
+    """A calibration build settles one row per group of rows that read alike, and bisects it.
 
-    Stepping each moving cell one setting per round would make 81
-    chain_codes_cw calls per block of the default builds, and read 133,031
-    cells on the tap chain and 115,411 on the coupler chain.
+    Both bundled chains read the same coupling and ripple on every row, so
+    the build settles the first row alone and reads the other rows once,
+    at its settings. Settling every row, as the build did before it
+    grouped them, read 30,352 cells through settle_cw on the tap chain and
+    26,332 on the coupler chain; stepping each moving cell one setting per
+    round would read 133,031 and 115,411.
     """
 
-    @pytest.mark.parametrize("kind, cells, read", [("tap", 6191, 30352), ("coupler", 5371, 26332)])
-    def test_default_build(self, monkeypatch, kind, cells, read):
-        calls = []
-        codes_cw = swsense.controller.chain_codes_cw
+    @pytest.mark.parametrize("kind, rows", [("tap", 151), ("coupler", 131)])
+    def test_default_build(self, monkeypatch, kind, rows):
+        calls = {"controller": [], "estimator": []}
+        for name, module in (("controller", swsense.controller), ("estimator", swsense.estimator)):
+            codes_cw = module.chain_codes_cw
 
-        def counted(freq_hz, power_dbm, att_db, *rest):
-            calls.append(np.broadcast(freq_hz, power_dbm, att_db).size)
-            return codes_cw(freq_hz, power_dbm, att_db, *rest)
+            def counted(freq_hz, power_dbm, att_db, *rest, seen=calls[name], codes_cw=codes_cw):
+                seen.append(np.broadcast(freq_hz, power_dbm, att_db).size)
+                return codes_cw(freq_hz, power_dbm, att_db, *rest)
 
-        monkeypatch.setattr(swsense.controller, "chain_codes_cw", counted)
+            monkeypatch.setattr(module, "chain_codes_cw", counted)
         cal = build_calibration(ChainConfig(coupling_kind=kind))
-        # ControllerConfig.for_chain reads one cell; then the grid is one
-        # block, read whole once and then only where cells move.
-        assert cal.code_oc.size == cells <= _BLOCK_CELLS
-        assert calls[:2] == [1, cells]
-        assert len(calls) - 1 <= 11
-        assert sum(calls) == read
+        assert cal.code_oc.shape == (rows, 41) and cal.code_oc.size <= _BLOCK_CELLS
+        # ControllerConfig.for_chain reads one cell; settle_cw then reads the
+        # first row whole once, and after that only where its cells move.
+        settled = calls["controller"]
+        assert settled[:2] == [1, 41]
+        assert len(settled) - 1 <= 11
+        assert sum(settled) == 202
+        # The other rows are one block, read once.
+        assert calls["estimator"] == [(rows - 1) * 41]
 
 
 class TestForChain:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swsense.codec import to_json
+from swsense.controller import ControllerConfig
 from swsense.core import (
     SignalDescriptor,
     Tone,
@@ -18,6 +19,10 @@ from swsense.core import (
     interp,
     watts_to_dbm,
 )
+from swsense.coupling import DirectionalCouplerParams
+from swsense.estimator import CalibrationGrid
+from swsense.filters import NotchModel
+from swsense.readout import AmplifierParams, AttenuatorParams, DetectorParams
 
 
 def test_dbm_to_watts_anchors():
@@ -39,10 +44,55 @@ def test_check_positive_refuses_by_name(x):
 
 
 def test_watts_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1e-3)
+    for p_w in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match=rf"^power must be positive, got {p_w!r} W$"):
+            watts_to_dbm(p_w)
+
+
+@pytest.mark.parametrize(
+    "p_dbm, message",
+    [
+        (math.nan, r"^power nan dBm is not a number$"),
+        (1e6, r"^power 1000000\.0 dBm is too large: its watts overflow a float$"),
+        (3082.55, r"^power 3082\.55 dBm is too large: its watts overflow a float$"),
+    ],
+)
+def test_dbm_to_watts_refuses_by_name(p_dbm, message):
+    with pytest.raises(ValueError, match=message):
+        dbm_to_watts(p_dbm)
+
+
+def test_dbm_to_watts_edges():
+    assert dbm_to_watts(-math.inf) == 0.0
+    assert dbm_to_watts(3082.54) == pytest.approx(1.7947e305, rel=1e-4)
+
+
+def _tone(**kw):
+    return Tone(**{"freq_hz": 8e9, "power_dbm": 0.0, **kw})
+
+
+_BOOL_FIELDS = {
+    DetectorParams: ("intercept_b", "v_in_min", "v_in_max"),
+    AmplifierParams: ("gain_db", "p_out_sat_dbm"),
+    AttenuatorParams: ("step_db", "max_db"),
+    ControllerConfig: (
+        "threshold_dbm", "agc_high_code", "agc_low_code", "clock_period", "retune_deadband_hz", "switch_freq_hz"
+    ),
+    _tone: ("freq_hz", "power_dbm", "t_on_s", "t_off_s", "occupied_bw_hz", "n_subtones"),
+    CalibrationGrid: ("f_start_hz", "f_stop_hz", "f_step_hz", "p_start_dbm", "p_stop_dbm", "p_step_dbm"),
+    NotchModel: ("tuning_time_s", "power_knee_dbm", "depth_slope_db_per_db"),
+    DirectionalCouplerParams: ("f_min_hz", "f_max_hz"),
+}
+
+
+@pytest.mark.parametrize(
+    "block, field", [(block, field) for block, names in _BOOL_FIELDS.items() for field in names]
+)
+@pytest.mark.parametrize("x", [True, False])
+def test_number_fields_refuse_a_bool_by_name(block, field, x):
+    # A bool once passed as the number 1 or 0; the codec already refuses it in a file.
+    with pytest.raises(ValueError, match=rf"^{field} must be a number, not a bool; got {x!r}$"):
+        block(**{field: x})
 
 
 class TestTone:

@@ -154,6 +154,24 @@ class TestCalibrationBuild:
         with pytest.raises(ValueError, match=match):
             CalibrationGrid(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, freqs_tail, powers_tail",
+        [
+            (dict(f_step_hz=0.4e9), [15.4e9, 15.8e9, 16e9], [18.0, 19.0, 20.0]),
+            (dict(f_step_hz=0.7e9), [15e9, 15.7e9, 16e9], [18.0, 19.0, 20.0]),
+            (dict(f_stop_hz=16.16e9), [16e9, 16.1e9, 16.16e9], [18.0, 19.0, 20.0]),
+            (dict(p_step_dbm=3.0), [15.8e9, 15.9e9, 16e9], [16.0, 19.0, 20.0]),
+            # 40 dB is 400 steps of 0.1 dB within rounding: no extra point.
+            (dict(p_step_dbm=0.1), [15.8e9, 15.9e9, 16e9], [19.800000000000004, 19.900000000000006, 20.0]),
+        ],
+    )
+    def test_grid_ends_on_its_stop(self, fields, freqs_tail, powers_tail):
+        g = CalibrationGrid(**fields)
+        for axis, tail, step in ((g.freqs(), freqs_tail, g.f_step_hz), (g.powers(), powers_tail, g.p_step_dbm)):
+            assert axis[-3:].tolist() == tail
+            *steps, last = np.diff(axis)
+            assert steps == pytest.approx([step] * len(steps)) and 0.0 < last <= step * (1 + 1e-9)
+
     def test_single_cell_grid_is_in_domain(self):
         g = CalibrationGrid(6e9, 6e9, 1e9, 0.0, 0.0, 1.0)
         assert list(g.freqs()) == [6e9] and list(g.powers()) == [0.0]

@@ -41,6 +41,7 @@ from swsense.controller import (
     settle_cw,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
+from swsense.coupling import DirectionalCouplerParams
 from swsense.engine import load_scenario
 from swsense.errors import OutOfBandError
 from swsense.stub import StubParams, TapSpec
@@ -140,6 +141,22 @@ class TestCalibrationParity:
     def test_gain_ripple_chain(self):
         cfg = ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0)))
         assert_same_build(cfg, CalibrationGrid(1e9, 16e9, 0.5e9, -20.0, 20.0, 1.0), None)
+
+    @pytest.mark.parametrize(
+        "coupling_db, groups",
+        [
+            (((1e9, -14.0), (14e9, -17.0)), 27),  # sloped: every row its own group
+            # Flat at -14, -16, then -14 again: two groups, one of them in two runs of rows.
+            (((1e9, -14.0), (5e9, -14.0), (5.05e9, -16.0), (10e9, -16.0), (10.05e9, -14.0), (14e9, -14.0)), 2),
+        ],
+    )
+    def test_coupler_tables(self, coupling_db, groups):
+        # build_calibration settles one row per distinct (coupling, ripple)
+        # pair and reads the others at its settings; the oracle settles every cell.
+        cfg = ChainConfig(coupling_kind="coupler", coupler=DirectionalCouplerParams(coupling_db=coupling_db))
+        grid = CalibrationGrid(1e9, 14e9, 0.5e9, -20.0, 20.0, 1.0)
+        assert len({cfg.coupling_db_at(f) for f in grid.freqs().tolist()}) == groups
+        assert_same_build(cfg, grid, None)
 
     @pytest.mark.parametrize("window", [5, 10])
     def test_narrow_window_oscillation(self, chain, window):
