@@ -29,7 +29,6 @@ from .errors import SwsenseError
 from .estimator import (
     CalibrationGrid,
     build_calibration,
-    check_sweep,
     default_grid_for,
     estimate,
     place_nodes,
@@ -124,8 +123,8 @@ def _cmd_resolution(args) -> int:
     cfg, _ = _build(args.config)
     f_max = cfg.stub.taps[0].f_max_hz
     if args.sweep:
-        check_sweep("frequency", args.f_start, args.f_stop, args.f_step)
-        freqs = np.arange(args.f_start, args.f_stop + args.f_step / 2, args.f_step)
+        # The calibration grid's axis, which ends on --f-stop and never passes it.
+        freqs = CalibrationGrid(f_start_hz=args.f_start, f_stop_hz=args.f_stop, f_step_hz=args.f_step).freqs()
         # Every row is computed before the file is opened, so a point outside (0, f_max) leaves no file.
         rows = []
         for f in map(float, freqs):

@@ -183,7 +183,9 @@ def settle_cw(
     their broadcast shape; scalars give 0-d arrays. Every read is one
     chain_codes_cw call, in which the chain looks up its coupling and ripple
     over the cells read. Domain: chain_codes_cw's, refused in its order by
-    the first read, of every cell at att0.
+    the first read, of every cell at att0; so a frequency outside the
+    chain's band raises cfg.check_band's OutOfBandError, above the stub band
+    before outside a coupler's band.
     """
     shape = np.broadcast_shapes(np.shape(freq_hz), np.shape(power_dbm), np.shape(att0))
     f, p, att = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (freq_hz, power_dbm, att0))

@@ -45,9 +45,9 @@ from .controller import (
     on_sample,
 )
 from .codec import from_json, load, save
-from .core import Tone, expand_modulated, watts_to_dbm
+from .core import Tone, check_not_bool, expand_modulated, watts_to_dbm
 from .coupling import sampled_forward_amplitude
-from .errors import TuningRangeError
+from .errors import OutOfBandError, TuningRangeError
 from .estimator import CalibrationTable, build_calibration
 from .filters import FilterState, NotchModel, notch_s21_db, stopband_gamma, release, tune
 from .readout import ChainConfig, TapCodes, chain_readout_lines
@@ -63,7 +63,12 @@ _IDLE_VALUES = (0, 0, 0, 0.0, math.nan, math.nan, "idle", "")
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One sensing stage: chain hardware, its controller, and its notch."""
+    """One sensing stage: chain hardware, its controller, and its notch.
+
+    electrical_delay_s, the one-way delay from the pick-off to the notch's
+    reflection downstream, is a number >= 0 and finite, not a bool; anything
+    else is a ValueError naming it.
+    """
 
     chain: ChainConfig = field(default_factory=ChainConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -71,12 +76,20 @@ class StageSpec:
     electrical_delay_s: float = 0.0
 
     def __post_init__(self):
+        check_not_bool(self, "electrical_delay_s")
+        if not 0.0 <= self.electrical_delay_s < math.inf:
+            raise ValueError(f"electrical_delay_s must be >= 0 and finite, got {self.electrical_delay_s!r}")
         self.controller.check_chain(self.chain)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A closed-loop run: sources driving one or more cascaded stages."""
+    """A closed-loop run: sources driving one or more cascaded stages.
+
+    duration_s and dt_s are numbers, not bools, and seed is an int >= 0;
+    anything else is a ValueError naming the field. run checks the rest of
+    the scenario's domain.
+    """
 
     duration_s: float
     sources: tuple[Tone, ...] = ()
@@ -85,6 +98,9 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        check_not_bool(self, "duration_s", "dt_s", "seed")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "stages", tuple(self.stages))
 
@@ -204,21 +220,19 @@ def _validate(sc: Scenario) -> None:
         raise ValueError("duration_s and dt_s must be positive and finite")
     if not sc.stages:
         raise ValueError("scenario needs at least one stage")
+    lines = np.array([f for src in sc.sources for f, _ in expand_modulated(src)])
     for k, st in enumerate(sc.stages):
         period = st.chain.adc.sample_period
         if sc.dt_s > period / 4.0 + 1e-15:
             raise ValueError(
                 f"dt_s={sc.dt_s} too coarse for stage {k}: need <= ADC period/4 = {period / 4.0}"
             )
-        f_max = st.chain.stub.taps[0].f_max_hz
-        for src in sc.sources:
-            for f, _ in expand_modulated(src):
-                if st.chain.coupling_kind == "coupler" and not (
-                    st.chain.coupler.f_min_hz <= f <= st.chain.coupler.f_max_hz
-                ):
-                    raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} coupler band")
-                if f > f_max:
-                    raise ValueError(f"source line {f / 1e9:.3f} GHz outside stage {k} stub band")
+        try:
+            st.chain.check_band(lines)
+        except OutOfBandError as exc:
+            # Reworded in place: the chain's check_band is where a band refusal is made.
+            exc.args = (f"stage {k}: source line {exc}",)
+            raise
 
 
 class _Lines(NamedTuple):
@@ -523,7 +537,16 @@ def run(
     collect_trace: bool = True,
     calibrations: list[CalibrationTable] | None = None,
 ) -> Trace:
-    """Simulate a scenario; returns the full trace with metrics attached."""
+    """Simulate a scenario; returns the full trace with metrics attached.
+
+    Before any sample, the scenario is refused with a ValueError for a
+    duration_s or dt_s that is not positive and finite, no stage, or a dt_s
+    coarser than a quarter of a stage's ADC period; and, stage by stage,
+    with the chain's check_band's OutOfBandError, reworded as "stage k:
+    source line ...", for a source line outside its band: above the stub
+    band (naming the largest line) before outside a coupler's band (naming
+    the first line, in source order).
+    """
     return _Runner(sc, calibrations).run(collect_trace)
 
 

@@ -39,7 +39,6 @@ from .readout import (
     chain_codes_cw,
     chain_config_hash,
     chain_readout,  # unused here; perfbench/tracer.py rebinds this name
-    check_stub_band,
 )
 
 CONF_IN_RANGE = "in-range"
@@ -178,13 +177,9 @@ def _view(a: np.ndarray) -> memoryview:
 
 
 def default_grid_for(cfg: ChainConfig) -> CalibrationGrid:
-    """Calibration sweep covering the chain's usable band."""
-    f_hi = cfg.stub.taps[0].f_max_hz
-    f_lo = 1e9
-    if cfg.coupling_kind == "coupler":
-        f_hi = min(f_hi, cfg.coupler.f_max_hz)
-        f_lo = max(f_lo, cfg.coupler.f_min_hz)
-    return CalibrationGrid(f_start_hz=f_lo, f_stop_hz=f_hi)
+    """Calibration sweep over the chain's band, cfg.band_hz, from 1 GHz at the lowest."""
+    f_lo, f_hi = cfg.band_hz
+    return CalibrationGrid(f_start_hz=max(1e9, f_lo), f_stop_hz=f_hi)
 
 
 def resolution(f_hz: float, f_max_hz: float, det: DetectorParams, adc: AdcParams) -> float:
@@ -283,8 +278,10 @@ def build_calibration(
     sloped coupler or a ripple, settles every row. Raises
     CalibrationRangeError for the first cell, in row order, that the
     detectors cannot represent (floor at the bottom, unservable overload at
-    the top) or whose frequency is outside the coupler band or above the
-    stub band.
+    the top) or whose frequency is outside the chain's band. That one is
+    raised from cfg.check_band's OutOfBandError and carries its message: a
+    row above the stub band is named as such, before a coupler's band is
+    checked.
     """
     from .controller import ControllerConfig, settle_cw
 
@@ -307,19 +304,18 @@ def build_calibration(
     floor = cfg.floor_code
     max_db = cfg.attenuator.max_db
 
-    # Each in-band row's group is named by its first row. The coupler's
-    # lookup or the stub band refuses an out-of-band row; the rows before
-    # the first one are settled and checked before it is reported.
+    # Each in-band row's group is named by its first row. The chain's band
+    # check refuses an out-of-band row; the rows before the first one are
+    # settled and checked before it is reported.
     first_of: dict[tuple[float, float], int] = {}
     group, out_of_band = [], None
     for i, f in enumerate(freqs.tolist()):
         try:
-            key = (cfg.coupling_db_at(f), cfg.ripple_db_at(f))
-            check_stub_band(f, cfg)
+            cfg.check_band(f)
         except OutOfBandError as exc:
             out_of_band = exc
             break
-        group.append(first_of.setdefault(key, i))
+        group.append(first_of.setdefault((cfg.coupling_db_at(f), cfg.ripple_db_at(f)), i))
     n_rows = len(group)
     group = np.array(group, dtype=int)
 
@@ -503,15 +499,15 @@ def estimate_power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> fl
     attenuation-compensated level that is interpolated (linearly, in dB)
     along the calibration row nearest to freq_hz. Raises ValueError for a
     code outside the ADC range, an att_db that is not a setting, or a
-    freq_hz that is not positive and finite, and OutOfBandError for a
-    freq_hz outside a coupler chain's coupler band or above the stub band,
-    as build_calibration refuses such a row.
+    freq_hz that is not positive and finite, then the chain's
+    check_band's OutOfBandError for a freq_hz outside its band: above the
+    stub band first, then outside a coupler chain's coupler band, as
+    build_calibration refuses such a row.
     """
     check_codes(codes, cal.cfg)
     if not 0.0 < freq_hz < math.inf:
         raise ValueError(f"freq_hz={freq_hz!r} is not positive and finite")
-    cal.cfg.coupling_db_at(freq_hz)  # the coupler's lookup refuses a frequency outside its band
-    check_stub_band(freq_hz, cal.cfg)
+    cal.cfg.check_band(freq_hz)
     return _power(codes, freq_hz, cal)
 
 

@@ -155,7 +155,12 @@ class ChainConfig:
     """Every hardware parameter of one sensing stage; a tap chain carries no coupler block.
 
     floor_code and ceiling_code, the ADC codes of a detector input at
-    v_in_min and at v_in_max, are computed once, when the chain is made.
+    v_in_min and at v_in_max, are computed once, when the chain is made, and
+    so is band_hz, the (low, high) edges of the band the chain reads: up to
+    the first tap's f_max, where the stub response repeats, and on a coupler
+    chain inside the coupler's [f_min_hz, f_max_hz]. A tap chain's low edge
+    is 0.0, which no frequency reaches. check_band refuses a frequency
+    outside it.
     """
 
     coupling_kind: str = "tap"  # "tap" or "coupler"
@@ -199,6 +204,31 @@ class ChainConfig:
         for name, v in (("floor_code", det.v_in_min), ("ceiling_code", det.v_in_max)):
             code = math.floor((det.slope_a * math.log10(v) + det.intercept_b) / lsb)
             object.__setattr__(self, name, 0 if code < 0 else full if code > full else code)
+        c = self.coupler
+        band = (0.0, self._stub_band_hz) if c is None else (c.f_min_hz, min(self._stub_band_hz, c.f_max_hz))
+        object.__setattr__(self, "band_hz", band)
+
+    def check_band(self, f_hz: float | np.ndarray) -> None:
+        """OutOfBandError unless f_hz, a positive frequency or an array of them, lies in band_hz.
+
+        The one band check, in the forward model's order: first the stub
+        band, naming an array's largest frequency; then a coupler chain's
+        coupler band, naming an array's first offender in C order. Callers
+        refuse a frequency that is not positive and finite before this.
+        """
+        is_array = isinstance(f_hz, np.ndarray)
+        f_top = float(f_hz.max(initial=0.0)) if is_array else f_hz
+        if f_top > self._stub_band_hz:
+            raise OutOfBandError(
+                f"{f_top / 1e9:.3f} GHz above the stub band (tap {self.stub.taps[0].name} "
+                f"resolves up to {self._stub_band_hz / 1e9:.3f} GHz)"
+            )
+        if self.coupler is not None:
+            lo, hi = self.band_hz
+            f_bottom = float(f_hz.min(initial=lo)) if is_array else f_hz
+            if f_bottom < lo or f_top > hi:
+                # The coupler's lookup words the refusal, naming the first offender.
+                coupler_db_at(self.coupler, "coupling_db", f_hz)
 
     def coupling_db_at(self, f_hz: float) -> float:
         if self.coupling_kind == "tap":
@@ -239,21 +269,11 @@ class TapCodes(NamedTuple):
     att_db: float
 
 
-def check_stub_band(f_hz: float, cfg: ChainConfig) -> None:
-    """OutOfBandError for a line above the first tap's f_max, where the stub response repeats."""
-    f_max = cfg._stub_band_hz
-    if f_hz > f_max:
-        raise OutOfBandError(
-            f"{f_hz / 1e9:.3f} GHz above the stub band (tap {cfg.stub.taps[0].name} "
-            f"resolves up to {f_max / 1e9:.3f} GHz)"
-        )
-
-
 def _refuse_line(i: int, f_hz: float, p_w: float, ratio: float, cfg: ChainConfig) -> None:
     """Raise the error for line i, which failed chain_voltages_lines' domain check."""
     if not 0.0 < f_hz < math.inf:
         raise ValueError(f"line {i}: frequency {f_hz!r} Hz is not positive and finite")
-    check_stub_band(f_hz, cfg)
+    cfg.check_band(f_hz)
     if not 0.0 <= p_w < math.inf:
         raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W is not >= 0 and finite")
     raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: forward ratio {ratio!r} is not >= 0 and finite")
@@ -274,7 +294,9 @@ def chain_voltages_lines(
     Domain: att_db is an attenuator setting (else ValueError); every
     frequency is positive and finite, every power and ratio >= 0 and
     finite, and forward_ratios has one entry per line (else ValueError
-    naming the line). A line above the stub band raises OutOfBandError.
+    naming the line). A line outside the chain's band raises
+    cfg.check_band's OutOfBandError, above the stub band before outside a
+    coupler's band.
     A line whose watts after the gain (and its ratio) overflow a float
     raises ValueError naming it, and so do lines whose sum overflows,
     before any NaN reaches the detectors.
@@ -378,10 +400,11 @@ def chain_codes_cw(
     Domain, which is Tone's, refused in this order: ValueError for a
     frequency that is not positive and finite, then for a power in dBm that
     is not finite, then for one whose watts overflow a float (dbm_to_watts);
-    OutOfBandError for a frequency above the stub band, then outside a
-    coupler's band; ValueError for an att_db that is not an attenuator
-    setting, and for the first cell, named, whose watts overflow a float
-    after the gain.
+    cfg.check_band's OutOfBandError, for a frequency above the stub band
+    (naming the largest), then outside a coupler's band (naming the first in
+    C order); ValueError for an att_db that is not an attenuator setting,
+    and for the first cell, named, whose watts overflow a float after the
+    gain.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)
@@ -393,7 +416,7 @@ def chain_codes_cw(
     if bad.any():
         raise ValueError(f"power {float(p_dbm[bad][0])!r} dBm is not finite")
     dbm_to_watts(float(p_dbm.max(initial=-math.inf)))  # refuses watts that overflow; they rise with dBm
-    check_stub_band(float(f.max(initial=0.0)), cfg)
+    cfg.check_band(f)
     g_db = cfg.coupling_db_at(f) - att + cfg.amplifier.gain_db + cfg.ripple_db_at(f)
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)

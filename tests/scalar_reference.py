@@ -65,7 +65,6 @@ from swsense.coupling import coupler_db_at, tap_coupling
 from swsense.readout import (
     TapCodes,
     chain_readout,
-    check_stub_band,
 )
 from swsense.stub import wrapped_ratio
 
@@ -282,7 +281,7 @@ def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
     drive = []
     total_w = 0.0
     for i, (f_hz, p_w) in enumerate(lines):
-        check_stub_band(f_hz, cfg)
+        cfg.check_band(f_hz)
         g_db = (
             _coupling_db_at(cfg, f_hz)
             - att_db

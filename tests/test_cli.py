@@ -123,6 +123,20 @@ class TestResolution:
         assert capsys.readouterr().err.startswith("swsense: frequency sweep needs")
         assert not (tmp_path / "out" / "resolution.csv").exists()
 
+    def test_sweep_ends_on_its_stop(self, tmp_path):
+        # The axis is the calibration grid's: 1.0 to 15.9 GHz by 0.1 GHz, then
+        # the stop itself, never a step past it at f_max.
+        argv = ["--f-start", "1e9", "--f-stop", "15.96e9"]
+        assert run_cli(tmp_path, "resolution", "--sweep", *argv) == 0
+        rows = (tmp_path / "resolution.csv").read_text().splitlines()[1:]
+        assert len(rows) == 151
+        assert float(rows[-1].split(",")[0]) == 15.96e9
+
+    def test_sweep_from_zero_is_malformed(self, tmp_path, capsys):
+        assert run_cli(tmp_path / "out", "resolution", "--sweep", "--f-start", "0") == 2
+        assert capsys.readouterr().err == "swsense: frequency sweep must start above 0 Hz; got 0.0\n"
+        assert not (tmp_path / "out" / "resolution.csv").exists()
+
     def test_sweep_reaching_f_max_writes_no_file(self, tmp_path, capsys):
         assert run_cli(tmp_path / "out", "resolution", "--sweep", "--f-stop", "16e9") == 1
         assert "resolution defined on (0, f_max)" in capsys.readouterr().err
@@ -398,7 +412,6 @@ class TestSimulate:
             (lambda d: d["sources"][0].pop("freq_hz"), "sources[0]: missing key 'freq_hz'"),
             (lambda d: d.pop("duration_s"), "scenario: missing key 'duration_s'"),
             (lambda d: d.update(durationn=1e-5), "scenario: unknown key 'durationn'"),
-            (lambda d: d["sources"][0].update(freq_hz=20e9), "source line 20.000 GHz outside stage 0 stub band"),
             (lambda d: d["sources"][0].update(power_dbm="3"), "sources[0].power_dbm: expected float, got str"),
             (lambda d: d["stages"][0]["notch"].update(f_tune_range_hz=3),
              "stages[0].notch.f_tune_range_hz: expected a list, got int"),
@@ -423,6 +436,22 @@ class TestSimulate:
         path.write_text(json.dumps(d))
         assert run_cli(tmp_path, "simulate", "--no-trace", str(path)) == 2
         assert capsys.readouterr().err == f"swsense: {err}\n"
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_out_of_band_source_is_a_domain_error(self, tmp_path, capsys):
+        d = json.loads(Path(scenario_path("pulse_response.json")).read_text())
+        d["sources"][0]["freq_hz"] = 20e9
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(d))
+        assert run_cli(tmp_path, "simulate", "--no-trace", str(path)) == 1
+        assert capsys.readouterr().err == (
+            "swsense: stage 0: source line 20.000 GHz above the stub band (tap l1 resolves up to 16.000 GHz)\n"
+        )
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_negative_seed_is_malformed(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "--seed", "-1", "simulate", "--no-trace", scenario_path("pulse_response.json")) == 2
+        assert capsys.readouterr().err == "swsense: seed must be an int >= 0, got -1\n"
         assert not (tmp_path / "metrics.json").exists()
 
     def test_scenario_that_is_not_json_names_its_file(self, tmp_path, capsys):

@@ -140,7 +140,8 @@ def notches(draw):
 @st.composite
 def stages(draw):
     chain = draw(chains())
-    return StageSpec(chain, draw(controllers(chain.floor_code)), draw(notches()), draw(real))
+    delay = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)  # a stage's delay is >= 0
+    return StageSpec(chain, draw(controllers(chain.floor_code)), draw(notches()), draw(delay))
 
 
 scenarios = st.builds(

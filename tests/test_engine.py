@@ -12,6 +12,7 @@ import swsense.engine
 from swsense.codec import to_json
 from swsense.controller import ACT_SET_ATT, ControllerConfig, ControllerState, on_sample
 from swsense.core import Tone
+from swsense.errors import OutOfBandError
 from swsense.engine import (
     Scenario,
     StageSpec,
@@ -131,6 +132,23 @@ class TestValidation:
             with pytest.raises(ValueError, match="^duration_s and dt_s must be positive and finite$"):
                 _validate(replace(sc, duration_s=bad))
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: StageSpec(electrical_delay_s=math.nan), "^electrical_delay_s must be >= 0 and finite, got nan$"),
+            (lambda: StageSpec(electrical_delay_s=math.inf), "^electrical_delay_s must be >= 0 and finite, got inf$"),
+            (lambda: StageSpec(electrical_delay_s=-1e-9), "^electrical_delay_s must be >= 0 and finite, got -1e-09$"),
+            (lambda: StageSpec(electrical_delay_s=True), "^electrical_delay_s must be a number, not a bool; got True$"),
+            (lambda: Scenario(duration_s=True), "^duration_s must be a number, not a bool; got True$"),
+            (lambda: Scenario(duration_s=1e-6, seed=True), "^seed must be a number, not a bool; got True$"),
+            (lambda: Scenario(duration_s=1e-6, seed=-1), "^seed must be an int >= 0, got -1$"),
+        ],
+        ids=["delay_nan", "delay_inf", "delay_negative", "delay_bool", "duration_bool", "seed_bool", "seed_negative"],
+    )
+    def test_stage_and_scenario_fields_outside_their_domain(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_needs_a_stage(self):
         with pytest.raises(ValueError):
             run(Scenario(duration_s=1e-5, sources=(), stages=()))
@@ -151,7 +169,9 @@ class TestValidation:
             sources=(Tone(freq_hz=15e9, power_dbm=0.0),),
             stages=(StageSpec(chain=ChainConfig(coupling_kind="coupler")),),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            OutOfBandError, match=r"^stage 0: source line 15\.000 GHz outside coupler band \[1\.000, 14\.000\] GHz$"
+        ):
             run(sc)
 
     def test_calibrations_match_the_stages(self, calibration):
@@ -189,7 +209,9 @@ class TestValidation:
         # A 12 MHz comb whose top line sits 1 MHz above tap l1's f_max.
         comb = Tone(freq_hz=15.995e9, power_dbm=0.0, occupied_bw_hz=12e6, n_subtones=3)
         sc = Scenario(duration_s=1e-6, sources=(comb,), stages=(StageSpec(), StageSpec()))
-        with pytest.raises(ValueError, match=r"^source line 16\.001 GHz outside stage 0 stub band$"):
+        with pytest.raises(
+            OutOfBandError, match=r"^stage 0: source line 16\.001 GHz above the stub band \(tap l1 resolves up to 16\.000 GHz\)$"
+        ):
             run(sc)
         at_f_max = replace(sc, sources=(Tone(freq_hz=16e9, power_dbm=0.0),))
         assert len(run(at_f_max, collect_trace=False).samples[1]) == 5

@@ -625,6 +625,7 @@ class TestConstantsAtConstruction:
         cfg = replace(chain, coupling_kind="coupler", detector=det, adc=AdcParams(bits=6), stub=stub)
         assert cfg.coupler == DirectionalCouplerParams() and chain.coupler is None
         assert cfg._stub_band_hz == 12e9 and chain._stub_band_hz == 16e9
+        assert cfg.band_hz == (1e9, 12e9) and chain.band_hz == (0.0, 16e9)
         assert cfg._det_law == (0.05, 0.5, 0.3, 0.8)
         assert cfg._adc_codes == (1.398 / 64, 63)
         assert (cfg.floor_code, cfg.ceiling_code) == (18, 32) and (chain.floor_code, chain.ceiling_code) == (757, 3101)
@@ -634,7 +635,7 @@ class TestConstantsAtConstruction:
 
     def test_not_in_json_repr_or_equality(self, chain):
         derived = {"_ripple", "_tap_coupling_db", "_tap_through_db", "_sat_w", "_stub_band_hz", "_det_law", "_adc_codes",
-                   "floor_code", "ceiling_code"}
+                   "floor_code", "ceiling_code", "band_hz"}
         assert derived <= set(vars(chain))
         assert set(to_json(chain.adc)) == {"bits", "sample_rate", "v_fs"}
         assert not derived & set(to_json(chain))
