@@ -109,6 +109,10 @@ class CalibrationTable:
     cfg, a hashable value, is the chain it was built for; the later fields
     are derived when the table is made. Its arrays are read-only; change a
     table with dataclasses.replace, which makes a new one with empty fronts.
+    Only the open-end codes the grid holds are converted to stub dBm when
+    the table is made, and codes 0 and full_code, so a chain whose codes do
+    not all convert is refused then; any other code is converted when a
+    reading first shows it, and kept (code_dbm).
     """
 
     freqs_hz: np.ndarray
@@ -118,10 +122,10 @@ class CalibrationTable:
     code_l1: np.ndarray
     code_l2: np.ndarray
     cfg: ChainConfig = field(repr=False)
-    # Stub power (dBm) implied by each open-end code 0..full_code, as a
-    # read-only float64 memoryview, which indexes to Python floats.
-    stub_dbm: memoryview = field(init=False, repr=False, compare=False)
-    # Attenuation-compensated stub level of every cell, stub_dbm[code_oc] + att_db.
+    # Stub power (dBm) of each open-end code converted so far (_code_dbm):
+    # the grid's codes, then those readings show.
+    code_dbm: dict = field(init=False, repr=False, compare=False)
+    # Attenuation-compensated stub level of every cell, _code_dbm(code_oc) + att_db.
     stub_level: np.ndarray = field(init=False, repr=False)
     # Per tap, the number of leading grid rows (f <= the tap's f_max) it resolves.
     tap_rows: tuple[int, int] = field(init=False, repr=False)
@@ -149,14 +153,20 @@ class CalibrationTable:
         for codes in (self.code_oc, self.code_l1, self.code_l2):
             if codes.size and not 0 <= codes.min() <= codes.max() <= full:
                 raise ValueError(f"calibration codes outside the ADC range [0, {full}]")
-        stub_dbm = _stub_dbm(cfg)
+            if codes.dtype.kind not in "iu":
+                raise ValueError(f"calibration codes must be an integer array, got dtype {codes.dtype}")
+        for code in (0, full):  # every code between converts if these two do
+            _code_dbm(code, cfg)
+        codes = np.flatnonzero(np.bincount(self.code_oc.ravel())).tolist()
+        self.code_dbm = {c: _code_dbm(c, cfg) for c in codes}
+        stub_dbm = np.zeros(full + 1)
+        stub_dbm[codes] = list(self.code_dbm.values())
         self.stub_level = stub_dbm[self.code_oc] + self.att_db
         self.tap_rows = tuple(
             int(np.searchsorted(f, t.f_max_hz * (1.0 + 1e-12), side="right")) for t in cfg.stub.taps
         )
         self.grid_step_hz = float(f[1] - f[0]) if len(f) > 1 else 0.0
         self.freqs_list = f.tolist()
-        self.stub_dbm = _view(stub_dbm)
         self.stub_rows = tuple(map(_view, self.stub_level))
         self.powers_view = _view(self.powers_dbm)
         self.fronts = tuple({} for _ in self.tap_rows)
@@ -270,8 +280,8 @@ def build_calibration(
     there (chain_codes_cw adds them to the gain), so the rows are grouped
     by that pair, compared exactly. The first row of each group is settled
     by settle_cw from zero attenuation: where the controller's own
-    agc_policy, stepped one setting per round, would stop, found by
-    bisection of each moving cell's run of settings rather than by stepping
+    agc_policy, stepped one setting per round, would stop, found by a
+    search of each moving cell's run of settings rather than by stepping
     (see settle_cw). Every other row takes its group's settings and is read
     once through chain_codes_cw. Both run over blocks of whole rows, at most
     _BLOCK_CELLS cells each, so a chain whose rows all differ, such as a
@@ -351,21 +361,20 @@ def build_calibration(
     )
 
 
-def _stub_dbm(cfg: ChainConfig) -> np.ndarray:
-    """Equivalent stub power (dBm) implied by each open-end code 0..full_code.
+def _code_dbm(code: int, cfg: ChainConfig) -> float:
+    """Equivalent stub power (dBm) implied by an open-end ADC code.
 
-    Each entry is watts_to_dbm's arithmetic, code by code; a code whose
-    watts are 0 W is refused as watts_to_dbm refuses it.
+    The detector law inverted to volts, then watts_to_dbm's arithmetic,
+    refusing 0 W as it does; a code whose volts overflow a float raises
+    OverflowError. Both can only happen at the ends of the code range, at
+    0 and at full_code, which the table converts when it is made.
     """
-    lsb, b, a = cfg.adc.lsb, cfg.detector.intercept_b, cfg.detector.slope_a
     z8 = 8.0 * cfg.stub.z0s
-    log10 = math.log10
-    volts = (10.0 ** ((code * lsb - b) / a) for code in range(cfg.adc.full_code + 1))
-    try:
-        return np.array([10.0 * log10(v * v / z8 / 1e-3) for v in volts])
-    except ValueError:  # math.log10 refuses only 0 W here
-        watts_to_dbm(0.0)
-        raise
+    v = 10.0 ** ((code * cfg.adc.lsb - cfg.detector.intercept_b) / cfg.detector.slope_a)
+    w = v * v / z8
+    if not w > 0.0:
+        watts_to_dbm(w)  # refuses it
+    return 10.0 * math.log10(w / 1e-3)
 
 
 def _front(cal: CalibrationTable, tap_idx: int, code_oc_obs: int) -> tuple:
@@ -521,7 +530,11 @@ def _power(codes: TapCodes, freq_hz: float, cal: CalibrationTable) -> float:
 
     i0 = _nearest_row(cal.freqs_list, freq_hz)
     s_row = cal.stub_rows[i0]
-    s_obs = cal.stub_dbm[codes.code_oc] + codes.att_db
+    try:
+        s_obs = cal.code_dbm[codes.code_oc]
+    except KeyError:  # a code the table has not met: converted once, and kept
+        s_obs = cal.code_dbm[codes.code_oc] = _code_dbm(codes.code_oc, cfg)
+    s_obs += codes.att_db
     if s_row[0] < s_obs < s_row[-1]:
         return interp(s_obs, s_row, cal.powers_view)
     # interp clamps at the ends; extend the row linearly instead, along

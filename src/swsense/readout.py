@@ -160,7 +160,8 @@ class ChainConfig:
     the first tap's f_max, where the stub response repeats, and on a coupler
     chain inside the coupler's [f_min_hz, f_max_hz]. A tap chain's low edge
     is 0.0, which no frequency reaches. check_band refuses a frequency
-    outside it.
+    outside it. A coupler whose f_min_hz lies above the stub band would
+    leave the band empty, and is refused with a ValueError.
     """
 
     coupling_kind: str = "tap"  # "tap" or "coupler"
@@ -205,6 +206,11 @@ class ChainConfig:
             code = math.floor((det.slope_a * math.log10(v) + det.intercept_b) / lsb)
             object.__setattr__(self, name, 0 if code < 0 else full if code > full else code)
         c = self.coupler
+        if c is not None and c.f_min_hz > self._stub_band_hz:
+            raise ValueError(
+                f"coupler f_min_hz={c.f_min_hz!r} lies above the stub band edge, "
+                f"{self._stub_band_hz / 1e9:.3f} GHz (tap {self.stub.taps[0].name}'s f_max): the chain's band is empty"
+            )
         band = (0.0, self._stub_band_hz) if c is None else (c.f_min_hz, min(self._stub_band_hz, c.f_max_hz))
         object.__setattr__(self, "band_hz", band)
 

@@ -2,7 +2,7 @@
 
 agc_policy is the one gain-control rule. on_sample applies it to one
 reading, and settle_cw finds where its one-step walk over CW cells stops:
-it bisects each moving cell's run of settings, asking agc_policy at each
+it searches each moving cell's run of settings, asking agc_policy at each
 probe, and finishes with the one-step walk itself. Any other caller in
 the package would be a second walk (or a second controller), so no other
 function may name it.

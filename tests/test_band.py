@@ -8,6 +8,7 @@ with its own order or wording cannot grow back.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from swsense.controller import ControllerConfig, settle_cw
 from swsense.core import Tone
+from swsense.coupling import DirectionalCouplerParams
 from swsense.engine import Scenario, StageSpec, run
 from swsense.errors import CalibrationRangeError, OutOfBandError
 from swsense.estimator import CalibrationGrid, build_calibration, estimate_power
@@ -105,6 +107,18 @@ def test_run_checks_the_stub_band_before_the_coupler_band():
     sc = Scenario(duration_s=1e-6, sources=sources, stages=(StageSpec(chain=CHAINS["coupler"]),))
     with pytest.raises(OutOfBandError, match=r"^stage 0: source line 20\.000 GHz above the stub band"):
         run(sc)
+
+
+EMPTY_BAND = "coupler f_min_hz=17000000000.0 lies above the stub band edge, 16.000 GHz (tap l1's f_max): the chain's band is empty"
+
+
+def test_a_coupler_above_the_stub_band_is_refused():
+    # Its band would run from 17 GHz down to 16 GHz; a coupler that starts
+    # on the stub band's edge leaves one frequency, and is kept.
+    with pytest.raises(ValueError, match=f"^{re.escape(EMPTY_BAND)}$"):
+        ChainConfig(coupling_kind="coupler", coupler=DirectionalCouplerParams(f_min_hz=17e9, f_max_hz=18e9))
+    edge = ChainConfig(coupling_kind="coupler", coupler=DirectionalCouplerParams(f_min_hz=16e9, f_max_hz=18e9))
+    assert edge.band_hz == (16e9, 16e9)
 
 
 # ---------------- one place makes an OutOfBandError ----------------

@@ -574,6 +574,9 @@ class TestConfigPlumbing:
              "chain.amplifier: p_out_sat_dbm must be finite with a linear factor that fits a float, got 4000.0"),
             ({"chain": {"coupler": {"coupling_db": -10.0}}},
              "chain: coupler must be null on a tap chain; set coupling_kind to 'coupler' to read through it"),
+            ({"chain": {"coupling_kind": "coupler", "coupler": {"f_min_hz": 17e9, "f_max_hz": 18e9}}},
+             "chain: coupler f_min_hz=17000000000.0 lies above the stub band edge, 16.000 GHz (tap l1's f_max): "
+             "the chain's band is empty"),
             ({"controller": {"agc_floor_code": 757}}, "controller: unknown key 'agc_floor_code'"),
             ({"controller": {"agc_low_code": 700}}, "config: agc_low_code=700 must lie above the chain's floor_code=757"),
         ],

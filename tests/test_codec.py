@@ -53,8 +53,9 @@ table = st.one_of(real, table_points)
 
 
 @st.composite
-def couplers(draw):
-    f_min = draw(freq)
+def couplers(draw, f_top=2e10):
+    """A coupler whose band starts at or below f_top."""
+    f_min = draw(st.floats(min_value=1e8, max_value=f_top))
     f_max = draw(st.floats(min_value=f_min * 1.01, max_value=f_min * 20.0))
     return DirectionalCouplerParams(draw(table), draw(table), draw(table), f_min, f_max)
 
@@ -81,12 +82,17 @@ def detectors(draw):
 @st.composite
 def chains(draw):
     kind = draw(st.sampled_from(["tap", "coupler"]))
+    stub = draw(stubs())
+    # A coupler block only on a coupler chain, which without one takes the
+    # default coupler. The coupler's band starts inside the stub band, or the
+    # chain's band is empty.
+    f_top = stub.taps[0].f_max_hz
+    default = st.none() if DirectionalCouplerParams().f_min_hz <= f_top else st.nothing()
     return ChainConfig(
         coupling_kind=kind,
         tap=draw(st.builds(ResistiveTapParams, pos, pos)),
-        # A coupler block only on a coupler chain, which without one takes the default coupler.
-        coupler=draw(st.none() | couplers()) if kind == "coupler" else None,
-        stub=draw(stubs()),
+        coupler=draw(default | couplers(f_top)) if kind == "coupler" else None,
+        stub=stub,
         attenuator=draw(attenuators()),
         amplifier=draw(st.builds(AmplifierParams, real, real)),
         detector=draw(detectors()),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from swsense.estimator import (
     CONF_IN_RANGE,
     CONF_SATURATED,
     CalibrationGrid,
+    _code_dbm,
     _nearest_row,
     build_calibration,
     estimate,
@@ -383,10 +385,6 @@ class TestTableState:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
 
-    def test_stub_dbm_is_read_only(self, calibration):
-        with pytest.raises(TypeError, match="read-only"):
-            calibration.stub_dbm[0] = calibration.stub_dbm[0]
-
     def test_replace_starts_with_empty_fronts(self, chain, calibration):
         codes = chain_readout(SignalDescriptor((Tone(freq_hz=3e9, power_dbm=0.0),)), chain, 0.0)
         est = estimate(codes, calibration)
@@ -396,6 +394,26 @@ class TestTableState:
         assert estimate(codes, new) == est
         assert new.fronts[1].keys() == {codes.code_oc}
         assert new.shared_fronts is not calibration.shared_fronts
+
+    @pytest.mark.parametrize("name", ["code_oc", "code_l1", "code_l2"])
+    def test_codes_that_are_not_integers_are_refused(self, calibration, name):
+        # In range but float: a code is an ADC code, and a table converts
+        # its open-end codes to stub levels one by one.
+        codes = getattr(calibration, name).astype(float)
+        with pytest.raises(ValueError, match=r"^calibration codes must be an integer array, got dtype float64$"):
+            replace(calibration, **{name: codes})
+
+    def test_code_dbm_holds_the_grid_codes_then_those_read(self, chain, calibration):
+        # The grid's open-end codes are converted when the table is made;
+        # a reading's other code is converted once, when it is read.
+        table = replace(calibration)
+        assert list(table.code_dbm) == np.unique(table.code_oc).tolist()
+        codes = TapCodes(0.0, 2900, 2788, 2857, 0.0)
+        assert 2900 not in table.code_dbm
+        p = estimate_power(codes, 8e9, table)
+        assert table.code_dbm[2900] == _code_dbm(2900, chain)
+        assert estimate_power(codes, 8e9, table) == p
+        assert list(pickle.loads(pickle.dumps(table)).code_dbm) == np.unique(table.code_oc).tolist()
 
     def test_nearest_row_matches_argmin(self, calibration, small_cal):
         for cal in (calibration, small_cal):

@@ -14,6 +14,7 @@ import hashlib
 import math
 from dataclasses import replace
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from scalar_reference import (
     on_sample_ref,
     settle_ref,
 )
+import swsense.controller
 from swsense.controller import (
     MODE_ENGAGED,
     MODE_ENGAGING,
@@ -47,7 +49,7 @@ from swsense.errors import OutOfBandError
 from swsense.stub import StubParams, TapSpec
 from swsense.estimator import (
     CalibrationGrid,
-    _stub_dbm,
+    _code_dbm,
     build_calibration,
     default_grid_for,
     estimate,
@@ -176,6 +178,43 @@ class TestCalibrationParity:
             "tap": "612d9f21a685029eeb08f3400dfa1b126256a9b7a2badb0a779358687ebfcebb",
             "coupler": "ec64c5c7a3a1406fdf65c7b837a64a70994e4c509c2e8ab4b0a225355f13ac7a",
         }
+
+    @pytest.mark.parametrize(
+        "cfg, grid, digest",
+        [
+            # A rippled tap chain on its default grid: 150 of its 151 rows
+            # settled in one block with 2,959 moving cells, so every search
+            # round is a round of bisection.
+            (
+                ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0))),
+                None,
+                "c5a18cddbe992fd222a2f51b3f516dd5a5da7890cdec5f9174988677d2475e42",
+            ),
+            # A sloped coupler behind 0.5 dB steps, every row settled: on its
+            # default grid by bisection (2,700 moving cells), and on 8 rows
+            # (164 moving cells) by rounds of three reads a cell.
+            (
+                ChainConfig(
+                    coupling_kind="coupler",
+                    coupler=DirectionalCouplerParams(coupling_db=((1e9, -14.0), (14e9, -17.0))),
+                    attenuator=AttenuatorParams(0.5, 31.5),
+                ),
+                None,
+                "67d8514c2812ebdbd8fcb54eef124e2d052d06b89c9121c147c8057a077d3bce",
+            ),
+            (
+                ChainConfig(
+                    coupling_kind="coupler",
+                    coupler=DirectionalCouplerParams(coupling_db=((1e9, -14.0), (14e9, -17.0))),
+                    attenuator=AttenuatorParams(0.5, 31.5),
+                ),
+                CalibrationGrid(1e9, 14e9, 2e9, -20.0, 20.0, 1.0),
+                "968117ba2b99dea8debaab9551921106b5fe0de559ad9701060369087fa53053",
+            ),
+        ],
+    )
+    def test_tables_that_settle_every_row_are_pinned(self, cfg, grid, digest):
+        assert table_digest(build_calibration(cfg, grid)) == digest
 
     @pytest.mark.parametrize(
         "coupling_kind, grid",
@@ -407,19 +446,30 @@ class TestChainCodesCw:
 
 
 @pytest.mark.parametrize("cfg", _READOUT_CHAINS)
-def test_stub_dbm_is_the_scalar_conversion_per_code(cfg):
-    ref = [_code_to_stub_dbm(code, cfg) for code in range(cfg.adc.full_code + 1)]
-    assert _stub_dbm(cfg).tobytes() == np.array(ref).tobytes()
+def test_code_dbm_is_the_scalar_conversion_per_code(cfg):
+    # Every code, as a Python int and as the numpy integers a reading may carry.
+    ref = np.array([_code_to_stub_dbm(code, cfg) for code in range(cfg.adc.full_code + 1)])
+    for kind in (int, np.int64, np.int32, np.uint16):
+        got = np.array([_code_dbm(kind(code), cfg) for code in range(cfg.adc.full_code + 1)])
+        assert got.tobytes() == ref.tobytes(), kind
 
 
 def test_stub_dbm_refuses_a_code_with_no_power():
     # A steep detector puts code 0 at 10 ** -1000 V, which is 0.0 W, and
-    # watts_to_dbm refuses it in both.
+    # watts_to_dbm refuses it in both; a table for that chain is refused
+    # when it is made, whatever codes its grid holds.
     cfg = ChainConfig(detector=DetectorParams(slope_a=0.001))
     with pytest.raises(ValueError, match=r"^power must be positive, got 0\.0 W$"):
         _code_to_stub_dbm(0, cfg)
+    cal = build_calibration(ChainConfig(), CalibrationGrid(8e9, 8e9, 1e9, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match=r"^power must be positive, got 0\.0 W$"):
-        _stub_dbm(cfg)
+        replace(cal, cfg=cfg)
+    # With no intercept, code 0 is 1 V, and full_code's volts overflow a float.
+    cfg = ChainConfig(detector=DetectorParams(slope_a=0.004, intercept_b=0.0))
+    with pytest.raises(OverflowError):
+        _code_to_stub_dbm(cfg.adc.full_code, cfg)
+    with pytest.raises(OverflowError):
+        replace(cal, cfg=cfg)
 
 
 # ATTENUATORS, and ladders whose max_db is only within valid_setting's
@@ -441,14 +491,19 @@ _SETTLE_ATTENUATORS = ATTENUATORS + (
     data=st.data(),
     n_f=st.integers(1, 4),
     n_p=st.integers(1, 4),
+    probe_cells=st.sampled_from(["default", "n - 1", "n", "n + 1", "2n", "3n + 1", "1"]),
 )
-def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_f, n_p):
+def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_f, n_p, probe_cells):
     # Tap, coupler and rippled chains; frequencies across the band (the
     # coupler's is narrower), powers from below the detector floor to past
     # the attenuator's reach, and a start setting per cell: a whole number
     # of steps, one 1e-8 dB off it, or max_db. A window narrower than a
     # step leaves cells swinging between two settings, walked both up and
-    # down into it.
+    # down into it. The cells a search round reads, _PROBE_CELLS, is set
+    # against the n cells the policy moves at att0: below, at and above n,
+    # a round is bisection, one read a cell; from 2n up it reads several
+    # settings of each cell, and the default reads a small block's whole
+    # runs at once.
     cfg = replace(cfg, attenuator=attenuator)
     step, max_db = attenuator.step_db, attenuator.max_db
     lo, hi = (1e9, 14e9) if cfg.coupling_kind == "coupler" else (1e6, cfg.stub.taps[0].f_max_hz)
@@ -464,7 +519,12 @@ def test_settle_cw_is_the_scalar_walk_per_cell(cfg, attenuator, window, data, n_
          for k, how in starts]
     ).reshape(n_f, n_p)
     ctrl = with_window(cfg, window)
-    oc, l1, l2, att = settle_cw(freqs, powers, cfg, ctrl, att0)
+    n = int(np.count_nonzero(agc_policy(chain_codes_cw(freqs, powers, att0, cfg)[0], att0, ctrl, cfg) != att0))
+    per_round = {"n - 1": n - 1, "n": n, "n + 1": n + 1, "2n": 2 * n, "3n + 1": 3 * n + 1, "1": 1}
+    with mock.patch.object(
+        swsense.controller, "_PROBE_CELLS", max(1, per_round.get(probe_cells, swsense.controller._PROBE_CELLS))
+    ):
+        oc, l1, l2, att = settle_cw(freqs, powers, cfg, ctrl, att0)
     assert all(a.shape == (n_f, n_p) for a in (oc, l1, l2, att))
     for i, j in np.ndindex(n_f, n_p):
         ref, a = settle_ref(freqs[i, 0], powers[j], cfg, ctrl, att0[i, j])
