@@ -308,9 +308,11 @@ def chain_voltages_lines(
     before any NaN reaches the detectors.
 
     One pass over the lines applies the pick-off coupling, the attenuator,
-    the gain and its ripple; the amplifier ceiling and tap_rms_voltages
-    follow, then the detector law, clamped to [v_in_min, v_in_max], on
-    each of the three voltages.
+    the gain and its ripple, and sums the standing wave at the open end
+    and at each tap with tap_rms_voltages' arithmetic, in line order. When
+    the total exceeds the amplifier ceiling, the lines are scaled to it and
+    tap_rms_voltages sums them instead. The detector law, clamped to
+    [v_in_min, v_in_max], follows on each of the three voltages.
     """
     cfg.attenuator.check_setting(att_db)
     if forward_ratios is None:
@@ -322,9 +324,12 @@ def chain_voltages_lines(
     coupler, ripple = cfg.coupler, cfg._ripple
     # The tap's coupling is flat, so a tap chain's gain before ripple is one number.
     tap_g_db = cfg._tap_coupling_db - att_db + gain_db
+    z0s = cfg.stub.z0s
+    f_max1, f_max2 = cfg.stub._f_max_hz
+    half_pi, cos = math.pi / 2.0, math.cos
     inf = math.inf
     drive: list[tuple[float, float]] = []
-    total_w = 0.0
+    total_w = oc_sq = sq1 = sq2 = 0.0
     for (f_hz, p_w), r in zip(lines, forward_ratios):
         # One chain per line; a NaN fails every comparison.
         if not (0.0 < f_hz <= f_max and 0.0 <= p_w < inf and 0.0 <= r < inf):
@@ -341,14 +346,21 @@ def chain_voltages_lines(
             )
         drive.append((f_hz, p))
         total_w += p
+        v_sq = 8.0 * p * z0s
+        oc_sq += v_sq
+        c = cos(half_pi * f_hz / f_max1)
+        sq1 += v_sq * c * c
+        c = cos(half_pi * f_hz / f_max2)
+        sq2 += v_sq * c * c
     if total_w == inf:
         raise ValueError(f"the {len(drive)} lines' total power after the gain overflows a float")
     # Hard amplifier ceiling on total output power; line ratios are preserved.
     sat_w = cfg._sat_w
     if total_w > sat_w:
         scale = sat_w / total_w
-        drive = [(f, p * scale) for f, p in drive]
-    v_oc, (v1, v2) = tap_rms_voltages(drive, cfg.stub)
+        v_oc, (v1, v2) = tap_rms_voltages([(f, p * scale) for f, p in drive], cfg.stub)
+    else:
+        v_oc, v1, v2 = math.sqrt(oc_sq), math.sqrt(sq1), math.sqrt(sq2)
     # The detector law; a root-sum-square voltage is never negative.
     v_min, v_max, a, b = cfg._det_law
     log10 = math.log10
@@ -450,17 +462,20 @@ def chain_codes_cw(
     near = np.zeros(v_sq.shape, dtype=bool)
     codes = []
     ratios = [np.abs(np.cos(math.pi / 2.0 * f / t.f_max_hz)) for t in cfg.stub.taps]
+    # The clamps are np.minimum(np.maximum(...)): np.clip's arithmetic
+    # without its fixed cost per call.
     for r in (1.0, *ratios):  # the open end first; v_sq * 1.0 * 1.0 is v_sq exactly
         v = np.sqrt(v_sq * r * r)
-        level = det.slope_a * np.log10(np.clip(v, det.v_in_min, det.v_in_max)) + det.intercept_b
+        level = det.slope_a * np.log10(np.minimum(np.maximum(v, det.v_in_min), det.v_in_max)) + det.intercept_b
         level /= adc.lsb
         near |= np.abs(level - np.rint(level)) < 1e-9
         # An array even for 0-d cells, where numpy's ufuncs give scalars.
-        codes.append(np.asarray(np.clip(np.floor(level), 0, adc.full_code), dtype=int))
-    for idx in map(tuple, np.argwhere(near)):
-        fc, pc, ac = (float(x[idx]) for x in cells)
-        c = chain_readout_lines([(fc, dbm_to_watts(pc))], cfg, ac)
-        codes[0][idx], codes[1][idx], codes[2][idx] = c.code_oc, c.code_l1, c.code_l2
+        codes.append(np.asarray(np.minimum(np.maximum(np.floor(level), 0), adc.full_code), dtype=int))
+    if near.any():
+        for idx in map(tuple, np.argwhere(near)):
+            fc, pc, ac = (float(x[idx]) for x in cells)
+            c = chain_readout_lines([(fc, dbm_to_watts(pc))], cfg, ac)
+            codes[0][idx], codes[1][idx], codes[2][idx] = c.code_oc, c.code_l1, c.code_l2
     return codes[0], codes[1], codes[2]
 
 

@@ -726,12 +726,13 @@ class TestOneIdentity:
 
 
 class TestOnePassReadout:
-    """A readout makes one stub sum and none of the one-value helper calls.
+    """A readout below the amplifier ceiling makes no helper call; one above it makes one stub sum.
 
     This counts work, like tests/test_engine.py::TestWorkPerRun: the
-    detector law, the quantisation, the standing-wave ratio, the coupling
-    and the ripple are read inside the readout, not called per line or per
-    voltage, and a descriptor is not expanded again.
+    detector law, the quantisation, the standing-wave sum and ratio, the
+    coupling and the ripple are read inside the readout, not called per
+    line or per voltage, and a descriptor is not expanded again. Only the
+    ceiling path hands the scaled lines to tap_rms_voltages.
     """
 
     @pytest.mark.parametrize(
@@ -759,9 +760,10 @@ class TestOnePassReadout:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         cw = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=2.0),))
         comb = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=0.0, occupied_bw_hz=12e6),))
+        loud = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=25.0),))
         assert (len(cw.lines), len(comb.lines)) == (1, 31)
-        for sig in (cw, comb):
+        for sig, expected in ((cw, []), (comb, []), (loud, ["tap_rms_voltages"])):
             for read in (chain_readout, chain_voltages):
                 calls.clear()
                 read(sig, cfg, 0.25)
-                assert calls == ["tap_rms_voltages"]
+                assert calls == expected

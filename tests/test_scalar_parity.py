@@ -31,6 +31,7 @@ from scalar_reference import (
     settle_ref,
 )
 import swsense.controller
+import swsense.readout
 from swsense.controller import (
     MODE_ENGAGED,
     MODE_ENGAGING,
@@ -357,6 +358,58 @@ def test_high_gain_readout_matches_scalar_reference(cfg, lines, att, ratios):
     assert outcome(chain_voltages_lines, lines, cfg, att, ratios) == outcome(
         chain_voltages_lines_scalar, lines, cfg, att, ratios
     )
+
+
+def _at_total(cfg, lines, att, ratios, target):
+    """lines scaled to a total after the gain of about target, then the last
+    line's watts stepped one ulp at a time until that total, summed as the
+    chain sums it, is target; None if no float power gives exactly target."""
+    gains = [10.0 ** ((cfg.coupling_db_at(f) - att + cfg.amplifier.gain_db + cfg.ripple_db_at(f)) / 10.0)
+             for f, _ in lines]
+    squares = [1.0] * len(lines) if ratios is None else [r * r for r in ratios]
+
+    def total(powers):
+        t = 0.0
+        for p_w, g, r2 in zip(powers, gains, squares):
+            t += p_w * g * r2
+        return t
+
+    k = target / total([p_w for _, p_w in lines])
+    powers = [p_w * k for _, p_w in lines]
+    while total(powers) < target:
+        powers[-1] = math.nextafter(powers[-1], math.inf)
+    while total(powers) > target:
+        powers[-1] = math.nextafter(powers[-1], 0.0)
+    return [(f, p_w) for (f, _), p_w in zip(lines, powers)] if total(powers) == target else None
+
+
+@pytest.mark.parametrize("cfg", [ChainConfig(), ChainConfig(coupling_kind="coupler")], ids=["tap", "coupler"])
+@pytest.mark.parametrize(
+    "lines",
+    [[(8e9, 1e-3)], list(SignalDescriptor((Tone(freq_hz=8e9, power_dbm=0.0, occupied_bw_hz=12e6),)).lines)],
+    ids=["1_line", "31_lines"],
+)
+@pytest.mark.parametrize("with_ratios", [False, True], ids=["no_ratios", "ratios"])
+@pytest.mark.parametrize("ulps", [-1, 0, 1], ids=["below", "on", "above"])
+def test_readout_at_the_amplifier_ceiling_matches_scalar_reference(cfg, lines, with_ratios, ulps, monkeypatch):
+    # The total after the gain one ulp below, exactly on and one ulp above
+    # the ceiling: the readout sums the lines itself up to the ceiling and
+    # hands the scaled lines to tap_rms_voltages above it.
+    sat_w = cfg._sat_w
+    target = sat_w if ulps == 0 else math.nextafter(sat_w, ulps * math.inf)
+    ratios = [0.9 + 0.01 * i for i in range(len(lines))] if with_ratios else None
+    # Not every setting's gain reaches the exact total from a float power.
+    for att in (0.25 * k for k in range(128)):
+        edge = _at_total(cfg, lines, att, ratios, target)
+        if edge is not None:
+            break
+    assert edge is not None
+    calls = []
+    stub_sum = swsense.readout.tap_rms_voltages
+    monkeypatch.setattr(swsense.readout, "tap_rms_voltages", lambda *a: calls.append(1) or stub_sum(*a))
+    assert chain_readout_lines(edge, cfg, att, 1e-6, ratios) == chain_readout_lines_scalar(edge, cfg, att, 1e-6, ratios)
+    assert chain_voltages_lines(edge, cfg, att, ratios) == chain_voltages_lines_scalar(edge, cfg, att, ratios)
+    assert len(calls) == (2 if ulps > 0 else 0)
 
 
 class TestChainCodesCw:
