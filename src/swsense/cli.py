@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -102,16 +102,9 @@ def _cmd_sweep_sparams(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg, ctrl = _build(args.config)
-    band = default_grid_for(cfg)
-    grid = CalibrationGrid(
-        f_start_hz=band.f_start_hz if args.f_start is None else args.f_start,
-        f_stop_hz=band.f_stop_hz if args.f_stop is None else args.f_stop,
-        f_step_hz=args.f_step,
-        p_start_dbm=args.p_start,
-        p_stop_dbm=args.p_stop,
-        p_step_dbm=args.p_step,
-    )
-    cal = build_calibration(cfg, grid, ctrl)
+    # Each option's dest is a CalibrationGrid field; one not given keeps the chain's default grid's.
+    given = {f.name: getattr(args, f.name) for f in fields(CalibrationGrid) if getattr(args, f.name) is not None}
+    cal = build_calibration(cfg, replace(default_grid_for(cfg), **given), ctrl)
     csv_path = _outpath(args, "calibration.csv")
     hdr_path = _outpath(args, "calibration.json")
     save_calibration(cal, csv_path, hdr_path)
@@ -219,12 +212,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep_sparams)
 
     cp = sub.add_parser("calibrate", help="build and store a calibration table")
-    cp.add_argument("--f-start", type=float, help="default: low edge of the chain's band")
-    cp.add_argument("--f-stop", type=float, help="default: high edge of the chain's band")
-    cp.add_argument("--f-step", type=float, default=0.1e9)
-    cp.add_argument("--p-start", type=float, default=-20.0)
-    cp.add_argument("--p-stop", type=float, default=20.0)
-    cp.add_argument("--p-step", type=float, default=1.0)
+    cp.add_argument("--f-start", dest="f_start_hz", type=float, help="default: low edge of the chain's band")
+    cp.add_argument("--f-stop", dest="f_stop_hz", type=float, help="default: high edge of the chain's band")
+    cp.add_argument("--f-step", dest="f_step_hz", type=float)
+    cp.add_argument("--p-start", dest="p_start_dbm", type=float)
+    cp.add_argument("--p-stop", dest="p_stop_dbm", type=float)
+    cp.add_argument("--p-step", dest="p_step_dbm", type=float)
     cp.set_defaults(func=_cmd_calibrate)
 
     rp = sub.add_parser("resolution", help="frequency resolution at a given input frequency")

@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_not_bool
+from .core import check_not_bool, dbm_to_watts
 from .estimator import CONF_SATURATED, CalibrationTable, Estimate, check_codes, estimate
 from .errors import SwsenseError
-from .readout import ChainConfig, TapCodes, chain_codes_cw
+from .readout import ChainConfig, TapCodes, chain_codes_cw, chain_readout_lines
 
 MODE_IDLE = "idle"
 MODE_ENGAGING = "engaging"
@@ -59,7 +59,9 @@ class ControllerConfig:
     switch_freq_hz is None or positive and finite, and agc_low_code <=
     agc_high_code. Where the controller meets its chain (build_calibration,
     StageSpec), check_chain also requires agc_low_code above the chain's
-    floor_code.
+    floor_code and agc_high_code below its ceiling_code: a reading never
+    exceeds the ceiling, so a window at or above it would never step a
+    saturated reading down.
     """
 
     threshold_dbm: float = 0.0
@@ -85,15 +87,29 @@ class ControllerConfig:
             raise ValueError(f"need agc_low_code <= agc_high_code, got {self.agc_low_code}, {self.agc_high_code}")
 
     def check_chain(self, cfg: ChainConfig) -> None:
-        """ValueError unless agc_low_code lies above cfg's floor_code, the code that means no signal."""
+        """ValueError unless the window lies between cfg's floor_code and ceiling_code.
+
+        floor_code is the code that means no signal. The bottom is checked
+        first.
+        """
         if not self.agc_low_code > cfg.floor_code:
             raise ValueError(f"agc_low_code={self.agc_low_code} must lie above the chain's floor_code={cfg.floor_code}")
+        if not self.agc_high_code < cfg.ceiling_code:
+            raise ValueError(
+                f"agc_high_code={self.agc_high_code} must lie below the chain's ceiling_code={cfg.ceiling_code}"
+            )
 
     @staticmethod
     def for_chain(cfg: ChainConfig) -> "ControllerConfig":
-        """The code window of a chain: _AGC_WINDOW_CODES wide, its top the open-end code at _AGC_PROBE_DBM."""
+        """The code window of a chain: _AGC_WINDOW_CODES wide, its top the open-end code at _AGC_PROBE_DBM.
+
+        The probe is one CW line at half the first tap's f_max, read with
+        no attenuation. On a chain with enough gain that code is the
+        ceiling_code, and check_chain refuses the window: such a chain
+        needs a window given explicitly.
+        """
         f_probe = cfg.stub.taps[0].f_max_hz / 2.0
-        high = int(chain_codes_cw(f_probe, _AGC_PROBE_DBM, 0.0, cfg)[0])
+        high = chain_readout_lines([(f_probe, dbm_to_watts(_AGC_PROBE_DBM))], cfg, 0.0).code_oc
         return ControllerConfig(agc_high_code=high, agc_low_code=high - _AGC_WINDOW_CODES)
 
 
@@ -154,8 +170,8 @@ def agc_policy(
     return np.where(steps != 0, moved, att_db)
 
 
-# Cells a settle_cw search round reads when its open cells leave room for
-# more than one read each, like estimator._BLOCK_CELLS a bound on one
+# Cells a settle_cw search round reads, unless it has more open cells than
+# this and reads each once: like estimator._BLOCK_CELLS, a bound on one
 # chain_codes_cw call. On the default chain a read costs about 82 us plus
 # 0.14 us a cell (timeit, best of five, 2-core shared host, Python 3.11,
 # numpy 2.4): a read of about 590 cells costs twice its fixed part. Of 256,
@@ -220,25 +236,22 @@ def settle_cw(
     hi = np.where(d > 0, n_steps + 1 - k0, k0).astype(int)
     open_ = np.flatnonzero(hi - lo > 1)
     while open_.size:
-        per = _PROBE_CELLS // open_.size
-        if per <= 1:  # the middle of each open span
-            owner, m = open_, (lo[open_] + hi[open_]) // 2
-        else:  # the i-th of n evenly spaced settings inside each open span, from 1
-            span = hi[open_] - lo[open_]
-            n = np.minimum(per, span - 1)
-            first = np.cumsum(n) - n
-            owner = np.repeat(open_, n)
-            i = np.arange(1, owner.size + 1) - np.repeat(first, n)
-            m = lo[owner] + i * np.repeat(span, n) // np.repeat(n + 1, n)
+        # The i-th of n evenly spaced settings inside each open span, from 1;
+        # a span's one setting is its middle one, lo + span // 2.
+        span = hi[open_] - lo[open_]
+        n = np.minimum(max(_PROBE_CELLS // open_.size, 1), span - 1)
+        first = np.cumsum(n) - n
+        owner = np.repeat(open_, n)
+        i = np.arange(1, owner.size + 1) - np.repeat(first, n)
+        m = lo[owner] + i * np.repeat(span, n) // np.repeat(n + 1, n)
         k, a = moving[owner], np.clip((k0[owner] + d[owner] * m) * step, 0.0, max_db)
         got = chain_codes_cw(f[k], p[k], a, cfg)
-        # A read at which the policy pushes on raises its cell's lo, and one
-        # at which it does not lowers its hi.
+        # The reads at which the policy pushes on are a leading run of each
+        # span's: the last of them raises its cell's lo, and the first read
+        # after them lowers its hi.
         on = (agc_policy(got[0], a, ctrl, cfg) - a) * d[owner] > 0
-        off = ~on
-        if per > 1:  # on is a leading run of each span's reads: keep its last, and the first off
-            n_on = np.bincount(owner[on], minlength=lo.size)[open_]
-            on, off = (first + n_on - 1)[n_on > 0], (first + n_on)[n_on < n]
+        n_on = np.bincount(owner[on], minlength=lo.size)[open_]
+        on, off = (first + n_on - 1)[n_on > 0], (first + n_on)[n_on < n]
         lo[owner[on]], hi[owner[off]] = m[on], m[off]
         att[k[on]] = a[on]
         for out, c in zip(codes, got):

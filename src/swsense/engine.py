@@ -214,13 +214,14 @@ def get_calibration(cfg: ChainConfig, ctrl: ControllerConfig) -> CalibrationTabl
     return _CAL_CACHE[key]
 
 
-def _validate(sc: Scenario) -> None:
+def _validate(sc: Scenario, expanded: list[list[tuple[float, float]]]) -> None:
+    """ValueError or OutOfBandError unless sc can run; expanded holds the (freq, watts) lines of each source."""
     # A NaN or infinite duration would never end the sample loop.
     if not (0.0 < sc.duration_s < math.inf and 0.0 < sc.dt_s < math.inf):
         raise ValueError("duration_s and dt_s must be positive and finite")
     if not sc.stages:
         raise ValueError("scenario needs at least one stage")
-    lines = np.array([f for src in sc.sources for f, _ in expand_modulated(src)])
+    lines = np.array([f for src_lines in expanded for f, _ in src_lines])
     for k, st in enumerate(sc.stages):
         period = st.chain.adc.sample_period
         if sc.dt_s > period / 4.0 + 1e-15:
@@ -270,9 +271,9 @@ def _at(hist: list[tuple[float, object]], t: float):
 
 class _Runner:
     def __init__(self, sc: Scenario, calibrations: list[CalibrationTable] | None):
-        _validate(sc)
-        self.sc = sc
         self.expanded = [expand_modulated(src) for src in sc.sources]
+        _validate(sc, self.expanded)
+        self.sc = sc
         rng = np.random.default_rng(sc.seed)
         self.phase = [
             float(rng.uniform(0.0, st.chain.adc.sample_period)) for st in sc.stages

@@ -273,7 +273,8 @@ def build_calibration(
     ChainConfig, grid is None or a CalibrationGrid (None is
     default_grid_for(cfg), the chain's usable band), and ctrl is None or a
     ControllerConfig (None is ControllerConfig.for_chain(cfg)) whose
-    agc_low_code lies above the chain's floor_code.
+    window lies between the chain's floor_code and ceiling_code
+    (ControllerConfig.check_chain).
 
     A cell's open-end code, and with it the gain control's walk, depends
     on its row's frequency only through the chain's coupling and ripple

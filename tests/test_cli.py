@@ -186,6 +186,39 @@ class TestCalibrate:
         assert cal.freqs_hz[-3:].tolist() == [15.4e9, 15.8e9, 16e9]
 
     @pytest.mark.parametrize(
+        "argv, cells, digest",
+        [
+            ([], 6191, "01a3e8811953a305b358c7b5526c719926f5e336bcc5c480c6b7b5fea588a942"),
+            (["--f-start", "2e9"], 5781, "4257df85d14451444524d47b858a1f1f89aa4e44e41a454078ce6a9d361df900"),
+            (["--f-stop", "12e9"], 4551, "04cf8f07319bc0ca22804f7073b32d0f2a424dd2c7af9b6ba83e30d6776a11d6"),
+            (["--f-step", "0.5e9"], 1271, "df338676e86da2df1ece5a9f5b1ca53164c2d9d8b57fbbfdeac8197a4a99bbde"),
+            (["--p-start", "-10"], 4681, "a18e509469b708efcbc7aabf92b6e9e65e1f58d13b2c90212c683ea3c0aa2a9c"),
+            (["--p-stop", "10"], 4681, "92081dd5fcd2f4eb44e71a7689360edbab274e56c2eb00b19589921bf26d2e0a"),
+            (["--p-step", "2"], 3171, "7c2c0e05f7aa3d03edd1580192b405169e874e65bb64781d7c748b21592850aa"),
+        ],
+    )
+    def test_an_option_not_given_keeps_the_default_grids_value(self, tmp_path, capsys, argv, cells, digest):
+        # sha256 of calibration.csv then calibration.json, as written when
+        # the options restated CalibrationGrid's defaults.
+        assert run_cli(tmp_path, "calibrate", *argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {cells} cells")
+        written = b"".join((tmp_path / name).read_bytes() for name in ("calibration.csv", "calibration.json"))
+        assert hashlib.sha256(written).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--f-step", "0"], "frequency sweep needs finite start <= stop and step > 0; got 1000000000.0, 16000000000.0, 0.0"),
+            (["--p-step", "0"], "power sweep needs finite start <= stop and step > 0; got -20.0, 20.0, 0.0"),
+            (["--f-start", "17e9"], "frequency sweep needs finite start <= stop and step > 0; "
+             "got 17000000000.0, 16000000000.0, 100000000.0"),
+        ],
+    )
+    def test_a_refused_grid_names_the_default_values(self, tmp_path, capsys, argv, err):
+        assert run_cli(tmp_path, "calibrate", *argv) == 2
+        assert capsys.readouterr() == ("", f"swsense: {err}\n")
+
+    @pytest.mark.parametrize(
         "argv, err",
         [
             (["--f-step", "0"], "frequency sweep needs"),
@@ -427,6 +460,8 @@ class TestSimulate:
              "stages[0].controller: unknown key 'agc_floor_code'"),
             (lambda d: d["stages"][0]["controller"].update(agc_low_code=757),
              "stages[0]: agc_low_code=757 must lie above the chain's floor_code=757"),
+            (lambda d: d["stages"][0]["controller"].update(agc_high_code=3101),
+             "stages[0]: agc_high_code=3101 must lie below the chain's ceiling_code=3101"),
         ],
     )
     def test_malformed_scenario_is_malformed(self, tmp_path, capsys, edit, err):
@@ -579,6 +614,8 @@ class TestConfigPlumbing:
              "the chain's band is empty"),
             ({"controller": {"agc_floor_code": 757}}, "controller: unknown key 'agc_floor_code'"),
             ({"controller": {"agc_low_code": 700}}, "config: agc_low_code=700 must lie above the chain's floor_code=757"),
+            ({"controller": {"agc_high_code": 3200, "agc_low_code": 3050}},
+             "config: agc_high_code=3200 must lie below the chain's ceiling_code=3101"),
         ],
     )
     def test_config_block_errors_are_malformed(self, tmp_path, capsys, cfg, err):
@@ -608,7 +645,8 @@ class TestConfigPlumbing:
         assert json.loads(capsys.readouterr().out)["freq_hz"] == 8e9
 
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
-        cfg = {"chain": {"adc": {"bits": 10}}, "controller": {}}
+        # The default window lies above a 10-bit chain's ceiling, so it carries its own.
+        cfg = {"chain": {"adc": {"bits": 10}}, "controller": {"agc_high_code": 741, "agc_low_code": 704}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         monkeypatch.setenv("SWSENSE_CONFIG", str(path))

@@ -102,12 +102,12 @@ def chains(draw):
 
 
 @st.composite
-def controllers(draw, floor=-1):
-    """A controller whose window's bottom lies above floor, a chain's floor_code."""
-    low = draw(st.integers(floor + 1, max(floor + 1, 4095)))
+def controllers(draw, floor=-1, ceiling=4096):
+    """A controller whose window lies above floor and below ceiling, a chain's floor_code and ceiling_code."""
+    low = draw(st.integers(floor + 1, ceiling - 1))
     return ControllerConfig(
         threshold_dbm=draw(real),
-        agc_high_code=draw(st.integers(low, max(low, 4095))),
+        agc_high_code=draw(st.integers(low, ceiling - 1)),
         agc_low_code=low,
         clock_period=draw(pos),
         retune_deadband_hz=draw(pos),
@@ -145,9 +145,10 @@ def notches(draw):
 
 @st.composite
 def stages(draw):
-    chain = draw(chains())
+    # A chain whose floor and ceiling codes leave room for a window between them.
+    chain = draw(chains().filter(lambda c: c.ceiling_code - c.floor_code > 1))
     delay = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)  # a stage's delay is >= 0
-    return StageSpec(chain, draw(controllers(chain.floor_code)), draw(notches()), draw(delay))
+    return StageSpec(chain, draw(controllers(chain.floor_code, chain.ceiling_code)), draw(notches()), draw(delay))
 
 
 scenarios = st.builds(

@@ -25,6 +25,7 @@ from swsense.controller import (
     settle_cw,
 )
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
+from swsense.coupling import DirectionalCouplerParams
 from swsense.engine import StageSpec
 from swsense.errors import OutOfBandError, SwsenseError
 from swsense.estimator import (
@@ -32,11 +33,28 @@ from swsense.estimator import (
     CONF_CLAMPED,
     CONF_IN_RANGE,
     CONF_SATURATED,
+    CalibrationGrid,
     Estimate,
     build_calibration,
     estimate,
 )
-from swsense.readout import ChainConfig, DetectorParams, TapCodes, chain_readout, chain_readout_lines
+from swsense.readout import (
+    AmplifierParams,
+    AttenuatorParams,
+    ChainConfig,
+    DetectorParams,
+    TapCodes,
+    chain_readout,
+    chain_readout_lines,
+)
+
+
+# A coupler whose coupling slopes from -14 dB at 1 GHz to -17 dB at 14 GHz, behind 0.5 dB steps.
+SLOPED_COUPLER = ChainConfig(
+    coupling_kind="coupler",
+    coupler=DirectionalCouplerParams(coupling_db=((1e9, -14.0), (14e9, -17.0))),
+    attenuator=AttenuatorParams(0.5, 31.5),
+)
 
 
 def codes_at(chain, f_hz, p_dbm, att_db, t_s=1e-6):
@@ -131,8 +149,9 @@ class TestSettleWork:
     reading up to _PROBE_CELLS settings a round takes 4 reads of 639.
     """
 
-    @pytest.mark.parametrize("kind, rows", [("tap", 151), ("coupler", 131)])
-    def test_default_build(self, monkeypatch, kind, rows):
+    @staticmethod
+    def count_reads(monkeypatch):
+        """The cells of each chain_codes_cw call the controller and the estimator make, in order."""
         calls = {"controller": [], "estimator": []}
         for name, module in (("controller", swsense.controller), ("estimator", swsense.estimator)):
             codes_cw = module.chain_codes_cw
@@ -142,14 +161,44 @@ class TestSettleWork:
                 return codes_cw(freq_hz, power_dbm, att_db, *rest)
 
             monkeypatch.setattr(module, "chain_codes_cw", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, rows", [("tap", 151), ("coupler", 131)])
+    def test_default_build(self, monkeypatch, kind, rows):
+        calls = self.count_reads(monkeypatch)
         cal = build_calibration(ChainConfig(coupling_kind=kind))
         assert cal.code_oc.shape == (rows, 41) and cal.code_oc.size <= _BLOCK_CELLS
-        # ControllerConfig.for_chain reads one cell; settle_cw then reads the
-        # first row whole once, its 20 moving cells at 25 settings each, then
-        # the 78 settings still open, and the walk's finishing step.
-        assert calls["controller"] == [1, 41, 500, 78, 20]
+        # settle_cw reads the first row whole once, its 20 moving cells at 25
+        # settings each, then the 78 settings still open, and the walk's
+        # finishing step. ControllerConfig.for_chain reads its cell through
+        # chain_readout_lines.
+        assert calls["controller"] == [41, 500, 78, 20]
         # The other rows are one block, read once.
         assert calls["estimator"] == [(rows - 1) * 41]
+
+    @pytest.mark.parametrize(
+        "cfg, grid, controller, estimator",
+        [
+            # The chains of test_scalar_parity's tables that settle every row.
+            # More open cells than _PROBE_CELLS read one setting each a round,
+            # the middle of their span: 2,959 on the rippled chain, 2,700 on
+            # the sloped coupler. The rippled chain settles 150 of its 151
+            # rows; the other reads like one of them and is read once.
+            (
+                ChainConfig(gain_ripple=((1e9, -1.5), (6e9, 0.8), (11e9, -0.4), (16e9, -2.0))),
+                None,
+                [6150] + [2959] * 8,
+                [41],
+            ),
+            (SLOPED_COUPLER, None, [5371] + [2700] * 7, []),
+            # 164 open cells read three settings each a round.
+            (SLOPED_COUPLER, CalibrationGrid(1e9, 14e9, 2e9, -20.0, 20.0, 1.0), [328, 492, 492, 492, 164], []),
+        ],
+    )
+    def test_builds_that_settle_every_row(self, monkeypatch, cfg, grid, controller, estimator):
+        calls = self.count_reads(monkeypatch)
+        build_calibration(cfg, grid)
+        assert calls == {"controller": controller, "estimator": estimator}
 
 
 class TestForChain:
@@ -200,19 +249,29 @@ class TestConfigDomain:
 
 
 class TestControllerMeetsChain:
-    """A window whose bottom is not above the chain's floor code is refused where controller and chain meet."""
+    """A window not between the chain's floor and ceiling codes is refused where controller and chain meet."""
 
-    @pytest.mark.parametrize("low", [757, 700])
-    def test_window_at_or_below_the_floor_is_refused(self, chain, controller, low):
-        ctrl = replace(controller, agc_low_code=low)
-        message = rf"^agc_low_code={low} must lie above the chain's floor_code=757$"
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(agc_low_code=757), "agc_low_code=757 must lie above the chain's floor_code=757"),
+            (dict(agc_low_code=700), "agc_low_code=700 must lie above the chain's floor_code=757"),
+            (dict(agc_high_code=3101), "agc_high_code=3101 must lie below the chain's ceiling_code=3101"),
+            (dict(agc_high_code=3200, agc_low_code=3050), "agc_high_code=3200 must lie below the chain's ceiling_code=3101"),
+            # The bottom is checked first.
+            (dict(agc_high_code=3101, agc_low_code=757), "agc_low_code=757 must lie above the chain's floor_code=757"),
+        ],
+    )
+    def test_window_outside_the_detector_range_is_refused(self, chain, controller, overrides, message):
+        ctrl = replace(controller, **overrides)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build_calibration(chain, ctrl=ctrl)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             StageSpec(chain=chain, controller=ctrl)
 
-    def test_window_just_above_the_floor_is_taken(self, chain, controller):
-        ctrl = replace(controller, agc_low_code=758)
+    @pytest.mark.parametrize("overrides", [dict(agc_low_code=758), dict(agc_high_code=3100)])
+    def test_window_just_inside_the_detector_range_is_taken(self, chain, controller, overrides):
+        ctrl = replace(controller, **overrides)
         ctrl.check_chain(chain)
         assert StageSpec(chain=chain, controller=ctrl).controller is ctrl
 
@@ -222,6 +281,14 @@ class TestControllerMeetsChain:
         assert raised.floor_code == 3101 > controller.agc_low_code
         with pytest.raises(ValueError, match=rf"^agc_low_code=2815 must lie above the chain's floor_code={raised.floor_code}$"):
             StageSpec(chain=raised)
+
+    def test_a_chain_whose_probe_reads_the_ceiling_needs_an_explicit_window(self):
+        # 30 dB of gain puts the 0 dBm probe of ControllerConfig.for_chain at the detector ceiling.
+        loud = ChainConfig(amplifier=AmplifierParams(gain_db=30.0))
+        assert ControllerConfig.for_chain(loud).agc_high_code == loud.ceiling_code == 3101
+        with pytest.raises(ValueError, match="^agc_high_code=3101 must lie below the chain's ceiling_code=3101$"):
+            build_calibration(loud)
+        build_calibration(loud, ctrl=ControllerConfig(agc_high_code=3000, agc_low_code=2850))
 
 
 class TestOnSample:

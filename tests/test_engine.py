@@ -130,7 +130,7 @@ class TestValidation:
         # Either would never end run()'s sample loop, so check the validation alone.
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^duration_s and dt_s must be positive and finite$"):
-                _validate(replace(sc, duration_s=bad))
+                _validate(replace(sc, duration_s=bad), [])
 
     @pytest.mark.parametrize(
         "make, match",
