@@ -183,10 +183,20 @@ def sampled_forward_amplitude(
     reflection attenuated by its directivity: 0 dB for a resistive tap,
     which samples the standing-wave sum of forward and reflected waves,
     and the coupler's directivity table for a directional coupler.
+
+    Domain: gamma in [0, 1], electrical_delay_s >= 0 and finite, f_hz
+    positive and finite and directivity_db finite, else ValueError naming
+    the argument.
     """
     g = float(gamma)
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"reflection magnitude must be within [0, 1], got {g}")
+    if not 0.0 <= electrical_delay_s < math.inf:
+        raise ValueError(f"electrical_delay_s must be >= 0 and finite, got {electrical_delay_s!r}")
+    if not 0.0 < f_hz < math.inf:
+        raise ValueError(f"f_hz must be positive and finite, got {f_hz!r}")
+    if not math.isfinite(directivity_db):
+        raise ValueError(f"directivity_db must be finite, got {directivity_db!r}")
     phase = -2.0 * (2.0 * math.pi * f_hz * electrical_delay_s)
     leak = g * 10.0 ** (-directivity_db / 20.0)
     return abs(1.0 + leak * complex(math.cos(phase), math.sin(phase)))

@@ -73,7 +73,12 @@ class FilterState:
 
 
 def effective_depth_db(model: NotchModel, p_in_dbm: float) -> float:
-    """Stopband depth after power-handling compression, floored at MIN_DEPTH_DB."""
+    """Stopband depth after power-handling compression, floored at MIN_DEPTH_DB.
+
+    A NaN p_in_dbm is a ValueError.
+    """
+    if math.isnan(p_in_dbm):
+        raise ValueError("p_in_dbm must not be NaN")
     over = max(0.0, p_in_dbm - model.power_knee_dbm)
     return max(MIN_DEPTH_DB, model.depth_db - model.depth_slope_db_per_db * over)
 
@@ -86,7 +91,17 @@ def notch_s21_db(
     Disengaged or mid-transition (the notch is parked off-channel while it
     retunes) the filter is transparent. Engaged, the rejection follows a
     Lorentzian dB profile centered on f_center_hz.
+
+    Domain, checked before the state is read: f_hz is positive and finite,
+    p_in_dbm is not NaN and t_s is finite, else ValueError naming the
+    argument.
     """
+    if not 0.0 < f_hz < math.inf:
+        raise ValueError(f"f_hz must be positive and finite, got {f_hz!r}")
+    if math.isnan(p_in_dbm):
+        raise ValueError("p_in_dbm must not be NaN")
+    if not math.isfinite(t_s):
+        raise ValueError(f"t_s={t_s!r} is not a finite time")
     if not state.engaged or state.in_transition(t_s):
         return 0.0
     depth = (
@@ -101,7 +116,10 @@ def notch_s21_db(
 def stopband_gamma(
     model: NotchModel, state: FilterState, f_hz: float, p_in_dbm: float, t_s: float
 ) -> float:
-    """Reflection magnitude of the notch; |s21|^2 + |gamma|^2 = 1 when reflective."""
+    """Reflection magnitude of the notch; |s21|^2 + |gamma|^2 = 1 when reflective.
+
+    A reflective notch reads notch_s21_db, and refuses what it refuses.
+    """
     if not model.reflective:
         return 0.0
     s21_lin = 10.0 ** (notch_s21_db(model, state, f_hz, p_in_dbm, t_s) / 20.0)

@@ -39,7 +39,10 @@ from .coupling import (
     tap_sparams,
 )
 from .errors import OutOfBandError
-from .stub import StubParams, tap_rms_voltages
+from .stub import (
+    StubParams,
+    tap_rms_voltages,  # unused here; perfbench/tracer.py rebinds this name
+)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,9 @@ class ChainConfig:
     chain inside the coupler's [f_min_hz, f_max_hz]. A tap chain's low edge
     is 0.0, which no frequency reaches. check_band refuses a frequency
     outside it. A coupler whose f_min_hz lies above the stub band would
-    leave the band empty, and is refused with a ValueError.
+    leave the band empty, and is refused with a ValueError, and so is a
+    detector whose range reads as one ADC code, which no input could move
+    and no gain-control window could fit.
     """
 
     coupling_kind: str = "tap"  # "tap" or "coupler"
@@ -205,6 +210,11 @@ class ChainConfig:
         for name, v in (("floor_code", det.v_in_min), ("ceiling_code", det.v_in_max)):
             code = math.floor((det.slope_a * math.log10(v) + det.intercept_b) / lsb)
             object.__setattr__(self, name, 0 if code < 0 else full if code > full else code)
+        if not self.floor_code < self.ceiling_code:
+            raise ValueError(
+                f"detector range [{det.v_in_min!r}, {det.v_in_max!r}] V reads as the one ADC code "
+                f"{self.floor_code}: the chain needs a floor_code below its ceiling_code"
+            )
         c = self.coupler
         if c is not None and c.f_min_hz > self._stub_band_hz:
             raise ValueError(
@@ -310,8 +320,8 @@ def chain_voltages_lines(
     One pass over the lines applies the pick-off coupling, the attenuator,
     the gain and its ripple, and sums the standing wave at the open end
     and at each tap with tap_rms_voltages' arithmetic, in line order. When
-    the total exceeds the amplifier ceiling, the lines are scaled to it and
-    tap_rms_voltages sums them instead. The detector law, clamped to
+    the total exceeds the amplifier ceiling, the three sums are scaled to
+    it, which keeps every line's share. The detector law, clamped to
     [v_in_min, v_in_max], follows on each of the three voltages.
     """
     cfg.attenuator.check_setting(att_db)
@@ -328,12 +338,11 @@ def chain_voltages_lines(
     f_max1, f_max2 = cfg.stub._f_max_hz
     half_pi, cos = math.pi / 2.0, math.cos
     inf = math.inf
-    drive: list[tuple[float, float]] = []
     total_w = oc_sq = sq1 = sq2 = 0.0
-    for (f_hz, p_w), r in zip(lines, forward_ratios):
+    for i, ((f_hz, p_w), r) in enumerate(zip(lines, forward_ratios)):
         # One chain per line; a NaN fails every comparison.
         if not (0.0 < f_hz <= f_max and 0.0 <= p_w < inf and 0.0 <= r < inf):
-            _refuse_line(len(drive), f_hz, p_w, r, cfg)
+            _refuse_line(i, f_hz, p_w, r, cfg)
         g_db = (
             (tap_g_db if coupler is None else coupler_db_at(coupler, "coupling_db", f_hz) - att_db + gain_db)
             + (0.0 if ripple is None else table_value(ripple, f_hz))
@@ -341,10 +350,7 @@ def chain_voltages_lines(
         p = p_w * 10.0 ** (g_db / 10.0)
         p *= r * r
         if not p < inf:  # also inf * 0.0, which is NaN
-            raise ValueError(
-                f"line {len(drive)} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W overflows a float after the gain"
-            )
-        drive.append((f_hz, p))
+            raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: power {p_w!r} W overflows a float after the gain")
         total_w += p
         v_sq = 8.0 * p * z0s
         oc_sq += v_sq
@@ -353,14 +359,13 @@ def chain_voltages_lines(
         c = cos(half_pi * f_hz / f_max2)
         sq2 += v_sq * c * c
     if total_w == inf:
-        raise ValueError(f"the {len(drive)} lines' total power after the gain overflows a float")
+        raise ValueError(f"the {len(lines)} lines' total power after the gain overflows a float")
     # Hard amplifier ceiling on total output power; line ratios are preserved.
     sat_w = cfg._sat_w
     if total_w > sat_w:
         scale = sat_w / total_w
-        v_oc, (v1, v2) = tap_rms_voltages([(f, p * scale) for f, p in drive], cfg.stub)
-    else:
-        v_oc, v1, v2 = math.sqrt(oc_sq), math.sqrt(sq1), math.sqrt(sq2)
+        oc_sq, sq1, sq2 = oc_sq * scale, sq1 * scale, sq2 * scale
+    v_oc, v1, v2 = math.sqrt(oc_sq), math.sqrt(sq1), math.sqrt(sq2)
     # The detector law; a root-sum-square voltage is never negative.
     v_min, v_max, a, b = cfg._det_law
     log10 = math.log10
@@ -411,9 +416,11 @@ def chain_codes_cw(
 
     The three arrays broadcast together, and every cell of their broadcast
     shape gives the codes of chain_readout_lines([(f, dbm_to_watts(p))],
-    cfg, att): the arithmetic runs in the same order, and the chain looks up
-    its coupling and ripple over the whole array of frequencies. Scalars are
-    0-d arrays, and give 0-d arrays of codes.
+    cfg, att). The chain looks up its coupling and ripple over the whole
+    array of frequencies, and a cell above the amplifier ceiling drives the
+    stub at the ceiling. A level may differ from the scalar chain's in its
+    last bits, so a cell within 1e-9 of a code boundary is read by the
+    scalar chain. Scalars are 0-d arrays, and give 0-d arrays of codes.
 
     Domain, which is Tone's, refused in this order: ValueError for a
     frequency that is not positive and finite, then for a power in dBm that
@@ -449,16 +456,12 @@ def chain_codes_cw(
         raise ValueError(
             f"cell at {fb / 1e9:.3f} GHz, {pb!r} dBm and att_db={ab!r}: its watts after the gain overflow a float"
         )
-    sat_w = cfg._sat_w
-    # np.where computes both branches: at a cell of 0 W, which the ceiling
-    # leaves alone, the division would warn.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(p > sat_w, p * (sat_w / p), p)
-    v_sq = 8.0 * p * cfg.stub.z0s
+    v_sq = 8.0 * np.minimum(p, cfg._sat_w) * cfg.stub.z0s  # a cell is one line: the ceiling caps its watts
     det, adc = cfg.detector, cfg.adc
     # numpy's pow, log10 and cos may differ from the C library's by a few
-    # units in the last place, which moves a level by far less than 1e-9 of
-    # a code. Cells that close to a code boundary are read by the scalar chain.
+    # units in the last place, and the ceiling from the scalar chain's scale
+    # on its sums, which moves a level by far less than 1e-9 of a code.
+    # Cells that close to a code boundary are read by the scalar chain.
     near = np.zeros(v_sq.shape, dtype=bool)
     codes = []
     ratios = [np.abs(np.cos(math.pi / 2.0 * f / t.f_max_hz)) for t in cfg.stub.taps]

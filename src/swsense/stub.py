@@ -100,15 +100,20 @@ def tap_rms_voltages(
     contributions add in power at every position along the stub: a tap
     sums v_oc^2 * r^2 over the lines, with r = wrapped_ratio(f, f_max).
     The cosine is written out here, and its sign cancels in the square.
+
+    Domain: every frequency is positive and finite and every power >= 0
+    and finite, else ValueError naming the line.
     """
     z0s = stub.z0s
     half_pi = math.pi / 2.0
     cos, sqrt = math.cos, math.sqrt
     oc_sq = 0.0
     lines = []
-    for f_hz, p_w in expanded:
-        if p_w < 0.0:
-            raise ValueError("per-line stub power must be >= 0")
+    for i, (f_hz, p_w) in enumerate(expanded):
+        if not 0.0 < f_hz < math.inf:
+            raise ValueError(f"line {i}: frequency {f_hz!r} Hz is not positive and finite")
+        if not 0.0 <= p_w < math.inf:
+            raise ValueError(f"line {i} at {f_hz / 1e9:.3f} GHz: stub power {p_w!r} W is not >= 0 and finite")
         v_sq = 8.0 * p_w * z0s
         oc_sq += v_sq
         lines.append((f_hz, v_sq))

@@ -11,10 +11,15 @@ written before the array build, the precomputed inverse, the config
 constants and the one decision path replaced it; the tests require the
 library to reproduce them bit for bit. chain_voltages_lines_scalar has
 since gained the library's refusal of a line, or a sum of lines, whose
-watts overflow a float after the gain, with the same messages.
+watts overflow a float after the gain, with the same messages, and its
+amplifier ceiling scales the three standing-wave sums, as the library's
+does. chain_readout_lines_two_pass keeps the ceiling as it was written
+before, each line's watts scaled and then summed; the tests require the
+library's codes above the ceiling to match it.
 floor_code_ref and ceiling_code_ref give a chain's detector range in
 codes from the oracle's own law and quantizer, which every function here
-reads instead of the chain's floor_code and ceiling_code.
+reads instead of the chain's floor_code and ceiling_code; reads_two_codes
+says whether a detector and an ADC make a range a chain accepts.
 estimate_power_scalar keeps the old
 edge extrapolation along the first or last pair of columns, which divides
 by zero on a row whose edge columns share a level; the library takes the
@@ -239,7 +244,7 @@ def _coupling_db_at(cfg, f_hz) -> float:
     return coupler_db_at(cfg.coupler, "coupling_db", f_hz)
 
 
-def _tap_rms_voltages(expanded, stub):
+def _tap_rms_squares(expanded, stub):
     oc_sq = 0.0
     tap_sq = [0.0] * len(stub.taps)
     for f_hz, p_w in expanded:
@@ -250,7 +255,7 @@ def _tap_rms_voltages(expanded, stub):
         for i, tap in enumerate(stub.taps):
             r = wrapped_ratio(f_hz, tap.f_max_hz)
             tap_sq[i] += v_sq * r * r
-    return math.sqrt(oc_sq), [math.sqrt(x) for x in tap_sq]
+    return oc_sq, tap_sq
 
 
 def _detector_voltage(v_rms, det) -> float:
@@ -276,7 +281,14 @@ def ceiling_code_ref(cfg) -> int:
     return _adc_sample(_detector_voltage(cfg.detector.v_in_max, cfg.detector), cfg.adc)
 
 
-def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
+def reads_two_codes(detector, adc) -> bool:
+    """Whether the detector's range quantizes to at least two ADC codes, which a chain needs."""
+    floor, ceiling = (_adc_sample(_detector_voltage(v, detector), adc) for v in (0.0, detector.v_in_max))
+    return floor < ceiling
+
+
+def _drive(lines, cfg, att_db, forward_ratios):
+    """Each line's (freq_hz, watts after the gain), their total, and the amplifier ceiling in watts."""
     cfg.attenuator.check_setting(att_db)
     drive = []
     total_w = 0.0
@@ -298,21 +310,10 @@ def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
         total_w += p
     if total_w == math.inf:
         raise ValueError(f"the {len(drive)} lines' total power after the gain overflows a float")
-    sat_w = 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
-    if total_w > sat_w:
-        scale = sat_w / total_w
-        drive = [(f, p * scale) for f, p in drive]
-    v_oc, taps = _tap_rms_voltages(drive, cfg.stub)
-    det = cfg.detector
-    return (
-        _detector_voltage(v_oc, det),
-        _detector_voltage(taps[0], det),
-        _detector_voltage(taps[1], det),
-    )
+    return drive, total_w, 10.0 ** (cfg.amplifier.p_out_sat_dbm / 10.0) * 1e-3
 
 
-def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None) -> TapCodes:
-    v_oc, v1, v2 = chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios)
+def _codes(v_oc, v1, v2, cfg, att_db, t_s) -> TapCodes:
     adc = cfg.adc
     return TapCodes(
         t_s=t_s,
@@ -321,6 +322,32 @@ def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None)
         code_l2=_adc_sample(v2, adc),
         att_db=att_db,
     )
+
+
+def _detector_voltages(oc_sq, tap_sq, det):
+    return tuple(_detector_voltage(math.sqrt(x), det) for x in (oc_sq, *tap_sq))
+
+
+def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
+    drive, total_w, sat_w = _drive(lines, cfg, att_db, forward_ratios)
+    oc_sq, tap_sq = _tap_rms_squares(drive, cfg.stub)
+    if total_w > sat_w:
+        scale = sat_w / total_w
+        oc_sq, tap_sq = oc_sq * scale, [x * scale for x in tap_sq]
+    return _detector_voltages(oc_sq, tap_sq, cfg.detector)
+
+
+def chain_readout_lines_scalar(lines, cfg, att_db, t_s=0.0, forward_ratios=None) -> TapCodes:
+    return _codes(*chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios), cfg, att_db, t_s)
+
+
+def chain_readout_lines_two_pass(lines, cfg, att_db, t_s=0.0, forward_ratios=None) -> TapCodes:
+    """The readout as it was before the ceiling scaled the three sums: each line's watts scaled to the ceiling, then summed."""
+    drive, total_w, sat_w = _drive(lines, cfg, att_db, forward_ratios)
+    if total_w > sat_w:
+        scale = sat_w / total_w
+        drive = [(f, p * scale) for f, p in drive]
+    return _codes(*_detector_voltages(*_tap_rms_squares(drive, cfg.stub), cfg.detector), cfg, att_db, t_s)
 
 
 class _EstimateMemo(NamedTuple):

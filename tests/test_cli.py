@@ -612,6 +612,9 @@ class TestConfigPlumbing:
             ({"chain": {"coupling_kind": "coupler", "coupler": {"f_min_hz": 17e9, "f_max_hz": 18e9}}},
              "chain: coupler f_min_hz=17000000000.0 lies above the stub band edge, 16.000 GHz (tap l1's f_max): "
              "the chain's band is empty"),
+            ({"chain": {"detector": {"intercept_b": -100.0}}},
+             "chain: detector range [0.014, 1.4] V reads as the one ADC code 0: "
+             "the chain needs a floor_code below its ceiling_code"),
             ({"controller": {"agc_floor_code": 757}}, "controller: unknown key 'agc_floor_code'"),
             ({"controller": {"agc_low_code": 700}}, "config: agc_low_code=700 must lie above the chain's floor_code=757"),
             ({"controller": {"agc_high_code": 3200, "agc_low_code": 3050}},

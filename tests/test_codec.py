@@ -8,7 +8,9 @@ from dataclasses import replace
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from scalar_reference import reads_two_codes
 
 from swsense.cli import _Config
 from swsense.codec import from_json, to_json
@@ -83,6 +85,8 @@ def detectors(draw):
 def chains(draw):
     kind = draw(st.sampled_from(["tap", "coupler"]))
     stub = draw(stubs())
+    detector, adc = draw(detectors()), draw(st.builds(AdcParams, st.integers(6, 16), pos, pos))
+    assume(reads_two_codes(detector, adc))  # about half the pairs read as one code, which a chain refuses
     # A coupler block only on a coupler chain, which without one takes the
     # default coupler. The coupler's band starts inside the stub band, or the
     # chain's band is empty.
@@ -95,8 +99,8 @@ def chains(draw):
         stub=stub,
         attenuator=draw(attenuators()),
         amplifier=draw(st.builds(AmplifierParams, real, real)),
-        detector=draw(detectors()),
-        adc=draw(st.builds(AdcParams, st.integers(6, 16), pos, pos)),
+        detector=detector,
+        adc=adc,
         gain_ripple=draw(st.none() | table_points),
     )
 

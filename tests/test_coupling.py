@@ -203,6 +203,24 @@ class TestSampledForwardAmplitude:
         with pytest.raises(ValueError):
             sampled_forward_amplitude(1.5, 0.0, 6e9, TAP.directivity_db_at(6e9))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.5, math.inf, 8e9), r"^electrical_delay_s must be >= 0 and finite, got inf$"),
+            ((0.5, -1e-9, 8e9), r"^electrical_delay_s must be >= 0 and finite, got -1e-09$"),
+            ((0.5, math.nan, 8e9), r"^electrical_delay_s must be >= 0 and finite, got nan$"),
+            ((0.5, 1e-9, math.nan), r"^f_hz must be positive and finite, got nan$"),
+            ((0.5, 1e-9, 0.0), r"^f_hz must be positive and finite, got 0\.0$"),
+            ((0.5, 1e-9, math.inf), r"^f_hz must be positive and finite, got inf$"),
+            ((0.5, 1e-9, 8e9, math.nan), r"^directivity_db must be finite, got nan$"),
+            ((0.5, 1e-9, 8e9, -math.inf), r"^directivity_db must be finite, got -inf$"),
+        ],
+    )
+    def test_domain_refused_by_name(self, args, message):
+        # inf delay once raised "math domain error", and a NaN frequency gave nan.
+        with pytest.raises(ValueError, match=message):
+            sampled_forward_amplitude(*args)
+
     @given(
         st.floats(0.0, 1.0),
         st.floats(0.0, 1e-9),

@@ -173,6 +173,37 @@ def test_model_refuses_by_name(kw, message):
     assert NotchModel(tuning_time_s=0.0).tuning_time_s == 0.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: effective_depth_db(NotchModel(), math.nan), r"^p_in_dbm must not be NaN$"),
+        (lambda: notch_s21_db(NotchModel(), engaged_at(8e9), 8e9, math.nan, 1.0), r"^p_in_dbm must not be NaN$"),
+        (lambda: notch_s21_db(NotchModel(), engaged_at(8e9), math.nan, 0.0, 1.0), r"^f_hz must be positive and finite, got nan$"),
+        (lambda: notch_s21_db(NotchModel(), engaged_at(8e9), 0.0, 0.0, 1.0), r"^f_hz must be positive and finite, got 0\.0$"),
+        (lambda: notch_s21_db(NotchModel(), engaged_at(8e9), math.inf, 0.0, 1.0), r"^f_hz must be positive and finite, got inf$"),
+        # Checked before the state: a disengaged notch refuses alike.
+        (lambda: notch_s21_db(NotchModel(), FilterState(), 8e9, 0.0, math.nan), r"^t_s=nan is not a finite time$"),
+        (lambda: notch_s21_db(NotchModel(), FilterState(), -8e9, 0.0, 1.0), r"^f_hz must be positive and finite, got -8000000000\.0$"),
+        (lambda: stopband_gamma(NotchModel(), engaged_at(8e9), math.nan, 0.0, 1.0), r"^f_hz must be positive and finite, got nan$"),
+        (lambda: stopband_gamma(NotchModel(), engaged_at(8e9), 8e9, 0.0, -math.inf), r"^t_s=-inf is not a finite time$"),
+    ],
+    ids=["depth_nan_power", "s21_nan_power", "s21_nan_freq", "s21_zero_freq", "s21_inf_freq", "s21_nan_time",
+         "s21_negative_freq", "gamma_nan_freq", "gamma_inf_time"],
+)
+def test_reads_refuse_by_name(call, message):
+    # Each read once answered a plausible number (30 dB, -30 dB, 0.0) or nan.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_reads_take_infinite_powers():
+    # Only a NaN power is refused; the engine reads a silent line at -300 dBm.
+    m = NotchModel()
+    assert effective_depth_db(m, -math.inf) == effective_depth_db(m, -300.0) == 30.0
+    assert effective_depth_db(m, math.inf) == MIN_DEPTH_DB
+    assert notch_s21_db(m, engaged_at(8e9), 8e9, -300.0, 1.0) == -30.0
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NotchModel(kind="brickwall")

@@ -13,11 +13,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import swsense.readout
 import swsense.stub
-from scalar_reference import ceiling_code_ref, floor_code_ref
+from scalar_reference import ceiling_code_ref, floor_code_ref, reads_two_codes
 from swsense.codec import to_json
 from swsense.controller import ControllerConfig, settle_cw
 from swsense.core import SignalDescriptor, Tone, dbm_to_watts
@@ -88,8 +88,13 @@ class TestAdc:
         assert chain_readout_lines([(8e9, 1.0)], level_chain(adc.v_fs / 2.0), 0.0)[1:4] == (2048,) * 3
 
     def test_clamps_to_code_range(self):
-        assert chain_readout_lines([(8e9, 1.0)], level_chain(-0.5), 0.0)[1:4] == (0,) * 3
-        assert chain_readout_lines([(8e9, 1.0)], level_chain(10.0), 0.0)[1:4] == (AdcParams().full_code,) * 3 == (4095,) * 3
+        # Each chain's range straddles one end of the ADC's: no input reads
+        # -0.3 V on the first, and a 1 W line reads 1.5 V on the second.
+        low, high = level_chain(0.5), level_chain(1.5)
+        assert chain_voltages_lines([], low, 0.0) == pytest.approx((-0.3,) * 3)
+        assert chain_readout_lines([], low, 0.0)[1:4] == (0,) * 3 == (low.floor_code,) * 3
+        assert chain_voltages_lines([(8e9, 1.0)], high, 0.0) == pytest.approx((1.5,) * 3)
+        assert chain_readout_lines([(8e9, 1.0)], high, 0.0)[1:4] == (AdcParams().full_code,) * 3 == (4095,) * 3
 
     def test_bits_validated(self):
         AdcParams(bits=6)
@@ -161,7 +166,10 @@ def test_floor_and_ceiling_codes(chain):
 
 @st.composite
 def range_chains(draw):
-    """A tap, coupler or rippled chain with a drawn detector and ADC whose v_in_max the amplifier's ceiling (6.3 V) passes."""
+    """A tap, coupler or rippled chain with a drawn detector and ADC whose v_in_max the amplifier's ceiling (6.3 V) passes.
+
+    The detector's range reads at least two codes, as a chain requires, and may clamp at 0 or at full_code.
+    """
     det = DetectorParams(
         slope_a=draw(st.floats(0.01, 2.0)),
         intercept_b=draw(st.floats(-3.0, 3.0)),
@@ -169,6 +177,7 @@ def range_chains(draw):
         v_in_max=draw(st.floats(0.6, 6.0)),
     )
     adc = AdcParams(bits=draw(st.integers(6, 16)), v_fs=draw(st.floats(0.5, 3.0)))
+    assume(reads_two_codes(det, adc))
     kind = draw(st.sampled_from(["tap", "coupler", "ripple"]))
     if kind == "ripple":
         return ChainConfig(detector=det, adc=adc, gain_ripple=((1e9, -1.0), (16e9, 2.0)))
@@ -491,6 +500,13 @@ class TestBlockDomains:
             (lambda: DirectionalCouplerParams(directivity_db=math.nan), r"^directivity_db" + TABLE + "nan$"),
             (lambda: ChainConfig(gain_ripple=((1e9, math.nan),)), r"^gain_ripple" + TABLE),
             (lambda: ChainConfig(gain_ripple=[[1e9, 1.0], [16e9]]), r"^gain_ripple" + TABLE),
+            # A detector range that reads as one ADC code: below the ADC's range, above it, and inside one code.
+            (lambda: ChainConfig(detector=DetectorParams(intercept_b=-100.0)),
+             r"^detector range \[0\.014, 1\.4\] V reads as the one ADC code 0: the chain needs a floor_code below"),
+            (lambda: ChainConfig(detector=DetectorParams(intercept_b=100.0)), r" reads as the one ADC code 4095: "),
+            (lambda: ChainConfig(detector=DetectorParams(slope_a=1e-3, intercept_b=0.5001, v_in_min=1.0, v_in_max=1.2)),
+             r"^detector range \[1\.0, 1\.2\] V reads as the one ADC code 1465: "),
+            (lambda: replace(ChainConfig(), adc=AdcParams(v_fs=1e-3)), r" reads as the one ADC code 4095: "),
         ],
     )
     def test_block_refuses(self, make, message):
@@ -597,7 +613,7 @@ class TestConstantsAtConstruction:
     def test_adc_replace_recomputes(self):
         adc = replace(AdcParams(), bits=10)
         assert (adc.lsb, adc.full_code) == (1.398 / 2**10, 1023)
-        cfg = replace(level_chain(10.0), adc=adc)
+        cfg = replace(level_chain(1.5), adc=adc)
         assert chain_readout_lines([(8e9, 1.0)], cfg, 0.0)[1:4] == (1023,) * 3 == (cfg.ceiling_code,) * 3
 
     def test_chain_replace_recomputes(self, chain):
@@ -726,13 +742,14 @@ class TestOneIdentity:
 
 
 class TestOnePassReadout:
-    """A readout below the amplifier ceiling makes no helper call; one above it makes one stub sum.
+    """A readout makes no helper call, below the amplifier ceiling or above it.
 
     This counts work, like tests/test_engine.py::TestWorkPerRun: the
     detector law, the quantisation, the standing-wave sum and ratio, the
     coupling and the ripple are read inside the readout, not called per
-    line or per voltage, and a descriptor is not expanded again. Only the
-    ceiling path hands the scaled lines to tap_rms_voltages.
+    line or per voltage, and a descriptor is not expanded again. Above the
+    ceiling the readout scales its own three sums; tap_rms_voltages is not
+    called.
     """
 
     @pytest.mark.parametrize(
@@ -741,6 +758,9 @@ class TestOnePassReadout:
         ids=["tap", "coupler", "ripple"],
     )
     def test_helper_calls(self, cfg, monkeypatch):
+        # The loud tone below drives the amplifier past its ceiling.
+        gain_db = cfg.coupling_db_at(8e9) - 0.25 + cfg.amplifier.gain_db + cfg.ripple_db_at(8e9)
+        assert dbm_to_watts(25.0) * 10.0 ** (gain_db / 10.0) > cfg._sat_w
         calls = []
 
         def counted(name, fn):
@@ -762,8 +782,8 @@ class TestOnePassReadout:
         comb = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=0.0, occupied_bw_hz=12e6),))
         loud = SignalDescriptor((Tone(freq_hz=8e9, power_dbm=25.0),))
         assert (len(cw.lines), len(comb.lines)) == (1, 31)
-        for sig, expected in ((cw, []), (comb, []), (loud, ["tap_rms_voltages"])):
+        for sig in (cw, comb, loud):
             for read in (chain_readout, chain_voltages):
                 calls.clear()
                 read(sig, cfg, 0.25)
-                assert calls == expected
+                assert calls == []

@@ -25,6 +25,7 @@ from scalar_reference import (
     _code_to_stub_dbm,
     build_calibration_scalar,
     chain_readout_lines_scalar,
+    chain_readout_lines_two_pass,
     chain_voltages_lines_scalar,
     estimate_scalar,
     on_sample_ref,
@@ -393,8 +394,8 @@ def _at_total(cfg, lines, att, ratios, target):
 @pytest.mark.parametrize("ulps", [-1, 0, 1], ids=["below", "on", "above"])
 def test_readout_at_the_amplifier_ceiling_matches_scalar_reference(cfg, lines, with_ratios, ulps, monkeypatch):
     # The total after the gain one ulp below, exactly on and one ulp above
-    # the ceiling: the readout sums the lines itself up to the ceiling and
-    # hands the scaled lines to tap_rms_voltages above it.
+    # the ceiling: the readout sums the lines itself on both sides, and
+    # above the ceiling scales its sums without calling tap_rms_voltages.
     sat_w = cfg._sat_w
     target = sat_w if ulps == 0 else math.nextafter(sat_w, ulps * math.inf)
     ratios = [0.9 + 0.01 * i for i in range(len(lines))] if with_ratios else None
@@ -409,7 +410,55 @@ def test_readout_at_the_amplifier_ceiling_matches_scalar_reference(cfg, lines, w
     monkeypatch.setattr(swsense.readout, "tap_rms_voltages", lambda *a: calls.append(1) or stub_sum(*a))
     assert chain_readout_lines(edge, cfg, att, 1e-6, ratios) == chain_readout_lines_scalar(edge, cfg, att, 1e-6, ratios)
     assert chain_voltages_lines(edge, cfg, att, ratios) == chain_voltages_lines_scalar(edge, cfg, att, ratios)
-    assert len(calls) == (2 if ulps > 0 else 0)
+    assert calls == []
+
+
+# The chains whose readouts above the amplifier ceiling are checked against
+# the two-pass readout: tap, coupler, rippled, a low ceiling, and high gain
+# under a low ceiling.
+_CEILING_CHAINS = (
+    ChainConfig(),
+    ChainConfig(coupling_kind="coupler"),
+    _READOUT_CHAINS[2],
+    ChainConfig(amplifier=AmplifierParams(p_out_sat_dbm=5.0)),
+    ChainConfig(amplifier=AmplifierParams(gain_db=35.0, p_out_sat_dbm=10.0)),
+)
+
+
+@pytest.mark.parametrize("cfg", _CEILING_CHAINS, ids=["tap", "coupler", "ripple", "sat_5dbm", "gain_35db_sat_10dbm"])
+def test_codes_above_the_amplifier_ceiling_match_the_two_pass_readout(cfg):
+    # Scaling the three sums to the ceiling moves a voltage by a few ulps
+    # from scaling each line's watts and summing them again; no code moves.
+    rng = np.random.default_rng(7)
+    n = 8000
+    lo, hi = max(cfg.band_hz[0], 1e6), cfg.band_hz[1]
+    atts = 0.25 * rng.integers(0, 128, n)
+    # Each readout's total after the gain lies 0.01 to 35 dB above the ceiling.
+    totals = cfg._sat_w * 10.0 ** (rng.uniform(0.01, 35.0, n) / 10.0)
+
+    def gain(f, att):
+        return 10.0 ** ((cfg.coupling_db_at(f) - att + cfg.amplifier.gain_db + cfg.ripple_db_at(f)) / 10.0)
+
+    # 1, 2, 3 or 31 lines sharing the total at random; half the readouts carry forward ratios.
+    counts = rng.choice([1, 2, 3, 31], n, p=[0.3, 0.3, 0.3, 0.1])
+    with_ratios = rng.random(n) < 0.5
+    freqs, shares, ratios = (rng.uniform(a, b, counts.sum()) for a, b in ((lo, hi), (0.0, 1.0), (0.05, 2.0)))
+    for k, end in enumerate(np.cumsum(counts)):
+        i = slice(end - counts[k], end)
+        r = ratios[i] if with_ratios[k] else np.ones(counts[k])
+        powers = totals[k] * shares[i] / shares[i].sum() / (gain(freqs[i], atts[k]) * r * r)
+        lines, r = list(zip(freqs[i].tolist(), powers.tolist())), r.tolist() if with_ratios[k] else None
+        got = chain_readout_lines(lines, cfg, atts[k], 0.0, r)
+        assert got == chain_readout_lines_two_pass(lines, cfg, atts[k], 0.0, r), (k, lines, atts[k], r)
+    # One line a cell: chain_codes_cw caps the watts at the ceiling, and
+    # reads the scalar chain's codes.
+    m = 2000
+    f = rng.uniform(lo, hi, m)
+    p_dbm = 10.0 * np.log10(totals[:m] / 1e-3 / gain(f, atts[:m]))
+    codes = chain_codes_cw(f, p_dbm, atts[:m], cfg)
+    for k in range(m):
+        ref = chain_readout_lines([(f[k], dbm_to_watts(p_dbm[k]))], cfg, atts[k])
+        assert (codes[0][k], codes[1][k], codes[2][k]) == (ref.code_oc, ref.code_l1, ref.code_l2), (k, f[k], p_dbm[k])
 
 
 class TestChainCodesCw:

@@ -169,3 +169,22 @@ class TestParams:
             TapSpec("x", -1.0)
         with pytest.raises(ValueError):
             tap_rms_voltages([(6e9, -1e-3)], StubParams())
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # Read as (0.632, [0.447, 0.512]) V once.
+        ([(-8e9, 1e-3)], r"^line 0: frequency -8000000000\.0 Hz is not positive and finite$"),
+        ([(8e9, 1e-3), (0.0, 1e-3)], r"^line 1: frequency 0\.0 Hz is not positive and finite$"),
+        ([(math.inf, 1e-3)], r"^line 0: frequency inf Hz is not positive and finite$"),
+        ([(math.nan, 1e-3)], r"^line 0: frequency nan Hz is not positive and finite$"),
+        # Read as NaN and inf volts once.
+        ([(8e9, math.nan)], r"^line 0 at 8\.000 GHz: stub power nan W is not >= 0 and finite$"),
+        ([(6e9, 1e-3), (8e9, math.inf)], r"^line 1 at 8\.000 GHz: stub power inf W is not >= 0 and finite$"),
+        ([(6e9, -1e-3)], r"^line 0 at 6\.000 GHz: stub power -0\.001 W is not >= 0 and finite$"),
+    ],
+)
+def test_tap_rms_voltages_refuses_a_line_by_index(lines, message):
+    with pytest.raises(ValueError, match=message):
+        tap_rms_voltages(lines, StubParams())
