@@ -297,7 +297,11 @@ class _Runner:
         # Every time at which the line state or an attenuator setting can
         # change, sorted, and an inf past them all.
         self.events = sorted(x for src in sc.sources for x in (src.t_on_s, src.t_off_s)) + [math.inf]
+        # The same without the attenuator steps: the times at which the line state can change.
+        self.line_events = self.events.copy()
         self.line_cache: dict[tuple, _Lines] = {}
+        # The lines of _acquire's last lookup, which hold over the span [lo, hi) of line_events around it.
+        self.span_lo, self.span_hi, self.span_lines = math.inf, -math.inf, None
         self.ctrl_state = [ControllerState() for _ in sc.stages]
         self.sample_runs: list[list[tuple[list[float], tuple]]] = [[] for _ in sc.stages]
         self.actions: list[AppliedAction] = []
@@ -321,10 +325,12 @@ class _Runner:
     def _lines(self, t: float) -> _Lines:
         """The source lines pushed through every stage at time t, once per line state.
 
-        A limit cycle that returns to a notch setting returns to its line
-        state and reuses the lines pushed through there. A filter history
-        only grows past the event being processed, so the line state of a
-        time already reached never changes.
+        Each call builds and looks up t's line state; _acquire calls it once
+        per span of line_events, _build_runs once per change point and
+        _metrics once. A limit cycle that returns to a notch setting returns
+        to its line state and reuses the lines pushed through there. A
+        filter history only grows past the event being processed, so the
+        line state of a time already reached never changes.
         """
         key = self._line_state(t)
         if key in self.line_cache:
@@ -361,11 +367,35 @@ class _Runner:
     # ---- sampling ----
 
     def _acquire(self, k: int, t_deliver: float) -> TapCodes:
-        """Stage k's codes delivered at t_deliver, read from the lines and the setting at its conversion time."""
+        """Stage k's codes delivered at t_deliver, read from the lines and the setting at its conversion time.
+
+        The line state is constant between consecutive line_events, each
+        change taking effect at its event time. So while the conversion
+        time lies in the span [lo, hi) of line_events around the last
+        lookup, its lines are that lookup's, and only a conversion outside
+        it calls _lines. _add_line_event ends the span at a line event
+        inserted inside it.
+        """
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
-        lines = self._lines(tau)
+        if not self.span_lo <= tau < self.span_hi:
+            events = self.line_events
+            j = bisect_right(events, tau)
+            self.span_lo, self.span_hi = events[j - 1] if j else -math.inf, events[j]
+            self.span_lines = self._lines(tau)
+        lines = self.span_lines
         return chain_readout_lines(lines.pairs[k], spec.chain, _at(self.att_hist[k], tau), t_deliver, lines.ratios[k])
+
+    def _add_line_event(self, x: float) -> None:
+        """Insert x, a time at which the line state can change, into line_events, ending the lookup span before it.
+
+        An action takes effect after every conversion already read, so x
+        lies above the span's lo; were it not, the span would be left empty,
+        and the next conversion looked up afresh.
+        """
+        insort(self.line_events, x)
+        if x < self.span_hi:
+            self.span_hi = x
 
     def _apply(self, k: int, decided_s: float, act: Action) -> None:
         applied = AppliedAction(
@@ -383,12 +413,15 @@ class _Runner:
                 new = tune(spec.notch, act.freq_hz, act.effective_at_s)
                 self.filter_hist[k].append((act.effective_at_s, new))
                 insort(self.events, new.transition_until_s)
+                self._add_line_event(act.effective_at_s)
+                self._add_line_event(new.transition_until_s)
             except TuningRangeError as exc:
                 applied.ok = False
                 self.diagnostics.append(f"stage {k}: {exc}")
         elif act.kind == ACT_RELEASE:
             current = self.filter_hist[k][-1][1]
             self.filter_hist[k].append((act.effective_at_s, release(current)))
+            self._add_line_event(act.effective_at_s)
         elif act.kind == ACT_SET_ATT:
             self.att_hist[k].append((act.effective_at_s, act.att_db))
         self.actions.append(applied)

@@ -83,6 +83,16 @@ def effective_depth_db(model: NotchModel, p_in_dbm: float) -> float:
     return max(MIN_DEPTH_DB, model.depth_db - model.depth_slope_db_per_db * over)
 
 
+def _check_read(f_hz: float, p_in_dbm: float, t_s: float) -> None:
+    """ValueError naming the argument unless f_hz is positive and finite, p_in_dbm not NaN and t_s finite."""
+    if not 0.0 < f_hz < math.inf:
+        raise ValueError(f"f_hz must be positive and finite, got {f_hz!r}")
+    if math.isnan(p_in_dbm):
+        raise ValueError("p_in_dbm must not be NaN")
+    if not math.isfinite(t_s):
+        raise ValueError(f"t_s={t_s!r} is not a finite time")
+
+
 def notch_s21_db(
     model: NotchModel, state: FilterState, f_hz: float, p_in_dbm: float, t_s: float
 ) -> float:
@@ -96,12 +106,7 @@ def notch_s21_db(
     p_in_dbm is not NaN and t_s is finite, else ValueError naming the
     argument.
     """
-    if not 0.0 < f_hz < math.inf:
-        raise ValueError(f"f_hz must be positive and finite, got {f_hz!r}")
-    if math.isnan(p_in_dbm):
-        raise ValueError("p_in_dbm must not be NaN")
-    if not math.isfinite(t_s):
-        raise ValueError(f"t_s={t_s!r} is not a finite time")
+    _check_read(f_hz, p_in_dbm, t_s)
     if not state.engaged or state.in_transition(t_s):
         return 0.0
     depth = (
@@ -118,9 +123,11 @@ def stopband_gamma(
 ) -> float:
     """Reflection magnitude of the notch; |s21|^2 + |gamma|^2 = 1 when reflective.
 
-    A reflective notch reads notch_s21_db, and refuses what it refuses.
+    Reflective or absorptive, the notch refuses what notch_s21_db refuses,
+    with its messages.
     """
     if not model.reflective:
+        _check_read(f_hz, p_in_dbm, t_s)
         return 0.0
     s21_lin = 10.0 ** (notch_s21_db(model, state, f_hz, p_in_dbm, t_s) / 20.0)
     return math.sqrt(max(0.0, 1.0 - s21_lin * s21_lin))

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -314,8 +313,9 @@ def chain_voltages_lines(
     cfg.check_band's OutOfBandError, above the stub band before outside a
     coupler's band.
     A line whose watts after the gain (and its ratio) overflow a float
-    raises ValueError naming it, and so do lines whose sum overflows,
-    before any NaN reaches the detectors.
+    raises ValueError naming it, and so do lines whose sum overflows, and
+    a stub drive whose standing-wave sum overflows, before any NaN or
+    infinity reaches the detectors.
 
     One pass over the lines applies the pick-off coupling, the attenuator,
     the gain and its ripple, and sums the standing wave at the open end
@@ -325,9 +325,7 @@ def chain_voltages_lines(
     [v_in_min, v_in_max], follows on each of the three voltages.
     """
     cfg.attenuator.check_setting(att_db)
-    if forward_ratios is None:
-        forward_ratios = repeat(1.0)  # p * (1.0 * 1.0) is p exactly
-    elif len(forward_ratios) != len(lines):
+    if forward_ratios is not None and len(forward_ratios) != len(lines):
         raise ValueError(f"{len(forward_ratios)} forward ratios for {len(lines)} lines")
     f_max = cfg._stub_band_hz
     gain_db = cfg.amplifier.gain_db
@@ -339,7 +337,9 @@ def chain_voltages_lines(
     half_pi, cos = math.pi / 2.0, math.cos
     inf = math.inf
     total_w = oc_sq = sq1 = sq2 = 0.0
-    for i, ((f_hz, p_w), r) in enumerate(zip(lines, forward_ratios)):
+    i = 0
+    for f_hz, p_w in lines:
+        r = 1.0 if forward_ratios is None else forward_ratios[i]  # p * (1.0 * 1.0) is p exactly
         # One chain per line; a NaN fails every comparison.
         if not (0.0 < f_hz <= f_max and 0.0 <= p_w < inf and 0.0 <= r < inf):
             _refuse_line(i, f_hz, p_w, r, cfg)
@@ -358,8 +358,11 @@ def chain_voltages_lines(
         sq1 += v_sq * c * c
         c = cos(half_pi * f_hz / f_max2)
         sq2 += v_sq * c * c
+        i += 1
     if total_w == inf:
         raise ValueError(f"the {len(lines)} lines' total power after the gain overflows a float")
+    if oc_sq == inf:  # each tap's sum is at most the open end's
+        raise ValueError(f"the stub drive of {total_w!r} W after the gain overflows a float in its standing-wave sum")
     # Hard amplifier ceiling on total output power; line ratios are preserved.
     sat_w = cfg._sat_w
     if total_w > sat_w:
@@ -428,8 +431,8 @@ def chain_codes_cw(
     cfg.check_band's OutOfBandError, for a frequency above the stub band
     (naming the largest), then outside a coupler's band (naming the first in
     C order); ValueError for an att_db that is not an attenuator setting,
-    and for the first cell, named, whose watts overflow a float after the
-    gain.
+    and for the first cell, named, whose watts, or whose standing-wave sum,
+    overflow a float after the gain.
     """
     f = np.asarray(freq_hz, dtype=float)
     p_dbm = np.asarray(power_dbm, dtype=float)
@@ -446,17 +449,22 @@ def chain_codes_cw(
     for a in sorted(set(att.ravel().tolist())):
         cfg.attenuator.check_setting(a)
     cells = np.broadcast_arrays(f, p_dbm, att)
+    z0s = cfg.stub.z0s
     with np.errstate(over="ignore", invalid="ignore"):
         # A tap chain without ripple reads alike at every frequency: p takes the cells' shape here.
         p = np.broadcast_to(10.0 ** (p_dbm / 10.0) * 1e-3 * 10.0 ** (g_db / 10.0), cells[0].shape)
-    bad = ~(p < math.inf)  # also NaN: a power that underflows to 0 W times a gain that overflows
+        # The scalar chain's standing-wave sum of each cell, before the ceiling. It is not finite
+        # where p is not, and NaN for a power that underflows to 0 W times a gain that overflows.
+        v_sq = 8.0 * p * z0s
+    bad = ~(v_sq < math.inf)
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
         fb, pb, ab = (float(x[idx]) for x in cells)
-        raise ValueError(
-            f"cell at {fb / 1e9:.3f} GHz, {pb!r} dBm and att_db={ab!r}: its watts after the gain overflow a float"
-        )
-    v_sq = 8.0 * np.minimum(p, cfg._sat_w) * cfg.stub.z0s  # a cell is one line: the ceiling caps its watts
+        what = "watts after the gain overflow" if not p[idx] < math.inf else "standing-wave sum after the gain overflows"
+        raise ValueError(f"cell at {fb / 1e9:.3f} GHz, {pb!r} dBm and att_db={ab!r}: its {what} a float")
+    # A cell is one line: the ceiling caps its watts. Rounding is monotone, so
+    # this is 8.0 * np.minimum(p, sat_w) * z0s bit for bit.
+    v_sq = np.minimum(v_sq, 8.0 * cfg._sat_w * z0s)
     det, adc = cfg.detector, cfg.adc
     # numpy's pow, log10 and cos may differ from the C library's by a few
     # units in the last place, and the ceiling from the scalar chain's scale

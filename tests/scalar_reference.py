@@ -11,7 +11,8 @@ written before the array build, the precomputed inverse, the config
 constants and the one decision path replaced it; the tests require the
 library to reproduce them bit for bit. chain_voltages_lines_scalar has
 since gained the library's refusal of a line, or a sum of lines, whose
-watts overflow a float after the gain, with the same messages, and its
+watts overflow a float after the gain, and of a stub drive whose
+standing-wave sum overflows, with the same messages, and its
 amplifier ceiling scales the three standing-wave sums, as the library's
 does. chain_readout_lines_two_pass keeps the ceiling as it was written
 before, each line's watts scaled and then summed; the tests require the
@@ -331,6 +332,8 @@ def _detector_voltages(oc_sq, tap_sq, det):
 def chain_voltages_lines_scalar(lines, cfg, att_db, forward_ratios=None):
     drive, total_w, sat_w = _drive(lines, cfg, att_db, forward_ratios)
     oc_sq, tap_sq = _tap_rms_squares(drive, cfg.stub)
+    if oc_sq == math.inf:
+        raise ValueError(f"the stub drive of {total_w!r} W after the gain overflows a float in its standing-wave sum")
     if total_w > sat_w:
         scale = sat_w / total_w
         oc_sq, tap_sq = oc_sq * scale, [x * scale for x in tap_sq]

@@ -297,7 +297,9 @@ class TestWorkPerRun:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_acceptance_pulse(self, calibration, monkeypatch, seed):
-        readouts, estimates = counted_readouts(monkeypatch), []
+        readouts, estimates, states = counted_readouts(monkeypatch), [], []
+        line_state = _Runner._line_state
+        monkeypatch.setattr(_Runner, "_line_state", lambda runner, t: states.append(t) or line_state(runner, t))
 
         def counted_estimate(codes, cal, switch_freq_hz):
             estimates.append(codes.t_s)  # a call that raises is counted too
@@ -311,6 +313,10 @@ class TestWorkPerRun:
         decided = non_repeats(runner, trace, 0)
         assert readouts == conversion_settings(runner, decided)
         assert len(readouts) == 16 < len(samples) == 30
+        # The line state is looked up once per span of line events that the
+        # readouts' conversions fall in, not once per readout, and once for
+        # the metrics.
+        assert len(states) == 7
 
         # Each sample that is not a repeat is estimated once, unless it is
         # frozen (the one after an attenuator step) or at the detector floor.

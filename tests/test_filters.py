@@ -18,6 +18,9 @@ from swsense.filters import (
 )
 
 
+ABSORPTIVE = NotchModel(reflective=False)
+
+
 def engaged_at(f_center, t=0.0):
     return FilterState(engaged=True, f_center_hz=f_center, transition_until_s=t)
 
@@ -186,9 +189,15 @@ def test_model_refuses_by_name(kw, message):
         (lambda: notch_s21_db(NotchModel(), FilterState(), -8e9, 0.0, 1.0), r"^f_hz must be positive and finite, got -8000000000\.0$"),
         (lambda: stopband_gamma(NotchModel(), engaged_at(8e9), math.nan, 0.0, 1.0), r"^f_hz must be positive and finite, got nan$"),
         (lambda: stopband_gamma(NotchModel(), engaged_at(8e9), 8e9, 0.0, -math.inf), r"^t_s=-inf is not a finite time$"),
+        # An absorptive notch reflects nothing, and refuses alike.
+        (lambda: stopband_gamma(ABSORPTIVE, engaged_at(8e9), math.nan, 0.0, 1.0), r"^f_hz must be positive and finite, got nan$"),
+        (lambda: stopband_gamma(ABSORPTIVE, FilterState(), 0.0, 0.0, 1.0), r"^f_hz must be positive and finite, got 0\.0$"),
+        (lambda: stopband_gamma(ABSORPTIVE, engaged_at(8e9), 8e9, math.nan, 1.0), r"^p_in_dbm must not be NaN$"),
+        (lambda: stopband_gamma(ABSORPTIVE, engaged_at(8e9), 8e9, 0.0, math.nan), r"^t_s=nan is not a finite time$"),
     ],
     ids=["depth_nan_power", "s21_nan_power", "s21_nan_freq", "s21_zero_freq", "s21_inf_freq", "s21_nan_time",
-         "s21_negative_freq", "gamma_nan_freq", "gamma_inf_time"],
+         "s21_negative_freq", "gamma_nan_freq", "gamma_inf_time", "absorptive_gamma_nan_freq",
+         "absorptive_gamma_zero_freq", "absorptive_gamma_nan_power", "absorptive_gamma_nan_time"],
 )
 def test_reads_refuse_by_name(call, message):
     # Each read once answered a plausible number (30 dB, -30 dB, 0.0) or nan.

@@ -417,6 +417,11 @@ class TestLineDomain:
             chain_voltages_lines([(8e9, 1e-3), (9e9, 1e-3)], chain, 0.0, forward_ratios=[ratio, 1.0])
         with pytest.raises(ValueError, match="forward ratio"):
             chain_readout_lines([(8e9, 1e-3)], chain, 0.0, forward_ratios=[ratio])
+        # The last of three lines, its ratio given in a tuple as the engine gives it.
+        lines = [(8e9, 1e-3), (9e9, 1e-3), (10e9, 1e-3)]
+        for fn in (chain_voltages_lines, chain_readout_lines):
+            with pytest.raises(ValueError, match=rf"^line 2 at 10\.000 GHz: forward ratio {ratio!r} is not"):
+                fn(lines, chain, 0.0, forward_ratios=(1.0, 0.5, ratio))
 
     @pytest.mark.parametrize("ratios", [[], [1.0], [1.0, 1.0, 1.0]])
     def test_forward_ratios_one_per_line(self, chain, ratios):
@@ -445,8 +450,13 @@ class TestLineDomain:
         for fn in (chain_voltages_lines, chain_readout_lines):
             with pytest.raises(ValueError, match=message):
                 fn([(8e9, 1e-3), (9e9, big), (16.5e9, 1e-3)], cfg, 0.0)
-        # At 31.75 dB of attenuation it fits.
-        chain_readout_lines([(9e9, big)], cfg, 31.75)
+        # At 31.75 dB of attenuation the watts fit, but not their standing-wave
+        # sum, 8 * z0s times them; 10 dB less power fits both.
+        message = r"^the stub drive of .* W after the gain overflows a float in its standing-wave sum$"
+        for fn in (chain_voltages_lines, chain_readout_lines):
+            with pytest.raises(ValueError, match=message):
+                fn([(9e9, big)], cfg, 31.75)
+        chain_readout_lines([(9e9, dbm_to_watts(3072.0))], cfg, 31.75)
 
     def test_forward_ratio_that_overflows_the_watts(self, chain):
         for ratio in (1e160, 0.0):  # 0.0 times an overflowed line is NaN
@@ -454,11 +464,15 @@ class TestLineDomain:
                 chain_voltages_lines([(8e9, 1e-3 if ratio else 1e308)], chain, 0.0, forward_ratios=[ratio])
 
     def test_lines_whose_sum_overflows(self, chain):
-        # Each line fits after the default chain's gain; their sum does not.
+        # Each line's watts fit after the default chain's gain; their sum does not.
         lines = [(8e9, 4e307), (9e9, 4e307)]
         with pytest.raises(ValueError, match=r"^the 2 lines' total power after the gain overflows a float$"):
             chain_readout_lines(lines, chain, 0.0)
-        chain_readout_lines(lines[:1], chain, 0.0)
+        # One line's watts fit, but not its standing-wave sum, 8 * z0s times them.
+        message = r"^the stub drive of 1\.149\d*e\+308 W after the gain overflows a float in its standing-wave sum$"
+        with pytest.raises(ValueError, match=message):
+            chain_readout_lines(lines[:1], chain, 0.0)
+        chain_readout_lines([(8e9, 1e305)], chain, 0.0)
 
 
 # The refusal of a coupler table or gain ripple, after the field's name.
@@ -552,7 +566,9 @@ class TestCwDomain:
         # 3082.54 dBm is about 1.79e305 W; at 3082.55 dBm, 10 ** (p / 10)
         # overflows, and the chain once read int64-minimum codes there.
         f = np.array([8e9, 8e9])
-        chain_codes_cw(f, np.array([-300.0, 3082.54]), 0.0, chain)
+        # 3082.54 dBm passes as watts, and is refused later for its standing-wave sum after the gain.
+        with pytest.raises(ValueError, match=r"^cell at 8\.000 GHz, 3082\.54 dBm and att_db=0\.0: its standing-wave sum"):
+            chain_codes_cw(f, np.array([-300.0, 3082.54]), 0.0, chain)
         with pytest.raises(ValueError, match=r"^power 3082\.55 dBm is too large"):
             chain_codes_cw(f, np.array([3082.55, 3082.54]), 0.0, chain)
         # Checked after the frequencies and the non-finite powers.
@@ -574,9 +590,14 @@ class TestCwDomain:
                 chain_codes_cw(f, p, np.array([0.0]), cfg)
             with pytest.raises(ValueError, match=r"overflow a float$"):
                 settle_cw(8e9, 3082.0, cfg, ControllerConfig.for_chain(cfg))
-            # Attenuation brings it back within a float, to the scalar chain's codes.
-            got = chain_codes_cw(8e9, 3082.0, 31.75, cfg)
-        ref = chain_readout_lines([(8e9, dbm_to_watts(3082.0))], cfg, 31.75)
+            # At 31.75 dB of attenuation the watts fit, but not their
+            # standing-wave sum, as in the scalar chain.
+            message = r"^cell at 8\.000 GHz, 3082\.0 dBm and att_db=31\.75: its standing-wave sum after the gain overflows"
+            with pytest.raises(ValueError, match=message):
+                chain_codes_cw(f, p, np.array([31.75]), cfg)
+            # 10 dB less power fits both, and reads the scalar chain's codes.
+            got = chain_codes_cw(8e9, 3072.0, 31.75, cfg)
+        ref = chain_readout_lines([(8e9, dbm_to_watts(3072.0))], cfg, 31.75)
         assert got == (ref.code_oc, ref.code_l1, ref.code_l2)
 
     def test_cell_whose_watts_underflow_reads_the_floor(self, chain):

@@ -347,6 +347,9 @@ _HIGH_GAIN = ChainConfig(amplifier=AmplifierParams(gain_db=60.0))
         (_HIGH_GAIN, [(8e9, dbm_to_watts(3082.0))], 0.0, None),
         (_HIGH_GAIN, [(8e9, 1e-3), (9e9, dbm_to_watts(3082.0)), (16.5e9, 1e-3)], 0.0, None),
         (_HIGH_GAIN, [(8e9, dbm_to_watts(3082.0))], 31.75, None),
+        # Its watts fit at 31.75 dB, but not their standing-wave sum; the
+        # readout once read every detector at its ceiling here.
+        (_HIGH_GAIN, [(15.9e9, dbm_to_watts(3082.0))], 31.75, None),
         (_HIGH_GAIN, [(8e9, 1e-3), (9e9, 1e-3)], 0.0, [1.0, 1e160]),
         (_HIGH_GAIN, [(8e9, 1e308)], 0.0, [0.0]),
         (ChainConfig(), [(8e9, 4e307), (9e9, 4e307)], 0.0, None),

@@ -38,7 +38,7 @@ from swsense.engine import (
     trace_to_csv,
 )
 from swsense.filters import NotchModel
-from swsense.readout import AdcParams, ChainConfig
+from swsense.readout import AdcParams, ChainConfig, chain_readout_lines
 
 SCENARIOS = ("cascade_6_12", "limit_cycle_coupler", "limit_cycle_tap", "pulse_response")
 SEEDS = (0, 1, 7, 11, 123)
@@ -106,15 +106,51 @@ def test_bundled_scenarios_match_reference(tmp_path, name, seed):
     assert_trace_parity(replace(scenario(name), seed=seed), tmp_path)
 
 
-@pytest.mark.parametrize("rates", [(4e6, 7e6), (7e6, 5e6)])
-def test_out_of_step_stages_match_reference(tmp_path, rates):
-    # At 7 MS/s a sample comes sooner than one 200 ns controller clock, so a
-    # pending mode outlives the sample after the one that set it.
+def out_of_step(rates, **changes):
+    """cascade_6_12 with its two stages sampling at the given rates."""
     sc = scenario("cascade_6_12")
     stages = tuple(
         replace(st, chain=replace(st.chain, adc=AdcParams(sample_rate=rate))) for st, rate in zip(sc.stages, rates)
     )
-    assert_trace_parity(replace(sc, stages=stages), tmp_path)
+    return replace(sc, stages=stages, **changes)
+
+
+@pytest.mark.parametrize("rates", [(4e6, 7e6), (7e6, 5e6)])
+def test_out_of_step_stages_match_reference(tmp_path, rates):
+    # At 7 MS/s a sample comes sooner than one 200 ns controller clock, so a
+    # pending mode outlives the sample after the one that set it.
+    assert_trace_parity(out_of_step(rates), tmp_path)
+
+
+def test_a_tune_ends_the_span_another_stage_reads(tmp_path, monkeypatch):
+    # The engine reuses the lines of its last lookup while a conversion lies
+    # in the span of line events around it. Here stage 0's tune lands inside
+    # that span, and stage 1's next conversion lies past the tune but inside
+    # the span: the lines the span held would read other codes there. Stage
+    # 0's notch tunes at once, so it stops stage 1's line from its tune on.
+    sc = out_of_step((7e6, 5e6), seed=0)
+    first_stage = replace(sc.stages[0], notch=replace(sc.stages[0].notch, tuning_time_s=0.0))
+    sc = replace(sc, stages=(first_stage, sc.stages[1]))
+    ends = []  # (x, span_hi, span_lines) of each line event inserted inside the span
+    add = _Runner._add_line_event
+
+    def recorded(self, x):
+        if x < self.span_hi:
+            ends.append((x, self.span_hi, self.span_lines))
+        add(self, x)
+
+    monkeypatch.setattr(_Runner, "_add_line_event", recorded)
+    trace = assert_trace_parity(sc, tmp_path)
+    tunes = {a.effective_at_s for a in trace.actions if a.stage == 0 and a.kind == "tune" and a.ok}
+    chain, period = sc.stages[1].chain, sc.stages[1].chain.adc.sample_period
+    stale = []
+    for x, hi, lines in ends:
+        first = next((s for s in trace.samples[1] if x <= s["t_s"] - period), None)
+        if x in tunes and first is not None and first["t_s"] - period < hi:
+            codes = chain_readout_lines(lines.pairs[1], chain, first["att_db"], first["t_s"], lines.ratios[1])
+            if codes[1:4] != (first["code_oc"], first["code_l1"], first["code_l2"]):
+                stale.append(x)
+    assert stale
 
 
 def test_records_of_one_state_share_tuples(tmp_path):
