@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .codec import from_json, load, save
+from .codec import from_json, load, rewrite, save
 from .controller import ControllerConfig, settle_cw
 from .coupling import ResistiveTapParams, tap_sparams
 from .engine import load_scenario, run, samples_to_csv, trace_to_csv
@@ -70,7 +70,7 @@ def _outpath(args, name: str) -> str:
 def _write_rows(args, name: str, columns: list[str], rows: list[list[str]]) -> int:
     """Write columns then rows to the CSV file name in --out, say so, and return 0."""
     path = _outpath(args, name)
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         w.writerows(rows)

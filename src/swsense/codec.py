@@ -8,15 +8,18 @@ key and value against the field annotations, so malformed input is a
 ValueError that starts with its JSON path, for example
 "sources[0].power_dbm: expected float, got str".
 
-save and load are the package's one road for JSON files.
+save and load are the package's one road for JSON files, and rewrite
+is its one road for writing any file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import types
 import typing
 from itertools import repeat
@@ -80,9 +83,30 @@ def from_json(cls, d, where: str, *, root: bool = False):
         raise ValueError(f"{where}: {exc}") from None
 
 
+@contextlib.contextmanager
+def rewrite(path: str, newline: str | None = None):
+    """A text file that overwrites path in place, as open(path, "w", newline=newline) would.
+
+    The file is opened without truncation and, once the block ends, even by
+    an exception, cut to what was written if it is longer. A file that
+    existed keeps its mode. Truncating a file that still holds unwritten
+    pages makes ext4 flush it at close, which costs more than the write.
+    A device such as os.devnull has no length, so it is never cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if os.fstat(fd).st_size > end:
+                os.ftruncate(fd, end)
+
+
 def save(obj, path: str) -> None:
     """Write to_json(obj) to path as JSON: indent 2, sorted keys, a final newline."""
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         json.dump(to_json(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

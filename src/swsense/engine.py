@@ -44,7 +44,7 @@ from .controller import (
     ControllerState,
     on_sample,
 )
-from .codec import from_json, load, save
+from .codec import from_json, load, rewrite, save
 from .core import Tone, check_not_bool, expand_modulated, watts_to_dbm
 from .coupling import sampled_forward_amplitude
 from .errors import OutOfBandError, TuningRangeError
@@ -733,7 +733,7 @@ def trace_to_csv(trace: Trace, path: str) -> None:
                 row += (int(s.filter_engaged), s.filter_center_hz)
             yield (i * dt for i in range(r.start, r.stop)), row
 
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         csv.writer(fh).writerow(cols)
         _write_stretches(fh, stretches())
 
@@ -745,6 +745,6 @@ def samples_to_csv(trace: Trace, stage: int, path: str) -> None:
     bool; anything else is a ValueError naming it, and no file is written.
     """
     _check_stage(trace, stage)
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         csv.writer(fh).writerow(_SAMPLE_COLUMNS)
         _write_stretches(fh, trace.sample_runs[stage])

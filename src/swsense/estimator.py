@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .codec import load, save
+from .codec import load, rewrite, save
 from .core import check_not_bool, interp, watts_to_dbm
 from .errors import (
     BijectivityError,
@@ -596,7 +596,7 @@ def save_calibration(cal: CalibrationTable, csv_path: str, header_path: str) -> 
     """Write the table as CSV rows, one per grid cell in row order, and a JSON header block."""
     freqs, powers = tuple(map(float, cal.freqs_hz)), tuple(map(float, cal.powers_dbm))
     codes = zip(*(map(int, c.flat) for c in (cal.code_oc, cal.code_l1, cal.code_l2)))
-    with open(csv_path, "w", newline="") as fh:
+    with rewrite(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         writer.writerows(

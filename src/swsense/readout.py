@@ -60,10 +60,16 @@ class AttenuatorParams:
             raise ValueError("max_db must be a whole number of step_db")
         # The settings as k * step_db, which check_setting accepts without
         # arithmetic; a finer attenuator keeps its first 4096 only. Not a
-        # field, so the JSON codec, equality and repr never see it.
+        # field, so the JSON codec, equality and repr never see it. Kept by
+        # valid_setting's rule in one array pass: numpy's *, /, rint and abs
+        # round as Python's *, /, round and abs do. Near the largest float a
+        # top multiple may overflow to inf, which is no setting.
         n = min(int(round(self.max_db / self.step_db)), 4095)
-        exact = (k * self.step_db for k in range(n + 1))
-        object.__setattr__(self, "_settings", frozenset(a for a in exact if self.valid_setting(a)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = np.arange(n + 1) * self.step_db
+            steps = exact / self.step_db
+            keep = (exact <= self.max_db + 1e-9) & (np.abs(steps - np.rint(steps)) < 1e-6)
+        object.__setattr__(self, "_settings", frozenset(exact[keep].tolist()))
 
     def valid_setting(self, att_db: float) -> bool:
         if not 0.0 <= att_db <= self.max_db + 1e-9:

@@ -1,5 +1,6 @@
 """Command line interface, driven through main() with captured artifacts."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -17,6 +18,8 @@ import pytest
 import swsense
 from swsense import cli
 from swsense.cli import main
+from swsense.codec import rewrite, save
+from swsense.engine import load_scenario, run, samples_to_csv, trace_to_csv
 from swsense.estimator import load_calibration
 
 
@@ -569,6 +572,97 @@ class TestRepeatedCalls:
 
         for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
             assert help_text(main, argv) == help_text(cli._parser().parse_args, argv)
+
+
+class TestOverwrite:
+    """An artifact is overwritten in place and cut to its new length, never truncated on open."""
+
+    @pytest.mark.parametrize(
+        "first, second, shorter",
+        [
+            ("limit_cycle_tap", "pulse_response", ["metrics.json"]),
+            ("cascade_6_12", "pulse_response", ["metrics.json", "trace.csv"]),
+            ("pulse_response", "limit_cycle_tap", ["samples_stage0.csv", "trace.csv"]),
+        ],
+    )
+    def test_a_rewrite_leaves_no_stale_tail(self, tmp_path, capsys, first, second, shorter):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert run_cli(shared, "simulate", scenario_path(f"{first}.json")) == 0
+        before = _files(shared)
+        assert run_cli(shared, "simulate", scenario_path(f"{second}.json")) == 0
+        assert run_cli(fresh, "simulate", scenario_path(f"{second}.json")) == 0
+        written = _files(fresh)
+        assert sorted(name for name in written if len(written[name]) < len(before[name])) == shorter
+        # Each artifact equals the run's own; a file the run does not write is left as it was.
+        assert _files(shared) == {**before, **written}
+
+    def test_a_coarser_calibrate_leaves_no_stale_tail(self, tmp_path, capsys):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert run_cli(shared, "calibrate", "--f-step", "0.05e9") == 0
+        before = _files(shared)
+        assert run_cli(shared, "calibrate") == 0
+        assert run_cli(fresh, "calibrate") == 0
+        written = _files(fresh)
+        assert all(len(written[name]) < len(before[name]) for name in ("calibration.csv", "calibration.json"))
+        assert _files(shared) == written
+
+    def test_an_artifact_keeps_its_mode(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        assert run_cli(tmp_path / "out", "sweep-sparams", "--points", "3") == 0
+        assert (tmp_path / "out" / "sparams.csv").stat().st_mode == plain.stat().st_mode
+        (tmp_path / "out" / "sparams.csv").chmod(0o600)
+        assert run_cli(tmp_path / "out", "sweep-sparams", "--points", "3") == 0
+        assert (tmp_path / "out" / "sparams.csv").stat().st_mode & 0o777 == 0o600
+
+    def test_a_device_is_written_and_not_cut(self):
+        trace = run(load_scenario(scenario_path("pulse_response.json")))
+        trace_to_csv(trace, os.devnull)
+        samples_to_csv(trace, 0, os.devnull)
+        save(trace.metrics.to_dict(), os.devnull)
+
+    def test_a_write_that_raises_leaves_what_it_wrote(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("x" * 200_000)
+        with pytest.raises(RuntimeError, match="midway"):
+            with rewrite(str(path)) as fh:
+                fh.write("y" * 100_000)
+                raise RuntimeError("midway")
+        assert path.read_text() == "y" * 100_000
+
+    @pytest.mark.parametrize(
+        "argv, artifacts",
+        [
+            (["simulate", scenario_path("pulse_response.json")], ["metrics.json", "samples_stage0.csv", "trace.csv"]),
+            (["calibrate", "--f-start", "5e9", "--f-stop", "7e9", "--f-step", "1e9"],
+             ["calibration.csv", "calibration.json"]),
+            (["sweep-sparams", "--points", "3"], ["sparams.csv"]),
+        ],
+    )
+    def test_no_artifact_is_truncated_on_open(self, tmp_path, capsys, monkeypatch, argv, artifacts):
+        # A structural guard, not a timing bound: the rewrite opens every
+        # artifact through os.open without O_TRUNC, and none through open(path, "w").
+        assert run_cli(tmp_path, *argv) == 0
+        os_opens, opens = [], []
+        os_open, builtin_open = os.open, builtins.open
+
+        def record_os_open(path, flags, *args, **kwargs):
+            os_opens.append((os.path.basename(path), flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        def record_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opens.append((os.path.basename(file), mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", record_os_open)
+        monkeypatch.setattr(builtins, "open", record_open)
+        assert run_cli(tmp_path, *argv) == 0
+        monkeypatch.undo()
+        assert sorted(name for name, _ in os_opens) == artifacts
+        assert [name for name, flags in os_opens if flags & os.O_TRUNC] == []
+        assert [name for name, mode in opens if name in artifacts and "w" in mode] == []
 
 
 class TestConfigPlumbing:

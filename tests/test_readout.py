@@ -7,13 +7,14 @@ written out in test_chain_codes_hand_composed below.
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import swsense.readout
 import swsense.stub
@@ -148,6 +149,27 @@ class TestAttenuator:
         else:
             with pytest.raises(ValueError, match=re.escape(f"att_db={x} is not a multiple of {att.step_db}")):
                 att.check_setting(x)
+
+    @settings(max_examples=300)
+    @given(
+        step_db=st.floats(min_value=5e-324, max_value=1e300),
+        k=st.integers(1, 5000),
+        offset=st.sampled_from((0.0, 5e-7, -5e-7)),
+        ulps=st.integers(-3, 3),
+    )
+    # Near the largest float the top multiple overflows to inf, and is no setting.
+    @example(step_db=sys.float_info.max / 3, k=3, offset=0.0, ulps=0)
+    def test_settings_follow_the_scalar_rule(self, step_db, k, offset, ulps):
+        max_db = min(k * step_db, sys.float_info.max) + offset * step_db
+        for _ in range(abs(ulps)):
+            max_db = math.nextafter(max_db, math.copysign(math.inf, ulps))
+        try:
+            att = AttenuatorParams(step_db, max_db)
+        except ValueError:
+            assume(False)
+        n = min(int(round(att.max_db / att.step_db)), 4095)
+        scalar = [a for a in (j * att.step_db for j in range(n + 1)) if att.valid_setting(a)]
+        assert sorted(att._settings) == scalar
 
     def test_validation(self):
         with pytest.raises(ValueError):
