@@ -13,6 +13,12 @@ and no diagnostic, repeats its previous log row until a source edge, an
 action of any stage or the end of a notch's tuning transition falls
 between two of its conversions.
 
+The source lines are pushed through the stages once per line state, and
+the ADC is read once per line state and attenuator setting. Both are kept
+for the last scenario run, keyed by its sources and stages compared by
+value, so runs of equal scenarios, as in a seed sweep, share them; a run
+of any other scenario replaces them.
+
 A traced run costs what its change points cost, not what its dt points or
 samples cost. Each stage's samples are stored as maximal stretches with
 equal values after t_s, which Trace.samples expands on first access; the
@@ -201,8 +207,21 @@ class Trace:
 
 _CAL_CACHE: dict[tuple[ChainConfig, int, int], CalibrationTable] = {}
 
+# The last scenario run, as ((sources, stages), its line cache). A run of a
+# scenario with equal sources and stages, whatever its seed, duration_s or
+# dt_s, reuses that cache; any other run replaces it, so the engine keeps
+# the line states and codes of one scenario at most. The pair is read and
+# replaced whole, so a run never takes another scenario's cache.
+_KEPT_SCENARIO: tuple = (None, {})
+
 
 def clear_calibration_cache() -> None:
+    """Drop every kept calibration table.
+
+    The kept scenario stays: its line states and codes do not depend on a
+    table, and perfbench's rounds, which rebuild their tables cold, must
+    repeat their call counts exactly.
+    """
     _CAL_CACHE.clear()
 
 
@@ -237,13 +256,14 @@ def _validate(sc: Scenario, expanded: list[list[tuple[float, float]]]) -> None:
 
 
 class _Lines(NamedTuple):
-    """The source lines through every stage in one line state."""
+    """The source lines through every stage in one line state, and the codes read from them."""
 
     pairs: tuple[tuple[tuple[float, float], ...], ...]  # [stage] (freq, watts) of each line reaching it
     ratios: tuple[tuple[float, ...], ...]  # [stage] sampled forward amplitude of each pair
     in_dbm: tuple[tuple[float, ...], ...]  # [stage][source]
     out_dbm: tuple[tuple[float, ...], ...]
     state: tuple  # the line state, as _Runner._line_state gives it
+    codes: tuple[dict[float, tuple[int, int, int]], ...]  # [stage] att_db -> (code_oc, code_l1, code_l2) read so far
 
 
 def _first_point(c: float, dt: float) -> int:
@@ -299,7 +319,15 @@ class _Runner:
         self.events = sorted(x for src in sc.sources for x in (src.t_on_s, src.t_off_s)) + [math.inf]
         # The same without the attenuator steps: the times at which the line state can change.
         self.line_events = self.events.copy()
-        self.line_cache: dict[tuple, _Lines] = {}
+        # Everything _lines and a readout read is in the sources and stages,
+        # so a scenario equal in both shares the kept line states and codes.
+        global _KEPT_SCENARIO
+        key = (sc.sources, sc.stages)
+        kept_key, line_cache = _KEPT_SCENARIO
+        if kept_key != key:
+            line_cache = {}
+            _KEPT_SCENARIO = (key, line_cache)
+        self.line_cache: dict[tuple, _Lines] = line_cache
         # The lines of _acquire's last lookup, which hold over the span [lo, hi) of line_events around it.
         self.span_lo, self.span_hi, self.span_lines = math.inf, -math.inf, None
         self.ctrl_state = [ControllerState() for _ in sc.stages]
@@ -328,9 +356,10 @@ class _Runner:
         Each call builds and looks up t's line state; _acquire calls it once
         per span of line_events, _build_runs once per change point and
         _metrics once. A limit cycle that returns to a notch setting returns
-        to its line state and reuses the lines pushed through there. A
-        filter history only grows past the event being processed, so the
-        line state of a time already reached never changes.
+        to its line state and reuses the lines pushed through there, and so
+        does a later run of an equal scenario. A filter history only grows
+        past the event being processed, so the line state of a time already
+        reached never changes.
         """
         key = self._line_state(t)
         if key in self.line_cache:
@@ -361,7 +390,8 @@ class _Runner:
             ratios.append(tuple(stage_ratios))
             ins.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_in))
             outs.append(tuple(watts_to_dbm(w) if w > 0 else _SILENT_DBM for w in per_out))
-        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), key)
+        codes = tuple({} for _ in self.sc.stages)  # filled by _acquire
+        self.line_cache[key] = _Lines(tuple(pairs), tuple(ratios), tuple(ins), tuple(outs), key, codes)
         return self.line_cache[key]
 
     # ---- sampling ----
@@ -375,6 +405,10 @@ class _Runner:
         lookup, its lines are that lookup's, and only a conversion outside
         it calls _lines. _add_line_event ends the span at a line event
         inserted inside it.
+
+        A readout is a pure function of the stage's lines, chain and
+        setting, so the lines keep the codes read at each setting, and only
+        a setting not yet read there calls chain_readout_lines.
         """
         spec = self.sc.stages[k]
         tau = t_deliver - spec.chain.adc.sample_period
@@ -384,7 +418,13 @@ class _Runner:
             self.span_lo, self.span_hi = events[j - 1] if j else -math.inf, events[j]
             self.span_lines = self._lines(tau)
         lines = self.span_lines
-        return chain_readout_lines(lines.pairs[k], spec.chain, _at(self.att_hist[k], tau), t_deliver, lines.ratios[k])
+        att = _at(self.att_hist[k], tau)
+        read = lines.codes[k].get(att)
+        if read is None:
+            codes = chain_readout_lines(lines.pairs[k], spec.chain, att, t_deliver, lines.ratios[k])
+            lines.codes[k][att] = codes[1:4]
+            return codes
+        return TapCodes(t_deliver, *read, att)
 
     def _add_line_event(self, x: float) -> None:
         """Insert x, a time at which the line state can change, into line_events, ending the lookup span before it.

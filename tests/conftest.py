@@ -1,5 +1,6 @@
 import pytest
 
+import swsense.engine
 from swsense.controller import ControllerConfig
 from swsense.estimator import build_calibration
 from swsense.readout import ChainConfig
@@ -23,6 +24,20 @@ def calibration(chain, controller):
     # 15 builds on a 2-core host. Everything downstream treats it as
     # immutable.
     return build_calibration(chain, None, controller)
+
+
+@pytest.fixture
+def drop_kept_scenario():
+    """Drop the scenario the engine keeps, so the test's next run pushes its lines and reads its codes afresh.
+
+    Dropped once before the test; the fixture's value drops it again.
+    """
+
+    def drop():
+        swsense.engine._KEPT_SCENARIO = (None, {})
+
+    drop()
+    return drop
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

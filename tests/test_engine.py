@@ -287,16 +287,34 @@ def conversion_settings(runner, times):
     return [(t, _at(runner.att_hist[0], t - period)) for t in times]
 
 
-class TestWorkPerRun:
-    """A run reads the ADC once per sample it decides, and estimates each such sample at most once.
+def first_reads(runner, times, seen):
+    """conversion_settings of the delivery times whose (line state, setting) pair is not in seen, adding each pair to seen.
 
-    A repeat is neither read nor decided. Every other sample is read by
-    one chain_readout_lines call, stamped with its delivery time and the
-    attenuator setting at its conversion time.
+    The engine keeps the codes read in each line state at each setting for
+    as long as it keeps the scenario, so only these pairs are read.
+    """
+    period = runner.sc.stages[0].chain.adc.sample_period
+    out = []
+    for t, att in conversion_settings(runner, times):
+        pair = (runner._line_state(t - period), att)
+        if pair not in seen:
+            seen.add(pair)
+            out.append((t, att))
+    return out
+
+
+class TestWorkPerRun:
+    """The engine reads the ADC once per line state and setting of the scenario it keeps, and estimates each decided sample at most once.
+
+    A repeat is neither read nor decided. A decided sample whose line state
+    and attenuator setting at its conversion time were read before, in this
+    run or an earlier run of an equal scenario, takes the codes read then;
+    every other one is read by one chain_readout_lines call, stamped with
+    its delivery time and that setting.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_acceptance_pulse(self, calibration, monkeypatch, seed):
+    def test_acceptance_pulse(self, calibration, monkeypatch, drop_kept_scenario, seed):
         readouts, estimates, states = counted_readouts(monkeypatch), [], []
         line_state = _Runner._line_state
         monkeypatch.setattr(_Runner, "_line_state", lambda runner, t: states.append(t) or line_state(runner, t))
@@ -306,32 +324,42 @@ class TestWorkPerRun:
             return estimate(codes, cal, switch_freq_hz)
 
         monkeypatch.setattr(swsense.controller, "estimate", counted_estimate)
-        runner = _Runner(acceptance_pulse(seed), [calibration])
-        trace = runner.run(collect_trace=False)
-        calls = estimates.copy()  # non_repeats below calls estimate too
-        samples = trace.samples[0]
-        decided = non_repeats(runner, trace, 0)
-        assert readouts == conversion_settings(runner, decided)
-        assert len(readouts) == 16 < len(samples) == 30
-        # The line state is looked up once per span of line events that the
-        # readouts' conversions fall in, not once per readout, and once for
-        # the metrics.
-        assert len(states) == 7
+        seen = set()
+        # A cold run of seed 0, then a run of the seed under test that finds
+        # the scenario kept and reads only the pairs seed 0 did not read.
+        for run_seed, reads in ((0, 13), (seed, {0: 0, 1: 0, 7: 1}[seed])):
+            for counted in (readouts, estimates, states):
+                counted.clear()
+            runner = _Runner(acceptance_pulse(run_seed), [calibration])
+            trace = runner.run(collect_trace=False)
+            calls, lookups = estimates.copy(), len(states)  # the helpers below call both too
+            samples = trace.samples[0]
+            decided = non_repeats(runner, trace, 0)
+            assert len(decided) == 16 < len(samples) == 30
+            assert readouts == first_reads(runner, decided, seen)
+            assert len(readouts) == reads
+            assert len(runner.line_cache) == 6
+            # The line state is looked up once per span of line events that
+            # the decided samples' conversions fall in, not once per sample,
+            # and once for the metrics.
+            assert lookups == 7
 
-        # Each sample that is not a repeat is estimated once, unless it is
-        # frozen (the one after an attenuator step) or at the detector floor.
-        estimated, frozen = [], False
-        for s in samples:
-            if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.cfg.floor_code:
-                estimated.append(s["t_s"])
-            frozen = ACT_SET_ATT in s["action"].split(";")
-        assert calls == estimated
-        assert len(calls) == 3
+            # Each sample that is not a repeat is estimated once, unless it
+            # is frozen (the one after an attenuator step) or at the detector
+            # floor.
+            estimated, frozen = [], False
+            for s in samples:
+                if s["t_s"] in decided and not frozen and s["code_oc"] > calibration.cfg.floor_code:
+                    estimated.append(s["t_s"])
+                frozen = ACT_SET_ATT in s["action"].split(";")
+            assert calls == estimated
+            assert len(calls) == 3
 
-    def test_limit_cycle_revisits_its_line_states(self, monkeypatch, tmp_path):
+    def test_limit_cycle_revisits_its_line_states(self, monkeypatch, drop_kept_scenario, tmp_path):
         # Each engage and release of the notch returns to a line state seen
-        # before, so the cycle reuses the lines pushed through there. A
-        # limit cycle has no fixed point, so most of its samples are read.
+        # before, so the cycle reuses the lines pushed through there and the
+        # codes read there. A limit cycle has no fixed point, so most of its
+        # samples are decided.
         readouts = counted_readouts(monkeypatch)
         sc = load_scenario(str(resources.files("swsense").joinpath("data/scenarios/limit_cycle_tap.json")))
         assert sc.seed == 3
@@ -339,8 +367,10 @@ class TestWorkPerRun:
         trace = runner.run(collect_trace=True)
         assert detect_limit_cycle(trace)[0]
         assert len(runner.line_cache) == 5
-        assert readouts == conversion_settings(runner, non_repeats(runner, trace, 0))
-        assert len(readouts) == 75
+        decided = non_repeats(runner, trace, 0)
+        assert len(decided) == 75
+        assert readouts == first_reads(runner, decided, set())
+        assert len(readouts) == 17
 
         trace_to_csv(trace, str(tmp_path / "trace.csv"))
         trace_reference.trace_to_csv(trace, str(tmp_path / "trace_reference.csv"))
@@ -687,10 +717,51 @@ class TestArtifacts:
         assert any(row["s0_action"] for row in rows)
 
 
-def test_calibration_cache_reuses_tables(chain, controller):
+def test_calibration_cache_reuses_tables(chain, controller, monkeypatch, drop_kept_scenario):
     a = get_calibration(chain, controller)
     b = get_calibration(chain, controller)
     assert a is b
+    kept = _Runner(acceptance_pulse(0), None)
+    kept.run(collect_trace=False)
     clear_calibration_cache()
     c = get_calibration(chain, controller)
     assert c is not a
+    # The line states and codes do not depend on a table, so the kept
+    # scenario stays, and a run against the new table reads no codes.
+    readouts = counted_readouts(monkeypatch)
+    again = _Runner(acceptance_pulse(0), [c])
+    again.run(collect_trace=False)
+    assert again.line_cache is kept.line_cache and len(kept.line_cache) == 6
+    assert readouts == []
+
+
+def test_engine_keeps_only_the_last_scenario(drop_kept_scenario):
+    # 20 scenarios that differ only in their source power: each run replaces
+    # the kept scenario, so the engine ends up holding the last one's line
+    # states and no other's.
+    caches = []
+    for p_dbm in range(-8, 12):
+        sc = acceptance_pulse(0)
+        sc = replace(sc, sources=(replace(sc.sources[0], power_dbm=float(p_dbm)),))
+        runner = _Runner(sc, None)
+        runner.run(collect_trace=False)
+        caches.append(runner.line_cache)
+    assert len({id(c) for c in caches}) == 20
+    key, kept = swsense.engine._KEPT_SCENARIO
+    assert key == (sc.sources, sc.stages) and kept is caches[-1]
+    assert {lines.in_dbm[0][0] for lines in kept.values()} == {11.0, swsense.engine._SILENT_DBM}
+    # An equal scenario, built anew and run at another seed, shares them.
+    assert _Runner(replace(sc, seed=5), None).line_cache is kept
+
+
+def test_a_runner_keeps_the_cache_it_took(calibration, drop_kept_scenario):
+    # A runner takes its scenario's cache when it is made. Another scenario
+    # run before it, as from another thread, replaces the kept one, and the
+    # runner still reads its own.
+    quiet = acceptance_pulse(0)
+    loud = replace(quiet, sources=(replace(quiet.sources[0], power_dbm=8.0),))
+    want = repr(run(quiet, collect_trace=False, calibrations=[calibration]).sample_runs)
+    first = _Runner(quiet, [calibration])
+    run(loud, collect_trace=False, calibrations=[calibration])
+    assert swsense.engine._KEPT_SCENARIO[0] == (loud.sources, loud.stages)
+    assert repr(first.run(collect_trace=False).sample_runs) == want

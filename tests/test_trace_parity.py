@@ -23,7 +23,9 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import swsense.engine
 import trace_reference
+from swsense.codec import save
 from swsense.controller import ControllerConfig
 from swsense.core import Tone
 from swsense.engine import (
@@ -34,6 +36,7 @@ from swsense.engine import (
     _first_point,
     _Runner,
     load_scenario,
+    run,
     samples_to_csv,
     trace_to_csv,
 )
@@ -104,6 +107,63 @@ def assert_trace_parity(sc, tmp_path):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_bundled_scenarios_match_reference(tmp_path, name, seed):
     assert_trace_parity(replace(scenario(name), seed=seed), tmp_path)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_warm_scenarios_match_reference(tmp_path, drop_kept_scenario, name):
+    # Seeds 1 and 7 run with the line states and codes that seed 0 left kept.
+    run(replace(scenario(name), seed=0), collect_trace=False)
+    kept = swsense.engine._KEPT_SCENARIO[1]
+    assert kept
+    for seed in (1, 7):
+        assert_trace_parity(replace(scenario(name), seed=seed), tmp_path)
+        assert swsense.engine._KEPT_SCENARIO[1] is kept
+
+
+def test_a_changed_notch_misses_the_kept_scenario(tmp_path, drop_kept_scenario):
+    # Only depth_db differs, so every line state recurs, but with other powers behind an engaged notch.
+    sc = scenario("pulse_response")
+    run(sc, collect_trace=False)
+    kept = swsense.engine._KEPT_SCENARIO[1]
+    notch = replace(sc.stages[0].notch, depth_db=sc.stages[0].notch.depth_db + 10.0)
+    assert_trace_parity(replace(sc, stages=(replace(sc.stages[0], notch=notch),)), tmp_path)
+    assert swsense.engine._KEPT_SCENARIO[1] is not kept
+
+
+def test_equal_scenarios_built_apart_write_the_same_artifacts(tmp_path, drop_kept_scenario):
+    # pulse_response.json, and the same scenario built in Python with int-valued fields.
+    loaded = scenario("pulse_response")
+    built = Scenario(
+        duration_s=2e-5,
+        sources=(Tone(freq_hz=8_000_000_000, power_dbm=2, t_on_s=2e-6, t_off_s=1.43e-5),),
+        stages=(
+            StageSpec(
+                controller=ControllerConfig(threshold_dbm=0),
+                notch=NotchModel(depth_db=30, bw_3db_hz=100_000_000, tuning_time_s=5e-8, reflective=False),
+            ),
+        ),
+        seed=7,
+    )
+    assert built == loaded
+
+    def artifacts(sc, out):
+        out.mkdir()
+        trace = run(sc)
+        trace_to_csv(trace, str(out / "trace.csv"))
+        samples_to_csv(trace, 0, str(out / "samples_stage0.csv"))
+        save(trace.metrics.to_dict(), str(out / "metrics.json"))
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    written = []
+    for i, order in enumerate(((loaded, built), (built, loaded))):
+        drop_kept_scenario()
+        first = artifacts(order[0], tmp_path / f"{i}_cold")
+        kept = swsense.engine._KEPT_SCENARIO[1]
+        second = artifacts(order[1], tmp_path / f"{i}_warm")
+        assert swsense.engine._KEPT_SCENARIO[1] is kept
+        written += [first, second]
+    assert len(written[0]) == 3
+    assert all(w == written[0] for w in written)
 
 
 def out_of_step(rates, **changes):
